@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: RATDYN_SEED or a fixed constant)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for the denominator catalog")
+                        help="accepted for compatibility and ignored")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # top-level value unless the subcommand position actually sets one
     common = argparse.ArgumentParser(add_help=False)
@@ -124,9 +124,10 @@ def _load(path: str) -> Tuple[SystemFile, DynamicalSystem]:
     return sf, sf.build()
 
 
-def _expectation_checks(sf: SystemFile, budget: SearchBudget, seed: int, jobs: int):
+def _expectation_checks(sf: SystemFile, budget: SearchBudget):
     sysm = sf.build()
     checks = []
+    evidence = None  # classified once, shared by "class" and "verdict"
 
     def record(key, expected, actual):
         checks.append({"check": key, "expected": expected,
@@ -137,15 +138,16 @@ def _expectation_checks(sf: SystemFile, budget: SearchBudget, seed: int, jobs: i
             record(key, expected, str(validate_dominant(sysm) == DOMINANT).lower())
         elif key == "growth":
             record(key, expected, degree_sequence(sysm, 6).growth_class)
-        elif key == "class":
-            record(key, expected, classify_system(sysm).recognized_class)
-        elif key == "verdict":
-            record(key, expected, classify_system(sysm).verdict)
+        elif key in ("class", "verdict"):
+            if evidence is None:
+                evidence = classify_system(sysm)
+            record(key, expected, evidence.recognized_class if key == "class"
+                   else evidence.verdict)
         elif key == "adim_rank":
             record(key, expected,
-                   str(adim_lower_bound(sysm, budget, jobs).independence_rank))
+                   str(adim_lower_bound(sysm, budget).independence_rank))
         elif key == "square_new":
-            report = square_gain_check(sysm, budget, jobs)
+            report = square_gain_check(sysm, budget)
             record(key, expected, str(report.new_invariant_found).lower())
         elif key == "invariant":
             f = parse_expression(expected, sysm.variables)
@@ -177,7 +179,7 @@ def run_command(argv) -> Tuple[dict, int]:
                 if not entry.endswith(".system"):
                     continue
                 sf = load_system(os.path.join(bundled_systems_dir(), entry))
-                checks = _expectation_checks(sf, args.budget, seed, args.jobs)
+                checks = _expectation_checks(sf, args.budget)
                 failures += sum(1 for c in checks if not c["pass"])
                 results.append({"system": sf.name, "checks": checks})
             doc["result"] = {"kind": "selftest", "systems": results,
@@ -204,7 +206,7 @@ def run_command(argv) -> Tuple[dict, int]:
                 profile = degree_sequence(sysm, args.n)
                 doc["result"] = {"kind": "degrees", **_jsonable(profile)}
             elif args.command == "invariants":
-                report = adim_lower_bound(sysm, args.budget, args.jobs)
+                report = adim_lower_bound(sysm, args.budget)
                 doc["budget"] = _jsonable(args.budget)
                 doc["result"] = {
                     "kind": "invariants",
@@ -215,7 +217,7 @@ def run_command(argv) -> Tuple[dict, int]:
                         [str(f) for f in report.reduction_generators],
                 }
             elif args.command == "square":
-                report = square_gain_check(sysm, args.budget, args.jobs)
+                report = square_gain_check(sysm, args.budget)
                 doc["budget"] = _jsonable(args.budget)
                 doc["result"] = {
                     "kind": "square",

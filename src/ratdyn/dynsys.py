@@ -18,7 +18,6 @@ from .exactalg import RationalFunction, jacobian_rank, substitute
 
 DOMINANT = "dominant"
 NOT_DOMINANT = "not-dominant"
-INCONCLUSIVE = "inconclusive"
 
 GROWTH_BOUNDED = "bounded"
 GROWTH_POLYNOMIAL = "polynomial-suspected"
@@ -77,18 +76,15 @@ class DegreeProfile:
     fitted_rate: Fraction
 
 
-def validate_dominant(sys: DynamicalSystem, trials: int = 4) -> str:
+def validate_dominant(sys: DynamicalSystem) -> str:
     """Exact dominance verdict via the rank of the coordinate Jacobian.
 
-    A seeded random evaluation may short-circuit to ``dominant``; otherwise
-    the fraction-free elimination decides, so ``inconclusive`` is never
-    returned by this exact implementation.
+    The map is dominant iff its Jacobian has full rank over the function
+    field.  ``jacobian_rank`` decides that exactly (a seeded evaluation only
+    short-circuits a full rank), so the verdict is ``dominant`` or
+    ``not-dominant``, never a guess.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    n = sys.dim
-    r = jacobian_rank(sys.coords)
-    return DOMINANT if r == n else NOT_DOMINANT
+    return DOMINANT if jacobian_rank(sys.coords) == sys.dim else NOT_DOMINANT
 
 
 def require_dominant(sys: DynamicalSystem):

@@ -273,10 +273,6 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
     return _canonical_basis(_kernel_from_rref(m, pivots, ncols), ncols)
 
 
-def rank(rows: Sequence[SparseRow], ncols: int) -> int:
-    return ncols - len(nullspace(rows, ncols))
-
-
 def in_span(vectors: List[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Whether target lies in the Q-span of the given vectors."""
     if not any(target):
@@ -328,11 +324,6 @@ def poly_matrix_rank(matrix: List[List[Polynomial]]) -> int:
     return r
 
 
-def poly_matrix_det_is_zero(matrix: List[List[Polynomial]]) -> bool:
-    n = len(matrix)
-    return poly_matrix_rank(matrix) < n
-
-
 # -- Jacobian rank ---------------------------------------------------------------
 
 
@@ -342,6 +333,20 @@ _POINT_POOL = 1_000_003  # candidate coordinates per variable
 def _random_point(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
     half = _POINT_POOL // 2
     return tuple(Fraction(rng.randint(-half, half)) for _ in range(n))
+
+
+def jacobian_row(f: RationalFunction, point: Sequence[Fraction]) -> List[Fraction]:
+    """Gradient of f at the point, scaled by den(point)^2 (a nonzero factor).
+
+    Raises ZeroDivisionError when the point is a pole of f.
+    """
+    qv = f.den.evaluate(point)
+    if qv == 0:
+        raise ZeroDivisionError("evaluation at a pole")
+    pv = f.num.evaluate(point)
+    return [f.num.derivative(j).evaluate(point) * qv
+            - pv * f.den.derivative(j).evaluate(point)
+            for j in range(len(point))]
 
 
 def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
@@ -368,18 +373,8 @@ def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
     for _ in range(4):
         point = _random_point(rng, n)
         try:
-            rows = []
-            for f in fs:
-                qv = f.den.evaluate(point)
-                if qv == 0:
-                    raise ZeroDivisionError
-                pv = f.num.evaluate(point)
-                row = []
-                for j in range(n):
-                    dp = f.num.derivative(j).evaluate(point)
-                    dq = f.den.derivative(j).evaluate(point)
-                    row.append((dp * qv - pv * dq) / (qv * qv))
-                rows.append(row)
+            # each row is scaled by a nonzero den^2, which keeps the rank
+            rows = [jacobian_row(f, point) for f in fs]
         except ZeroDivisionError:
             continue
         _, pivots = rref(rows)

@@ -10,11 +10,11 @@ stored representation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import IndeterminacyError, VariableMismatchError, ZeroDenominatorError
-from .poly import (Polynomial, divide_exact, fraction_gcd, integer_primitive,
-                   poly_gcd)
+from .poly import (Exponent, Polynomial, divide_exact, fraction_gcd,
+                   integer_primitive, poly_gcd, poly_lcm)
 
 
 class RationalFunction:
@@ -216,29 +216,67 @@ def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> Ratio
     # share the denominator prod den_i^{d_i}, which then cancels.
     bounds = tuple(max(a, b) for a, b in
                    zip(f.num.max_exponents(), f.den.max_exponents()))
-    num_pows = []
-    den_pows = []
-    for g, d in zip(images, bounds):
-        npw = [Polynomial.constant(target, 1)]
-        dpw = [Polynomial.constant(target, 1)]
-        for _ in range(d):
-            npw.append(npw[-1] * g.num)
-            dpw.append(dpw[-1] * g.den)
-        num_pows.append(npw)
-        den_pows.append(dpw)
+    exponents = list(dict.fromkeys(list(f.num.terms) + list(f.den.terms)))
+    cleared = dict(zip(exponents, cleared_monomial_images(images, exponents, bounds)))
 
     def compose(p: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(target)
+        acc: Dict[Exponent, Fraction] = {}
         for e, c in p.terms.items():
-            t = Polynomial.constant(target, c)
-            for i, k in enumerate(e):
-                t = t * num_pows[i][k]
-                if bounds[i] - k:
-                    t = t * den_pows[i][bounds[i] - k]
-            acc = acc + t
-        return acc
+            for m, v in cleared[e].terms.items():
+                acc[m] = acc.get(m, 0) + c * v
+        return Polynomial(target, acc)
 
     den_image = compose(f.den)
     if den_image.is_zero:
         raise IndeterminacyError("composition lands inside the pole set")
     return RationalFunction(compose(f.num), den_image)
+
+
+def cleared_monomial_images(images: Sequence[RationalFunction],
+                            exponents: Sequence[Exponent],
+                            bounds: Sequence[int]) -> List[Polynomial]:
+    """Numerators of the monomials x^e after x_i -> images[i].
+
+    Every exponent tuple e with e_i <= bounds[i] satisfies
+    x^e(images) = N_e / prod(den_i^bounds[i]); the N_e are returned in the
+    order of ``exponents``.
+    """
+    one = Polynomial.constant(images[0].variables, 1)
+    num_pows = []
+    den_pows = []
+    for g, d in zip(images, bounds):
+        npw = [one]
+        dpw = [one]
+        for _ in range(d):
+            npw.append(npw[-1] * g.num)
+            dpw.append(dpw[-1] * g.den)
+        num_pows.append(npw)
+        den_pows.append(dpw)
+    out = []
+    for e in exponents:
+        t = one
+        for i, k in enumerate(e):
+            if k:
+                t = t * num_pows[i][k]
+            if bounds[i] - k:
+                t = t * den_pows[i][bounds[i] - k]
+        out.append(t)
+    return out
+
+
+def clear_denominators(values: Sequence[RationalFunction]
+                       ) -> Tuple[Polynomial, Dict[Exponent, int], List[Dict[int, Fraction]]]:
+    """Clear denominators jointly and lay out coefficient vectors over Q.
+
+    Returns the lcm ``den`` of the denominators, a column index per monomial,
+    and per value the sparse row (column -> coefficient) of ``value * den``.
+    """
+    den = values[0].den
+    for v in values[1:]:
+        den = poly_lcm(den, v.den)
+    index: Dict[Exponent, int] = {}
+    rows = []
+    for v in values:
+        p = v.num * divide_exact(den, v.den)
+        rows.append({index.setdefault(e, len(index)): c for e, c in p.terms.items()})
+    return den, index, rows

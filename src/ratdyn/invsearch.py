@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,9 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
                      diagonal_power, pullback, require_dominant)
 from .errors import PreconditionError
-from .exactalg import (Polynomial, RationalFunction, coprime_factor_basis,
-                       grlex_key, in_span, jacobian_rank, nullspace, poly_lcm,
-                       divide_exact, rref_sparse, try_divide)
+from .exactalg import (Polynomial, RationalFunction, clear_denominators,
+                       cleared_monomial_images, coprime_factor_basis, grlex_key,
+                       in_span, jacobian_rank, jacobian_row, nullspace, rref,
+                       rref_sparse, try_divide)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -97,34 +97,11 @@ def _monomials_upto(n: int, d: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _composed_monomials(sys: DynamicalSystem, monos, clearing: int):
-    """Numerators of the pullbacks of the given monomials.
-
-    With per-variable padding to the uniform exponent ``clearing``, every
-    monomial x^e of total degree <= clearing satisfies
-    (x^e after the map) = N_e / prod(den_i^clearing).
-    """
-    target = sys.variables
-    num_pows = []
-    den_pows = []
-    for c in sys.coords:
-        npw = [Polynomial.constant(target, 1)]
-        dpw = [Polynomial.constant(target, 1)]
-        for _ in range(clearing):
-            npw.append(npw[-1] * c.num)
-            dpw.append(dpw[-1] * c.den)
-        num_pows.append(npw)
-        den_pows.append(dpw)
-    images = []
-    for e in monos:
-        t = Polynomial.constant(target, 1)
-        for i, k in enumerate(e):
-            if k:
-                t = t * num_pows[i][k]
-            if clearing - k:
-                t = t * den_pows[i][clearing - k]
-        images.append(t)
-    return images
+def _monomial_pullbacks(sys: DynamicalSystem, d: int):
+    """Monomials of total degree <= d and the numerators of their pullbacks,
+    all over the common denominator prod(den_i^d)."""
+    monos = _monomials_upto(sys.dim, d)
+    return monos, cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
 
 
 def _kernel_polynomials(sys, monos, columns) -> List[Polynomial]:
@@ -155,9 +132,7 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
     require_dominant(sys)
-    n = sys.dim
-    monos = _monomials_upto(n, d)
-    images = _composed_monomials(sys, monos, d)
+    monos, images = _monomial_pullbacks(sys, d)
     full_den = Polynomial.constant(sys.variables, 1)
     for c in sys.coords:
         full_den = full_den * c.den ** d
@@ -219,18 +194,17 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget) -> List[Pol
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
                                   budget: SearchBudget,
-                                  composed_cache: Optional[dict] = None
-                                  ) -> List[RationalFunction]:
-    """Stage 1: with q fixed, invariance of p/q is linear in p."""
+                                  composed_cache: dict) -> List[RationalFunction]:
+    """Stage 1: with q fixed, invariance of p/q is linear in p.
+
+    ``composed_cache`` maps a clearing degree to its monomial pullbacks and
+    is filled here, so that catalog entries of equal degree share them.
+    """
     dp = budget.max_num_degree
     clearing = max(dp, q.total_degree)
-    if composed_cache is not None and clearing in composed_cache:
-        monos, images = composed_cache[clearing]
-    else:
-        monos = _monomials_upto(sys.dim, clearing)
-        images = _composed_monomials(sys, monos, clearing)
-        if composed_cache is not None:
-            composed_cache[clearing] = (monos, images)
+    if clearing not in composed_cache:
+        composed_cache[clearing] = _monomial_pullbacks(sys, clearing)
+    monos, images = composed_cache[clearing]
     keep = [i for i, e in enumerate(monos) if sum(e) <= dp]
     by_expo = {e: i for i, e in enumerate(monos)}
     q_image = Polynomial.zero(sys.variables)
@@ -265,12 +239,6 @@ def _pencil_matrix(t_coeffs, basis, size):
             m[i][j] += t * val
             m[j][i] -= t * val
     return m
-
-
-def _fraction_matrix_rank(m) -> int:
-    from .exactalg import rref
-    _, pivots = rref([row[:] for row in m])
-    return len(pivots)
 
 
 def _grid_points(k: int):
@@ -391,7 +359,7 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
         if normed in seen:
             return
         seen.add(normed)
-        if _fraction_matrix_rank(_pencil_matrix(normed, basis, size)) == 2:
+        if len(rref(_pencil_matrix(normed, basis, size))[1]) == 2:
             candidates.append(normed)
 
     support = sorted({idx for vec in basis for pair in vec for idx in pair})
@@ -508,10 +476,9 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
     if limit == 0:
         return [], False
     dmax = max(budget.max_num_degree, budget.max_den_degree)
-    monos = _monomials_upto(sys.dim, dmax)
+    monos, images = _monomial_pullbacks(sys, dmax)
     s = len(monos)
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
-    images = _composed_monomials(sys, monos, dmax)
     x_polys = [Polynomial(sys.variables, {e: Fraction(1)}) for e in monos]
 
     rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
@@ -615,25 +582,8 @@ class _ClearedPool:
     """
 
     def __init__(self, pool: Sequence[RationalFunction]):
-        seen = set()
-        self.pool = []
-        for g in pool:
-            if g not in seen:
-                seen.add(g)
-                self.pool.append(g)
-        den = self.pool[0].den
-        for g in self.pool[1:]:
-            den = poly_lcm(den, g.den)
-        self.den = den
-        self.index: Dict[Tuple[int, ...], int] = {}
-        sparse_rows = []
-        for g in self.pool:
-            p = g.num * divide_exact(den, g.den)
-            row = {}
-            for e, c in p.terms.items():
-                row[self.index.setdefault(e, len(self.index))] = c
-            sparse_rows.append(row)
-        self.rows, self.pivots = rref_sparse(sparse_rows)
+        self.den, self.index, rows = clear_denominators(list(dict.fromkeys(pool)))
+        self.rows, self.pivots = rref_sparse(rows)
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
@@ -656,14 +606,6 @@ class _ClearedPool:
                     else:
                         target.pop(c, None)
         return not target
-
-
-def _in_function_span(pool: Sequence[RationalFunction],
-                      f: RationalFunction) -> bool:
-    """Whether f is a Q-linear combination of the pool, decided exactly."""
-    if not pool:
-        return False
-    return _ClearedPool(pool).contains(f)
 
 
 class _Collector:
@@ -689,23 +631,12 @@ class _Collector:
         self._rows = [[] for _ in self._points]  # cached rows per point
         self._pool = None
 
-    @staticmethod
-    def _jacobian_row(g: RationalFunction, point):
-        qv = g.den.evaluate(point)
-        if qv == 0:
-            raise ZeroDivisionError
-        pv = g.num.evaluate(point)
-        return [(g.num.derivative(j).evaluate(point) * qv
-                 - pv * g.den.derivative(j).evaluate(point))
-                for j in range(len(point))]
-
     def _rank_certainly_grew(self, f: RationalFunction) -> bool:
-        from .exactalg import rref
         for idx, point in enumerate(self._points):
             if self._rows[idx] is None or len(self._rows[idx]) < len(self.found):
                 continue  # a found function has a pole here; point unusable
             try:
-                row = self._jacobian_row(f, point)
+                row = jacobian_row(f, point)
             except ZeroDivisionError:
                 continue
             _, pivots = rref(self._rows[idx] + [row])
@@ -719,7 +650,7 @@ class _Collector:
             if self._rows[idx] is None:
                 continue
             try:
-                self._rows[idx].append(self._jacobian_row(f, point))
+                self._rows[idx].append(jacobian_row(f, point))
             except ZeroDivisionError:
                 self._rows[idx] = None
 
@@ -744,36 +675,21 @@ class _Collector:
 
 
 def rational_invariant_search(sys: DynamicalSystem,
-                              budget: SearchBudget = DEFAULT_BUDGET,
-                              jobs: int = 1) -> List[RationalFunction]:
+                              budget: SearchBudget = DEFAULT_BUDGET
+                              ) -> List[RationalFunction]:
     """Exact invariants found within the budget, deduplicated.
 
     The output is deterministic: stage order, ascending catalog order, and
     echelonized kernels fix the discovery order.  An exhausted budget is not
     an error; completeness beyond the budget is never claimed.
     """
-    require_dominant(sys)
     collector = _Collector(sys, budget)
     for p in polynomial_invariant_basis(sys, budget.max_num_degree):
         if not p.is_constant:
             collector.offer(RationalFunction(p))
-    catalog = _denominator_catalog(sys, budget)
     composed_cache: dict = {}
-    for clearing in sorted({max(budget.max_num_degree, q.total_degree)
-                            for q in catalog}):
-        monos = _monomials_upto(sys.dim, clearing)
-        composed_cache[clearing] = (monos, _composed_monomials(sys, monos, clearing))
-    if jobs > 1 and len(catalog) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(
-                lambda q: _fixed_denominator_invariants(sys, q, budget,
-                                                        composed_cache),
-                catalog))
-    else:
-        batches = [_fixed_denominator_invariants(sys, q, budget, composed_cache)
-                   for q in catalog]
-    for batch in batches:
-        for f in batch:
+    for q in _denominator_catalog(sys, budget):
+        for f in _fixed_denominator_invariants(sys, q, budget, composed_cache):
             collector.offer(f)
     if not collector.found:
         pencil_found, _ = _pencil_stage(sys, budget)
@@ -787,15 +703,14 @@ def independence_rank(fs: Sequence[RationalFunction]) -> int:
     return jacobian_rank(fs)
 
 
-def adim_lower_bound(sys: DynamicalSystem, budget: SearchBudget = DEFAULT_BUDGET,
-                     jobs: int = 1) -> InvariantReport:
+def adim_lower_bound(sys: DynamicalSystem,
+                     budget: SearchBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Search, rank, and select a maximal independent generating subset.
 
     The resulting independence rank is a lower bound for the number of
     algebraically independent invariants; it never exceeds the dimension.
     """
-    require_dominant(sys)
-    invariants = rational_invariant_search(sys, budget, jobs)
+    invariants = rational_invariant_search(sys, budget)
     # greedy selection with the exact rank oracle: the subset it ends with is
     # a maximal independent one, so its size is the rank of the whole list
     generators: List[RationalFunction] = []
@@ -812,8 +727,8 @@ def adim_lower_bound(sys: DynamicalSystem, budget: SearchBudget = DEFAULT_BUDGET
                            reduction_generators=tuple(generators))
 
 
-def square_gain_check(sys: DynamicalSystem, budget: SearchBudget = DEFAULT_BUDGET,
-                      jobs: int = 1) -> SquareGainReport:
+def square_gain_check(sys: DynamicalSystem,
+                      budget: SearchBudget = DEFAULT_BUDGET) -> SquareGainReport:
     """Whether the diagonal square acquires invariants beyond the pullbacks.
 
     A positive gain on the second cartesian power is the canonical witness
@@ -821,10 +736,9 @@ def square_gain_check(sys: DynamicalSystem, budget: SearchBudget = DEFAULT_BUDGE
     predicts a positive-dimensional translational image, so the base degree
     profile is attached as evidence whenever a new invariant is found.
     """
-    require_dominant(sys)
-    base = adim_lower_bound(sys, budget, jobs)
+    base = adim_lower_bound(sys, budget)
     square = diagonal_power(sys, 2)
-    square_report = adim_lower_bound(square, budget, jobs)
+    square_report = adim_lower_bound(square, budget)
     n = sys.dim
     first = list(range(n))
     second = list(range(n, 2 * n))

@@ -11,6 +11,12 @@ Atoms are integer literals, declared variables, and parenthesized
 expressions.  Every operator works by exact arithmetic on normalized
 rational functions, so parse -> print -> parse is the identity on normal
 forms.
+
+Parentheses nest at most MAX_NESTING deep (unary minus and ``^`` chains are
+parsed by loops, so parentheses are the only recursion), and an exponent, or
+the degree of the power it builds, is at most MAX_DEGREE; beyond either
+limit the parser raises ParseError instead of exhausting the stack or
+expanding an astronomically large power.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .errors import ParseError
 from .exactalg import RationalFunction
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+MAX_NESTING = 100   # parenthesis depth; keeps the recursion far below the limit
+MAX_DEGREE = 1000   # largest exponent, and largest degree of a power
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+)
@@ -68,6 +77,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -109,43 +119,59 @@ class _Parser:
         return value
 
     def unary(self) -> RationalFunction:
-        if self.peek().text == "-":
+        negate = False
+        while self.peek().text == "-":
             self.next()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> RationalFunction:
         base = self.atom()
-        if self.peek().text == "^":
-            op = self.next()
-            expo = self.exponent()
-            return base ** expo
-        return base
-
-    def exponent(self) -> int:
-        # right-associative: x^2^3 = x^(2^3); exponents are constant and >= 0
-        tok = self.peek()
-        atom = self.atom()
-        if self.peek().text == "^":
+        if self.peek().text != "^":
+            return base
+        op = self.peek()
+        chain = []
+        while self.peek().text == "^":
             self.next()
-            inner = self.exponent()
-            value = atom.constant_value() ** inner if atom.is_constant else None
-        else:
+            chain.append((self.peek(), self.atom()))
+        # right-associative: x^2^3 = x^(2^3); exponents are constant integers
+        # in [0, MAX_DEGREE], checked from the right before each power is taken
+        expo = None
+        for tok, atom in reversed(chain):
             value = atom.constant_value() if atom.is_constant else None
-        if value is None or value.denominator != 1 or value < 0:
-            self.fail("exponent must be a non-negative integer", tok)
-        return int(value)
+            if value is not None and expo is not None:
+                if expo > MAX_DEGREE.bit_length() and abs(value) not in (0, 1):
+                    value = None  # not an integer, or above MAX_DEGREE
+                else:
+                    value = value ** expo
+            if (value is None or value.denominator != 1
+                    or not 0 <= value <= MAX_DEGREE):
+                self.fail("exponent must be an integer from 0 to "
+                          f"{MAX_DEGREE}", tok)
+            expo = int(value)
+        if base.degree * expo > MAX_DEGREE:
+            self.fail(f"power of degree above {MAX_DEGREE}", op)
+        return base ** expo
 
     def atom(self) -> RationalFunction:
         tok = self.next()
         if tok.kind == "num":
-            return RationalFunction.constant(self.variables, int(tok.text))
+            try:
+                value = int(tok.text)
+            except ValueError:  # beyond the interpreter's digit limit
+                self.fail("integer literal too long", tok)
+            return RationalFunction.constant(self.variables, value)
         if tok.kind == "ident":
             if tok.text not in self.variables:
                 self.fail(f"undeclared identifier {tok.text!r}", tok)
             return RationalFunction.variable(self.variables, tok.text)
         if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
+            self.depth += 1
             value = self.expression()
+            self.depth -= 1
             closing = self.next()
             if closing.text != ")":
                 self.fail("expected ')'", closing)

@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dynsys import (DegreeProfile, DynamicalSystem, GROWTH_EXPONENTIAL,
-                     degree_sequence, require_dominant)
+                     degree_sequence)
 from .errors import PreconditionError, SingularMatrixError
-from .exactalg import (Polynomial, RationalFunction, grlex_key,
-                       nullspace, poly_lcm, divide_exact, rref)
+from .exactalg import (Polynomial, RationalFunction, clear_denominators,
+                       grlex_key, nullspace, rref, rref_sparse)
 
 CLASS_AFFINE = "affine"
 CLASS_MOBIUS_PRODUCT = "mobius-product"
@@ -210,7 +210,6 @@ def classify_system(sys: DynamicalSystem, window: int = _DEFAULT_WINDOW) -> Tran
     the degree profile only: bounded growth yields a candidate verdict,
     exponential growth negative evidence.
     """
-    require_dominant(sys)
     profile = degree_sequence(sys, window)
     if _is_affine(sys):
         cls = CLASS_AFFINE
@@ -285,10 +284,6 @@ class UnivariatePolynomial:
                 raise PreconditionError("coefficients over different variables")
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def from_scalars(cls, variables, scalars) -> "UnivariatePolynomial":
-        return cls([RationalFunction.constant(variables, s) for s in scalars])
-
     @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0].is_zero
@@ -344,29 +339,6 @@ class NormalizedSequence:
     backward: Tuple[Tuple[Fraction, ...], ...]
 
 
-def _coefficient_vectors(values: Sequence[RationalFunction]):
-    """Clear denominators jointly and lay out coefficient vectors over Q."""
-    den = values[0].den
-    for v in values[1:]:
-        den = poly_lcm(den, v.den)
-    index: Dict[Tuple[int, ...], int] = {}
-    rows = []
-    for v in values:
-        p = v.num * divide_exact(den, v.den)
-        entries = {}
-        for e, c in p.terms.items():
-            entries[index.setdefault(e, len(index))] = c
-        rows.append(entries)
-    width = len(index)
-    dense = []
-    for entries in rows:
-        row = [Fraction(0)] * max(width, 1)
-        for i, c in entries.items():
-            row[i] = c
-        dense.append(row)
-    return dense
-
-
 def _dependence(values: Sequence[RationalFunction],
                 probe_points=None) -> Optional[List[Fraction]]:
     """A Q-linear dependence among field elements, or None if independent.
@@ -396,14 +368,13 @@ def _dependence(values: Sequence[RationalFunction],
             _, pivots = rref(rows)
             if len(pivots) == len(values):
                 return None
-    dense = _coefficient_vectors(values)
-    sparse = []
-    width = len(dense[0])
-    for c in range(width):
-        row = {i: dense[i][c] for i in range(len(dense)) if dense[i][c]}
-        if row:
-            sparse.append(row)
-    kernel = nullspace(sparse, len(values))
+    # one equation per monomial of the cleared numerators
+    _, _, rows = clear_denominators(values)
+    equations: Dict[int, Dict[int, Fraction]] = {}
+    for i, row in enumerate(rows):
+        for c, coeff in row.items():
+            equations.setdefault(c, {})[i] = coeff
+    kernel = nullspace(list(equations.values()), len(values))
     if not kernel:
         return None
     best = max(kernel, key=lambda v: max(i for i, x in enumerate(v) if x))
@@ -490,8 +461,7 @@ def leading_blocks_independent(polys: Sequence[UnivariatePolynomial]) -> bool:
     for p in polys:
         blocks.setdefault(p.degree, []).append(p.leading())
     for leads in blocks.values():
-        dense = _coefficient_vectors(leads)
-        _, pivots = rref(dense)
-        if len(pivots) != len(leads):
+        _, _, rows = clear_denominators(leads)
+        if len(rref_sparse(rows)[1]) != len(leads):
             return False
     return True

@@ -141,6 +141,54 @@ def test_cli_not_dominant_exit():
     os.unlink(path)
 
 
+def _system_file(tmp_path, body):
+    path = tmp_path / "input.system"
+    path.write_text(body)
+    return str(path)
+
+
+def test_cli_not_dominant_is_a_usage_error(tmp_path):
+    path = _system_file(tmp_path, "var x, y;\nx -> x;\ny -> x;\n")
+    for command in ("invariants", "square", "classify"):
+        doc, code = run_command([command, path])
+        assert code == 2
+        assert doc["error"]["code"] == "NotDominantError"
+
+
+def test_cli_deep_nesting_is_a_parse_error(tmp_path):
+    def check(body):
+        return run_command(["check", _system_file(tmp_path, f"var x;\nx -> {body};\n")])
+
+    for body in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "(" * 3000 + "x"):
+        doc, code = check(body)
+        assert code == 2
+        assert doc["error"]["code"] == "ParseError"
+        assert "nested" in doc["error"]["message"]
+    # unary minus and ^ chains are parsed by loops, not recursion
+    assert check("-" * 3000 + "x")[1] == 0
+    assert check("x" + "^1" * 3000)[1] == 0
+
+
+def test_cli_huge_exponent_is_a_parse_error(tmp_path):
+    # x^2^3^4 is x^(2^81): rejected before any power is taken
+    for body in ("x^2^3^4 + 1", "x^1001", "(x^2)^501", "2^3^4^5^6*x"):
+        path = _system_file(tmp_path, f"var x;\nx -> {body};\n")
+        doc, code = run_command(["check", path])
+        assert code == 2
+        assert doc["error"]["code"] == "ParseError"
+    path = _system_file(tmp_path, "var x;\nx -> x^1000 + 1;\n")
+    doc, code = run_command(["iterate", "--m", "1", path])
+    assert code == 0
+    assert doc["result"]["degree"] == 1000
+
+
+def test_cli_overlong_literal_is_a_parse_error(tmp_path):
+    path = _system_file(tmp_path, "var x;\nx -> x + 1" + "0" * 5000 + ";\n")
+    doc, code = run_command(["check", path])
+    assert code == 2
+    assert doc["error"]["code"] == "ParseError"
+
+
 def test_cli_iterate_and_degrees():
     doc, code = run_command(["iterate", "--m", "3", corpus("shift.system")])
     assert code == 0

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
                            ZeroDenominatorError)
+from ratdyn.exactalg import linalg
 from ratdyn.exactalg import (Polynomial, RationalFunction, coprime_factor_basis,
                              divide_exact, in_span, jacobian_rank, nullspace,
                              poly_gcd, primitive_part, ratfunc_normalize,
@@ -295,6 +296,32 @@ def test_nullspace_crt_and_fraction_fallback():
             for i in range(ncols - 1)]
     basis = nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, 1)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rational matrices with more cells than _FRACTION_CUTOFF."""
+    ncols = draw(st.integers(51, 56))
+    nrows = draw(st.integers(40, 46))
+    entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=3)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=10)
+@given(sparse_matrices())
+def test_nullspace_modular_matches_fraction_path(matrix):
+    rows, ncols = matrix
+    assert len(rows) * ncols > linalg._FRACTION_CUTOFF
+    modular = linalg._nullspace_modular(rows, ncols)
+    assert modular is not None  # small sparse entries reconstruct
+    fast = nullspace(rows, ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_FRACTION_CUTOFF", float("inf"))
+        slow = nullspace(rows, ncols)
+    assert fast == slow
+    assert linalg._canonical_basis(modular, ncols) == slow
+    _check_kernel(rows, ncols, slow, len(slow))
 
 
 def test_in_span():

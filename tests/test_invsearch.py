@@ -2,11 +2,14 @@
 
 import pytest
 
-from ratdyn.dynsys import DynamicalSystem, iterate, pullback
+from ratdyn.dynsys import DynamicalSystem, degree_sequence, iterate, pullback
+from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import Polynomial, RationalFunction, jacobian_rank
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
                               rational_invariant_search, square_gain_check)
+
+from ratdyn.translation import classify_system
 
 from conftest import make_system, poly, rf
 
@@ -72,11 +75,14 @@ def test_shift_pair_polynomial_stage():
     assert found == [rf("x - y", "x y")]
 
 
-def test_parallel_catalog_matches_serial():
-    shear = make_system("x y", "2*x + y", "2*y")
-    serial = rational_invariant_search(shear, DEFAULT_BUDGET, jobs=1)
-    parallel = rational_invariant_search(shear, DEFAULT_BUDGET, jobs=3)
-    assert serial == parallel
+def test_entry_points_reject_non_dominant_maps():
+    # each entry point relies on its first callee's dominance check
+    collapse = make_system("x y", "x", "x")
+    for call in (lambda s: polynomial_invariant_basis(s, 2),
+                 rational_invariant_search, adim_lower_bound, square_gain_check,
+                 lambda s: degree_sequence(s, 4), classify_system):
+        with pytest.raises(NotDominantError):
+            call(collapse)
 
 
 def test_henon_search_is_empty():
