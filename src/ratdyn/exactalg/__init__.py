@@ -1,18 +1,21 @@
 """Exact arithmetic over Q: polynomials, rational functions, linear algebra."""
 
 from .poly import (Exponent, Polynomial, coprime_factor_basis, divide_exact,
-                   fraction_gcd, grlex_key, integer_primitive, poly_gcd,
-                   poly_lcm, primitive_part, squarefree_part, try_divide)
+                   fraction_gcd, grlex_key, integer_primitive, monomials_upto,
+                   poly_gcd, poly_lcm, primitive_part, squarefree_part,
+                   try_divide)
 from .ratfunc import (RationalFunction, clear_denominators,
                       cleared_monomial_images, ratfunc_normalize, substitute)
 from .linalg import (in_span, jacobian_rank, jacobian_row, nullspace,
-                     poly_matrix_rank, rref, rref_sparse)
+                     poly_matrix_rank, rank, reduce_row, rref_sparse,
+                     transpose)
 
 __all__ = [
     "Exponent", "Polynomial", "RationalFunction", "clear_denominators",
     "cleared_monomial_images", "coprime_factor_basis", "divide_exact",
     "fraction_gcd", "grlex_key", "integer_primitive", "in_span",
-    "jacobian_rank", "jacobian_row", "nullspace", "poly_gcd", "poly_lcm",
-    "poly_matrix_rank", "primitive_part", "ratfunc_normalize", "rref",
-    "rref_sparse", "squarefree_part", "substitute", "try_divide",
+    "jacobian_rank", "jacobian_row", "monomials_upto", "nullspace",
+    "poly_gcd", "poly_lcm", "poly_matrix_rank", "primitive_part", "rank",
+    "ratfunc_normalize", "reduce_row", "rref_sparse", "squarefree_part",
+    "substitute", "transpose", "try_divide",
 ]

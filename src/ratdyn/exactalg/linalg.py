@@ -1,21 +1,30 @@
 """Exact linear algebra over Q and over polynomial entries.
 
-Nullspaces over Q are computed by Gaussian elimination with Fraction
-arithmetic; for larger systems a modular fast path runs the elimination mod a
-fixed word-sized prime with numpy, reconstructs rational entries, and then
-certifies the result by exact re-multiplication (reconstruction that fails to
-verify falls back to the pure Fraction path, so results are always exact).
+All elimination over Q is ``rref_sparse``, built on the one reduction step
+``reduce_row``: ranks, span membership, nullspaces and their canonical bases
+all read the echelon it returns.  Two eliminations stay separate because
+they work in other rings:
 
-Ranks of matrices with polynomial entries use fraction-free (Bareiss)
-elimination, which stays in the polynomial ring via exact divisions.
+  * ``_rref_mod_p`` runs the modular fast path of ``nullspace`` with numpy
+    arithmetic mod a fixed word-sized prime; rational entries are then
+    reconstructed and certified by exact re-multiplication (a result that
+    fails to verify falls back to the Fraction path, so results are always
+    exact);
+  * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
+    stays in the polynomial ring via exact divisions.
+
+``translation.ExponentMatrix.det`` keeps its own elimination too, since it
+needs the product of the pivots, which an echelon does not record.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -31,101 +40,80 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 _FRACTION_CUTOFF = 2_000  # rows*cols below this: go straight to Fractions
 
 
-# -- dense Fraction elimination ----------------------------------------------
+# -- the Fraction elimination ----------------------------------------------------
 
 
-def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form (copy) and pivot column list."""
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def reduce_row(row: SparseRow, reduced: Sequence[SparseRow],
+               pivots: Sequence[int]) -> SparseRow:
+    """Remainder (copy) of a sparse row against an echelon from rref_sparse.
+
+    Each reduced row must have coefficient 1 at its pivot column and 0 at
+    every other listed pivot column; the remainder is then zero at all of
+    them, and it is empty exactly when the row lies in the echelon's span.
+    """
+    row = dict(row)
+    for pc, ref in zip(pivots, reduced):
+        coeff = row.get(pc)
+        if coeff:
+            for c, v in ref.items():
+                s = row.get(c, 0) - coeff * v
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+    return row
 
 
 def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
     """Reduced row echelon form for dict-backed rows (column -> coefficient).
 
-    Exact over Q; suited to nearly-diagonal systems where dense elimination
-    would touch mostly zeros.  Returns the nonzero reduced rows (pivot
-    coefficient 1) and their pivot columns, in ascending pivot order.
+    Exact over Q and the only elimination over Q here: each row is reduced
+    against the echelon so far, scaled to a leading 1, and then cleared from
+    the pivot column of the earlier rows, both steps by ``reduce_row``.
+    Returns the nonzero reduced rows (pivot coefficient 1) and their pivot
+    columns, in ascending pivot order.
     """
     reduced: List[SparseRow] = []
     pivots: List[int] = []
-
-    def reduce_row(row: SparseRow) -> SparseRow:
-        row = dict(row)
-        for pc, ref in zip(pivots, reduced):
-            coeff = row.get(pc)
-            if coeff:
-                for c, v in ref.items():
-                    s = row.get(c, Fraction(0)) - coeff * v
-                    if s:
-                        row[c] = s
-                    else:
-                        row.pop(c, None)
-        return row
-
     for raw in rows:
-        row = reduce_row(raw)
+        row = reduce_row(raw, reduced, pivots)
         if not row:
             continue
         pc = min(row)
         inv = 1 / row[pc]
         row = {c: v * inv for c, v in row.items()}
-        for i, (opc, other) in enumerate(zip(pivots, reduced)):
-            coeff = other.get(pc)
-            if coeff:
-                merged = dict(other)
-                for c, v in row.items():
-                    s = merged.get(c, Fraction(0)) - coeff * v
-                    if s:
-                        merged[c] = s
-                    else:
-                        merged.pop(c, None)
-                reduced[i] = merged
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < pc:
-            pos += 1
+        for i, other in enumerate(reduced):
+            if other.get(pc):
+                reduced[i] = reduce_row(other, [row], [pc])
+        pos = bisect.bisect(pivots, pc)
         pivots.insert(pos, pc)
         reduced.insert(pos, row)
     return reduced, pivots
 
 
-def _kernel_from_rref(m, pivots, ncols) -> List[Tuple[Fraction, ...]]:
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][f]
-        basis.append(tuple(v))
-    return basis
+def _sparse(vector: Sequence) -> SparseRow:
+    return {c: Fraction(v) for c, v in enumerate(vector) if v}
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of a dense matrix of rationals."""
+    return len(rref_sparse([_sparse(r) for r in rows])[1])
+
+
+def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]:
+    """Sparse rows of the matrix whose j-th column maps row keys to entries,
+    one row per key in the order the keys are first seen."""
+    rows: Dict[Hashable, SparseRow] = {}
+    for col, entries in enumerate(columns):
+        for key, coeff in entries.items():
+            rows.setdefault(key, {})[col] = coeff
+    return list(rows.values())
 
 
 def _canonical_basis(vectors: List[Sequence[Fraction]], ncols: int):
     """RREF of the row space: the unique canonical basis of the span."""
-    if not vectors:
-        return []
-    m, pivots = rref([list(v) for v in vectors])
-    return [tuple(m[i]) for i in range(len(pivots))]
+    reduced, _ = rref_sparse([_sparse(v) for v in vectors])
+    return [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in reduced]
 
 
 # -- modular fast path ----------------------------------------------------------
@@ -265,24 +253,24 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
         basis = _nullspace_modular(live, ncols)
         if basis is not None:
             return _canonical_basis(basis, ncols)
-    dense = [[Fraction(0)] * ncols for _ in live]
-    for i, row in enumerate(live):
-        for c, val in row.items():
-            dense[i][c] = val
-    m, pivots = rref(dense)
-    return _canonical_basis(_kernel_from_rref(m, pivots, ncols), ncols)
+    reduced, pivots = rref_sparse(live)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for pc, row in zip(pivots, reduced):
+            v[pc] = -row.get(f, 0)
+        basis.append(tuple(v))
+    return _canonical_basis(basis, ncols)
 
 
 def in_span(vectors: List[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Whether target lies in the Q-span of the given vectors."""
-    if not any(target):
-        return True
-    if not vectors:
-        return False
-    base = [list(v) for v in vectors]
-    _, piv_without = rref(base)
-    _, piv_with = rref(base + [list(target)])
-    return len(piv_with) == len(piv_without)
+    reduced, pivots = rref_sparse([_sparse(v) for v in vectors])
+    return not reduce_row(_sparse(target), reduced, pivots)
 
 
 # -- fraction-free elimination over polynomial entries --------------------------
@@ -377,8 +365,7 @@ def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
             rows = [jacobian_row(f, point) for f in fs]
         except ZeroDivisionError:
             continue
-        _, pivots = rref(rows)
-        if len(pivots) == cap:
+        if rank(rows) == cap:
             return cap
         break
 

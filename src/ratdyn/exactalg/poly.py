@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import VariableMismatchError
 
@@ -24,6 +24,22 @@ Exponent = Tuple[int, ...]
 def grlex_key(exponents: Exponent):
     """Sort key realizing the graded lexicographic order."""
     return (sum(exponents), exponents)
+
+
+def monomials_upto(n: int, d: int) -> List[Exponent]:
+    """Exponent tuples in n variables of total degree <= d, ascending grlex."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            out.append(tuple(prefix))
+            return
+        for k in range(remaining + 1):
+            rec(prefix + [k], remaining - k, slots - 1)
+
+    rec([], d, n)
+    out.sort(key=grlex_key)
+    return out
 
 
 def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:

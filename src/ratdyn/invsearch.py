@@ -30,8 +30,9 @@ from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
 from .errors import PreconditionError
 from .exactalg import (Polynomial, RationalFunction, clear_denominators,
                        cleared_monomial_images, coprime_factor_basis, grlex_key,
-                       in_span, jacobian_rank, jacobian_row, nullspace, rref,
-                       rref_sparse, try_divide)
+                       in_span, jacobian_rank, jacobian_row, monomials_upto,
+                       nullspace, rank, reduce_row, rref_sparse, transpose,
+                       try_divide)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -81,36 +82,16 @@ class SquareGainReport:
 # -- shared machinery -----------------------------------------------------------
 
 
-def _monomials_upto(n: int, d: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of total degree <= d, ascending graded lex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], d, n)
-    out.sort(key=grlex_key)
-    return out
-
-
 def _monomial_pullbacks(sys: DynamicalSystem, d: int):
     """Monomials of total degree <= d and the numerators of their pullbacks,
     all over the common denominator prod(den_i^d)."""
-    monos = _monomials_upto(sys.dim, d)
+    monos = monomials_upto(sys.dim, d)
     return monos, cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
 
 
 def _kernel_polynomials(sys, monos, columns) -> List[Polynomial]:
     """Nullspace of the sparse linear map given per-column as a polynomial."""
-    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-    for col, p in enumerate(columns):
-        for expo, coeff in p.terms.items():
-            rows.setdefault(expo, {})[col] = coeff
-    basis = nullspace(list(rows.values()), len(monos))
+    basis = nullspace(transpose(p.terms for p in columns), len(monos))
     polys = []
     for vec in basis:
         terms = {monos[i]: v for i, v in enumerate(vec) if v}
@@ -359,7 +340,7 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
         if normed in seen:
             return
         seen.add(normed)
-        if len(rref(_pencil_matrix(normed, basis, size))[1]) == 2:
+        if rank(_pencil_matrix(normed, basis, size)) == 2:
             candidates.append(normed)
 
     support = sorted({idx for vec in basis for pair in vec for idx in pair})
@@ -481,15 +462,12 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
     x_polys = [Polynomial(sys.variables, {e: Fraction(1)}) for e in monos]
 
-    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-    for col, (i, j) in enumerate(pairs):
-        K = images[i] * x_polys[j] - images[j] * x_polys[i]
-        for expo, coeff in K.terms.items():
-            rows.setdefault(expo, {})[col] = coeff
+    rows = transpose((images[i] * x_polys[j] - images[j] * x_polys[i]).terms
+                     for i, j in pairs)
     if len(pairs) - len(rows) > limit:
         # kernel dimension is at least #columns - #rows, already over budget
         return [], False
-    basis_vecs = nullspace(list(rows.values()), len(pairs))
+    basis_vecs = nullspace(rows, len(pairs))
     if len(basis_vecs) > limit:
         return [], False
     if not basis_vecs:
@@ -596,16 +574,7 @@ class _ClearedPool:
             if idx is None:
                 return False
             target[idx] = c
-        for row, pc in zip(self.rows, self.pivots):
-            coeff = target.get(pc)
-            if coeff:
-                for c, v in row.items():
-                    s = target.get(c, Fraction(0)) - coeff * v
-                    if s:
-                        target[c] = s
-                    else:
-                        target.pop(c, None)
-        return not target
+        return not reduce_row(target, self.rows, self.pivots)
 
 
 class _Collector:
@@ -639,8 +608,7 @@ class _Collector:
                 row = jacobian_row(f, point)
             except ZeroDivisionError:
                 continue
-            _, pivots = rref(self._rows[idx] + [row])
-            if len(pivots) > self.rank:
+            if rank(self._rows[idx] + [row]) > self.rank:
                 return True
         return False
 

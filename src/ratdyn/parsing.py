@@ -13,25 +13,28 @@ rational functions, so parse -> print -> parse is the identity on normal
 forms.
 
 Parentheses nest at most MAX_NESTING deep (unary minus and ``^`` chains are
-parsed by loops, so parentheses are the only recursion), and an exponent, or
-the degree of the power it builds, is at most MAX_DEGREE; beyond either
-limit the parser raises ParseError instead of exhausting the stack or
-expanding an astronomically large power.
+parsed by loops, so parentheses are the only recursion), an exponent, or
+the degree of the power it builds, is at most MAX_DEGREE, and a power may
+expand to at most about MAX_TERMS terms; beyond any limit the parser raises
+ParseError instead of exhausting the stack or expanding an astronomically
+large power.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import List, Sequence, Tuple
 
 from .dynsys import DynamicalSystem
 from .errors import ParseError
-from .exactalg import RationalFunction
+from .exactalg import Polynomial, RationalFunction
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 MAX_NESTING = 100   # parenthesis depth; keeps the recursion far below the limit
 MAX_DEGREE = 1000   # largest exponent, and largest degree of a power
+MAX_TERMS = 5000    # largest term estimate of a power's numerator or denominator
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+)
@@ -40,6 +43,14 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
   | (?P<bad>.)
 """, re.VERBOSE)
+
+
+def _power_terms(p: Polynomial, e: int) -> int:
+    """Upper bound on the number of terms of p^e (e >= 1): a multiset of e of
+    p's terms, and a monomial of degree at most deg(p^e) in p's variables."""
+    k = sum(1 for x in p.max_exponents() if x)
+    return min(math.comb(len(p.terms) + e - 1, e),
+               math.comb(k + p.total_degree * e, k))
 
 
 class _Token:
@@ -152,6 +163,9 @@ class _Parser:
             expo = int(value)
         if base.degree * expo > MAX_DEGREE:
             self.fail(f"power of degree above {MAX_DEGREE}", op)
+        if expo and max(_power_terms(base.num, expo),
+                        _power_terms(base.den, expo)) > MAX_TERMS:
+            self.fail(f"power of more than {MAX_TERMS} terms", op)
         return base ** expo
 
     def atom(self) -> RationalFunction:

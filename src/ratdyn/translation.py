@@ -28,7 +28,7 @@ from .dynsys import (DegreeProfile, DynamicalSystem, GROWTH_EXPONENTIAL,
                      degree_sequence)
 from .errors import PreconditionError, SingularMatrixError
 from .exactalg import (Polynomial, RationalFunction, clear_denominators,
-                       grlex_key, nullspace, rref, rref_sparse)
+                       monomials_upto, nullspace, rank, rref_sparse, transpose)
 
 CLASS_AFFINE = "affine"
 CLASS_MOBIUS_PRODUCT = "mobius-product"
@@ -244,22 +244,9 @@ def monomial_invariant_lattice(A: ExponentMatrix, d: int) -> List[Tuple[int, ...
     if A.det() == 0:
         raise SingularMatrixError("exponent matrix must be nonsingular")
     n = A.size
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            u = tuple(prefix)
-            for i in range(n):
-                if sum(A.entries[j][i] * u[j] for j in range(n)) != u[i]:
-                    return
-            out.append(u)
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], d)
-    out.sort(key=grlex_key)
-    return out
+    return [u for u in monomials_upto(n, d)
+            if all(sum(A.entries[j][i] * u[j] for j in range(n)) == u[i]
+                   for i in range(n))]
 
 
 # -- block normalization of polynomial sequences ----------------------------------------
@@ -364,17 +351,11 @@ def _dependence(values: Sequence[RationalFunction],
                 rows = None
                 break
             rows.append(row)
-        if rows is not None:
-            _, pivots = rref(rows)
-            if len(pivots) == len(values):
-                return None
+        if rows is not None and rank(rows) == len(values):
+            return None
     # one equation per monomial of the cleared numerators
     _, _, rows = clear_denominators(values)
-    equations: Dict[int, Dict[int, Fraction]] = {}
-    for i, row in enumerate(rows):
-        for c, coeff in row.items():
-            equations.setdefault(c, {})[i] = coeff
-    kernel = nullspace(list(equations.values()), len(values))
+    kernel = nullspace(transpose(rows), len(values))
     if not kernel:
         return None
     best = max(kernel, key=lambda v: max(i for i, x in enumerate(v) if x))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,18 @@ def test_cli_huge_exponent_is_a_parse_error(tmp_path):
     doc, code = run_command(["iterate", "--m", "1", path])
     assert code == 0
     assert doc["result"]["degree"] == 1000
+
+
+def test_cli_dense_power_is_a_parse_error(tmp_path):
+    # degree 200 is under the degree cap, but the power has C(204, 4) terms
+    path = _system_file(tmp_path, "var x, y, z, w;\nx -> (x + y + z + w + 1)^200;\n"
+                                  "y -> y;\nz -> z;\nw -> w;\n")
+    start = time.perf_counter()
+    doc, code = run_command(["check", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "ParseError"
+    assert "terms" in doc["error"]["message"]
 
 
 def test_cli_overlong_literal_is_a_parse_error(tmp_path):

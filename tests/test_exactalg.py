@@ -11,8 +11,9 @@ from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
 from ratdyn.exactalg import linalg
 from ratdyn.exactalg import (Polynomial, RationalFunction, coprime_factor_basis,
                              divide_exact, in_span, jacobian_rank, nullspace,
-                             poly_gcd, primitive_part, ratfunc_normalize,
-                             squarefree_part, substitute, try_divide)
+                             poly_gcd, poly_matrix_rank, primitive_part,
+                             ratfunc_normalize, squarefree_part, substitute,
+                             try_divide)
 
 from conftest import poly, rf
 
@@ -322,6 +323,50 @@ def test_nullspace_modular_matches_fraction_path(matrix):
     assert fast == slow
     assert linalg._canonical_basis(modular, ncols) == slow
     _check_kernel(rows, ncols, slow, len(slow))
+
+
+@st.composite
+def dependent_rows(draw):
+    """Sparse rational rows, then integer combinations of them, shuffled."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    independent_at_most = len(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        combo = {}
+        for r in rows[:independent_at_most]:
+            k = draw(st.integers(-2, 2))
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.append({c: v for c, v in combo.items() if v})
+    return draw(st.permutations(rows)), ncols, independent_at_most
+
+
+@given(dependent_rows(), st.randoms(use_true_random=False))
+def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
+    rows, ncols, independent_at_most = matrix
+    reduced, pivots = linalg.rref_sparse(rows)
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(reduced, pivots)):
+        assert min(row) == pc and row[pc] == 1 and all(row.values())
+        assert all(pc not in other for j, other in enumerate(reduced) if j != i)
+    for row in rows:
+        assert not linalg.reduce_row(row, reduced, pivots)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert linalg.rref_sparse(shuffled) == (reduced, pivots)
+    # the Bareiss rank over constant polynomials is an independent reference
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    exact = poly_matrix_rank([[Polynomial.constant(("t",), v) for v in r]
+                              for r in dense])
+    assert linalg.rank(dense) == len(pivots) == exact <= independent_at_most
+    units = [[Fraction(int(c == j)) for c in range(ncols)] for j in range(ncols)]
+    for target in dense + units:
+        member = in_span(dense, target)
+        assert member == (linalg.rank(dense + [target]) == exact)
+        assert member == (not linalg.reduce_row(
+            {c: v for c, v in enumerate(target) if v}, reduced, pivots))
 
 
 def test_in_span():
