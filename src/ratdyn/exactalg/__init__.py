@@ -1,9 +1,9 @@
 """Exact arithmetic over Q: polynomials, rational functions, linear algebra."""
 
-from .poly import (Exponent, Polynomial, coprime_factor_basis, divide_exact,
-                   fraction_gcd, grlex_key, integer_primitive, monomials_upto,
-                   poly_gcd, poly_lcm, primitive_part, squarefree_part,
-                   try_divide)
+from .poly import (Exponent, Polynomial, basis_exponents, coprime_factor_basis,
+                   divide_exact, fraction_gcd, grlex_key, integer_primitive,
+                   monomials_upto, poly_gcd, poly_lcm, primitive_part,
+                   squarefree_chain, squarefree_part, try_divide)
 from .ratfunc import (RationalFunction, clear_denominators,
                       cleared_monomial_images, ratfunc_normalize, substitute)
 from .linalg import (in_span, jacobian_rank, jacobian_row, nullspace,
@@ -11,11 +11,11 @@ from .linalg import (in_span, jacobian_rank, jacobian_row, nullspace,
                      transpose)
 
 __all__ = [
-    "Exponent", "Polynomial", "RationalFunction", "clear_denominators",
-    "cleared_monomial_images", "coprime_factor_basis", "divide_exact",
-    "fraction_gcd", "grlex_key", "integer_primitive", "in_span",
-    "jacobian_rank", "jacobian_row", "monomials_upto", "nullspace",
+    "Exponent", "Polynomial", "RationalFunction", "basis_exponents",
+    "clear_denominators", "cleared_monomial_images", "coprime_factor_basis",
+    "divide_exact", "fraction_gcd", "grlex_key", "integer_primitive",
+    "in_span", "jacobian_rank", "jacobian_row", "monomials_upto", "nullspace",
     "poly_gcd", "poly_lcm", "poly_matrix_rank", "primitive_part", "rank",
-    "ratfunc_normalize", "reduce_row", "rref_sparse", "squarefree_part",
-    "substitute", "transpose", "try_divide",
+    "ratfunc_normalize", "reduce_row", "rref_sparse", "squarefree_chain",
+    "squarefree_part", "substitute", "transpose", "try_divide",
 ]

@@ -515,12 +515,31 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return primitive_part(divide_exact(p, g))
 
 
-def coprime_factor_basis(polys: Iterable[Polynomial]) -> list:
-    """Pairwise coprime, squarefree, primitive factors covering the inputs.
+def squarefree_chain(p: Polynomial) -> List[Polynomial]:
+    """p, p/sqf(p), ... down to a constant.
+
+    The k-th entry collects the factors of p of multiplicity above k, so the
+    squarefree parts of the entries multiply to p up to a constant, and a
+    coprime factor basis of the entries covers p with its multiplicities.
+    """
+    chain = []
+    while not p.is_constant:
+        chain.append(p)
+        p = divide_exact(p, squarefree_part(p))
+    return chain
+
+
+def coprime_factor_basis(polys: Iterable[Polynomial],
+                         basis: Sequence[Polynomial] = ()) -> list:
+    """Pairwise coprime, squarefree, primitive factors covering the radicals
+    of the inputs, refining ``basis`` (already such a set) when one is given.
 
     This is gcd-driven partial factorization: factors coprime to everything
-    else stay unsplit even if reducible.  Output order is deterministic
-    (degree, then graded-lex leading monomial, then text).
+    else stay unsplit even if reducible.  It covers radicals, not
+    multiplicities: for (x + 1)^2*y alone the basis is [x*y + y], of which
+    the input is no power product; feed ``squarefree_chain`` of each input
+    when it must be.  Output order is deterministic (degree, then graded-lex
+    leading monomial, then text).
     """
     work = []
     for p in polys:
@@ -529,7 +548,7 @@ def coprime_factor_basis(polys: Iterable[Polynomial]) -> list:
         sf = squarefree_part(p)
         if not sf.is_constant:
             work.append(sf)
-    basis: list = []
+    basis = list(basis)
     while work:
         p = work.pop()
         if p.is_constant:
@@ -551,3 +570,23 @@ def coprime_factor_basis(polys: Iterable[Polynomial]) -> list:
             basis.append(p)
     basis.sort(key=lambda f: (f.total_degree, grlex_key(f.leading()[0]), str(f)))
     return basis
+
+
+def basis_exponents(p: Polynomial, basis: Sequence[Polynomial]
+                    ) -> Tuple[List[int], Polynomial]:
+    """Exponents a and cofactor r with p = r * prod(basis[j]^a[j]), where no
+    basis element divides r, found by trial division.
+
+    For pairwise coprime basis elements the exponents are the multiplicities,
+    and r is constant exactly when the basis covers p.
+    """
+    exponents = []
+    for b in basis:
+        a = 0
+        while True:
+            q = try_divide(p, b)
+            if q is None:
+                break
+            p, a = q, a + 1
+        exponents.append(a)
+    return exponents, p

@@ -28,11 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
                      diagonal_power, pullback, require_dominant)
 from .errors import PreconditionError
-from .exactalg import (Polynomial, RationalFunction, clear_denominators,
+from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        cleared_monomial_images, coprime_factor_basis, grlex_key,
                        in_span, jacobian_rank, jacobian_row, monomials_upto,
-                       nullspace, rank, reduce_row, rref_sparse, transpose,
-                       try_divide)
+                       nullspace, rank, reduce_row, rref_sparse,
+                       squarefree_chain, transpose, try_divide)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -502,56 +502,81 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
 # -- deduplication and reports ---------------------------------------------------
 
 
-def _laurent_products(found: Sequence[RationalFunction], budget: SearchBudget,
-                      variables) -> List[RationalFunction]:
-    """Products of the found invariants with integer exponents, degree-capped.
+class _FactorBasis:
+    """Pairwise coprime factors b_j of a growing list of invariants.
 
-    Invariants form a field, so a candidate algebraically dependent on the
-    prior ones is uninformative exactly when it is a rational combination of
-    them; the linear span of these capped Laurent products is the practical
-    test for that.
+    Each invariant is c * prod(b_j^a_j) with a signed integer vector a
+    (numerator exponents minus denominator exponents).  The basis covers the
+    squarefree chain of every numerator and denominator, so the
+    decomposition is exact, and ``cover`` refines it with the invariants
+    added since its last call instead of recomputing it.  Powers of each
+    factor are tabulated once and kept across refinements.
     """
-    bound = max(budget.max_num_degree, budget.max_den_degree)
-    total = max(budget.max_num_degree, 1)
-    out = [RationalFunction.constant(variables, 1)]
-    k = len(found)
-    if k == 0:
-        return out
-    degrees = [g.degree for g in found]
 
-    def vectors(idx, weight_left, degree_left):
-        # degree_left prunes products whose degree could only come back
-        # under the budget through cancellation; missing those merely keeps
-        # an extra candidate later, it never drops a sound invariant
-        if idx == k:
-            yield ()
+    def __init__(self, variables):
+        self.one = Polynomial.constant(variables, 1)
+        self.factors: List[Polynomial] = []
+        self.vectors: List[List[int]] = []
+        self._powers: Dict[Polynomial, List[Polynomial]] = {}
+        self._products: Dict[Tuple[int, ...], Polynomial] = {}
+
+    def cover(self, found: Sequence[RationalFunction]):
+        def split(fs):
+            return [basis_exponents(p, self.factors)
+                    for g in fs for p in (g.num, g.den)]
+
+        new = found[len(self.vectors):]
+        if not new:
             return
-        cap = min(weight_left, total,
-                  degree_left // degrees[idx] if degrees[idx] else total)
-        for e in range(-cap, cap + 1):
-            spent = abs(e) * degrees[idx]
-            for rest in vectors(idx + 1, weight_left - abs(e),
-                                degree_left - spent):
-                yield (e,) + rest
+        parts = split(new)
+        rests = [c for _, rest in parts for c in squarefree_chain(rest)]
+        if rests:
+            # a split factor changes the vectors of earlier invariants too
+            self.factors = coprime_factor_basis(rests, self.factors)
+            self.vectors = []
+            self._products = {}
+            parts = split(found)
+        for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
+            if not (num_rest.is_constant and den_rest.is_constant):
+                raise AssertionError("factor basis does not cover an invariant")
+            self.vectors.append([a - b for a, b in zip(num, den)])
 
-    for expos in vectors(0, total, bound):
-        if not any(expos):
-            continue
-        try:
-            prod = RationalFunction.constant(variables, 1)
-            for g, e in zip(found, expos):
-                if e:
-                    prod = prod * g ** e
-        except ZeroDivisionError:
-            continue
-        if prod.degree <= bound:
-            out.append(prod)
-    return out
+    def products(self, vectors: Sequence[Tuple[int, ...]]) -> List[Polynomial]:
+        """prod b_j^x_j for each vector x of non-negative exponents, from the
+        power tables; products of the previous call are reused."""
+        previous, self._products = self._products, {}
+        for x in vectors:
+            if x in self._products:
+                continue
+            p = previous.get(x)
+            if p is None:
+                p = self.one
+                for b, k in zip(self.factors, x):
+                    if k:
+                        table = self._powers.setdefault(b, [self.one])
+                        while len(table) <= k:
+                            table.append(table[-1] * b)
+                        p = p * table[k]
+            self._products[x] = p
+        return [self._products[x] for x in vectors]
 
 
 class _ClearedPool:
-    """A Laurent-product pool over its common denominator, echelonized once
-    and reused across candidates.
+    """The capped Laurent products of the found invariants over their common
+    denominator, echelonized once and reused across candidates.
+
+    Invariants form a field, so a candidate algebraically dependent on the
+    prior ones is uninformative exactly when it is a rational combination of
+    them; the linear span of the products prod g_i^e_i with integer
+    exponents, capped in weight and degree, is the practical test for that.
+
+    Over the factor basis each product is c * prod b_j^s_j with
+    s = sum e_i a_i.  The b_j are pairwise coprime, so exponent arithmetic
+    alone gives the product's normal-form degree (the larger of the positive
+    and the negative part of s, each weighted by deg b_j), equality up to a
+    constant (equal s), the lcm of the denominators (prod b_j^t_j, with t_j
+    the largest -s_j) and each cleared row (prod b_j^(s_j + t_j)); no gcd,
+    lcm or division is taken.
 
     Membership of f first requires f.den to divide the pool lcm (the
     denominator of any Q-combination does), then reduces the cleared
@@ -559,8 +584,46 @@ class _ClearedPool:
     monomial outside the pool support is a certain negative.
     """
 
-    def __init__(self, pool: Sequence[RationalFunction]):
-        self.den, self.index, rows = clear_denominators(list(dict.fromkeys(pool)))
+    def __init__(self, found: Sequence[RationalFunction], basis: _FactorBasis,
+                 budget: SearchBudget):
+        basis.cover(found)
+        bound = max(budget.max_num_degree, budget.max_den_degree)
+        total = max(budget.max_num_degree, 1)
+        k = len(found)
+        # >= 1, since found invariants are not constant
+        degrees = [g.degree for g in found]
+        widths = [b.total_degree for b in basis.factors]
+
+        def vectors(idx, weight_left, degree_left):
+            # degree_left prunes products whose degree could only come back
+            # under the budget through cancellation; missing those merely
+            # keeps an extra candidate later, it never drops a sound invariant
+            if idx == k:
+                yield ()
+                return
+            cap = min(weight_left, total, degree_left // degrees[idx])
+            for e in range(-cap, cap + 1):
+                for rest in vectors(idx + 1, weight_left - abs(e),
+                                    degree_left - abs(e) * degrees[idx]):
+                    yield (e,) + rest
+
+        products = {(0,) * len(widths): None}  # insertion-ordered set of s
+        for expos in vectors(0, total, bound):
+            s = [0] * len(widths)
+            for e, a in zip(expos, basis.vectors):
+                if e:
+                    for j, aj in enumerate(a):
+                        s[j] += e * aj
+            num_degree = sum(w * x for w, x in zip(widths, s) if x > 0)
+            den_degree = -sum(w * x for w, x in zip(widths, s) if x < 0)
+            if max(num_degree, den_degree) <= bound:
+                products[tuple(s)] = None
+        lift = tuple(max(0, -min(col)) for col in zip(*products))
+        self.den, *cleared = basis.products(
+            [lift] + [tuple(x + t for x, t in zip(s, lift)) for s in products])
+        self.index: Dict[Exponent, int] = {}
+        rows = [{self.index.setdefault(e, len(self.index)): c
+                 for e, c in p.terms.items()} for p in cleared]
         self.rows, self.pivots = rref_sparse(rows)
 
     def contains(self, f: RationalFunction) -> bool:
@@ -586,6 +649,12 @@ class _Collector:
     under-report rank: a missed increase falls through to the span test,
     where an algebraically independent candidate can never be a member, so
     the kept set is identical either way.
+
+    The kept invariants are held in factored form over one coprime factor
+    basis.  Each pool build refines it with the invariants kept since the
+    previous build, so a search whose candidates all raise the rank factors
+    nothing; the pool itself is rebuilt after every kept invariant, from
+    exponent vectors and power tables only.
     """
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
@@ -598,6 +667,7 @@ class _Collector:
             tuple(Fraction(rng.randint(-999, 999)) for _ in sys.variables)
             for _ in range(3)]
         self._rows = [[] for _ in self._points]  # cached rows per point
+        self._factors = _FactorBasis(sys.variables)
         self._pool = None
 
     def _rank_certainly_grew(self, f: RationalFunction) -> bool:
@@ -635,8 +705,7 @@ class _Collector:
             self._pool = None
             return
         if self._pool is None:
-            self._pool = _ClearedPool(_laurent_products(
-                self.found, self.budget, self.sys.variables))
+            self._pool = _ClearedPool(self.found, self._factors, self.budget)
         if not self._pool.contains(f):
             self._remember(f)
             self._pool = None

@@ -14,10 +14,10 @@ forms.
 
 Parentheses nest at most MAX_NESTING deep (unary minus and ``^`` chains are
 parsed by loops, so parentheses are the only recursion), an exponent, or
-the degree of the power it builds, is at most MAX_DEGREE, and a power may
-expand to at most about MAX_TERMS terms; beyond any limit the parser raises
-ParseError instead of exhausting the stack or expanding an astronomically
-large power.
+the degree of the power it builds, is at most MAX_DEGREE, and every power,
+product, quotient and sum may build numerators and denominators of at most
+about MAX_TERMS terms; beyond any limit the parser raises ParseError instead
+of exhausting the stack or expanding an astronomically large polynomial.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 MAX_NESTING = 100   # parenthesis depth; keeps the recursion far below the limit
 MAX_DEGREE = 1000   # largest exponent, and largest degree of a power
-MAX_TERMS = 5000    # largest term estimate of a power's numerator or denominator
+MAX_TERMS = 5000    # largest term estimate of a polynomial the parser builds
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+)
@@ -51,6 +51,14 @@ def _power_terms(p: Polynomial, e: int) -> int:
     k = sum(1 for x in p.max_exponents() if x)
     return min(math.comb(len(p.terms) + e - 1, e),
                math.comb(k + p.total_degree * e, k))
+
+
+def _product_terms(p: Polynomial, q: Polynomial) -> int:
+    """Upper bound on the number of terms of p*q: a pair of their terms, and a
+    monomial of degree at most deg(p) + deg(q) in their variables."""
+    k = sum(1 for a, b in zip(p.max_exponents(), q.max_exponents()) if a or b)
+    return min(len(p.terms) * len(q.terms),
+               math.comb(k + p.total_degree + q.total_degree, k))
 
 
 class _Token:
@@ -108,11 +116,20 @@ class _Parser:
             self.fail(f"unexpected {self.peek().text!r}")
         return value
 
+    def check_products(self, pairs, op):
+        """Fail before multiplying out any pair of more than MAX_TERMS terms."""
+        if max(_product_terms(p, q) for p, q in pairs) > MAX_TERMS:
+            what = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
+            self.fail(f"{what[op.text]} of more than {MAX_TERMS} terms", op)
+
     def expression(self) -> RationalFunction:
         value = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.term()
+            # a/b + c/d = (a*d + c*b)/(b*d)
+            self.check_products(((value.num, rhs.den), (rhs.num, value.den),
+                                 (value.den, rhs.den)), op)
             value = value + rhs if op.text == "+" else value - rhs
         return value
 
@@ -122,10 +139,14 @@ class _Parser:
             op = self.next()
             rhs = self.unary()
             if op.text == "*":
+                self.check_products(((value.num, rhs.num),
+                                     (value.den, rhs.den)), op)
                 value = value * rhs
             else:
                 if rhs.is_zero:
                     self.fail("division by zero", op)
+                self.check_products(((value.num, rhs.den),
+                                     (value.den, rhs.num)), op)
                 value = value / rhs
         return value
 

@@ -195,6 +195,21 @@ def test_cli_dense_power_is_a_parse_error(tmp_path):
     assert "terms" in doc["error"]["message"]
 
 
+def test_cli_dense_product_is_a_parse_error(tmp_path):
+    # each power has 1001 terms and passes; their products are rejected
+    # before they are multiplied out, as is a sum over their product
+    for body, what in (("(x+y+z+w+1)^10*(x+y+z+w+1)^10*(x+y+z+w+1)^10", "product"),
+                       ("1/(x+y+z+w+1)^10 + 1/(x+y+z+w+2)^10", "sum")):
+        path = _system_file(tmp_path, f"var x, y, z, w;\nx -> {body};\n"
+                                      "y -> y;\nz -> z;\nw -> w;\n")
+        start = time.perf_counter()
+        doc, code = run_command(["check", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert doc["error"]["code"] == "ParseError"
+        assert f"{what} of more than" in doc["error"]["message"]
+
+
 def test_cli_overlong_literal_is_a_parse_error(tmp_path):
     path = _system_file(tmp_path, "var x;\nx -> x + 1" + "0" * 5000 + ";\n")
     doc, code = run_command(["check", path])

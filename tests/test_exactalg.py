@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
                            ZeroDenominatorError)
 from ratdyn.exactalg import linalg
-from ratdyn.exactalg import (Polynomial, RationalFunction, coprime_factor_basis,
-                             divide_exact, in_span, jacobian_rank, nullspace,
-                             poly_gcd, poly_matrix_rank, primitive_part,
-                             ratfunc_normalize, squarefree_part, substitute,
-                             try_divide)
+from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
+                             coprime_factor_basis, divide_exact, in_span,
+                             jacobian_rank, nullspace, poly_gcd,
+                             poly_matrix_rank, primitive_part,
+                             ratfunc_normalize, squarefree_chain,
+                             squarefree_part, substitute, try_divide)
 
 from conftest import poly, rf
 
@@ -134,6 +135,28 @@ def test_squarefree_and_factor_basis():
     for i, p in enumerate(basis):
         for q in basis[i + 1:]:
             assert poly_gcd(p, q).is_constant
+
+
+def test_factor_basis_of_squarefree_chain_covers_multiplicities():
+    xyz = ("x", "y", "z")
+    num, den = poly("(x + 1)^2*y", xyz), poly("z", xyz)
+    # the radicals alone: x*y + y stays unsplit, and (x + 1)^2*y is no power of it
+    radical = coprime_factor_basis([num, den])
+    assert [str(b) for b in radical] == ["z", "x*y + y"]
+    assert not basis_exponents(num, radical)[1].is_constant
+    assert [str(p) for p in squarefree_chain(num)] == ["x^2*y + 2*x*y + y", "x + 1"]
+    basis = coprime_factor_basis(squarefree_chain(num) + squarefree_chain(den))
+    assert [str(b) for b in basis] == ["z", "y", "x + 1"]
+    for p, expected in ((num, [0, 1, 2]), (den, [1, 0, 0])):
+        exponents, rest = basis_exponents(p, basis)
+        assert exponents == expected and rest.is_constant
+        product = rest
+        for b, a in zip(basis, exponents):
+            product = product * b ** a
+        assert product == p
+    # refining a basis keeps it pairwise coprime and covering the old inputs
+    refined = coprime_factor_basis([poly("x^2 - 1", xyz)], basis)
+    assert [str(b) for b in refined] == ["z", "y", "x + 1", "x - 1"]
 
 
 # -- rational function normalization ------------------------------------------

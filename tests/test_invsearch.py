@@ -1,11 +1,18 @@
 """Invariant search: bases, catalogs, pencils, ranks, square gain."""
 
+import time
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from ratdyn.dynsys import DynamicalSystem, degree_sequence, iterate, pullback
 from ratdyn.errors import NotDominantError
-from ratdyn.exactalg import Polynomial, RationalFunction, jacobian_rank
-from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, adim_lower_bound,
+from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
+                             jacobian_rank, reduce_row, rref_sparse,
+                             try_divide)
+from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
+                              _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
                               rational_invariant_search, square_gain_check)
 
@@ -217,3 +224,129 @@ def test_square_gain_henon_negative():
     assert report.base_rank == 0
     assert report.square_rank == 0
     assert not report.new_invariant_found
+
+
+def test_square_gain_swap_default_budget_is_fast():
+    swap = make_system("x y", "y", "x")
+    start = time.perf_counter()
+    report = square_gain_check(swap)
+    elapsed = time.perf_counter() - start
+    assert (report.base_rank, report.square_rank, report.pullback_rank) == (2, 4, 4)
+    assert not report.new_invariant_found
+    assert elapsed < 20.0, f"default-budget swap square took {elapsed:.1f} s"
+
+
+# -- deduplication pool -----------------------------------------------------------
+
+XYZ = ("x", "y", "z")
+
+
+def test_factor_basis_covers_every_invariant_exactly():
+    # shared and repeated factors: x + 1 appears squared, and in num and den;
+    # alone, (x + 1)^2*y has the radical x*y + y, of which it is no power
+    found = [rf(src, XYZ) for src in ("(x + 1)^2*y/z", "x/(x + 1)", "(x + 1)/y",
+                                      "(x^2 - 1)/z^3", "y*z/x")]
+    basis = _FactorBasis(XYZ)
+    for n in range(1, len(found) + 1):
+        basis.cover(found[:n])
+        assert len(basis.vectors) == n
+        for g, a in zip(found[:n], basis.vectors):
+            num, den = basis.products([tuple(max(x, 0) for x in a),
+                                       tuple(max(-x, 0) for x in a)])
+            assert RationalFunction(num, den) == g
+            assert num.scaled(g.num.leading()[1] / num.leading()[1]) == g.num
+            assert den.scaled(g.den.leading()[1] / den.leading()[1]) == g.den
+    assert sorted(map(str, basis.factors)) == ["x", "x + 1", "x - 1", "y", "z"]
+
+
+def _reference_pool(found, budget):
+    """The pool as built before the factored form: normalized RationalFunction
+    products, the lcm of their denominators by poly_lcm, one exact division
+    per cofactor, and the Fraction echelon of the cleared rows."""
+    bound = max(budget.max_num_degree, budget.max_den_degree)
+    total = max(budget.max_num_degree, 1)
+    degrees = [g.degree for g in found]
+    pool = [RationalFunction.constant(XYZ, 1)]
+
+    def vectors(idx, weight_left, degree_left):
+        if idx == len(found):
+            yield ()
+            return
+        cap = min(weight_left, total, degree_left // degrees[idx])
+        for e in range(-cap, cap + 1):
+            for rest in vectors(idx + 1, weight_left - abs(e),
+                                degree_left - abs(e) * degrees[idx]):
+                yield (e,) + rest
+
+    for expos in vectors(0, total, bound):
+        prod = RationalFunction.constant(XYZ, 1)
+        for g, e in zip(found, expos):
+            if e:
+                prod = prod * g ** e
+        if any(expos) and prod.degree <= bound:
+            pool.append(prod)
+    den, index, rows = clear_denominators(list(dict.fromkeys(pool)))
+    echelon, pivots = rref_sparse(rows)
+    return pool, den, index, echelon, pivots
+
+
+def _reference_contains(ref, f):
+    _, den, index, echelon, pivots = ref
+    scale = try_divide(den, f.den)
+    if scale is None:
+        return False
+    target = {}
+    for e, c in (f.num * scale).terms.items():
+        if e not in index:
+            return False
+        target[index[e]] = c
+    return not reduce_row(target, echelon, pivots)
+
+
+_ATOMS = ["x", "y", "z", "x + 1", "x - y", "y*z + 1"]
+
+
+@st.composite
+def found_lists(draw):
+    """Invariant-like lists whose members share and repeat factors."""
+    found = []
+    for _ in range(draw(st.integers(1, 3))):
+        expos = draw(st.lists(st.integers(-2, 2), min_size=len(_ATOMS),
+                              max_size=len(_ATOMS)))
+        g = RationalFunction.constant(XYZ, 1)
+        for atom, e in zip(_ATOMS, expos):
+            g = g * rf(atom, XYZ) ** e
+        if not g.is_constant and g.degree <= 4 and g not in found:
+            found.append(g)
+    if not found:
+        found.append(rf("x/(x + 1)", XYZ))
+    return found
+
+
+@given(found_lists(), st.sampled_from([SearchBudget(1, 1, 1, 1),
+                                       SearchBudget(2, 1, 1, 3),
+                                       SearchBudget(2, 3, 1, 3)]),
+       st.randoms(use_true_random=False))
+def test_factored_pool_matches_reference_pool(found, budget, rnd):
+    # one basis refined along the list, as the collector does, so that the
+    # last pool reuses products and power tables of the earlier ones
+    basis = _FactorBasis(XYZ)
+    for n in range(1, len(found) + 1):
+        ref = _reference_pool(found[:n], budget)
+        pool = _ClearedPool(found[:n], basis, budget)
+        products = ref[0]
+        # same span: every reference product is a member, and the ranks agree
+        assert all(pool.contains(p) for p in products)
+        assert len(pool.rows) == len(ref[3])
+    inside = []
+    for _ in range(4):
+        combo = RationalFunction.constant(XYZ, 0)
+        for p in rnd.sample(products, min(3, len(products))):
+            combo = combo + p * Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+        inside.append(combo)
+    outside = [found[0] ** (budget.max_num_degree + 2),
+               rf("(x + 2)/y", XYZ), rf("x*y*z - 1", XYZ),
+               products[-1] + rf("1/(z + 3)", XYZ)]
+    for f in inside + outside:
+        assert pool.contains(f) == _reference_contains(ref, f), f
+    assert all(_reference_contains(ref, f) for f in inside)
