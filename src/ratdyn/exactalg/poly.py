@@ -8,11 +8,32 @@ equal iff their term maps are equal.
 The monomial order used throughout (leading terms, sign normalization,
 printing) is graded lexicographic: total degree first, then the exponent
 tuple itself, earlier variables weighing more.
+
+Arithmetic results are built by a trusted constructor that skips the
+per-term checks of ``__init__``; products multiply integer numerators and
+make one ``Fraction`` per result term.
+
+gcd and exact division share one integer core: the operands are split as
+c * P with P primitive in Z[x] (an ``{exponent: int}`` dict), and by Gauss's
+lemma the gcd and the quotient over Q follow from those of the P's, so the
+work runs on Python ints and a Polynomial is built once, on the way out.
+Exact division keeps one remainder dict and takes its leading terms off a
+heap.  Before the gcd runs its primitive pseudo-remainder sequence (over Z,
+recursing on the last variable), a certificate tries to prove the operands
+coprime: for each variable x_k of positive degree in both, it evaluates the
+other variables at a fixed point mod a fixed prime.  If neither leading
+coefficient in x_k vanishes there, the gcd's image keeps its degree in x_k
+and divides both images, so univariate images with a constant gcd in F_p
+prove deg_k gcd = 0.  When that holds for every such variable the gcd is 1;
+otherwise the exact sequence runs.  The certificate proves "coprime" and
+nothing else, so the results are exact either way.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +73,19 @@ def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
+def _cleared_terms(terms: Mapping[Exponent, Fraction]
+                   ) -> Tuple[int, Dict[Exponent, int]]:
+    """(d, {e: n}) with terms[e] = n / d, d the lcm of the denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return 1, {e: c.numerator for e, c in terms.items()}
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q.
 
@@ -79,6 +113,18 @@ class Polynomial:
         self.variables = vars_t
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...],
+                 terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """Wrap a term map that is already canonical: exponent tuples of the
+        right length and nonzero ``Fraction`` coefficients.  Arithmetic
+        results use it; ``__init__`` keeps every check for outside input."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -176,12 +222,12 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -200,17 +246,16 @@ class Polynomial:
         if o is None:
             return NotImplemented
         if not self.terms or not o.terms:
-            return Polynomial(self.variables)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.variables, out)
+            return Polynomial._trusted(self.variables, {})
+        # multiply the integer numerators; one Fraction per result term
+        da, a = _cleared_terms(self.terms)
+        db, b = _cleared_terms(o.terms)
+        out = _mul_int(a, b)
+        d = da * db
+        if d == 1:
+            return _from_int(self.variables, out)
+        return Polynomial._trusted(
+            self.variables, {e: Fraction(c, d) for e, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -229,8 +274,8 @@ class Polynomial:
     def scaled(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
-            return Polynomial(self.variables)
-        return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._trusted(self.variables, {})
+        return Polynomial._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,7 +303,7 @@ class Polynomial:
                 ne = list(e)
                 ne[index] = k - 1
                 out[tuple(ne)] = c * k
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point (one value per variable, in order)."""
@@ -318,7 +363,113 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-# -- content and primitive part ---------------------------------------------
+# -- the integer core ------------------------------------------------------------
+#
+# gcd and exact division run on primitive integer polynomials held as plain
+# {exponent: int} dicts ("int polys"); Polynomial objects are built only on
+# the way out.  Over Q a polynomial is c * P with P primitive in Z[x], and by
+# Gauss's lemma a product of primitive polynomials is primitive, so:
+#
+#   * gcd(a, b) over Q is gcd(A, B) over Z up to a constant;
+#   * if B divides A over Q, the quotient A / B has integer coefficients, and
+#     a / b = (c_a / c_b) * (A / B).  A leading coefficient that does not
+#     divide exactly therefore already proves that b does not divide a.
+
+
+def _int_primitive(p: Polynomial) -> Tuple[Fraction, Dict[Exponent, int]]:
+    """(c, P) with p = c * P, P an int poly with coprime coefficients and
+    positive graded-lex leading coefficient; p must be nonzero."""
+    q = _normalized(_cleared_terms(p.terms)[1])
+    e = next(iter(q))
+    return p.terms[e] / q[e], q
+
+
+def _from_int(variables: Tuple[str, ...], p: Dict[Exponent, int],
+              scale: Fraction = Fraction(1)) -> Polynomial:
+    """The Polynomial scale * p of an int poly p."""
+    if scale == 1:
+        return Polynomial._trusted(variables, {e: Fraction(c) for e, c in p.items()})
+    return Polynomial._trusted(variables, {e: c * scale for e, c in p.items()})
+
+
+def _is_constant(p: Dict[Exponent, int]) -> bool:
+    return len(p) == 1 and not any(next(iter(p)))
+
+
+def _one_like(p: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    return {(0,) * len(next(iter(p))): 1}
+
+
+def _normalized(p: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """Coprime coefficients, positive graded-lex leading coefficient."""
+    g = math.gcd(*p.values())
+    if p[max(p, key=grlex_key)] < 0:
+        g = -g
+    return p if g == 1 else {e: c // g for e, c in p.items()}
+
+
+def _mul_int(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    out: Dict[Exponent, int] = {}
+    get = out.get
+    add = operator.add
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_int(a: Dict[Exponent, int],
+                b: Dict[Exponent, int]) -> Optional[Dict[Exponent, int]]:
+    """The int poly q with a = q * b, or None when there is none.
+
+    The remainder is one dict updated in place; its graded-lex leading term
+    comes off a heap keyed by an integer that encodes the order (every
+    exponent of the remainder is at most deg a, so base deg a + 1 is exact).
+    A term pushed twice is harmless: its second pop finds it gone.
+    """
+    be = max(b, key=grlex_key)
+    bc = b[be]
+    tail = [(e, c) for e, c in b.items() if e != be]
+    base = max(sum(e) for e in a) + 1
+
+    def key(e):
+        k = sum(e)
+        for x in e:
+            k = k * base + x
+        return -k
+
+    rem = dict(a)
+    heap = [(key(e), e) for e in rem]
+    heapq.heapify(heap)
+    quot: Dict[Exponent, int] = {}
+    sub = operator.sub
+    add = operator.add
+    while heap:
+        re = heapq.heappop(heap)[1]
+        rc = rem.pop(re, 0)
+        if not rc:
+            continue
+        qe = tuple(map(sub, re, be))
+        if min(qe) < 0:
+            return None
+        qc, r = divmod(rc, bc)
+        if r:
+            return None
+        quot[qe] = qc
+        for e, c in tail:
+            m = tuple(map(add, qe, e))
+            v = rem.get(m)
+            if v is None:
+                rem[m] = -qc * c
+                heapq.heappush(heap, (key(m), m))
+            else:
+                v -= qc * c
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
+    return quot
 
 
 def integer_primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
@@ -326,16 +477,8 @@ def integer_primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
     graded-lex leading coefficient.  Returns (0, p) for the zero polynomial."""
     if p.is_zero:
         return Fraction(0), p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = p.leading()
-    if lead < 0:
-        content = -content
-    return content, p.scaled(1 / content)
+    content, q = _int_primitive(p)
+    return content, _from_int(p.variables, q)
 
 
 def primitive_part(p: Polynomial) -> Polynomial:
@@ -355,19 +498,12 @@ def try_divide(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return a
     if b.is_constant:
         return a.scaled(1 / b.constant_value())
-    quot: Dict[Exponent, Fraction] = {}
-    rem = a
-    be, bc = b.leading()
-    while rem.terms:
-        re, rc = rem.leading()
-        qe = tuple(x - y for x, y in zip(re, be))
-        if any(x < 0 for x in qe):
-            return None
-        qc = rc / bc
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        t = Polynomial(a.variables, {qe: qc})
-        rem = rem - t * b
-    return Polynomial(a.variables, quot)
+    ca, pa = _int_primitive(a)
+    cb, pb = _int_primitive(b)
+    q = _divide_int(pa, pb)
+    if q is None:
+        return None
+    return _from_int(a.variables, q, ca / cb)
 
 
 def divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -379,90 +515,209 @@ def divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
 
 # -- multivariate gcd ----------------------------------------------------------
 #
-# Classical primitive pseudo-remainder sequence, recursing on the last
-# variable; contents of the univariate view are handled by the same recursion
-# one variable down.  The exact result is authoritative; no modular shortcut
-# is taken here.
+# First a coprimality certificate mod one prime (below); when it does not
+# apply, the primitive pseudo-remainder sequence over Z, recursing on the last
+# variable.  At level k the operands involve x_0..x_k only; a polynomial is
+# split into its coefficients in x_k ({degree: int poly with x_k^0}), and its
+# content in x_k (the gcd of those coefficients) comes from the same
+# recursion one variable down.  Contents and pseudo-remainders are made
+# primitive over Z as they arise, which keeps the coefficients small and
+# changes the result only by a unit; the exit normalizes it.
 
 
-def _coeffs_wrt(p: Polynomial, k: int) -> Dict[int, Polynomial]:
-    """Coefficients of powers of variable k, with that exponent zeroed."""
-    out: Dict[int, Dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
+def _split(p: Dict[Exponent, int], k: int) -> Dict[int, Dict[Exponent, int]]:
+    parts: Dict[int, Dict[Exponent, int]] = {}
+    for e, c in p.items():
         d = e[k]
-        ne = list(e)
-        ne[k] = 0
-        out.setdefault(d, {})[tuple(ne)] = c
-    return {d: Polynomial(p.variables, t) for d, t in out.items()}
+        if d:
+            e = e[:k] + (0,) + e[k + 1:]
+        parts.setdefault(d, {})[e] = c
+    return parts
 
 
-def _shift(p: Polynomial, k: int, t: int) -> Polynomial:
-    """Multiply by variable k to the power t."""
-    if t == 0 or p.is_zero:
-        return p
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[k] += t
-        out[tuple(ne)] = c
-    return Polynomial(p.variables, out)
+def _join(parts: Dict[int, Dict[Exponent, int]], k: int) -> Dict[Exponent, int]:
+    out: Dict[Exponent, int] = {}
+    for d, coeff in parts.items():
+        if d:
+            for e, c in coeff.items():
+                out[e[:k] + (d,) + e[k + 1:]] = c
+        else:
+            out.update(coeff)
+    return out
 
 
-def _content_wrt(p: Polynomial, k: int) -> Polynomial:
-    coeffs = list(_coeffs_wrt(p, k).values())
+def _content(parts: Dict[int, Dict[Exponent, int]], k: int) -> Dict[Exponent, int]:
+    """gcd of the coefficients in x_k, primitive over Z (1 when constant)."""
+    coeffs = sorted(parts.values(), key=len)
     g = coeffs[0]
     for c in coeffs[1:]:
-        if g.is_constant:
+        if _is_constant(g):
             break
-        g = _gcd_rec(g, c, k - 1)
-    if g.is_constant:
-        g = Polynomial.constant(p.variables, 1)
-    return g
+        g = _gcd_int(g, c, k - 1)
+    return _one_like(g) if _is_constant(g) else _normalized(g)
 
 
-def _prem(a: Polynomial, b: Polynomial, k: int) -> Polynomial:
-    """Pseudo-remainder of a by b in variable k (deg_k a >= deg_k b >= 1)."""
-    db = b.degree_in(k)
-    lb = _coeffs_wrt(b, k)[db]
+def _primitive(parts: Dict[int, Dict[Exponent, int]],
+               content: Dict[Exponent, int]) -> Dict[int, Dict[Exponent, int]]:
+    """Divide every coefficient by the content, then by the integer content."""
+    if not _is_constant(content):
+        parts = {d: _divide_int(c, content) for d, c in parts.items()}
+    h = math.gcd(*(x for c in parts.values() for x in c.values()))
+    if h != 1:
+        parts = {d: {e: x // h for e, x in c.items()} for d, c in parts.items()}
+    return parts
+
+
+def _prem_int(a: Dict[int, Dict[Exponent, int]],
+              b: Dict[int, Dict[Exponent, int]]) -> Dict[int, Dict[Exponent, int]]:
+    """A pseudo-remainder of a by b, both split in the same variable with
+    deg a >= deg b >= 1: r = lc(b)^j * a - s * b with deg r < deg b.  When
+    lc(b) is an integer that divides the leading coefficient of the
+    remainder, that step subtracts without scaling, which keeps the
+    coefficients small (a fifth off the QRT iterates' gcds); either way r
+    differs from the classical pseudo-remainder by a nonzero factor free of
+    the variable, which the caller's primitive part removes."""
+    db = max(b)
+    lb = b[db]
+    unit = lb[next(iter(lb))] if _is_constant(lb) else None
+    tail = [(j, c) for j, c in b.items() if j != db]
     r = a
-    while r.terms and r.degree_in(k) >= db:
-        dr = r.degree_in(k)
-        lr = _coeffs_wrt(r, k)[dr]
-        r = lb * r - _shift(lr * b, k, dr - db)
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        lr = r[dr]
+        if unit is not None and all(x % unit == 0 for x in lr.values()):
+            scaled = {e: x // unit for e, x in lr.items()}
+            out = {j: c for j, c in r.items() if j != dr}
+        else:
+            scaled = lr
+            out = {j: _mul_int(lb, c) for j, c in r.items() if j != dr}
+        shift = dr - db
+        for j, c in tail:
+            t = _mul_int(scaled, c)
+            cur = out.get(j + shift)
+            if cur is None:
+                out[j + shift] = {e: -x for e, x in t.items()}
+                continue
+            cur = dict(cur)
+            for e, x in t.items():
+                v = cur.get(e, 0) - x
+                if v:
+                    cur[e] = v
+                else:
+                    cur.pop(e, None)
+            if cur:
+                out[j + shift] = cur
+            else:
+                del out[j + shift]
+        r = out
     return r
 
 
-def _gcd_rec(a: Polynomial, b: Polynomial, k: int) -> Polynomial:
-    if a.is_constant or b.is_constant:
-        return Polynomial.constant(a.variables, 1)
-    if k < 0:
-        return Polynomial.constant(a.variables, 1)
-    da, db = a.degree_in(k), b.degree_in(k)
-    if da == 0 and db == 0:
-        return _gcd_rec(a, b, k - 1)
-    if da == 0 or db == 0:
-        # one operand is free of x_k: gcd divides the other's content
-        free, mixed = (a, b) if da == 0 else (b, a)
-        return _gcd_rec(free, _content_wrt(mixed, k), k - 1)
-    ca = _content_wrt(a, k)
-    cb = _content_wrt(b, k)
-    d = ca if ca.is_constant and cb.is_constant else _gcd_rec(ca, cb, k - 1)
-    if d.is_constant:
-        d = Polynomial.constant(a.variables, 1)
-    pa = primitive_part(divide_exact(a, ca))
-    pb = primitive_part(divide_exact(b, cb))
-    if pa.degree_in(k) < pb.degree_in(k):
+def _gcd_int(a: Dict[Exponent, int], b: Dict[Exponent, int],
+             k: int) -> Dict[Exponent, int]:
+    """A gcd of nonzero int polys in x_0..x_k, up to sign and integer content."""
+    while True:
+        if _is_constant(a) or _is_constant(b) or k < 0:
+            return _one_like(a)
+        da = max(e[k] for e in a)
+        db = max(e[k] for e in b)
+        if da or db:
+            break
+        k -= 1
+    if not (da and db):
+        # one operand is free of x_k: the gcd divides the other's content
+        free, mixed = (a, b) if not da else (b, a)
+        return _gcd_int(free, _content(_split(mixed, k), k), k - 1)
+    sa, sb = _split(a, k), _split(b, k)
+    ca, cb = _content(sa, k), _content(sb, k)
+    d = ca if _is_constant(ca) else _gcd_int(ca, cb, k - 1)
+    pa, pb = _primitive(sa, ca), _primitive(sb, cb)
+    if da < db:
         pa, pb = pb, pa
     while True:
-        r = _prem(pa, pb, k)
-        if r.is_zero:
-            g = pb
+        r = _prem_int(pa, pb)
+        if not r:
             break
-        if r.degree_in(k) == 0:
+        if max(r) == 0:
             return d
-        pa, pb = pb, primitive_part(divide_exact(r, _content_wrt(r, k)))
-    g = primitive_part(divide_exact(g, _content_wrt(g, k)))
-    return d * g
+        pa, pb = pb, _primitive(r, _content(r, k))
+    g = _join(pb, k)
+    return g if _is_constant(d) else _mul_int(d, g)
+
+
+# -- the coprimality certificate ---------------------------------------------
+#
+# Let G = gcd(A, B) and fix a variable x_k in which both A and B have
+# positive degree.  Evaluating every other variable at a point modulo a prime
+# p is a ring map Z[x] -> F_p[x_k], so the image of G divides the images of
+# A and B.  If the leading coefficients of A and B in x_k do not vanish at
+# the point, the images keep their degrees; the image of A is
+# image(G) * image(A / G), whose degrees cannot add up to deg_k A unless the
+# image of G keeps deg_k G as well.  So deg_k G is at most the degree of the
+# gcd of the images in F_p[x_k].  When that is 0 for every such x_k (and
+# where one operand is free of x_k, G is too), G is constant.  A vanishing
+# leading coefficient or a common image factor proves nothing, and the exact
+# sequence above runs instead: the certificate can say "coprime", never
+# "not coprime".
+
+_CERT_PRIME = 2**61 - 1
+
+
+def _cert_point(n: int) -> List[int]:
+    """The fixed evaluation point, one residue per variable."""
+    return [(0x9E3779B97F4A7C15 * (i + 1)) % _CERT_PRIME for i in range(n)]
+
+
+def _image_mod_p(p: Dict[Exponent, int], k: int, powers: List[List[int]],
+                 degree: int) -> List[int]:
+    """Coefficients (constant term first) of p in F_p[x_k] at the point."""
+    out = [0] * (degree + 1)
+    for e, c in p.items():
+        for i, x in enumerate(e):
+            if x and i != k:
+                c = c * powers[i][x] % _CERT_PRIME
+        out[e[k]] += c
+    return [c % _CERT_PRIME for c in out]
+
+
+def _gcd_degree_mod_p(f: List[int], g: List[int]) -> int:
+    """Degree of gcd(f, g) in F_p[x]; f, g have nonzero leading entries."""
+    while g:
+        inv = pow(g[-1], -1, _CERT_PRIME)
+        f = f[:]
+        while len(f) >= len(g):
+            q = f[-1] * inv % _CERT_PRIME
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % _CERT_PRIME
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _certified_coprime(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> bool:
+    """True only if gcd(a, b) is constant (see above)."""
+    n = len(next(iter(a)))
+    da = [max(e[i] for e in a) for i in range(n)]
+    db = [max(e[i] for e in b) for i in range(n)]
+    powers = []
+    for v, top in zip(_cert_point(n), map(max, da, db)):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * v % _CERT_PRIME)
+        powers.append(row)
+    for k in range(n):
+        if not (da[k] and db[k]):
+            continue
+        fa = _image_mod_p(a, k, powers, da[k])
+        fb = _image_mod_p(b, k, powers, db[k])
+        if not (fa[-1] and fb[-1]) or _gcd_degree_mod_p(fa, fb):
+            return False
+    return True
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -482,17 +737,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return primitive_part(a)
     if a.is_constant or b.is_constant:
         return Polynomial.constant(a.variables, 1)
-    pa = primitive_part(a)
-    pb = primitive_part(b)
-    g = _gcd_rec(pa, pb, len(a.variables) - 1)
-    return primitive_part(g)
+    _, pa = _int_primitive(a)
+    _, pb = _int_primitive(b)
+    if _certified_coprime(pa, pb):
+        return Polynomial.constant(a.variables, 1)
+    g = _gcd_int(pa, pb, len(a.variables) - 1)
+    return _from_int(a.variables, _normalized(g))
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
         return Polynomial(a.variables)
-    g = poly_gcd(a, b)
-    return primitive_part(divide_exact(a * b, g))
+    return primitive_part(a * divide_exact(b, poly_gcd(a, b)))
 
 
 # -- gcd-driven partial factorization ----------------------------------------
@@ -580,13 +836,15 @@ def basis_exponents(p: Polynomial, basis: Sequence[Polynomial]
     For pairwise coprime basis elements the exponents are the multiplicities,
     and r is constant exactly when the basis covers p.
     """
+    scale, rest = _int_primitive(p)
     exponents = []
     for b in basis:
+        cb, pb = _int_primitive(b)
         a = 0
         while True:
-            q = try_divide(p, b)
+            q = _divide_int(rest, pb)
             if q is None:
                 break
-            p, a = q, a + 1
+            rest, scale, a = q, scale / cb, a + 1
         exponents.append(a)
-    return exponents, p
+    return exponents, _from_int(p.variables, rest, scale)

@@ -101,7 +101,12 @@ class ExponentMatrix:
     def has_finite_order(self) -> bool:
         """Exact test: A has finite multiplicative order iff A^M = I where M
         is the lcm of all m with euler_phi(m) <= n (the minimal polynomial of
-        a finite-order integer matrix is a product of such cyclotomics)."""
+        a finite-order integer matrix is a product of such cyclotomics).
+
+        A^M = I over Z implies A^M = I mod p, so A^M mod a fixed prime that
+        is not the identity is an exact "no" at word size; only a matrix
+        that passes it is raised to the M-th power over Z, where the entries
+        of an expanding matrix would grow to thousands of digits."""
         n = self.size
         if self.det() == 0:
             return False
@@ -110,6 +115,8 @@ class ExponentMatrix:
         M = 1
         for m in admissible:
             M = M * m // math.gcd(M, m)
+        if not _power_is_identity_mod_p(self.entries, M):
+            return False
         power = self
         result = None
         k = M
@@ -120,6 +127,31 @@ class ExponentMatrix:
             if k:
                 power = power.times(power)
         return result.is_identity()
+
+
+_ORDER_PRIME = 2147483647
+
+
+def _power_is_identity_mod_p(entries: Sequence[Sequence[int]], k: int) -> bool:
+    """Whether A^k = I modulo _ORDER_PRIME, by repeated squaring."""
+    p = _ORDER_PRIME
+    n = len(entries)
+
+    def times(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+                for row in a]
+
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = [[v % p for v in row] for row in entries]
+    while k:
+        if k & 1:
+            result = times(result, power)
+        k >>= 1
+        if k:
+            power = times(power, power)
+    return all(v == (1 if i == j else 0) for i, row in enumerate(result)
+               for j, v in enumerate(row))
 
 
 def _euler_phi(m: int) -> int:

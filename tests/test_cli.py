@@ -210,6 +210,19 @@ def test_cli_dense_product_is_a_parse_error(tmp_path):
         assert f"{what} of more than" in doc["error"]["message"]
 
 
+def test_cli_dense_quotient_normalizes_quickly(tmp_path):
+    # numerator and denominator have 4845 terms each; normalizing the
+    # quotient needs their gcd, which the coprimality certificate settles
+    path = _system_file(tmp_path, "var x, y, z, w;\n"
+                                  "x -> (x+y+z+w+1)^16/(x+y+z+w+2)^16;\n"
+                                  "y -> y;\nz -> z;\nw -> w;\n")
+    start = time.perf_counter()
+    doc, code = run_command(["check", path])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert doc["result"]["verdict"] == "dominant"
+
+
 def test_cli_overlong_literal_is_a_parse_error(tmp_path):
     path = _system_file(tmp_path, "var x;\nx -> x + 1" + "0" * 5000 + ";\n")
     doc, code = run_command(["check", path])

@@ -177,6 +177,13 @@ def test_degree_sequence_monomial_matches_matrix_orbit():
     assert list(prof.degrees) == expected
 
 
+def test_degree_sequence_qrt_cancels_every_common_factor():
+    # deg phi^m = 2m only if each iterate's large common factors cancel in
+    # its normal form; a missed gcd shows up as a larger degree
+    qrt = make_system("x y", "y", "(y^2 + 1)/x")
+    assert degree_sequence(qrt, 12).degrees == tuple(range(2, 25, 2))
+
+
 def test_degree_sequence_mobius_bounded():
     mob = make_system("x", "(2*x + 3)/(x + 1)")
     prof = degree_sequence(mob, 5)

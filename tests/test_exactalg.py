@@ -1,14 +1,16 @@
 """Exact arithmetic core: polynomials, gcd, normal forms, substitution, rank."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
                            ZeroDenominatorError)
 from ratdyn.exactalg import linalg
+from ratdyn.exactalg.poly import _cert_point, _certified_coprime, _int_primitive
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              coprime_factor_basis, divide_exact, in_span,
                              jacobian_rank, nullspace, poly_gcd,
@@ -126,6 +128,192 @@ def test_divide_exact_roundtrip():
     a, b = P("x^3*y - x*y + 2*x"), P("x^2 + y")
     assert divide_exact(a * b, b) == a
     assert try_divide(P("x^2 + 1"), P("x + 1")) is None
+
+
+# -- the integer gcd against the Fraction PRS it replaced ----------------------
+#
+# A test-local copy of the earlier Fraction-coefficient primitive PRS and
+# trial division, used as the slow exact reference for poly_gcd, try_divide
+# and divide_exact (whose integer core also runs a mod-p coprimality
+# certificate first).
+
+
+def _ref_primitive(p):
+    if p.is_zero:
+        return p
+    num_gcd, den_lcm = 0, 1
+    for c in p.terms.values():
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    content = Fraction(num_gcd, den_lcm)
+    if p.leading()[1] < 0:
+        content = -content
+    return p.scaled(1 / content)
+
+
+def _ref_try_divide(a, b):
+    if a.is_zero:
+        return a
+    if b.is_constant:
+        return a.scaled(1 / b.constant_value())
+    quot = {}
+    rem = a
+    be, bc = b.leading()
+    while rem.terms:
+        re, rc = rem.leading()
+        qe = tuple(x - y for x, y in zip(re, be))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rc / bc
+        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        rem = rem - Polynomial(a.variables, {qe: qc}) * b
+    return Polynomial(a.variables, quot)
+
+
+def _ref_divide_exact(a, b):
+    q = _ref_try_divide(a, b)
+    assert q is not None
+    return q
+
+
+def _ref_coeffs_wrt(p, k):
+    out = {}
+    for e, c in p.terms.items():
+        ne = list(e)
+        ne[k] = 0
+        out.setdefault(e[k], {})[tuple(ne)] = c
+    return {d: Polynomial(p.variables, t) for d, t in out.items()}
+
+
+def _ref_shift(p, k, t):
+    out = {}
+    for e, c in p.terms.items():
+        ne = list(e)
+        ne[k] += t
+        out[tuple(ne)] = c
+    return Polynomial(p.variables, out)
+
+
+def _ref_content_wrt(p, k):
+    coeffs = list(_ref_coeffs_wrt(p, k).values())
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        if g.is_constant:
+            break
+        g = _ref_gcd_rec(g, c, k - 1)
+    return Polynomial.constant(p.variables, 1) if g.is_constant else g
+
+
+def _ref_prem(a, b, k):
+    db = b.degree_in(k)
+    lb = _ref_coeffs_wrt(b, k)[db]
+    r = a
+    while r.terms and r.degree_in(k) >= db:
+        dr = r.degree_in(k)
+        r = lb * r - _ref_shift(_ref_coeffs_wrt(r, k)[dr] * b, k, dr - db)
+    return r
+
+
+def _ref_gcd_rec(a, b, k):
+    if a.is_constant or b.is_constant or k < 0:
+        return Polynomial.constant(a.variables, 1)
+    da, db = a.degree_in(k), b.degree_in(k)
+    if da == 0 and db == 0:
+        return _ref_gcd_rec(a, b, k - 1)
+    if da == 0 or db == 0:
+        free, mixed = (a, b) if da == 0 else (b, a)
+        return _ref_gcd_rec(free, _ref_content_wrt(mixed, k), k - 1)
+    ca, cb = _ref_content_wrt(a, k), _ref_content_wrt(b, k)
+    d = ca if ca.is_constant and cb.is_constant else _ref_gcd_rec(ca, cb, k - 1)
+    if d.is_constant:
+        d = Polynomial.constant(a.variables, 1)
+    pa = _ref_primitive(_ref_divide_exact(a, ca))
+    pb = _ref_primitive(_ref_divide_exact(b, cb))
+    if pa.degree_in(k) < pb.degree_in(k):
+        pa, pb = pb, pa
+    while True:
+        r = _ref_prem(pa, pb, k)
+        if r.is_zero:
+            break
+        if r.degree_in(k) == 0:
+            return d
+        pa, pb = pb, _ref_primitive(_ref_divide_exact(r, _ref_content_wrt(r, k)))
+    return d * _ref_primitive(_ref_divide_exact(pb, _ref_content_wrt(pb, k)))
+
+
+def _ref_gcd(a, b):
+    if a.is_zero and b.is_zero:
+        return a
+    if a.is_zero or b.is_zero:
+        return _ref_primitive(b if a.is_zero else a)
+    if a.is_constant or b.is_constant:
+        return Polynomial.constant(a.variables, 1)
+    g = _ref_gcd_rec(_ref_primitive(a), _ref_primitive(b), len(a.variables) - 1)
+    return _ref_primitive(g)
+
+
+VARS3 = ("x", "y", "z")
+
+
+@st.composite
+def gcd_triples(draw):
+    """g, u, v over 1-3 variables: zero, constants, monomials and small
+    sums with rational coefficients."""
+    n = draw(st.integers(1, 3))
+    variables = VARS3[:n]
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+
+    def one():
+        size = draw(st.sampled_from([0, 1, 1, 2, 3, 3]))
+        return Polynomial(variables, draw(st.dictionaries(
+            expo, coeff, min_size=size, max_size=size)))
+
+    return one(), one(), one()
+
+
+def _poly3(src, n):
+    return poly(src, VARS3[:n])
+
+
+@given(gcd_triples())
+@example((_poly3("x*y", 2), _poly3("y", 2), _poly3("1", 2)))
+@example((_poly3("x*y + x", 2), _poly3("x - y", 2), _poly3("x^2 + 1", 2)))
+@example((_poly3("x*z + y*z", 3), _poly3("x*y*z", 3), _poly3("z^2 + 1", 3)))
+@example((_poly3("0", 1), _poly3("2", 1), _poly3("x^2", 1)))
+def test_integer_gcd_matches_fraction_prs(triple):
+    g, u, v = triple
+    a, b = g * u, g * v
+    assert poly_gcd(a, b) == _ref_gcd(a, b)
+    assert poly_gcd(b, a) == _ref_gcd(b, a)
+    assert poly_gcd(u, v) == _ref_gcd(u, v)
+    for num, den in ((a, b), (b, a), (a, g), (a, u), (a + 1, g), (u, v)):
+        if den.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                try_divide(num, den)
+            continue
+        q = try_divide(num, den)
+        assert q == _ref_try_divide(num, den)
+        if q is None:
+            with pytest.raises(ValueError):
+                divide_exact(num, den)
+        else:
+            assert divide_exact(num, den) == q and q * den == num
+
+
+def test_gcd_certificate_declines_on_a_vanishing_leading_coefficient():
+    # G's leading coefficient in y is x - c0 and in x is y - c1, so at the
+    # certificate's point both images of G are constant: the images of A and
+    # B are coprime although A and B share G.  The certificate must decline.
+    c0, c1 = (Polynomial.constant(XY, c) for c in _cert_point(2))
+    x, y = Polynomial.variable(XY, "x"), Polynomial.variable(XY, "y")
+    G = (x - c0) * (y - c1) + 1
+    A, B = G * (x + 2), G * (x + 3)
+    assert not _certified_coprime(_int_primitive(A)[1], _int_primitive(B)[1])
+    assert poly_gcd(A, B) == primitive_part(G) == _ref_gcd(A, B)
+    # the same shapes away from the point are certified coprime
+    assert _certified_coprime(_int_primitive(x + 2)[1], _int_primitive(x + 3)[1])
+    assert poly_gcd(A, B * (x + 3)) == primitive_part(G)
 
 
 def test_squarefree_and_factor_basis():

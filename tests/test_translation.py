@@ -1,6 +1,7 @@
 """Translation evidence: recognizers, lattice oracle, block normalization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,28 @@ def test_finite_order_detection():
     assert ExponentMatrix(((0, -1), (1, -1))).has_finite_order()     # order 3
     assert not ExponentMatrix(((2, 1), (1, 1))).has_finite_order()
     assert not ExponentMatrix(((1, 1), (0, 1))).has_finite_order()   # unipotent
+
+
+def test_finite_order_rejects_expanding_matrices_quickly():
+    n = 10
+
+    def matrix(entry):
+        return ExponentMatrix(tuple(tuple(entry(i, j) for j in range(n))
+                                    for i in range(n)))
+
+    for diagonal in (2, 9):
+        expanding = matrix(lambda i, j: diagonal if i == j else int(j == (i + 1) % n))
+        start = time.perf_counter()
+        assert not expanding.has_finite_order()
+        assert time.perf_counter() - start < 0.5
+    assert matrix(lambda i, j: int(i == j)).has_finite_order()
+    assert matrix(lambda i, j: int(j == (i + 1) % n)).has_finite_order()
+    assert matrix(lambda i, j: int(j == (3 * i + 1) % n)).has_finite_order()
+    rotation = ((0, -1), (1, 0))
+    assert matrix(lambda i, j: rotation[i % 2][j % 2] if i // 2 == j // 2
+                  else 0).has_finite_order()                    # order 4
+    shear = matrix(lambda i, j: int(i == j or (i, j) == (0, n - 1)))
+    assert not shear.has_finite_order()                          # unipotent
 
 
 # -- lattice oracle ---------------------------------------------------------------
