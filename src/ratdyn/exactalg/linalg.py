@@ -1,20 +1,17 @@
 """Exact linear algebra over Q and over polynomial entries.
 
-All elimination over Q is ``rref_sparse``, built on the one reduction step
-``reduce_row``: ranks, span membership, nullspaces and their canonical bases
-all read the echelon it returns.  Two eliminations stay separate because
+All elimination over Q is ``rref_sparse``.  It clears each input row once to
+a primitive integer row and eliminates with one integer reduction step (a
+multiple of one row minus a multiple of another, divided by its content), so
+every rank, span test and nullspace is exact by construction; its exit makes
+one Fraction per entry of the unique reduced echelon.  ``reduce_row`` tests
+membership against that echelon.  Two eliminations stay separate because
 they work in other rings:
 
-  * ``_rref_mod_p`` runs the modular fast path of ``nullspace`` with numpy
-    arithmetic mod a fixed word-sized prime; rational entries are then
-    reconstructed and certified by exact re-multiplication (a result that
-    fails to verify falls back to the Fraction path, so results are always
-    exact);
   * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
-    stays in the polynomial ring via exact divisions.
-
-``translation.ExponentMatrix.det`` keeps its own elimination too, since it
-needs the product of the pivots, which an echelon does not record.
+    stays in the polynomial ring via exact divisions;
+  * ``translation.ExponentMatrix.det`` keeps its own elimination, since it
+    needs the product of the pivots, which an echelon does not record.
 """
 
 from __future__ import annotations
@@ -23,24 +20,17 @@ import bisect
 import math
 import random
 from fractions import Fraction
-from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
-from .poly import Polynomial, divide_exact
+from .poly import Polynomial, _cleared_terms, divide_exact
 from .ratfunc import RationalFunction
 from ..errors import VariableMismatchError
 
 SparseRow = Dict[int, Fraction]
-
-# Word-sized primes for the modular path; products keep CRT moduli < 2**124.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-
-_FRACTION_CUTOFF = 2_000  # rows*cols below this: go straight to Fractions
+IntRow = Dict[int, int]
 
 
-# -- the Fraction elimination ----------------------------------------------------
+# -- the elimination over Q ------------------------------------------------------
 
 
 def reduce_row(row: SparseRow, reduced: Sequence[SparseRow],
@@ -64,31 +54,54 @@ def reduce_row(row: SparseRow, reduced: Sequence[SparseRow],
     return row
 
 
+def _primitive(row: IntRow) -> IntRow:
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: IntRow, ref: IntRow, pc: int) -> IntRow:
+    """Primitive multiple of b*row - a*ref, with a/b = row[pc]/ref[pc] in
+    lowest terms: the row minus its multiple of ref that is zero at pc."""
+    g = math.gcd(row[pc], ref[pc])
+    a, b = row[pc] // g, ref[pc] // g
+    out = {c: b * v for c, v in row.items()} if b != 1 else dict(row)
+    for c, v in ref.items():
+        s = out.get(c, 0) - a * v
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    return _primitive(out)
+
+
 def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
     """Reduced row echelon form for dict-backed rows (column -> coefficient).
 
-    Exact over Q and the only elimination over Q here: each row is reduced
-    against the echelon so far, scaled to a leading 1, and then cleared from
-    the pivot column of the earlier rows, both steps by ``reduce_row``.
-    Returns the nonzero reduced rows (pivot coefficient 1) and their pivot
-    columns, in ascending pivot order.
+    Exact over Q and the only elimination over Q here.  Each row is cleared
+    to a primitive integer row and reduced against the echelon so far; the
+    earlier rows are then cleared at its pivot column, both by
+    ``_eliminate``.  The exit divides each row by its pivot entry, whatever
+    its sign.  Returns the nonzero reduced rows (pivot coefficient 1) and
+    their pivot columns, in ascending pivot order.
     """
-    reduced: List[SparseRow] = []
+    echelon: List[IntRow] = []
     pivots: List[int] = []
     for raw in rows:
-        row = reduce_row(raw, reduced, pivots)
+        row = _primitive(_cleared_terms(raw)[1])
+        for pc, ref in zip(pivots, echelon):
+            if row.get(pc):
+                row = _eliminate(row, ref, pc)
         if not row:
             continue
         pc = min(row)
-        inv = 1 / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        for i, other in enumerate(reduced):
+        for i, other in enumerate(echelon):
             if other.get(pc):
-                reduced[i] = reduce_row(other, [row], [pc])
+                echelon[i] = _eliminate(other, row, pc)
         pos = bisect.bisect(pivots, pc)
         pivots.insert(pos, pc)
-        reduced.insert(pos, row)
-    return reduced, pivots
+        echelon.insert(pos, row)
+    return ([{c: Fraction(v, row[pc]) for c, v in row.items()}
+             for pc, row in zip(pivots, echelon)], pivots)
 
 
 def _sparse(vector: Sequence) -> SparseRow:
@@ -116,123 +129,6 @@ def _canonical_basis(vectors: List[Sequence[Fraction]], ncols: int):
     return [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in reduced]
 
 
-# -- modular fast path ----------------------------------------------------------
-
-
-def _dense_mod_p(rows: List[SparseRow], ncols: int, p: int) -> Optional[np.ndarray]:
-    m = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, val in row.items():
-            if val.denominator % p == 0:
-                return None
-            m[i, c] = val.numerator % p * pow(val.denominator % p, p - 2, p) % p
-    return m
-
-
-def _rref_mod_p(m: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    nrows, ncols = m.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m -= np.outer(factors, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    inv = pow(m1 % m2, m2 - 2, m2)  # m2 prime
-    return (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)
-
-
-def _rat_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """Rational number with numerator and denominator below sqrt(m/2)."""
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or math.gcd(r1, abs(s1)) != 1 or abs(s1) > bound:
-        return None
-    return Fraction(r1, s1)
-
-
-def _verify_kernel(rows: List[SparseRow], vec: Sequence[Fraction]) -> bool:
-    for row in rows:
-        s = Fraction(0)
-        for c, val in row.items():
-            if vec[c]:
-                s += val * vec[c]
-        if s:
-            return False
-    return True
-
-
-def _nullspace_modular(rows: List[SparseRow], ncols: int):
-    residues = None   # list of (vector of residues, modulus) merged via CRT
-    modulus = 1
-    pivots_ref = None
-    for p in _PRIMES:
-        dense = _dense_mod_p(rows, ncols, p)
-        if dense is None:
-            continue
-        m, pivots = _rref_mod_p(dense, p)
-        free = [c for c in range(ncols) if c not in pivots]
-        kern = []
-        for f in free:
-            v = [0] * ncols
-            v[f] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = int(-m[i, f]) % p
-            kern.append(v)
-        if pivots_ref is None:
-            pivots_ref = pivots
-            residues = kern
-            modulus = p
-        elif pivots == pivots_ref:
-            residues = [[_crt_pair(a, modulus, b, p) for a, b in zip(va, vb)]
-                        for va, vb in zip(residues, kern)]
-            modulus *= p
-        else:
-            return None  # pivot disagreement: primes unreliable here
-        # attempt reconstruction at the current modulus
-        basis = []
-        ok = True
-        for v in residues:
-            vec = []
-            for a in v:
-                q = _rat_reconstruct(a, modulus)
-                if q is None:
-                    ok = False
-                    break
-                vec.append(q)
-            if not ok:
-                break
-            basis.append(tuple(vec))
-        if ok and all(_verify_kernel(rows, v) for v in basis):
-            # standard-form vectors are independent; count matches the mod-p
-            # nullity which bounds the exact nullity from above, so this is
-            # a certified exact kernel basis.
-            return basis
-    return None
-
-
 # -- public nullspace / rank ---------------------------------------------------
 
 
@@ -240,8 +136,7 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
     Rows are dicts column -> coefficient.  The returned basis is the reduced
-    row echelon form of the kernel, which is unique for the subspace, so the
-    output does not depend on which internal path produced it.
+    row echelon form of the kernel, which is unique for the subspace.
     """
     live = [r for r in rows if r]
     if ncols == 0:
@@ -249,10 +144,6 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
     if not live:
         return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(ncols))
                 for i in range(ncols)]
-    if len(live) * ncols > _FRACTION_CUTOFF:
-        basis = _nullspace_modular(live, ncols)
-        if basis is not None:
-            return _canonical_basis(basis, ncols)
     reduced, pivots = rref_sparse(live)
     pivot_set = set(pivots)
     basis = []

@@ -309,15 +309,23 @@ class Polynomial:
         """Exact value at a rational point (one value per variable, in order)."""
         if len(point) != len(self.variables):
             raise VariableMismatchError("point length does not match variables")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+        # with v = n/d and top the largest exponent of its variable, v^k is
+        # n^k d^(top-k) over the common denominator d^top
+        den, ints = _cleared_terms(self.terms)
+        tables = []
+        for v, top in zip(point, self.max_exponents()):
+            v = Fraction(v)
+            table = [v.denominator ** top]
+            for _ in range(top):
+                table.append(table[-1] // v.denominator * v.numerator)
+            tables.append(table)
+            den *= table[0]
+        total = 0
+        for e, c in ints.items():
+            for table, k in zip(tables, e):
+                c *= table[k]
+            total += c
+        return Fraction(total, den)
 
     def embed(self, new_variables: Sequence[str], positions: Sequence[int]) -> "Polynomial":
         """Rewrite over a wider variable tuple; positions[i] locates old var i."""

@@ -306,6 +306,20 @@ def test_cli_entry_point_subprocess():
     assert "growth_class" in out.stdout
 
 
+def test_cli_import_loads_no_numpy():
+    # ratdyn depends on the standard library only; every CLI call pays
+    # for whatever importing the package pulls in
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ratdyn.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_selftest():
     doc, code = run_command(["selftest"])
     assert code == 0

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
                            ZeroDenominatorError)
@@ -82,6 +82,33 @@ def test_derivative_and_evaluate():
     assert p.derivative(0) == P("2*x*y")
     assert p.derivative(1) == P("x^2 - 3")
     assert p.evaluate((Fraction(2), Fraction(3))) == 12 - 9
+
+
+def _fraction_evaluate(p, point):
+    """Reference: each term's value in Fractions, summed."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = c
+        for v, k in zip(point, e):
+            if k:
+                term *= Fraction(v) ** k
+        total += term
+    return total
+
+
+rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@given(st.data())
+def test_evaluate_matches_fraction_evaluation(data):
+    n = data.draw(st.integers(0, 3))
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * n),
+                                      rationals, max_size=6))
+    point = data.draw(st.tuples(*[st.one_of(rationals, st.integers(-3, 3))] * n))
+    p = Polynomial(tuple("xyz"[:n]), terms)
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == _fraction_evaluate(p, point)
 
 
 # -- gcd ----------------------------------------------------------------------
@@ -484,7 +511,7 @@ def _check_kernel(rows, ncols, basis, expected_dim):
 
 
 def test_nullspace_large_matrix_uses_modular_path():
-    # wide enough to cross the modular cutoff; kernel structure is known
+    # a 59 x 60 chain: the kernel is one line with known ratios
     ncols = 60
     rows = [{i: Fraction(1), i + 1: Fraction(-2)} for i in range(ncols - 1)]
     big = nullspace(rows, ncols)
@@ -493,26 +520,71 @@ def test_nullspace_large_matrix_uses_modular_path():
 
 
 def test_nullspace_crt_and_fraction_fallback():
-    # numerators too large for single-prime reconstruction force the
-    # multi-prime path; denominators divisible by every modulus force the
-    # pure Fraction fallback -- results agree with the small-path answer
+    # large numerators, then denominators that are the product of four
+    # word-sized primes (about 2^124): the kernel stays exact either way
     ncols = 55
     huge = 10 ** 7 + 19
     rows = [{i: Fraction(huge), i + 1: Fraction(-1)} for i in range(ncols - 1)]
     basis = nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, 1)
 
-    from ratdyn.exactalg.linalg import _PRIMES
-    bad_den = _PRIMES[0] * _PRIMES[1] * _PRIMES[2] * _PRIMES[3]
+    bad_den = 2147483647 * 2147483629 * 2147483587 * 2147483579
     rows = [{i: Fraction(1, bad_den), i + 1: Fraction(-1)}
             for i in range(ncols - 1)]
     basis = nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, 1)
 
 
+def _fraction_reduce_row(row, reduced, pivots):
+    """Reference: remainder against a reduced echelon, in Fractions."""
+    row = dict(row)
+    for pc, ref in zip(pivots, reduced):
+        coeff = row.get(pc)
+        if coeff:
+            for c, v in ref.items():
+                s = row.get(c, 0) - coeff * v
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+    return row
+
+
+def _fraction_rref(rows):
+    """Reference: the Fraction elimination rref_sparse replaced."""
+    reduced, pivots = [], []
+    for raw in rows:
+        row = _fraction_reduce_row(raw, reduced, pivots)
+        if not row:
+            continue
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {c: v * inv for c, v in row.items()}
+        for i, other in enumerate(reduced):
+            if other.get(pc):
+                reduced[i] = _fraction_reduce_row(other, [row], [pc])
+        pos = sum(p < pc for p in pivots)
+        pivots.insert(pos, pc)
+        reduced.insert(pos, row)
+    return reduced, pivots
+
+
+def _fraction_nullspace(rows, ncols):
+    """Reference: the RREF of the kernel, all by the Fraction elimination."""
+    reduced, pivots = _fraction_rref(rows)
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = {f: Fraction(1)}
+            v.update((pc, -row[f]) for pc, row in zip(pivots, reduced) if f in row)
+            kernel.append(v)
+    return [tuple(row.get(c, Fraction(0)) for c in range(ncols))
+            for row in _fraction_rref(kernel)[0]]
+
+
 @st.composite
 def sparse_matrices(draw):
-    """Sparse rational matrices with more cells than _FRACTION_CUTOFF."""
+    """Wide sparse rational matrices with small entries."""
     ncols = draw(st.integers(51, 56))
     nrows = draw(st.integers(40, 46))
     entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
@@ -520,20 +592,37 @@ def sparse_matrices(draw):
     return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
 
 
-@settings(max_examples=10)
-@given(sparse_matrices())
-def test_nullspace_modular_matches_fraction_path(matrix):
+@st.composite
+def dense_matrices(draw):
+    """Dense rows with large numerators and denominators, then integer
+    combinations of them, so that the rank can drop."""
+    ncols = draw(st.integers(1, 7))
+    numerator = st.one_of(st.integers(-9, 9), st.sampled_from([10 ** 7 + 19, -(10 ** 7 + 19)]),
+                          st.integers(-2 ** 130, 2 ** 130))
+    denominator = st.one_of(st.integers(1, 4),
+                            st.just(2147483647 * 2147483629 * 2147483587 * 2147483579),
+                            st.integers(2 ** 123, 2 ** 125))
+    entry = st.builds(Fraction, numerator, denominator)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        ks = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(k * r[c] for k, r in zip(ks, rows)) for c in range(ncols)])
+    rows = draw(st.permutations(rows))
+    return [{c: v for c, v in enumerate(r) if v} for r in rows], ncols
+
+
+@given(st.one_of(sparse_matrices(), dense_matrices()))
+def test_integer_rref_matches_fraction_rref(matrix):
     rows, ncols = matrix
-    assert len(rows) * ncols > linalg._FRACTION_CUTOFF
-    modular = linalg._nullspace_modular(rows, ncols)
-    assert modular is not None  # small sparse entries reconstruct
-    fast = nullspace(rows, ncols)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_FRACTION_CUTOFF", float("inf"))
-        slow = nullspace(rows, ncols)
-    assert fast == slow
-    assert linalg._canonical_basis(modular, ncols) == slow
-    _check_kernel(rows, ncols, slow, len(slow))
+    reduced, pivots = linalg.rref_sparse(rows)
+    assert (reduced, pivots) == _fraction_rref(rows)
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
+    basis = nullspace(rows, ncols)
+    assert basis == _fraction_nullspace(rows, ncols)
+    _check_kernel(rows, ncols, basis, ncols - len(pivots))
+    for row in rows:
+        assert not linalg.reduce_row(row, reduced, pivots)
 
 
 @st.composite
