@@ -22,7 +22,8 @@ from typing import Tuple
 
 from .dynsys import (DOMINANT, DynamicalSystem, degree_sequence, iterate,
                      validate_dominant)
-from .errors import ParseError, RatdynError, SystemFileError
+from .errors import (ParseError, PreconditionError, RatdynError, SystemFileError,
+                     UsageError)
 from .exactalg import Polynomial, RationalFunction
 from .invsearch import (DEFAULT_BUDGET, SearchBudget, adim_lower_bound,
                         square_gain_check)
@@ -65,13 +66,29 @@ def _budget_from_string(text: str) -> SearchBudget:
             "budget must be four integers: num_deg,den_deg,catalog_depth,rank1_limit")
     try:
         nums = [int(p) for p in parts]
-    except ValueError as exc:
+        return SearchBudget(*nums)
+    except (ValueError, PreconditionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return SearchBudget(*nums)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, so
+    that a malformed command line still gets a JSON report."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _seed_default() -> int:
+    text = os.environ.get("RATDYN_SEED")
+    try:
+        return DEFAULT_SEED if text is None else int(text)
+    except ValueError:
+        raise UsageError(f"RATDYN_SEED must be an integer, not {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratdyn",
         description="exact workbench for rational dynamical systems over Q")
     parser.add_argument("--pretty", action="store_true",
@@ -162,15 +179,13 @@ def _expectation_checks(sf: SystemFile, budget: SearchBudget):
 
 def run_command(argv) -> Tuple[dict, int]:
     """Execute one subcommand; returns (report document, exit code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RATDYN_SEED", DEFAULT_SEED))
     started = time.monotonic()
-    doc = {"schema": SCHEMA, "command": list(argv), "seed": seed}
+    # a report whose command line is rejected carries the fixed default seed
+    doc = {"schema": SCHEMA, "command": list(argv), "seed": DEFAULT_SEED}
     code = 0
     try:
+        args = build_parser().parse_args(argv)
+        seed = doc["seed"] = _seed_default() if args.seed is None else args.seed
         if args.command == "selftest":
             results = []
             failures = 0
@@ -279,7 +294,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         doc, code = run_command(argv)
-    except SystemExit as exc:  # argparse usage errors exit with its own code
+    except SystemExit as exc:  # --help exits 0 from inside argparse
         return 2 if exc.code not in (0, None) else 0
     out = render_pretty(doc) if "--pretty" in argv else render_json(doc)
     sys.stdout.write(out)

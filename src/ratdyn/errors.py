@@ -39,5 +39,9 @@ class ParseError(RatdynError):
         self.column = column
 
 
+class UsageError(RatdynError):
+    """Malformed command line: unknown or missing arguments, bad values."""
+
+
 class SystemFileError(RatdynError):
     """Malformed system description file."""

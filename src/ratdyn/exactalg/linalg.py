@@ -77,7 +77,8 @@ def _eliminate(row: IntRow, ref: IntRow, pc: int) -> IntRow:
 def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
     """Reduced row echelon form for dict-backed rows (column -> coefficient).
 
-    Exact over Q and the only elimination over Q here.  Each row is cleared
+    Exact over Q and the only elimination over Q here.  Coefficients may be
+    ints or Fractions, mixed freely.  Each row is cleared
     to a primitive integer row and reduced against the echelon so far; the
     earlier rows are then cleared at its pivot column, both by
     ``_eliminate``.  The exit divides each row by its pivot entry, whatever
@@ -135,8 +136,11 @@ def _canonical_basis(vectors: List[Sequence[Fraction]], ncols: int):
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...]]:
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
-    Rows are dicts column -> coefficient.  The returned basis is the reduced
-    row echelon form of the kernel, which is unique for the subspace.
+    Rows are dicts column -> coefficient, with int or Fraction values (both
+    go to ``rref_sparse`` as they are).  The returned basis is the reduced
+    row echelon form of the kernel, which is unique for the subspace, so
+    scaling every column of the matrix by one nonzero constant leaves it
+    unchanged.
     """
     live = [r for r in rows if r]
     if ncols == 0:

@@ -427,6 +427,27 @@ def _mul_int(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, i
     return {e: c for e, c in out.items() if c}
 
 
+def _combine_int(coeffs: Dict[Exponent, int],
+                 tables: Mapping[Exponent, Dict[Exponent, int]]) -> Dict[Exponent, int]:
+    """sum(c * tables[e]) over the terms c x^e of coeffs."""
+    acc: Dict[Exponent, int] = {}
+    for e, c in coeffs.items():
+        for m, v in tables[e].items():
+            acc[m] = acc.get(m, 0) + c * v
+    return {m: c for m, c in acc.items() if c}
+
+
+def _minus_shifted(a: Dict[Exponent, int], e: Exponent,
+                   b: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """a - x^e * b, in place on a; returns a."""
+    for m, c in b.items():
+        k = tuple(map(operator.add, m, e))
+        a[k] = a.get(k, 0) - c
+        if not a[k]:
+            del a[k]
+    return a
+
+
 def _divide_int(a: Dict[Exponent, int],
                 b: Dict[Exponent, int]) -> Optional[Dict[Exponent, int]]:
     """The int poly q with a = q * b, or None when there is none.

@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import IndeterminacyError, VariableMismatchError, ZeroDenominatorError
-from .poly import (Exponent, Polynomial, divide_exact, fraction_gcd,
-                   integer_primitive, poly_gcd, poly_lcm)
+from .poly import (Exponent, Polynomial, _cleared_terms, _combine_int, _from_int,
+                   _mul_int, divide_exact, fraction_gcd, integer_primitive,
+                   poly_gcd, poly_lcm)
 
 
 class RationalFunction:
@@ -220,11 +221,7 @@ def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> Ratio
     cleared = dict(zip(exponents, cleared_monomial_images(images, exponents, bounds)))
 
     def compose(p: Polynomial) -> Polynomial:
-        acc: Dict[Exponent, Fraction] = {}
-        for e, c in p.terms.items():
-            for m, v in cleared[e].terms.items():
-                acc[m] = acc.get(m, 0) + c * v
-        return Polynomial(target, acc)
+        return _from_int(target, _combine_int(_integer_terms(p), cleared))
 
     den_image = compose(f.den)
     if den_image.is_zero:
@@ -232,34 +229,44 @@ def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> Ratio
     return RationalFunction(compose(f.num), den_image)
 
 
+def _integer_terms(p: Polynomial) -> Dict[Exponent, int]:
+    """The coefficients, integers by construction, of a normal-form part."""
+    den, terms = _cleared_terms(p.terms)
+    if den != 1:
+        raise AssertionError(f"normal-form part {p} has a non-integer coefficient")
+    return terms
+
+
 def cleared_monomial_images(images: Sequence[RationalFunction],
                             exponents: Sequence[Exponent],
-                            bounds: Sequence[int]) -> List[Polynomial]:
-    """Numerators of the monomials x^e after x_i -> images[i].
+                            bounds: Sequence[int]) -> List[Dict[Exponent, int]]:
+    """Integer numerators of the monomials x^e after x_i -> images[i].
 
     Every exponent tuple e with e_i <= bounds[i] satisfies
-    x^e(images) = N_e / prod(den_i^bounds[i]); the N_e are returned in the
-    order of ``exponents``.
+    x^e(images) = N_e / prod(den_i^bounds[i]).  Normal forms have integer
+    coefficients, so each N_e is an ``{exponent: int}`` dict; they are
+    returned in the order of ``exponents`` and may share storage, so callers
+    must not change them.
     """
-    one = Polynomial.constant(images[0].variables, 1)
+    one = {(0,) * len(images[0].variables): 1}
     num_pows = []
     den_pows = []
     for g, d in zip(images, bounds):
+        num, den = _integer_terms(g.num), _integer_terms(g.den)
         npw = [one]
         dpw = [one]
         for _ in range(d):
-            npw.append(npw[-1] * g.num)
-            dpw.append(dpw[-1] * g.den)
+            npw.append(_mul_int(npw[-1], num))
+            dpw.append(_mul_int(dpw[-1], den))
         num_pows.append(npw)
         den_pows.append(dpw)
     out = []
     for e in exponents:
         t = one
         for i, k in enumerate(e):
-            if k:
-                t = t * num_pows[i][k]
-            if bounds[i] - k:
-                t = t * den_pows[i][bounds[i] - k]
+            for f in (num_pows[i][k], den_pows[i][bounds[i] - k]):
+                if f != one:  # such as every power of the denominator 1
+                    t = f if t is one else _mul_int(t, f)
         out.append(t)
     return out
 

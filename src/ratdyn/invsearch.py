@@ -33,6 +33,7 @@ from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        in_span, jacobian_rank, jacobian_row, monomials_upto,
                        nullspace, rank, reduce_row, rref_sparse,
                        squarefree_chain, transpose, try_divide)
+from .exactalg.poly import _combine_int, _int_primitive, _minus_shifted, _mul_int
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -90,8 +91,8 @@ def _monomial_pullbacks(sys: DynamicalSystem, d: int):
 
 
 def _kernel_polynomials(sys, monos, columns) -> List[Polynomial]:
-    """Nullspace of the sparse linear map given per-column as a polynomial."""
-    basis = nullspace(transpose(p.terms for p in columns), len(monos))
+    """Nullspace of the sparse linear map given per-column as an int poly."""
+    basis = nullspace(transpose(columns), len(monos))
     polys = []
     for vec in basis:
         terms = {monos[i]: v for i, v in enumerate(vec) if v}
@@ -114,12 +115,8 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
         raise PreconditionError("degree bound must be >= 0")
     require_dominant(sys)
     monos, images = _monomial_pullbacks(sys, d)
-    full_den = Polynomial.constant(sys.variables, 1)
-    for c in sys.coords:
-        full_den = full_den * c.den ** d
-    columns = []
-    for e, N in zip(monos, images):
-        columns.append(N - Polynomial(sys.variables, {e: Fraction(1)}) * full_den)
+    # the constant monomial comes first: images[0] = prod(den_i^d)
+    columns = [_minus_shifted(dict(N), e, images[0]) for e, N in zip(monos, images)]
     return _kernel_polynomials(sys, monos, columns)
 
 
@@ -187,18 +184,12 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
         composed_cache[clearing] = _monomial_pullbacks(sys, clearing)
     monos, images = composed_cache[clearing]
     keep = [i for i, e in enumerate(monos) if sum(e) <= dp]
-    by_expo = {e: i for i, e in enumerate(monos)}
-    q_image = Polynomial.zero(sys.variables)
-    for e, c in q.terms.items():
-        q_image = q_image + images[by_expo[e]].scaled(c)
-    columns = []
-    kept_monos = []
-    for i in keep:
-        e = monos[i]
-        x_e = Polynomial(sys.variables, {e: Fraction(1)})
-        columns.append(images[i] * q - q_image * x_e)
-        kept_monos.append(e)
-    polys = _kernel_polynomials(sys, kept_monos, columns)
+    # the kernel is that of the columns for q itself, scaled by one constant
+    q_int = _int_primitive(q)[1]
+    q_image = _combine_int(q_int, dict(zip(monos, images)))
+    columns = [_minus_shifted(_mul_int(images[i], q_int), monos[i], q_image)
+               for i in keep]
+    polys = _kernel_polynomials(sys, [monos[i] for i in keep], columns)
     out = []
     for p in polys:
         f = RationalFunction(p, q)
@@ -460,10 +451,9 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
     monos, images = _monomial_pullbacks(sys, dmax)
     s = len(monos)
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
-    x_polys = [Polynomial(sys.variables, {e: Fraction(1)}) for e in monos]
-
-    rows = transpose((images[i] * x_polys[j] - images[j] * x_polys[i]).terms
-                     for i, j in pairs)
+    # images[j]*x_i - images[i]*x_j: each column negated, the kernel kept
+    rows = transpose(_minus_shifted(_mul_int(images[j], {monos[i]: 1}), monos[j],
+                                    images[i]) for i, j in pairs)
     if len(pairs) - len(rows) > limit:
         # kernel dimension is at least #columns - #rows, already over budget
         return [], False

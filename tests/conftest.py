@@ -47,3 +47,38 @@ def poly(src, variables):
 def systems_dir():
     import ratdyn
     return os.path.join(os.path.dirname(ratdyn.__file__), "systems")
+
+
+# -- Fraction references for the integer monomial power tables -------------------
+
+
+def _fraction_product(a, b):
+    """Schoolbook product of two {exponent: Fraction} term maps."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_cleared_monomial_images(images, exponents, bounds):
+    """cleared_monomial_images as Fraction term maps: the numerators N_e of
+    x^e(images) = N_e / prod(den_i^bounds[i]), by Fraction products."""
+    one = {(0,) * len(images[0].variables): 1}
+    num_pows, den_pows = [], []
+    for g, d in zip(images, bounds):
+        npw, dpw = [one], [one]
+        for _ in range(d):
+            npw.append(_fraction_product(npw[-1], g.num.terms))
+            dpw.append(_fraction_product(dpw[-1], g.den.terms))
+        num_pows.append(npw)
+        den_pows.append(dpw)
+    out = []
+    for e in exponents:
+        t = one
+        for i, k in enumerate(e):
+            t = _fraction_product(t, num_pows[i][k])
+            t = _fraction_product(t, den_pows[i][bounds[i] - k])
+        out.append(t)
+    return out

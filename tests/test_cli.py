@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ratdyn.cli import bundled_systems_dir, render_json, run_command
+from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
 from ratdyn.errors import SystemFileError
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
 from ratdyn.verify import verify_invariant, verify_invariant_report
@@ -326,3 +326,48 @@ def test_cli_selftest():
     assert doc["result"]["passed"] is True
     names = {entry["system"] for entry in doc["result"]["systems"]}
     assert {"shift", "double", "swap", "monomial", "henon", "mobius"} <= names
+
+
+def _ratdyn(*args):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "ratdyn", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_negative_budget_is_a_usage_error():
+    for command, budget in (("invariants", "-1,0,0,0"), ("square", "1,-2,0,0")):
+        out = _ratdyn(command, f"--budget={budget}", corpus("shift.system"))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["error"]["code"] == "UsageError"
+        assert "must be >= 0" in doc["error"]["message"]
+
+
+def test_cli_usage_errors_print_a_json_report(capsys, monkeypatch):
+    shift = corpus("shift.system")
+    for argv, word in ((["degrees", shift], "--n"),
+                       (["invariants", "--budget", "1,1,1", shift], "four integers"),
+                       (["frobnicate", shift], "frobnicate"), ([], "required")):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "UsageError"
+        assert word in doc["error"]["message"]
+        assert doc["command"] == argv and "result" not in doc
+    monkeypatch.setenv("RATDYN_SEED", "abc")
+    assert main(["check", shift]) == 2
+    assert "RATDYN_SEED" in json.loads(capsys.readouterr().out)["error"]["message"]
+    # --help is no error
+    assert main(["degrees", "--help"]) == 0
+    assert "usage: ratdyn degrees" in capsys.readouterr().out
+
+
+def test_cli_henon_degrees_are_fast():
+    start = time.perf_counter()
+    doc, code = run_command(["degrees", "--n", "9", corpus("henon.system")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert doc["result"]["degrees"] == [2 ** k for k in range(1, 10)]
+    assert elapsed < 6.0, f"henon degrees --n 9 took {elapsed:.1f} s"

@@ -1,5 +1,6 @@
 """Exact arithmetic core: polynomials, gcd, normal forms, substitution, rank."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,13 +13,14 @@ from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
 from ratdyn.exactalg import linalg
 from ratdyn.exactalg.poly import _cert_point, _certified_coprime, _int_primitive
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
-                             coprime_factor_basis, divide_exact, in_span,
-                             jacobian_rank, nullspace, poly_gcd,
+                             cleared_monomial_images, coprime_factor_basis,
+                             divide_exact, in_span, jacobian_rank, nullspace,
+                             poly_gcd,
                              poly_matrix_rank, primitive_part,
                              ratfunc_normalize, squarefree_chain,
                              squarefree_part, substitute, try_divide)
 
-from conftest import poly, rf
+from conftest import poly, ref_cleared_monomial_images, rf
 
 XY = ("x", "y")
 
@@ -463,6 +465,99 @@ def test_substitute_agrees_with_pointwise_evaluation(p, q, s, t):
     except ZeroDivisionError:
         return
     assert direct == via
+
+
+# -- integer power tables against their Fraction references -------------------
+
+
+_VARS = ("x", "y", "z")
+_rational_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _rational_polys(n, max_size=3):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), _rational_coeffs,
+                           max_size=max_size).map(lambda t: Polynomial(_VARS[:n], t))
+
+
+@st.composite
+def normalized_functions(draw, n):
+    """Normal forms of p/q for p, q with rational coefficients."""
+    num = draw(_rational_polys(n))
+    den = draw(_rational_polys(n).filter(lambda q: not q.is_zero))
+    return RationalFunction(num, den)
+
+
+@st.composite
+def image_tables(draw):
+    n = draw(st.integers(1, 3))
+    images = [draw(normalized_functions(n)) for _ in range(draw(st.integers(1, 3)))]
+    bounds = tuple(draw(st.integers(0, 3)) for _ in images)
+    return images, bounds
+
+
+def _ref_substitute(f, images):
+    """substitute, composing with Fraction sums over the Fraction tables."""
+    bounds = tuple(max(a, b) for a, b in
+                   zip(f.num.max_exponents(), f.den.max_exponents()))
+    exponents = list(dict.fromkeys(list(f.num.terms) + list(f.den.terms)))
+    cleared = dict(zip(exponents,
+                       ref_cleared_monomial_images(images, exponents, bounds)))
+
+    def compose(p):
+        acc = {}
+        for e, c in p.terms.items():
+            for m, v in cleared[e].items():
+                acc[m] = acc.get(m, 0) + c * v
+        return Polynomial(images[0].variables, acc)
+
+    den = compose(f.den)
+    if den.is_zero:
+        raise IndeterminacyError("composition lands inside the pole set")
+    return RationalFunction(compose(f.num), den)
+
+
+@given(image_tables())
+def test_cleared_monomial_images_match_fraction_tables(table):
+    images, bounds = table
+    exponents = list(itertools.product(*[range(b + 1) for b in bounds]))
+    got = cleared_monomial_images(images, exponents, bounds)
+    want = ref_cleared_monomial_images(images, exponents, bounds)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(type(c) is int and c for c in g.values())
+        assert g == w
+
+
+def test_cleared_monomial_images_reject_a_non_integer_normal_form():
+    broken = RationalFunction.__new__(RationalFunction)
+    broken.num = Polynomial(XY, {(1, 0): Fraction(1, 2)})
+    broken.den = Polynomial.constant(XY, 1)
+    with pytest.raises(AssertionError):
+        cleared_monomial_images([broken, F("y")], [(1, 0)], (1, 0))
+
+
+@st.composite
+def substitutions(draw):
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    f = draw(normalized_functions(k))
+    images = [draw(normalized_functions(n)) for _ in range(k)]
+    return f, images
+
+
+@given(substitutions())
+@example((F("1/(x - y)"), [F("x"), F("x")]))
+@example((F("(x^2 + y)/(x*y - 1)"), [F("x/2 + 1/3"), F("(3*y - 1)/(2*x + 5)")]))
+def test_substitute_matches_fraction_composition(case):
+    f, images = case
+    try:
+        want = _ref_substitute(f, images)
+    except IndeterminacyError:
+        with pytest.raises(IndeterminacyError):
+            substitute(f, images)
+        return
+    got = substitute(f, images)
+    assert got == want
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
 
 
 # -- jacobian rank ----------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Invariant search: bases, catalogs, pencils, ranks, square gain."""
 
+import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ratdyn import invsearch
 from ratdyn.dynsys import DynamicalSystem, degree_sequence, iterate, pullback
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
-                             jacobian_rank, reduce_row, rref_sparse,
-                             try_divide)
+                             jacobian_rank, monomials_upto, nullspace,
+                             reduce_row, rref_sparse, transpose, try_divide)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
@@ -18,7 +20,7 @@ from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
 
 from ratdyn.translation import classify_system
 
-from conftest import make_system, poly, rf
+from conftest import make_system, poly, ref_cleared_monomial_images, rf
 
 
 def test_budget_validation():
@@ -350,3 +352,115 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     for f in inside + outside:
         assert pool.contains(f) == _reference_contains(ref, f), f
     assert all(_reference_contains(ref, f) for f in inside)
+
+
+# -- the integer columns of the three linear stages --------------------------------
+
+# small affine and Moebius maps; each is conjugated by x_i -> c_i x_i below
+_STAGE_MAPS = [
+    ("x y", "2*x", "2*y"), ("x y", "y", "x"), ("x y", "x + 1", "y + 1"),
+    ("x y", "2*x + y", "2*y"), ("x y", "y", "-x"), ("x y", "-x", "1/y"),
+    ("x", "1/x"), ("x", "(2*x + 3)/(x + 1)"), ("x", "-x"),
+    ("x y z", "y", "z", "x"),
+]
+_SCALES = ["1", "2", "3", "-5", "1/2", "5/3"]
+
+
+@st.composite
+def rescaled_maps(draw):
+    variables, *exprs = draw(st.sampled_from(_STAGE_MAPS))
+    names = variables.split()
+    scales = [draw(st.sampled_from(_SCALES)) for _ in names]
+    # psi_i(x) = phi_i(c x) / c_i
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
+    scaled = {v: f"(({c})*{v})" for v, c in zip(names, scales)}
+    return make_system(variables, *[f"({pattern.sub(lambda m: scaled[m[1]], e)})/({c})"
+                                    for e, c in zip(exprs, scales)])
+
+
+def _ref_pullbacks(sys, d):
+    monos = monomials_upto(sys.dim, d)
+    tables = ref_cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
+    return monos, [Polynomial(sys.variables, t) for t in tables]
+
+
+def _x(sys, e):
+    return Polynomial(sys.variables, {e: Fraction(1)})
+
+
+def _ref_polynomial_columns(sys, d):
+    """The polynomial stage's columns as Fraction Polynomials."""
+    monos, images = _ref_pullbacks(sys, d)
+    full_den = Polynomial.constant(sys.variables, 1)
+    for c in sys.coords:
+        full_den = full_den * c.den ** d
+    return [N - _x(sys, e) * full_den for e, N in zip(monos, images)]
+
+
+def _ref_fixed_denominator_columns(sys, q, dp):
+    monos, images = _ref_pullbacks(sys, max(dp, q.total_degree))
+    by_expo = {e: i for i, e in enumerate(monos)}
+    q_image = Polynomial.zero(sys.variables)
+    for e, c in q.terms.items():
+        q_image = q_image + images[by_expo[e]].scaled(c)
+    return [images[i] * q - q_image * _x(sys, e)
+            for i, e in enumerate(monos) if sum(e) <= dp]
+
+
+def _ref_pencil_columns(sys, dmax):
+    monos, images = _ref_pullbacks(sys, dmax)
+    s = len(monos)
+    return [images[i] * _x(sys, monos[j]) - images[j] * _x(sys, monos[i])
+            for i in range(s) for j in range(i + 1, s)]
+
+
+def _kernels(run):
+    """run() and (live rows, kernel) of each invsearch.nullspace it made."""
+    calls = []
+
+    def recording(rows, ncols):
+        kernel = nullspace(rows, ncols)
+        calls.append((sum(1 for r in rows if r), kernel))
+        return kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "nullspace", recording)
+        out = run()
+    return out, calls
+
+
+def _ref_kernel(columns):
+    rows = transpose(p.terms for p in columns)
+    return len(rows), nullspace(rows, len(columns))
+
+
+@given(rescaled_maps(), st.integers(0, 2))
+def test_polynomial_stage_kernel_matches_fraction_columns(sys, d):
+    basis, calls = _kernels(lambda: polynomial_invariant_basis(sys, d))
+    assert calls == [_ref_kernel(_ref_polynomial_columns(sys, d))]
+    assert basis[0] == Polynomial.constant(sys.variables, 1)
+
+
+@given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
+                                         SearchBudget(2, 2, 1, 3)]),
+       st.sampled_from(["1", "3/7", "-2"]))
+def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
+    # a catalog q as it comes and rescaled: the stage clears it either way
+    for q in invsearch._denominator_catalog(sys, budget)[:6]:
+        q = q.scaled(Fraction(scale))
+        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
+            sys, q, budget, {}))
+        assert calls == [_ref_kernel(_ref_fixed_denominator_columns(
+            sys, q, budget.max_num_degree))]
+        assert all(pullback(sys, f) == f for f in found)
+
+
+@given(rescaled_maps(), st.integers(1, 2))
+def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
+    # no rank-1 limit, and no decomposable points: the stage ends at its kernel
+    budget = SearchBudget(dmax, dmax, 0, 10**6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_decomposable_points", lambda basis, size: [])
+        (found, conclusive), calls = _kernels(lambda: invsearch._pencil_stage(sys, budget))
+    assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
+    assert (found, conclusive) == ([], True)
