@@ -1,12 +1,13 @@
 """Exact linear algebra over Q and over polynomial entries.
 
-All elimination over Q is ``rref_sparse``.  It clears each input row once to
-a primitive integer row and eliminates with one integer reduction step (a
-multiple of one row minus a multiple of another, divided by its content), so
-every rank, span test and nullspace is exact by construction; its exit makes
-one Fraction per entry of the unique reduced echelon.  ``reduce_row`` tests
-membership against that echelon.  Two eliminations stay separate because
-they work in other rings:
+All elimination over Q is ``echelon_step``: it clears a row once to a
+primitive integer row, reduces it against an integer echelon with one integer
+reduction step (a multiple of one row minus a multiple of another, divided by
+its content), and inserts a nonzero remainder.  ``rank`` counts the pivots,
+``in_span`` tests the remainder, and ``rref_sparse`` makes one Fraction per
+entry of the unique reduced echelon at its exit.  Jacobian rows at integer
+points are ints as well, so the seeded rank test runs in Z throughout.  Two
+eliminations stay separate because they work in other rings:
 
   * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
     stays in the polynomial ring via exact divisions;
@@ -33,27 +34,6 @@ IntRow = Dict[int, int]
 # -- the elimination over Q ------------------------------------------------------
 
 
-def reduce_row(row: SparseRow, reduced: Sequence[SparseRow],
-               pivots: Sequence[int]) -> SparseRow:
-    """Remainder (copy) of a sparse row against an echelon from rref_sparse.
-
-    Each reduced row must have coefficient 1 at its pivot column and 0 at
-    every other listed pivot column; the remainder is then zero at all of
-    them, and it is empty exactly when the row lies in the echelon's span.
-    """
-    row = dict(row)
-    for pc, ref in zip(pivots, reduced):
-        coeff = row.get(pc)
-        if coeff:
-            for c, v in ref.items():
-                s = row.get(c, 0) - coeff * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    return row
-
-
 def _primitive(row: IntRow) -> IntRow:
     g = math.gcd(*row.values())
     return row if g <= 1 else {c: v // g for c, v in row.items()}
@@ -74,26 +54,23 @@ def _eliminate(row: IntRow, ref: IntRow, pc: int) -> IntRow:
     return _primitive(out)
 
 
-def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
-    """Reduced row echelon form for dict-backed rows (column -> coefficient).
+def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
+                 insert: bool = True) -> IntRow:
+    """Remainder of a sparse row against an integer echelon, which it joins.
 
-    Exact over Q and the only elimination over Q here.  Coefficients may be
-    ints or Fractions, mixed freely.  Each row is cleared
-    to a primitive integer row and reduced against the echelon so far; the
-    earlier rows are then cleared at its pivot column, both by
-    ``_eliminate``.  The exit divides each row by its pivot entry, whatever
-    its sign.  Returns the nonzero reduced rows (pivot coefficient 1) and
-    their pivot columns, in ascending pivot order.
+    ``echelon`` holds primitive integer rows, each the only one nonzero at
+    its pivot column; ``pivots`` lists those columns in ascending order.  The
+    row (int or Fraction entries) is cleared to a primitive integer row and
+    reduced at each pivot column it meets, by ``_eliminate``; the remainder
+    is empty exactly when the row lies in the span.  With ``insert``, a
+    nonzero remainder joins at its first column, where the other rows are
+    then cleared; nothing else is changed in place.
     """
-    echelon: List[IntRow] = []
-    pivots: List[int] = []
-    for raw in rows:
-        row = _primitive(_cleared_terms(raw)[1])
-        for pc, ref in zip(pivots, echelon):
-            if row.get(pc):
-                row = _eliminate(row, ref, pc)
-        if not row:
-            continue
+    row = _primitive(_cleared_terms(row)[1])
+    for pc, ref in zip(pivots, echelon):
+        if row.get(pc):
+            row = _eliminate(row, ref, pc)
+    if row and insert:
         pc = min(row)
         for i, other in enumerate(echelon):
             if other.get(pc):
@@ -101,17 +78,39 @@ def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
         pos = bisect.bisect(pivots, pc)
         pivots.insert(pos, pc)
         echelon.insert(pos, row)
+    return row
+
+
+def _echelon(rows: Iterable[SparseRow]) -> Tuple[List[IntRow], List[int]]:
+    echelon: List[IntRow] = []
+    pivots: List[int] = []
+    for row in rows:
+        echelon_step(echelon, pivots, row)
+    return echelon, pivots
+
+
+def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
+    """Reduced row echelon form for dict-backed rows (column -> coefficient).
+
+    Exact over Q.  Coefficients may be ints or Fractions, mixed freely.  The
+    integer echelon of ``echelon_step`` is built row by row; the exit divides
+    each row by its pivot entry, whatever its sign.  Returns the nonzero
+    reduced rows (pivot coefficient 1) and their pivot columns, in ascending
+    pivot order.
+    """
+    echelon, pivots = _echelon(rows)
     return ([{c: Fraction(v, row[pc]) for c, v in row.items()}
              for pc, row in zip(pivots, echelon)], pivots)
 
 
 def _sparse(vector: Sequence) -> SparseRow:
-    return {c: Fraction(v) for c, v in enumerate(vector) if v}
+    return {c: v for c, v in enumerate(vector) if v}
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of a dense matrix of rationals."""
-    return len(rref_sparse([_sparse(r) for r in rows])[1])
+    """Rank over Q of a dense matrix of ints or rationals: the pivot count of
+    its integer echelon."""
+    return len(_echelon(map(_sparse, rows))[1])
 
 
 def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]:
@@ -163,9 +162,10 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
 
 
 def in_span(vectors: List[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Whether target lies in the Q-span of the given vectors."""
-    reduced, pivots = rref_sparse([_sparse(v) for v in vectors])
-    return not reduce_row(_sparse(target), reduced, pivots)
+    """Whether target lies in the Q-span of the given vectors: an empty
+    remainder against their integer echelon."""
+    echelon, pivots = _echelon(map(_sparse, vectors))
+    return not echelon_step(echelon, pivots, _sparse(target), insert=False)
 
 
 # -- fraction-free elimination over polynomial entries --------------------------
@@ -213,23 +213,51 @@ def poly_matrix_rank(matrix: List[List[Polynomial]]) -> int:
 _POINT_POOL = 1_000_003  # candidate coordinates per variable
 
 
-def _random_point(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
+def _random_point(rng: random.Random, n: int) -> Tuple[int, ...]:
     half = _POINT_POOL // 2
-    return tuple(Fraction(rng.randint(-half, half)) for _ in range(n))
+    return tuple(rng.randint(-half, half) for _ in range(n))
 
 
-def jacobian_row(f: RationalFunction, point: Sequence[Fraction]) -> List[Fraction]:
-    """Gradient of f at the point, scaled by den(point)^2 (a nonzero factor).
+def _value_and_gradient(terms: Mapping, powers: List[List[int]]
+                        ) -> Tuple[int, List[int]]:
+    """Value and partial derivatives of an integer-coefficient polynomial at
+    the point whose coordinate powers are tabulated, in one pass over terms."""
+    value, grad = 0, [0] * len(powers)
+    for e, c in terms.items():
+        # prefix[j]: the coefficient times the factors before coordinate j
+        prefix = [c.numerator]
+        for table, k in zip(powers, e):
+            prefix.append(prefix[-1] * table[k])
+        value += prefix[-1]
+        after = 1  # the factors after coordinate j
+        for j in range(len(e) - 1, -1, -1):
+            k = e[j]
+            if k:
+                grad[j] += k * prefix[j] * powers[j][k - 1] * after
+                after *= powers[j][k]
+    return value, grad
 
-    Raises ZeroDivisionError when the point is a pole of f.
+
+def jacobian_row(f: RationalFunction, point: Sequence[int]) -> List[int]:
+    """Gradient of f at an integer point, scaled by den(point)^2 (a nonzero
+    factor): ints, since normal forms have integer coefficients.
+
+    The power tables of the coordinates are built once, and the value and
+    every partial derivative of num and den come from one pass over each
+    term map.  Raises ZeroDivisionError when the point is a pole of f and
+    ValueError when a coordinate is not an integer.
     """
-    qv = f.den.evaluate(point)
+    if len(point) != len(f.variables):
+        raise VariableMismatchError("point length does not match variables")
+    if any(int(v) != v for v in point):
+        raise ValueError(f"non-integral coordinate in {point}")
+    tops = map(max, f.num.max_exponents(), f.den.max_exponents())
+    powers = [[int(v) ** k for k in range(top + 1)] for v, top in zip(point, tops)]
+    qv, dq = _value_and_gradient(f.den.terms, powers)
     if qv == 0:
         raise ZeroDivisionError("evaluation at a pole")
-    pv = f.num.evaluate(point)
-    return [f.num.derivative(j).evaluate(point) * qv
-            - pv * f.den.derivative(j).evaluate(point)
-            for j in range(len(point))]
+    pv, dp = _value_and_gradient(f.num.terms, powers)
+    return [a * qv - pv * b for a, b in zip(dp, dq)]
 
 
 def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:

@@ -29,10 +29,11 @@ from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
                      diagonal_power, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
-                       cleared_monomial_images, coprime_factor_basis, grlex_key,
-                       in_span, jacobian_rank, jacobian_row, monomials_upto,
-                       nullspace, rank, reduce_row, rref_sparse,
+                       cleared_monomial_images, coprime_factor_basis,
+                       echelon_step, grlex_key, in_span, jacobian_rank,
+                       jacobian_row, monomials_upto, nullspace, rank,
                        squarefree_chain, transpose, try_divide)
+from .exactalg.linalg import _sparse
 from .exactalg.poly import _combine_int, _int_primitive, _minus_shifted, _mul_int
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
@@ -570,8 +571,8 @@ class _ClearedPool:
 
     Membership of f first requires f.den to divide the pool lcm (the
     denominator of any Q-combination does), then reduces the cleared
-    numerator against the cached echelon; a nonzero remainder or any
-    monomial outside the pool support is a certain negative.
+    numerator against the cached integer echelon; a nonzero remainder or
+    any monomial outside the pool support is a certain negative.
     """
 
     def __init__(self, found: Sequence[RationalFunction], basis: _FactorBasis,
@@ -612,9 +613,10 @@ class _ClearedPool:
         self.den, *cleared = basis.products(
             [lift] + [tuple(x + t for x, t in zip(s, lift)) for s in products])
         self.index: Dict[Exponent, int] = {}
-        rows = [{self.index.setdefault(e, len(self.index)): c
-                 for e, c in p.terms.items()} for p in cleared]
-        self.rows, self.pivots = rref_sparse(rows)
+        self.rows, self.pivots = [], []  # the integer echelon
+        for p in cleared:
+            echelon_step(self.rows, self.pivots, {self.index.setdefault(
+                e, len(self.index)): c for e, c in p.terms.items()})
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
@@ -627,7 +629,7 @@ class _ClearedPool:
             if idx is None:
                 return False
             target[idx] = c
-        return not reduce_row(target, self.rows, self.pivots)
+        return not echelon_step(self.rows, self.pivots, target, insert=False)
 
 
 class _Collector:
@@ -635,10 +637,15 @@ class _Collector:
 
     A candidate is kept iff it certifiably raises the independence rank or
     lies outside the Q-span of the capped Laurent products of the prior
-    invariants.  The rank test uses seeded evaluation points, which can only
+    invariants.  The rank test uses seeded integer points, which can only
     under-report rank: a missed increase falls through to the span test,
     where an algebraically independent candidate can never be a member, so
     the kept set is identical either way.
+
+    Each point keeps the integer echelon of the kept invariants' gradients
+    (None once one has a pole there).  A candidate's gradient is evaluated
+    once per usable point and reduced against it; a kept candidate's
+    remainders join the echelons as they are.
 
     The kept invariants are held in factored form over one coprime factor
     basis.  Each pool build refines it with the invariants kept since the
@@ -653,34 +660,32 @@ class _Collector:
         self.found: List[RationalFunction] = []
         self.rank = 0
         rng = random.Random(0x6465647570)
-        self._points = [
-            tuple(Fraction(rng.randint(-999, 999)) for _ in sys.variables)
-            for _ in range(3)]
-        self._rows = [[] for _ in self._points]  # cached rows per point
+        self._points = [tuple(rng.randint(-999, 999) for _ in sys.variables)
+                        for _ in range(3)]
+        self._echelons = [([], []) for _ in self._points]  # (rows, pivots)
         self._factors = _FactorBasis(sys.variables)
         self._pool = None
 
-    def _rank_certainly_grew(self, f: RationalFunction) -> bool:
-        for idx, point in enumerate(self._points):
-            if self._rows[idx] is None or len(self._rows[idx]) < len(self.found):
-                continue  # a found function has a pole here; point unusable
+    def _remainders(self, f: RationalFunction) -> list:
+        """f's gradient reduced against each point's echelon; None where f
+        or a found function has a pole."""
+        out = []
+        for point, echelon in zip(self._points, self._echelons):
             try:
-                row = jacobian_row(f, point)
-            except ZeroDivisionError:
-                continue
-            if rank(self._rows[idx] + [row]) > self.rank:
-                return True
-        return False
+                row = None if echelon is None else jacobian_row(f, point)
+            except ZeroDivisionError:  # a pole of f
+                row = None
+            out.append(None if row is None else
+                       echelon_step(*echelon, _sparse(row), insert=False))
+        return out
 
-    def _remember(self, f: RationalFunction):
+    def _remember(self, f: RationalFunction, remainders: list):
         self.found.append(f)
-        for idx, point in enumerate(self._points):
-            if self._rows[idx] is None:
-                continue
-            try:
-                self._rows[idx].append(jacobian_row(f, point))
-            except ZeroDivisionError:
-                self._rows[idx] = None
+        for idx, rem in enumerate(remainders):
+            if rem is None:
+                self._echelons[idx] = None
+            else:
+                echelon_step(*self._echelons[idx], rem)
 
     def offer(self, f: RationalFunction):
         if f.is_constant:
@@ -689,15 +694,18 @@ class _Collector:
             raise AssertionError(f"search produced a non-invariant: {f}")
         if any(f == g for g in self.found):
             return
-        if self._rank_certainly_grew(f):
-            self._remember(f)
+        remainders = self._remainders(f)
+        # the rank at some point certainly grew
+        if any(rem is not None and bool(rem) + len(echelon[1]) > self.rank
+               for rem, echelon in zip(remainders, self._echelons)):
+            self._remember(f, remainders)
             self.rank += 1
             self._pool = None
             return
         if self._pool is None:
             self._pool = _ClearedPool(self.found, self._factors, self.budget)
         if not self._pool.contains(f):
-            self._remember(f)
+            self._remember(f, remainders)
             self._pool = None
 
 

@@ -28,7 +28,7 @@ from .dynsys import (DegreeProfile, DynamicalSystem, GROWTH_EXPONENTIAL,
                      degree_sequence)
 from .errors import PreconditionError, SingularMatrixError
 from .exactalg import (Polynomial, RationalFunction, clear_denominators,
-                       monomials_upto, nullspace, rank, rref_sparse, transpose)
+                       monomials_upto, nullspace, rank, transpose)
 
 CLASS_AFFINE = "affine"
 CLASS_MOBIUS_PRODUCT = "mobius-product"
@@ -474,7 +474,8 @@ def leading_blocks_independent(polys: Sequence[UnivariatePolynomial]) -> bool:
     for p in polys:
         blocks.setdefault(p.degree, []).append(p.leading())
     for leads in blocks.values():
-        _, _, rows = clear_denominators(leads)
-        if len(rref_sparse(rows)[1]) != len(leads):
+        _, index, rows = clear_denominators(leads)
+        dense = [[r.get(c, 0) for c in range(len(index))] for r in rows]
+        if rank(dense) != len(leads):
             return False
     return True

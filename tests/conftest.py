@@ -1,5 +1,6 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -82,3 +83,65 @@ def ref_cleared_monomial_images(images, exponents, bounds):
             t = _fraction_product(t, den_pows[i][bounds[i] - k])
         out.append(t)
     return out
+
+
+# -- Fraction references for the integer eliminations and Jacobian rows ---------
+
+
+def _fraction_evaluate(p, point):
+    """Reference: each term's value in Fractions, summed."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = c
+        for v, k in zip(point, e):
+            if k:
+                term *= Fraction(v) ** k
+        total += term
+    return total
+
+
+def _fraction_jacobian_row(f, point):
+    """Reference: den^2 * grad f at the point from derivative Polynomials,
+    each evaluated term by term in Fractions."""
+    qv = _fraction_evaluate(f.den, point)
+    if qv == 0:
+        raise ZeroDivisionError("evaluation at a pole")
+    pv = _fraction_evaluate(f.num, point)
+    return [_fraction_evaluate(f.num.derivative(j), point) * qv
+            - pv * _fraction_evaluate(f.den.derivative(j), point)
+            for j in range(len(point))]
+
+
+def _fraction_reduce_row(row, reduced, pivots):
+    """Reference: remainder against a reduced echelon (pivot entries 1),
+    in Fractions."""
+    row = dict(row)
+    for pc, ref in zip(pivots, reduced):
+        coeff = row.get(pc)
+        if coeff:
+            for c, v in ref.items():
+                s = row.get(c, 0) - coeff * v
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+    return row
+
+
+def _fraction_rref(rows):
+    """Reference: the Fraction elimination rref_sparse replaced."""
+    reduced, pivots = [], []
+    for raw in rows:
+        row = _fraction_reduce_row(raw, reduced, pivots)
+        if not row:
+            continue
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {c: v * inv for c, v in row.items()}
+        for i, other in enumerate(reduced):
+            if other.get(pc):
+                reduced[i] = _fraction_reduce_row(other, [row], [pc])
+        pos = sum(p < pc for p in pivots)
+        pivots.insert(pos, pc)
+        reduced.insert(pos, row)
+    return reduced, pivots

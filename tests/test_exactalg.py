@@ -20,7 +20,9 @@ from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              ratfunc_normalize, squarefree_chain,
                              squarefree_part, substitute, try_divide)
 
-from conftest import poly, ref_cleared_monomial_images, rf
+from conftest import (_fraction_evaluate, _fraction_jacobian_row,
+                      _fraction_reduce_row, _fraction_rref, poly,
+                      ref_cleared_monomial_images, rf)
 
 XY = ("x", "y")
 
@@ -84,18 +86,6 @@ def test_derivative_and_evaluate():
     assert p.derivative(0) == P("2*x*y")
     assert p.derivative(1) == P("x^2 - 3")
     assert p.evaluate((Fraction(2), Fraction(3))) == 12 - 9
-
-
-def _fraction_evaluate(p, point):
-    """Reference: each term's value in Fractions, summed."""
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        term = c
-        for v, k in zip(point, e):
-            if k:
-                term *= Fraction(v) ** k
-        total += term
-    return total
 
 
 rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
@@ -581,6 +571,56 @@ def test_jacobian_rank_bounds_and_stability():
     assert jacobian_rank(fs + [dependent]) == r
 
 
+@st.composite
+def functions_and_points(draw):
+    """f in 1-4 variables with exponents up to 6, and an integer point that
+    is often special: zero coordinates, and poles of f on purpose."""
+    n = draw(st.integers(1, 4))
+    names = tuple("xyzw"[:n])
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 6)] * n),
+                            st.integers(-9, 9).filter(bool), min_size=1, max_size=5)
+    coordinate = st.one_of(st.integers(-2, 2), st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(-5, 5).map(Fraction))
+    point = draw(st.tuples(*[coordinate] * n))
+    num, den = Polynomial(names, draw(terms)), Polynomial(names, draw(terms))
+    if draw(st.booleans()):
+        # den(point) = 0 through a linear factor
+        den = den * (Polynomial.variable(names, names[0])
+                     - Polynomial.constant(names, point[0]))
+    # jacobian_row reads only the two integer term maps, so the pair is kept
+    # as drawn: the normalising gcd of such pairs can take minutes
+    f = RationalFunction.__new__(RationalFunction)
+    f.num, f.den = num, den
+    return f, point
+
+
+@given(functions_and_points())
+def test_jacobian_row_matches_fraction_gradient(case):
+    f, point = case
+    try:
+        want = _fraction_jacobian_row(f, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            linalg.jacobian_row(f, point)
+        return
+    got = linalg.jacobian_row(f, point)
+    assert got == want
+    assert all(type(v) is int for v in got)
+    bad = (Fraction(1, 2),) + tuple(point[1:])
+    with pytest.raises(ValueError):
+        linalg.jacobian_row(f, bad)
+
+
+def test_jacobian_row_examples():
+    # d/dx and d/dy of x^2*y/(x + 1), times (x + 1)^2, at (2, -3)
+    assert linalg.jacobian_row(F("x^2*y/(x + 1)"), (2, -3)) == [-24, 12]
+    assert linalg.jacobian_row(F("x*y"), (0, 0)) == [0, 0]
+    with pytest.raises(ZeroDivisionError):
+        linalg.jacobian_row(F("y/x"), (0, 5))
+    with pytest.raises(ValueError):
+        linalg.jacobian_row(F("x + y"), (1, 0.5))
+
+
 # -- exact nullspace ---------------------------------------------------------------
 
 
@@ -628,40 +668,6 @@ def test_nullspace_crt_and_fraction_fallback():
             for i in range(ncols - 1)]
     basis = nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, 1)
-
-
-def _fraction_reduce_row(row, reduced, pivots):
-    """Reference: remainder against a reduced echelon, in Fractions."""
-    row = dict(row)
-    for pc, ref in zip(pivots, reduced):
-        coeff = row.get(pc)
-        if coeff:
-            for c, v in ref.items():
-                s = row.get(c, 0) - coeff * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    return row
-
-
-def _fraction_rref(rows):
-    """Reference: the Fraction elimination rref_sparse replaced."""
-    reduced, pivots = [], []
-    for raw in rows:
-        row = _fraction_reduce_row(raw, reduced, pivots)
-        if not row:
-            continue
-        pc = min(row)
-        inv = 1 / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        for i, other in enumerate(reduced):
-            if other.get(pc):
-                reduced[i] = _fraction_reduce_row(other, [row], [pc])
-        pos = sum(p < pc for p in pivots)
-        pivots.insert(pos, pc)
-        reduced.insert(pos, row)
-    return reduced, pivots
 
 
 def _fraction_nullspace(rows, ncols):
@@ -717,7 +723,7 @@ def test_integer_rref_matches_fraction_rref(matrix):
     assert basis == _fraction_nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, ncols - len(pivots))
     for row in rows:
-        assert not linalg.reduce_row(row, reduced, pivots)
+        assert not _fraction_reduce_row(row, reduced, pivots)
 
 
 @st.composite
@@ -747,7 +753,7 @@ def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
         assert min(row) == pc and row[pc] == 1 and all(row.values())
         assert all(pc not in other for j, other in enumerate(reduced) if j != i)
     for row in rows:
-        assert not linalg.reduce_row(row, reduced, pivots)
+        assert not _fraction_reduce_row(row, reduced, pivots)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert linalg.rref_sparse(shuffled) == (reduced, pivots)
@@ -760,8 +766,42 @@ def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
     for target in dense + units:
         member = in_span(dense, target)
         assert member == (linalg.rank(dense + [target]) == exact)
-        assert member == (not linalg.reduce_row(
+        assert member == (not _fraction_reduce_row(
             {c: v for c, v in enumerate(target) if v}, reduced, pivots))
+
+
+@st.composite
+def int_matrices(draw):
+    """Dense integer rows, as Jacobian rows are, with repeated rows."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return [{c: v for c, v in enumerate(r) if v} for r in rows], ncols
+
+
+@given(st.one_of(dense_matrices(), int_matrices(),
+                 dependent_rows().map(lambda m: m[:2])))
+def test_rank_and_in_span_match_fraction_rref(matrix):
+    rows, ncols = matrix
+    reduced, pivots = _fraction_rref(rows)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert linalg.rank(dense) == len(pivots)
+    units = [[int(c == j) for c in range(ncols)] for j in range(ncols)]
+    mixed = [sum(k * r[c] for k, r in zip((1, -2, 3), dense)) for c in range(ncols)]
+    for target in dense + units + [mixed]:
+        sparse_target = {c: v for c, v in enumerate(target) if v}
+        assert in_span(dense, target) == (
+            not _fraction_reduce_row(sparse_target, reduced, pivots))
+        # a remainder with insert=False leaves the echelon as it was
+        echelon, ech_pivots = [], []
+        for row in rows:
+            linalg.echelon_step(echelon, ech_pivots, row)
+        before = ([dict(r) for r in echelon], list(ech_pivots))
+        remainder = linalg.echelon_step(echelon, ech_pivots, sparse_target,
+                                        insert=False)
+        assert (echelon, ech_pivots) == before and ech_pivots == pivots
+        assert (not remainder) == in_span(dense, target)
 
 
 def test_in_span():

@@ -1,5 +1,7 @@
 """Invariant search: bases, catalogs, pencils, ranks, square gain."""
 
+import os
+import random
 import re
 import time
 from fractions import Fraction
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratdyn import invsearch
-from ratdyn.dynsys import DynamicalSystem, degree_sequence, iterate, pullback
+from ratdyn.cli import run_command
+from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
+                           iterate, pullback)
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
                              jacobian_rank, monomials_upto, nullspace,
-                             reduce_row, rref_sparse, transpose, try_divide)
+                             rref_sparse, transpose, try_divide)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
@@ -20,7 +24,9 @@ from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
 
 from ratdyn.translation import classify_system
 
-from conftest import make_system, poly, ref_cleared_monomial_images, rf
+from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
+                      _fraction_rref, make_system, poly,
+                      ref_cleared_monomial_images, rf)
 
 
 def test_budget_validation():
@@ -302,7 +308,7 @@ def _reference_contains(ref, f):
         if e not in index:
             return False
         target[index[e]] = c
-    return not reduce_row(target, echelon, pivots)
+    return not _fraction_reduce_row(target, echelon, pivots)
 
 
 _ATOMS = ["x", "y", "z", "x + 1", "x - y", "y*z + 1"]
@@ -352,6 +358,154 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     for f in inside + outside:
         assert pool.contains(f) == _reference_contains(ref, f), f
     assert all(_reference_contains(ref, f) for f in inside)
+
+
+# -- the collector's integer rank oracle -------------------------------------------
+
+
+class _FractionCollector:
+    """The collector before the integer rank oracle: Fraction gradients,
+    a Fraction rank of every cached row per candidate, and the gradients of
+    a kept candidate evaluated again."""
+
+    def __init__(self, sys, budget):
+        self.sys = sys
+        self.budget = budget
+        self.found = []
+        self.rank = 0
+        rng = random.Random(0x6465647570)
+        self._points = [
+            tuple(Fraction(rng.randint(-999, 999)) for _ in sys.variables)
+            for _ in range(3)]
+        self._rows = [[] for _ in self._points]
+        self._factors = _FactorBasis(sys.variables)
+        self._pool = None
+
+    def _rank_certainly_grew(self, f):
+        for idx, point in enumerate(self._points):
+            if self._rows[idx] is None or len(self._rows[idx]) < len(self.found):
+                continue
+            try:
+                row = _fraction_jacobian_row(f, point)
+            except ZeroDivisionError:
+                continue
+            rows = [{c: v for c, v in enumerate(r) if v}
+                    for r in self._rows[idx] + [row]]
+            if len(_fraction_rref(rows)[1]) > self.rank:
+                return True
+        return False
+
+    def _remember(self, f):
+        self.found.append(f)
+        for idx, point in enumerate(self._points):
+            if self._rows[idx] is None:
+                continue
+            try:
+                self._rows[idx].append(_fraction_jacobian_row(f, point))
+            except ZeroDivisionError:
+                self._rows[idx] = None
+
+    def offer(self, f):
+        if f.is_constant:
+            return
+        if pullback(self.sys, f) != f:
+            raise AssertionError(f"search produced a non-invariant: {f}")
+        if any(f == g for g in self.found):
+            return
+        if self._rank_certainly_grew(f):
+            self._remember(f)
+            self.rank += 1
+            self._pool = None
+            return
+        if self._pool is None:
+            self._pool = _ClearedPool(self.found, self._factors, self.budget)
+        if not self._pool.contains(f):
+            self._remember(f)
+            self._pool = None
+
+
+def _search(collector, sys, budget, points=None):
+    """The kept list and rank of rational_invariant_search run with the
+    given collector class, at its own points or at ``points``."""
+    made = []
+
+    def make(s, b):
+        made.append(collector(s, b))
+        if points is not None:
+            made[-1]._points = points
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_Collector", make)
+        found = rational_invariant_search(sys, budget)
+    return found, made[0].rank
+
+
+_SEARCH_BUDGETS = [SearchBudget(1, 1, 1, 3), SearchBudget(2, 1, 1, 3),
+                   SearchBudget(2, 2, 1, 3)]
+
+
+@given(st.data())
+def test_collector_matches_fraction_collector(data):
+    # the stage maps below, at the seeded points and at tiny points, where
+    # poles and points that drop the rank are common
+    sys = data.draw(rescaled_maps())
+    budget = data.draw(st.sampled_from(_SEARCH_BUDGETS))
+    points = data.draw(st.one_of(st.none(), st.lists(
+        st.tuples(*[st.integers(-2, 2)] * sys.dim), min_size=3, max_size=3)))
+    assert (_search(invsearch._Collector, sys, budget, points)
+            == _search(_FractionCollector, sys, budget, points))
+
+
+@pytest.mark.parametrize("variables, exprs, square, budget", [
+    ("x y", ("y", "x"), True, SearchBudget(2, 1, 1, 3)),
+    ("x y z", ("y", "z", "x"), False, SearchBudget(3, 2, 1, 3)),
+    ("x y", ("2*x", "2*y"), True, SearchBudget(2, 2, 2, 3)),
+])
+def test_collector_matches_fraction_collector_on_heavy_searches(
+        variables, exprs, square, budget):
+    sys = make_system(variables, *exprs)
+    if square:
+        sys = diagonal_power(sys, 2)
+    found, rank = _search(invsearch._Collector, sys, budget)
+    assert (found, rank) == _search(_FractionCollector, sys, budget)
+    assert rank >= 1 and len(found) > rank
+
+
+def test_collector_point_at_a_pole_of_a_kept_invariant_is_unusable():
+    # every point is a pole of 1/x, which the span test keeps; y is then
+    # kept by the span test too, with no point left to raise the rank
+    ident = make_system("x y", "x", "y")
+    fs = [rf("1/x", "x y"), rf("y", "x y")]
+    results = []
+    for collector in (invsearch._Collector, _FractionCollector):
+        c = collector(ident, SearchBudget(1, 1, 1, 3))
+        c._points = [(0, 1), (0, 2), (0, 3)]
+        for f in fs:
+            c.offer(f)
+        results.append((c.found, c.rank))
+    assert results[0] == results[1] == (fs, 0)
+
+
+def test_collector_evaluates_each_gradient_once_per_point(systems_dir):
+    offers = []
+    real_offer, real_row = invsearch._Collector.offer, invsearch.jacobian_row
+
+    def offer(self, f):
+        offers.append([])
+        real_offer(self, f)
+
+    def row(f, point):
+        offers[-1].append(point)
+        return real_row(f, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch._Collector, "offer", offer)
+        mp.setattr(invsearch, "jacobian_row", row)
+        _, code = run_command(["square", os.path.join(systems_dir, "double.system"),
+                               "--budget", "2,2,2,3"])
+    assert code == 0 and any(offers)
+    assert all(len(points) == len(set(points)) for points in offers)
 
 
 # -- the integer columns of the three linear stages --------------------------------
