@@ -1,9 +1,9 @@
 """Exact arithmetic over Q: polynomials, rational functions, linear algebra."""
 
 from .poly import (Exponent, Polynomial, basis_exponents, coprime_factor_basis,
-                   divide_exact, fraction_gcd, grlex_key, integer_primitive,
-                   monomials_upto, poly_gcd, poly_lcm, primitive_part,
-                   squarefree_chain, squarefree_part, try_divide)
+                   divide_exact, grlex_key, monomials_upto, poly_gcd, poly_lcm,
+                   primitive_part, squarefree_chain, squarefree_part,
+                   try_divide)
 from .ratfunc import (RationalFunction, clear_denominators,
                       cleared_monomial_images, ratfunc_normalize, substitute)
 from .linalg import (echelon_step, in_span, jacobian_rank, jacobian_row,
@@ -12,10 +12,9 @@ from .linalg import (echelon_step, in_span, jacobian_rank, jacobian_row,
 __all__ = [
     "Exponent", "Polynomial", "RationalFunction", "basis_exponents",
     "clear_denominators", "cleared_monomial_images", "coprime_factor_basis",
-    "divide_exact", "echelon_step", "fraction_gcd", "grlex_key",
-    "integer_primitive", "in_span", "jacobian_rank", "jacobian_row",
-    "monomials_upto", "nullspace", "poly_gcd", "poly_lcm", "poly_matrix_rank",
-    "primitive_part", "rank", "ratfunc_normalize", "rref_sparse",
-    "squarefree_chain", "squarefree_part", "substitute", "transpose",
-    "try_divide",
+    "divide_exact", "echelon_step", "grlex_key", "in_span", "jacobian_rank",
+    "jacobian_row", "monomials_upto", "nullspace", "poly_gcd", "poly_lcm",
+    "poly_matrix_rank", "primitive_part", "rank", "ratfunc_normalize",
+    "rref_sparse", "squarefree_chain", "squarefree_part", "substitute",
+    "transpose", "try_divide",
 ]

@@ -18,22 +18,28 @@ c * P with P primitive in Z[x] (an ``{exponent: int}`` dict), and by Gauss's
 lemma the gcd and the quotient over Q follow from those of the P's, so the
 work runs on Python ints and a Polynomial is built once, on the way out.
 Exact division keeps one remainder dict and takes its leading terms off a
-heap.  Before the gcd runs its primitive pseudo-remainder sequence (over Z,
-recursing on the last variable), a certificate tries to prove the operands
+heap.  Every gcd, ``poly_gcd``'s and the one in RationalFunction's normal
+form, goes through ``_gcd_primitive``.  It splits off each operand's monomial
+content (the componentwise minimum exponent): the gcd is x^m times that of
+the rest, m the smaller content.  A certificate then tries to prove the rest
 coprime: for each variable x_k of positive degree in both, it evaluates the
-other variables at a fixed point mod a fixed prime.  If neither leading
-coefficient in x_k vanishes there, the gcd's image keeps its degree in x_k
-and divides both images, so univariate images with a constant gcd in F_p
-prove deg_k gcd = 0.  When that holds for every such variable the gcd is 1;
-otherwise the exact sequence runs.  The certificate proves "coprime" and
-nothing else, so the results are exact either way.
+others mod a fixed prime at a fixed point with independent coordinates,
+drawn from a fixed seed.  If neither leading coefficient in x_k vanishes
+there, the gcd's image keeps its degree in x_k and divides both images, so
+univariate images with a constant gcd in F_p prove deg_k gcd = 0.  When that
+holds for every such variable the gcd is 1; otherwise the primitive
+pseudo-remainder sequence runs (over Z, recursing on the last variable).
+The certificate proves "coprime" and nothing else, so the results are exact
+either way.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
+import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,16 +67,6 @@ def monomials_upto(n: int, d: int) -> List[Exponent]:
     rec([], d, n)
     out.sort(key=grlex_key)
     return out
-
-
-def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Positive gcd of two rationals: gcd(p1/q1, p2/q2) = gcd(p1 q2, p2 q1)/(q1 q2)."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
 
 
 def _cleared_terms(terms: Mapping[Exponent, Fraction]
@@ -501,17 +497,8 @@ def _divide_int(a: Dict[Exponent, int],
     return quot
 
 
-def integer_primitive(p: Polynomial) -> Tuple[Fraction, Polynomial]:
-    """Split p = c * q with q having coprime integer coefficients and positive
-    graded-lex leading coefficient.  Returns (0, p) for the zero polynomial."""
-    if p.is_zero:
-        return Fraction(0), p
-    content, q = _int_primitive(p)
-    return content, _from_int(p.variables, q)
-
-
 def primitive_part(p: Polynomial) -> Polynomial:
-    return integer_primitive(p)[1]
+    return p if p.is_zero else _from_int(p.variables, _int_primitive(p)[1])
 
 
 # -- exact division ------------------------------------------------------------
@@ -694,9 +681,11 @@ def _gcd_int(a: Dict[Exponent, int], b: Dict[Exponent, int],
 _CERT_PRIME = 2**61 - 1
 
 
-def _cert_point(n: int) -> List[int]:
-    """The fixed evaluation point, one residue per variable."""
-    return [(0x9E3779B97F4A7C15 * (i + 1)) % _CERT_PRIME for i in range(n)]
+@functools.lru_cache(maxsize=None)
+def _cert_point(n: int) -> Tuple[int, ...]:
+    """The fixed evaluation point: independent residues from a fixed seed."""
+    rng = random.Random(0x9E3779B97F4A7C15)
+    return tuple(rng.randrange(1, _CERT_PRIME) for _ in range(n))
 
 
 def _image_mod_p(p: Dict[Exponent, int], k: int, powers: List[List[int]],
@@ -764,14 +753,24 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return primitive_part(b)
     if b.is_zero:
         return primitive_part(a)
-    if a.is_constant or b.is_constant:
-        return Polynomial.constant(a.variables, 1)
-    _, pa = _int_primitive(a)
-    _, pb = _int_primitive(b)
-    if _certified_coprime(pa, pb):
-        return Polynomial.constant(a.variables, 1)
-    g = _gcd_int(pa, pb, len(a.variables) - 1)
-    return _from_int(a.variables, _normalized(g))
+    return _from_int(a.variables,
+                     _gcd_primitive(_int_primitive(a)[1], _int_primitive(b)[1]))
+
+
+def _gcd_primitive(a: Dict[Exponent, int],
+                   b: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """The normalized gcd of two nonzero primitive int polys (see the module docstring)."""
+    if _is_constant(a) or _is_constant(b):
+        return _one_like(a)
+
+    def shift(p, m, op):
+        return {tuple(map(op, e, m)): c for e, c in p.items()} if any(m) else p
+
+    m, n = (tuple(map(min, zip(*p))) for p in (a, b))
+    a, b = shift(a, m, operator.sub), shift(b, n, operator.sub)
+    g = (_one_like(a) if _certified_coprime(a, b)
+         else _normalized(_gcd_int(a, b, len(m) - 1)))
+    return shift(g, tuple(map(min, m, n)), operator.add)
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

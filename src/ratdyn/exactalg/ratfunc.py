@@ -4,7 +4,11 @@ A rational function is stored as a reduced pair (num, den): the polynomial
 gcd of the two parts is constant, the pair has coprime integer coefficients
 jointly, and the denominator's graded-lex leading coefficient is positive.
 This normal form is canonical, so equality of values implies equality of the
-stored representation.
+stored representation.  It is built in Z: each part is split once into a
+rational content and a primitive integer polynomial, the gcd of the two
+primitive parts is divided out (by Gauss's lemma the quotients stay
+primitive, and the denominator's keeps a positive leading coefficient), and
+the ratio of the contents, in lowest terms, scales the two quotients.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import IndeterminacyError, VariableMismatchError, ZeroDenominatorError
-from .poly import (Exponent, Polynomial, _cleared_terms, _combine_int, _from_int,
-                   _mul_int, divide_exact, fraction_gcd, integer_primitive,
-                   poly_gcd, poly_lcm)
+from .poly import (Exponent, Polynomial, _cleared_terms, _combine_int,
+                   _divide_int, _from_int, _gcd_primitive, _int_primitive,
+                   _is_constant, _mul_int, divide_exact, poly_lcm)
 
 
 class RationalFunction:
@@ -34,17 +38,14 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.constant(num.variables, 1)
             return
-        g = poly_gcd(num, den)
-        if not g.is_constant:
-            num = divide_exact(num, g)
-            den = divide_exact(den, g)
-        cn, _ = integer_primitive(num)
-        cd, _ = integer_primitive(den)
-        scale = fraction_gcd(cn, cd)
-        if cd < 0:
-            scale = -scale
-        self.num = num.scaled(1 / scale)
-        self.den = den.scaled(1 / scale)
+        cn, pn = _int_primitive(num)
+        cd, pd = _int_primitive(den)
+        g = _gcd_primitive(pn, pd)
+        if not _is_constant(g):
+            pn, pd = _divide_int(pn, g), _divide_int(pd, g)
+        scale = cn / cd
+        self.num = _from_int(num.variables, pn, Fraction(scale.numerator))
+        self.den = _from_int(num.variables, pd, Fraction(scale.denominator))
 
     # -- constructors -------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ratdyn.exactalg import Polynomial  # noqa: E402
 
 settings.register_profile(
     "ci",
@@ -145,3 +148,144 @@ def _fraction_rref(rows):
         pivots.insert(pos, pc)
         reduced.insert(pos, row)
     return reduced, pivots
+
+
+# -- Fraction references for the integer gcd, division and normal form ---------
+#
+# A test-local copy of the earlier Fraction-coefficient primitive PRS and
+# trial division, used as the slow exact reference for poly_gcd, try_divide
+# and divide_exact (whose integer core also runs a mod-p coprimality
+# certificate first), and of the Polynomial-level normalization that
+# RationalFunction ran on top of them.
+
+
+def _ref_content(p):
+    """c with p / c primitive over Z and of positive leading coefficient."""
+    num_gcd, den_lcm = 0, 1
+    for c in p.terms.values():
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    content = Fraction(num_gcd, den_lcm)
+    return -content if p.leading()[1] < 0 else content
+
+
+def _ref_primitive(p):
+    return p if p.is_zero else p.scaled(1 / _ref_content(p))
+
+
+def _ref_try_divide(a, b):
+    if a.is_zero:
+        return a
+    if b.is_constant:
+        return a.scaled(1 / b.constant_value())
+    quot = {}
+    rem = a
+    be, bc = b.leading()
+    while rem.terms:
+        re, rc = rem.leading()
+        qe = tuple(x - y for x, y in zip(re, be))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rc / bc
+        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        rem = rem - Polynomial(a.variables, {qe: qc}) * b
+    return Polynomial(a.variables, quot)
+
+
+def _ref_divide_exact(a, b):
+    q = _ref_try_divide(a, b)
+    assert q is not None
+    return q
+
+
+def _ref_coeffs_wrt(p, k):
+    out = {}
+    for e, c in p.terms.items():
+        ne = list(e)
+        ne[k] = 0
+        out.setdefault(e[k], {})[tuple(ne)] = c
+    return {d: Polynomial(p.variables, t) for d, t in out.items()}
+
+
+def _ref_shift(p, k, t):
+    out = {}
+    for e, c in p.terms.items():
+        ne = list(e)
+        ne[k] += t
+        out[tuple(ne)] = c
+    return Polynomial(p.variables, out)
+
+
+def _ref_content_wrt(p, k):
+    coeffs = list(_ref_coeffs_wrt(p, k).values())
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        if g.is_constant:
+            break
+        g = _ref_gcd_rec(g, c, k - 1)
+    return Polynomial.constant(p.variables, 1) if g.is_constant else g
+
+
+def _ref_prem(a, b, k):
+    db = b.degree_in(k)
+    lb = _ref_coeffs_wrt(b, k)[db]
+    r = a
+    while r.terms and r.degree_in(k) >= db:
+        dr = r.degree_in(k)
+        r = lb * r - _ref_shift(_ref_coeffs_wrt(r, k)[dr] * b, k, dr - db)
+    return r
+
+
+def _ref_gcd_rec(a, b, k):
+    if a.is_constant or b.is_constant or k < 0:
+        return Polynomial.constant(a.variables, 1)
+    da, db = a.degree_in(k), b.degree_in(k)
+    if da == 0 and db == 0:
+        return _ref_gcd_rec(a, b, k - 1)
+    if da == 0 or db == 0:
+        free, mixed = (a, b) if da == 0 else (b, a)
+        return _ref_gcd_rec(free, _ref_content_wrt(mixed, k), k - 1)
+    ca, cb = _ref_content_wrt(a, k), _ref_content_wrt(b, k)
+    d = ca if ca.is_constant and cb.is_constant else _ref_gcd_rec(ca, cb, k - 1)
+    if d.is_constant:
+        d = Polynomial.constant(a.variables, 1)
+    pa = _ref_primitive(_ref_divide_exact(a, ca))
+    pb = _ref_primitive(_ref_divide_exact(b, cb))
+    if pa.degree_in(k) < pb.degree_in(k):
+        pa, pb = pb, pa
+    while True:
+        r = _ref_prem(pa, pb, k)
+        if r.is_zero:
+            break
+        if r.degree_in(k) == 0:
+            return d
+        pa, pb = pb, _ref_primitive(_ref_divide_exact(r, _ref_content_wrt(r, k)))
+    return d * _ref_primitive(_ref_divide_exact(pb, _ref_content_wrt(pb, k)))
+
+
+def _ref_gcd(a, b):
+    if a.is_zero and b.is_zero:
+        return a
+    if a.is_zero or b.is_zero:
+        return _ref_primitive(b if a.is_zero else a)
+    if a.is_constant or b.is_constant:
+        return Polynomial.constant(a.variables, 1)
+    g = _ref_gcd_rec(_ref_primitive(a), _ref_primitive(b), len(a.variables) - 1)
+    return _ref_primitive(g)
+
+
+def _ref_normalize(num, den):
+    """(num, den) in normal form, the Polynomial-level way: divide out the
+    gcd, then scale both parts by the gcd of their contents over Q, signed
+    like the denominator's."""
+    if num.is_zero:
+        return num, Polynomial.constant(num.variables, 1)
+    g = _ref_gcd(num, den)
+    if not g.is_constant:
+        num, den = _ref_divide_exact(num, g), _ref_divide_exact(den, g)
+    cn, cd = _ref_content(num), _ref_content(den)
+    scale = Fraction(math.gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
+                     cn.denominator * cd.denominator)
+    if cd < 0:
+        scale = -scale
+    return num.scaled(1 / scale), den.scaled(1 / scale)

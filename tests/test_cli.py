@@ -223,6 +223,23 @@ def test_cli_dense_quotient_normalizes_quickly(tmp_path):
     assert doc["result"]["verdict"] == "dominant"
 
 
+def test_cli_quotient_with_a_common_monomial_normalizes_quickly(tmp_path):
+    # the two parts share the monomial y*z*w; the gcd splits it off before
+    # the coprimality certificate, which then settles the rest
+    path = _system_file(
+        tmp_path, "var x, y, z, w;\n"
+        "x -> (-3*x^3*y^6*z^4*w^5 + 2*x*y^5*z^5*w^6 - 3*x*y^6*z^3*w^2"
+        " + 5*y^5*z^2*w^5 + 5*x^4*y*z^2*w)/(-3*x^6*y^4*z^3*w^4"
+        " + 5*x^4*y^3*z^4*w^6 + 2*x^3*y*z^5*w^6 + 5*x^3*y^5*z*w^2"
+        " + 2*x*y^2*z^2*w^4);\ny -> y;\nz -> z;\nw -> w;\n")
+    start = time.perf_counter()
+    doc, code = run_command(["check", path])
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    assert doc["result"]["verdict"] == "dominant"
+    assert doc["system"]["map"][0].endswith("- 2*x*y*z*w^3)")
+
+
 def test_cli_overlong_literal_is_a_parse_error(tmp_path):
     path = _system_file(tmp_path, "var x;\nx -> x + 1" + "0" * 5000 + ";\n")
     doc, code = run_command(["check", path])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              squarefree_part, substitute, try_divide)
 
 from conftest import (_fraction_evaluate, _fraction_jacobian_row,
-                      _fraction_reduce_row, _fraction_rref, poly,
+                      _fraction_reduce_row, _fraction_rref, _ref_gcd,
+                      _ref_normalize, _ref_try_divide, poly,
                       ref_cleared_monomial_images, rf)
 
 XY = ("x", "y")
@@ -33,6 +35,14 @@ def P(src):
 
 def F(src):
     return rf(src, XY)
+
+
+def test_every_exported_name_resolves():
+    import ratdyn
+    from ratdyn import exactalg
+    for module in (ratdyn, exactalg):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 # -- polynomial basics -------------------------------------------------------
@@ -151,124 +161,9 @@ def test_divide_exact_roundtrip():
 
 # -- the integer gcd against the Fraction PRS it replaced ----------------------
 #
-# A test-local copy of the earlier Fraction-coefficient primitive PRS and
-# trial division, used as the slow exact reference for poly_gcd, try_divide
-# and divide_exact (whose integer core also runs a mod-p coprimality
-# certificate first).
-
-
-def _ref_primitive(p):
-    if p.is_zero:
-        return p
-    num_gcd, den_lcm = 0, 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    if p.leading()[1] < 0:
-        content = -content
-    return p.scaled(1 / content)
-
-
-def _ref_try_divide(a, b):
-    if a.is_zero:
-        return a
-    if b.is_constant:
-        return a.scaled(1 / b.constant_value())
-    quot = {}
-    rem = a
-    be, bc = b.leading()
-    while rem.terms:
-        re, rc = rem.leading()
-        qe = tuple(x - y for x, y in zip(re, be))
-        if any(x < 0 for x in qe):
-            return None
-        qc = rc / bc
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        rem = rem - Polynomial(a.variables, {qe: qc}) * b
-    return Polynomial(a.variables, quot)
-
-
-def _ref_divide_exact(a, b):
-    q = _ref_try_divide(a, b)
-    assert q is not None
-    return q
-
-
-def _ref_coeffs_wrt(p, k):
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[k] = 0
-        out.setdefault(e[k], {})[tuple(ne)] = c
-    return {d: Polynomial(p.variables, t) for d, t in out.items()}
-
-
-def _ref_shift(p, k, t):
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[k] += t
-        out[tuple(ne)] = c
-    return Polynomial(p.variables, out)
-
-
-def _ref_content_wrt(p, k):
-    coeffs = list(_ref_coeffs_wrt(p, k).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant:
-            break
-        g = _ref_gcd_rec(g, c, k - 1)
-    return Polynomial.constant(p.variables, 1) if g.is_constant else g
-
-
-def _ref_prem(a, b, k):
-    db = b.degree_in(k)
-    lb = _ref_coeffs_wrt(b, k)[db]
-    r = a
-    while r.terms and r.degree_in(k) >= db:
-        dr = r.degree_in(k)
-        r = lb * r - _ref_shift(_ref_coeffs_wrt(r, k)[dr] * b, k, dr - db)
-    return r
-
-
-def _ref_gcd_rec(a, b, k):
-    if a.is_constant or b.is_constant or k < 0:
-        return Polynomial.constant(a.variables, 1)
-    da, db = a.degree_in(k), b.degree_in(k)
-    if da == 0 and db == 0:
-        return _ref_gcd_rec(a, b, k - 1)
-    if da == 0 or db == 0:
-        free, mixed = (a, b) if da == 0 else (b, a)
-        return _ref_gcd_rec(free, _ref_content_wrt(mixed, k), k - 1)
-    ca, cb = _ref_content_wrt(a, k), _ref_content_wrt(b, k)
-    d = ca if ca.is_constant and cb.is_constant else _ref_gcd_rec(ca, cb, k - 1)
-    if d.is_constant:
-        d = Polynomial.constant(a.variables, 1)
-    pa = _ref_primitive(_ref_divide_exact(a, ca))
-    pb = _ref_primitive(_ref_divide_exact(b, cb))
-    if pa.degree_in(k) < pb.degree_in(k):
-        pa, pb = pb, pa
-    while True:
-        r = _ref_prem(pa, pb, k)
-        if r.is_zero:
-            break
-        if r.degree_in(k) == 0:
-            return d
-        pa, pb = pb, _ref_primitive(_ref_divide_exact(r, _ref_content_wrt(r, k)))
-    return d * _ref_primitive(_ref_divide_exact(pb, _ref_content_wrt(pb, k)))
-
-
-def _ref_gcd(a, b):
-    if a.is_zero and b.is_zero:
-        return a
-    if a.is_zero or b.is_zero:
-        return _ref_primitive(b if a.is_zero else a)
-    if a.is_constant or b.is_constant:
-        return Polynomial.constant(a.variables, 1)
-    g = _ref_gcd_rec(_ref_primitive(a), _ref_primitive(b), len(a.variables) - 1)
-    return _ref_primitive(g)
+# The slow exact references (a Fraction-coefficient primitive PRS and trial
+# division, and the Polynomial-level normal form built on them) live in
+# conftest.py.
 
 
 VARS3 = ("x", "y", "z")
@@ -333,6 +228,42 @@ def test_gcd_certificate_declines_on_a_vanishing_leading_coefficient():
     # the same shapes away from the point are certified coprime
     assert _certified_coprime(_int_primitive(x + 2)[1], _int_primitive(x + 3)[1])
     assert poly_gcd(A, B * (x + 3)) == primitive_part(G)
+
+
+def test_gcd_certificate_proves_a_pair_off_the_line():
+    # the y^6 coefficient of B is 6x^5 - 2x^4*z, which vanishes wherever
+    # z = 3x, as on a point c*(1, 2, 3); the coordinates of the point are
+    # independent, so the certificate applies
+    A = _poly3("-9*y^3*z^6 - 3*y^3*z^2 + 3*x^2*y^2 + 7*z^2", 3)
+    B = _poly3("6*x^5*y^6 - 2*x^4*y^6*z - 8*x^4*y^3 + 9*x^3*y^2*z - 3*z^3", 3)
+    assert _certified_coprime(_int_primitive(A)[1], _int_primitive(B)[1])
+    assert poly_gcd(A, B) == Polynomial.constant(VARS3, 1)
+
+
+_nonzero_coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def monomial_factored_pairs(draw):
+    """(g*u*m, g*v*m') for a gcd triple and monomials m, m' with rational
+    coefficients, so that the pair often shares a monomial factor."""
+    g, u, v = draw(gcd_triples())
+    variables = g.variables
+    expo = st.tuples(*[st.integers(0, 3)] * len(variables))
+
+    def monomial():
+        return Polynomial(variables, {draw(expo): draw(_nonzero_coeff)})
+
+    return g * u * monomial(), g * v * monomial()
+
+
+@given(monomial_factored_pairs())
+@example((_poly3("x^3*y*z + x*y^2*z", 3), _poly3("-2*x*y*z^2 + y^3*z", 3)))
+@example((_poly3("x^2*y", 2), _poly3("x*y^3 + x*y", 2)))
+def test_gcd_with_monomial_factors_matches_fraction_prs(pair):
+    a, b = pair
+    assert poly_gcd(a, b) == _ref_gcd(a, b)
+    assert poly_gcd(b, a) == _ref_gcd(b, a)
 
 
 def test_squarefree_and_factor_basis():
@@ -400,6 +331,45 @@ def test_normalize_idempotent_and_value_preserving():
         except ZeroDivisionError:
             continue
         assert lhs == rhs
+
+
+@given(monomial_factored_pairs(), _nonzero_coeff)
+@example((P("2*x"), P("-2")), Fraction(1))
+@example((P("x^2*y - x*y"), P("x*y^2").scaled(Fraction(-4, 3))), Fraction(-3, 2))
+@example((P("0"), P("x - y")), Fraction(1))
+def test_normal_form_matches_polynomial_level_reference(pair, constant):
+    num, den = pair
+    if den.is_zero:
+        den = Polynomial.constant(num.variables, constant)
+    f = RationalFunction(num, den)
+    want_num, want_den = _ref_normalize(num, den)
+    assert f.num.terms == want_num.terms and f.den.terms == want_den.terms
+
+
+def test_normal_form_of_random_pairs_is_exact_and_fast():
+    # pairs shaped like functions_and_points: 1-4 variables, exponents up
+    # to 6, at most 5 terms, integer coefficients within 9
+    rng = random.Random(2024)
+    slowest = 0.0
+    for _ in range(300):
+        names = tuple("xyzw"[:rng.randint(1, 4)])
+
+        def part():
+            return Polynomial(names, {
+                tuple(rng.randint(0, 6) for _ in names):
+                    rng.choice([c for c in range(-9, 10) if c])
+                for _ in range(rng.randint(1, 5))})
+
+        num, den = part(), part()
+        start = time.perf_counter()
+        f = RationalFunction(num, den)
+        slowest = max(slowest, time.perf_counter() - start)
+        assert f.num * den == num * f.den
+        assert f.den.leading()[1] > 0
+        coeffs = list(f.num.terms.values()) + list(f.den.terms.values())
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert slowest < 1.0, f"the slowest normal form took {slowest:.2f} s"
 
 
 def test_zero_denominator_rejected():
@@ -588,7 +558,7 @@ def functions_and_points(draw):
         den = den * (Polynomial.variable(names, names[0])
                      - Polynomial.constant(names, point[0]))
     # jacobian_row reads only the two integer term maps, so the pair is kept
-    # as drawn: the normalising gcd of such pairs can take minutes
+    # as drawn, reduced or not
     f = RationalFunction.__new__(RationalFunction)
     f.num, f.den = num, den
     return f, point
