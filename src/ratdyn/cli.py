@@ -11,6 +11,7 @@ and seed; only the timing field varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -132,6 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once: parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def bundled_systems_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "systems")
 
@@ -184,7 +191,7 @@ def run_command(argv) -> Tuple[dict, int]:
     doc = {"schema": SCHEMA, "command": list(argv), "seed": DEFAULT_SEED}
     code = 0
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         seed = doc["seed"] = _seed_default() if args.seed is None else args.seed
         if args.command == "selftest":
             results = []

@@ -7,7 +7,7 @@ from .poly import (Exponent, Polynomial, basis_exponents, coprime_factor_basis,
 from .ratfunc import (RationalFunction, clear_denominators,
                       cleared_monomial_images, ratfunc_normalize, substitute)
 from .linalg import (echelon_step, in_span, jacobian_rank, jacobian_row,
-                     nullspace, poly_matrix_rank, rank, rref_sparse, transpose)
+                     nullspace, poly_matrix_rank, rank, transpose)
 
 __all__ = [
     "Exponent", "Polynomial", "RationalFunction", "basis_exponents",
@@ -15,6 +15,6 @@ __all__ = [
     "divide_exact", "echelon_step", "grlex_key", "in_span", "jacobian_rank",
     "jacobian_row", "monomials_upto", "nullspace", "poly_gcd", "poly_lcm",
     "poly_matrix_rank", "primitive_part", "rank", "ratfunc_normalize",
-    "rref_sparse", "squarefree_chain", "squarefree_part", "substitute",
-    "transpose", "try_divide",
+    "squarefree_chain", "squarefree_part", "substitute", "transpose",
+    "try_divide",
 ]

@@ -4,10 +4,11 @@ All elimination over Q is ``echelon_step``: it clears a row once to a
 primitive integer row, reduces it against an integer echelon with one integer
 reduction step (a multiple of one row minus a multiple of another, divided by
 its content), and inserts a nonzero remainder.  ``rank`` counts the pivots,
-``in_span`` tests the remainder, and ``rref_sparse`` makes one Fraction per
-entry of the unique reduced echelon at its exit.  Jacobian rows at integer
-points are ints as well, so the seeded rank test runs in Z throughout.  Two
-eliminations stay separate because they work in other rings:
+``in_span`` tests the remainder, and ``nullspace`` reads the unique reduced
+echelon basis of the kernel off one integer echelon, making a Fraction only
+for each entry it returns.  Jacobian rows at integer points are ints as well,
+so the seeded rank test runs in Z throughout.  Two eliminations stay separate
+because they work in other rings:
 
   * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
     stays in the polynomial ring via exact divisions;
@@ -89,20 +90,6 @@ def _echelon(rows: Iterable[SparseRow]) -> Tuple[List[IntRow], List[int]]:
     return echelon, pivots
 
 
-def rref_sparse(rows: Sequence[SparseRow]) -> Tuple[List[SparseRow], List[int]]:
-    """Reduced row echelon form for dict-backed rows (column -> coefficient).
-
-    Exact over Q.  Coefficients may be ints or Fractions, mixed freely.  The
-    integer echelon of ``echelon_step`` is built row by row; the exit divides
-    each row by its pivot entry, whatever its sign.  Returns the nonzero
-    reduced rows (pivot coefficient 1) and their pivot columns, in ascending
-    pivot order.
-    """
-    echelon, pivots = _echelon(rows)
-    return ([{c: Fraction(v, row[pc]) for c, v in row.items()}
-             for pc, row in zip(pivots, echelon)], pivots)
-
-
 def _sparse(vector: Sequence) -> SparseRow:
     return {c: v for c, v in enumerate(vector) if v}
 
@@ -123,42 +110,36 @@ def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]
     return list(rows.values())
 
 
-def _canonical_basis(vectors: List[Sequence[Fraction]], ncols: int):
-    """RREF of the row space: the unique canonical basis of the span."""
-    reduced, _ = rref_sparse([_sparse(v) for v in vectors])
-    return [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in reduced]
-
-
 # -- public nullspace / rank ---------------------------------------------------
 
 
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...]]:
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
-    Rows are dicts column -> coefficient, with int or Fraction values (both
-    go to ``rref_sparse`` as they are).  The returned basis is the reduced
-    row echelon form of the kernel, which is unique for the subspace, so
-    scaling every column of the matrix by one nonzero constant leaves it
-    unchanged.
+    Rows are dicts column -> coefficient, with int or Fraction values (zero
+    entries are skipped).  The returned basis is the reduced row echelon form
+    of the kernel, which is unique for the subspace, so scaling every column
+    of the matrix by one nonzero constant leaves it unchanged.
+
+    One integer echelon of the rows, with the columns reversed, gives it
+    directly: each echelon row is nonzero at its pivot p and otherwise only
+    at free columns before p, so the kernel vector of a free column f is 1
+    at f, 0 at every other free column, and -row[f] / row[p] at the pivot p
+    of each row that meets f.  Its first nonzero entry is the 1 at f, and in
+    ascending f these vectors are the kernel's reduced row echelon form.
     """
-    live = [r for r in rows if r]
-    if ncols == 0:
-        return []
-    if not live:
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(ncols))
-                for i in range(ncols)]
-    reduced, pivots = rref_sparse(live)
+    last = ncols - 1
+    echelon, pivots = _echelon({last - c: v for c, v in row.items() if v} for row in rows)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for pc, row in zip(pivots, reduced):
-            v[pc] = -row.get(f, 0)
-        basis.append(tuple(v))
-    return _canonical_basis(basis, ncols)
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivot_set}
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    for pc, row in zip(pivots, echelon):
+        p = row[pc]
+        for c, v in row.items():
+            if c != pc:
+                basis[last - c][last - pc] = Fraction(-v, p)
+    return [tuple(v) for v in basis.values()]
 
 
 def in_span(vectors: List[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:

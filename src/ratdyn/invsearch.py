@@ -19,7 +19,9 @@ which is never claimed.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +33,8 @@ from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        cleared_monomial_images, coprime_factor_basis,
                        echelon_step, grlex_key, in_span, jacobian_rank,
-                       jacobian_row, monomials_upto, nullspace, rank,
-                       squarefree_chain, transpose, try_divide)
+                       jacobian_row, monomials_upto, nullspace, poly_gcd,
+                       rank, squarefree_chain, transpose, try_divide)
 from .exactalg.linalg import _sparse
 from .exactalg.poly import _combine_int, _int_primitive, _minus_shifted, _mul_int
 
@@ -231,42 +233,23 @@ def _grid_points(k: int):
     return pts
 
 
-def _univ_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    """Monic gcd of univariate coefficient lists (ascending)."""
+def _univariate(coeffs: Sequence[Fraction]) -> Polynomial:
+    """The polynomial in one variable with the given ascending coefficients."""
+    return Polynomial(("t",), {(i,): c for i, c in enumerate(coeffs)})
 
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
 
-    def rem(p, q):
-        p = p[:]
-        dq = deg(q)
-        lead = q[dq]
-        while deg(p) >= dq and deg(p) >= 0:
-            dp = deg(p)
-            f = p[dp] / lead
-            for i in range(dq + 1):
-                p[dp - dq + i] -= f * q[i]
-            p[dp] = Fraction(0)
-        return p
+def _at_t2_one(form: Polynomial) -> Polynomial:
+    """A binary form in (t1, t2) at t2 = 1, as a polynomial in t1."""
+    deg = form.total_degree
+    return _univariate([form.coefficient((i, deg - i)) for i in range(deg + 1)])
 
-    while deg(b) >= 0:
-        a, b = b, rem(a, b)
-    d = deg(a)
-    if d < 0:
+
+def _rational_roots(f: Polynomial) -> List[Fraction]:
+    """All rational roots of a polynomial in one variable, exactly."""
+    d = f.total_degree
+    if d == 0:
         return []
-    return [c / a[d] for c in a[:d + 1]]
-
-
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots of a univariate polynomial, exactly."""
-    d = len(coeffs) - 1
-    while d >= 0 and coeffs[d] == 0:
-        d -= 1
-    if d <= 0:
-        return []
+    coeffs = [f.coefficient((i,)) for i in range(d + 1)]
     if d == 1:
         return [-coeffs[0] / coeffs[1]]
     if d == 2:
@@ -274,7 +257,6 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        import math
         root = math.isqrt(disc.numerator)
         if root * root != disc.numerator:
             return []
@@ -284,10 +266,7 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         s = Fraction(root, rootd)
         return sorted({(-b + s) / (2 * a), (-b - s) / (2 * a)})
     # low stakes beyond degree 2: scan divisor candidates after clearing
-    from math import gcd
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     lead, const = ints[d], next((c for c in ints if c), 0)
     roots = [Fraction(0)] if ints[0] == 0 else []
@@ -371,12 +350,8 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
 
     if k == 2:
         # common projective roots of binary quadratics via univariate gcd
-        g = None
-        for q in quadrics:
-            coeffs = [q.coefficient((i, 2 - i)) for i in range(3)]  # t2-descending
-            univ = [coeffs[0], coeffs[1], coeffs[2]]  # ascending in t1 at t2=1
-            g = univ if g is None else _univ_gcd(g, univ)
-        for r in _rational_roots(g or []):
+        g = functools.reduce(poly_gcd, map(_at_t2_one, quadrics))
+        for r in _rational_roots(g):
             push((r, Fraction(1)))
         if all(q.coefficient((2, 0)) == 0 for q in quadrics):
             push((Fraction(1), Fraction(0)))
@@ -398,6 +373,13 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
             two = ("t1", "t2")
             return (Polynomial.constant(two, A), Polynomial(two, B), Polynomial(two, C))
 
+        def at(q, t1, t2):
+            # q at (t1, t2), as a polynomial in t3
+            coeffs = [Fraction(0)] * 3
+            for e, coeff in q.terms.items():
+                coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
+            return _univariate(coeffs)
+
         resultants = []
         for q1, q2 in itertools.combinations(quadrics, 2):
             a1, b1, c1 = split(q1)
@@ -408,25 +390,13 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
                 resultants.append(res)
         pairs_t12: List[Tuple[Fraction, Fraction]] = []
         if resultants:
-            g = None
-            for res in resultants:
-                deg = res.total_degree
-                univ = [res.coefficient((i, deg - i)) for i in range(deg + 1)]
-                g = univ if g is None else _univ_gcd(g, univ)
-            for r in _rational_roots(g or []):
+            g = functools.reduce(poly_gcd, map(_at_t2_one, resultants))
+            for r in _rational_roots(g):
                 pairs_t12.append((r, Fraction(1)))
             pairs_t12.append((Fraction(1), Fraction(0)))
         for t1, t2 in pairs_t12:
-            specialized = None
-            for q in quadrics:
-                coeffs = [Fraction(0)] * 3
-                for e, coeff in q.terms.items():
-                    coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
-                specialized = (coeffs if specialized is None
-                               else _univ_gcd(specialized, coeffs))
-            if specialized is None:
-                continue
-            if not any(specialized):
+            specialized = functools.reduce(poly_gcd, (at(q, t1, t2) for q in quadrics))
+            if specialized.is_zero:
                 for t3 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
                     push((t1, t2, t3))
             else:

@@ -113,9 +113,20 @@ def _parse_json(source: str, default_name: str) -> SystemFile:
         raise SystemFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SystemFileError("JSON system file must be an object")
+
+    def strings(values, what):
+        if not all(isinstance(v, str) for v in values):
+            raise SystemFileError(f"JSON field {what} must hold strings only")
+        return tuple(values)
+
+    name = doc.get("name", default_name)
+    description = doc.get("description")
+    if not isinstance(name, str) or not isinstance(description, (str, type(None))):
+        raise SystemFileError("JSON fields 'name' and 'description' must be strings")
     variables = doc.get("variables")
-    if not isinstance(variables, list):
-        raise SystemFileError("JSON field 'variables' must be a list")
+    if not isinstance(variables, list) or not variables:
+        raise SystemFileError("JSON field 'variables' must be a nonempty list")
+    variables = strings(variables, "'variables'")
     raw_map = doc.get("map")
     if isinstance(raw_map, dict):
         try:
@@ -126,10 +137,13 @@ def _parse_json(source: str, default_name: str) -> SystemFile:
         exprs = raw_map
     else:
         raise SystemFileError("JSON field 'map' must be a list or an object")
-    return SystemFile(name=doc.get("name", default_name),
-                      variables=tuple(variables), map=tuple(exprs),
-                      description=doc.get("description"),
-                      expected=dict(doc.get("expected", {})))
+    expected = doc.get("expected", {})
+    if not isinstance(expected, dict):
+        raise SystemFileError("JSON field 'expected' must be an object")
+    strings(expected.values(), "'expected'")
+    return SystemFile(name=name, variables=variables,
+                      map=strings(exprs, "'map'"), description=description,
+                      expected=dict(expected))
 
 
 def loads_system(source: str, default_name: str = "system") -> SystemFile:

@@ -473,9 +473,4 @@ def leading_blocks_independent(polys: Sequence[UnivariatePolynomial]) -> bool:
     blocks: Dict[int, List[RationalFunction]] = {}
     for p in polys:
         blocks.setdefault(p.degree, []).append(p.leading())
-    for leads in blocks.values():
-        _, index, rows = clear_denominators(leads)
-        dense = [[r.get(c, 0) for c in range(len(index))] for r in rows]
-        if rank(dense) != len(leads):
-            return False
-    return True
+    return all(_dependence(leads) is None for leads in blocks.values())

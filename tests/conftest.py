@@ -132,7 +132,8 @@ def _fraction_reduce_row(row, reduced, pivots):
 
 
 def _fraction_rref(rows):
-    """Reference: the Fraction elimination rref_sparse replaced."""
+    """Reference: the reduced row echelon form (pivot entries 1) by Fraction
+    elimination."""
     reduced, pivots = [], []
     for raw in rows:
         row = _fraction_reduce_row(raw, reduced, pivots)

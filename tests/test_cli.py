@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ratdyn import cli
 from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
 from ratdyn.errors import SystemFileError
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
@@ -154,6 +155,34 @@ def test_cli_not_dominant_is_a_usage_error(tmp_path):
         doc, code = run_command([command, path])
         assert code == 2
         assert doc["error"]["code"] == "NotDominantError"
+
+
+_SHIFT_JSON = {"name": "shift", "variables": ["x"], "map": ["x + 1"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("variables", [1]), ("variables", ["x", None]), ("variables", []),
+    ("map", [1]), ("map", {"x": 2}),
+    ("expected", "abc"), ("expected", [1]), ("expected", {"dominant": True}),
+    ("name", ["a"]), ("name", None), ("description", 3),
+], ids=["variable-int", "variable-null", "variables-empty", "map-list-int",
+        "map-object-int", "expected-string", "expected-list", "expected-bool-value",
+        "name-list", "name-null", "description-int"])
+def test_cli_ill_typed_json_field_is_a_file_error(tmp_path, capsys, field, value):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**_SHIFT_JSON, field: value}))
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "SystemFileError"
+    assert repr(field) in doc["error"]["message"] and "result" not in doc
+
+
+def test_cli_json_with_every_optional_field_loads(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**_SHIFT_JSON, "map": {"x": "x + 1"},
+                                "description": None, "expected": {"dominant": "true"}}))
+    doc, code = run_command(["check", str(path)])
+    assert code == 0 and doc["system"]["name"] == "shift"
 
 
 def test_cli_deep_nesting_is_a_parse_error(tmp_path):
@@ -379,6 +408,38 @@ def test_cli_usage_errors_print_a_json_report(capsys, monkeypatch):
     # --help is no error
     assert main(["degrees", "--help"]) == 0
     assert "usage: ratdyn degrees" in capsys.readouterr().out
+
+
+def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
+    shift = corpus("shift.system")
+    sequence = [["check", shift, "--seed", "7"], ["degrees", shift],
+                ["--seed", "11", "degrees", "--n", "3", shift], ["degrees", "--help"],
+                ["iterate", "--m", "2", shift, "--seed", "5"], ["frobnicate"],
+                ["check", shift]]
+
+    def run_all():
+        out = []
+        for argv in sequence:
+            try:
+                doc, code = run_command(argv)
+            except SystemExit as exc:  # --help
+                out.append(("exit", exc.code, capsys.readouterr().out))
+                continue
+            del doc["timing"]
+            out.append((render_json(doc), code))
+        return out
+
+    monkeypatch.setenv("RATDYN_SEED", "3")
+    cached = run_all()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached
+    # a rejected command line carries the fixed default seed
+    default = cli.DEFAULT_SEED
+    assert ([json.loads(c[0])["seed"] for c in cached if c[0] != "exit"]
+            == [7, default, 11, 5, default, 3])
+    assert cached[3][:2] == ("exit", 0) and "usage: ratdyn degrees" in cached[3][2]
 
 
 def test_cli_henon_degrees_are_fast():

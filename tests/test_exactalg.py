@@ -606,6 +606,10 @@ def test_nullspace_certified():
 def test_nullspace_empty_matrix_is_identity():
     basis = nullspace([], 3)
     assert len(basis) == 3
+    # explicit zero entries and empty rows constrain nothing
+    assert nullspace([{0: 0, 2: Fraction(0)}, {}], 3) == basis
+    assert nullspace([{0: 0, 1: 2}], 2) == [(1, 0)]
+    assert nullspace([], 0) == []
 
 
 def _check_kernel(rows, ncols, basis, expected_dim):
@@ -615,29 +619,18 @@ def _check_kernel(rows, ncols, basis, expected_dim):
             assert sum(row.get(i, Fraction(0)) * v for i, v in enumerate(vec)) == 0
 
 
-def test_nullspace_large_matrix_uses_modular_path():
-    # a 59 x 60 chain: the kernel is one line with known ratios
-    ncols = 60
-    rows = [{i: Fraction(1), i + 1: Fraction(-2)} for i in range(ncols - 1)]
-    big = nullspace(rows, ncols)
-    _check_kernel(rows, ncols, big, 1)
-    assert big[0][1] / big[0][0] == Fraction(1, 2)
-
-
-def test_nullspace_crt_and_fraction_fallback():
-    # large numerators, then denominators that are the product of four
-    # word-sized primes (about 2^124): the kernel stays exact either way
-    ncols = 55
-    huge = 10 ** 7 + 19
-    rows = [{i: Fraction(huge), i + 1: Fraction(-1)} for i in range(ncols - 1)]
+@pytest.mark.parametrize("ncols, a, b", [
+    (60, 1, -2),
+    (55, 10 ** 7 + 19, -1),
+    (55, Fraction(1, 2147483647 * 2147483629 * 2147483587 * 2147483579), -1),
+], ids=["halving", "large-numerators", "large-denominators"])
+def test_nullspace_of_a_chain_is_its_geometric_line(ncols, a, b):
+    # rows a*v[i] + b*v[i+1] = 0: the kernel is the line v[i] = (-a/b)^i,
+    # whose entries grow past 2^1000 or shrink below 2^-6000
+    rows = [{i: a, i + 1: b} for i in range(ncols - 1)]
     basis = nullspace(rows, ncols)
     _check_kernel(rows, ncols, basis, 1)
-
-    bad_den = 2147483647 * 2147483629 * 2147483587 * 2147483579
-    rows = [{i: Fraction(1, bad_den), i + 1: Fraction(-1)}
-            for i in range(ncols - 1)]
-    basis = nullspace(rows, ncols)
-    _check_kernel(rows, ncols, basis, 1)
+    assert basis[0] == tuple(Fraction(-a, b) ** i for i in range(ncols))
 
 
 def _fraction_nullspace(rows, ncols):
@@ -683,17 +676,45 @@ def dense_matrices(draw):
     return [{c: v for c, v in enumerate(r) if v} for r in rows], ncols
 
 
+def _reduced(echelon, pivots):
+    """The integer echelon with each row divided by its pivot entry."""
+    return [{c: Fraction(v, row[pc]) for c, v in row.items()}
+            for pc, row in zip(pivots, echelon)]
+
+
 @given(st.one_of(sparse_matrices(), dense_matrices()))
 def test_integer_rref_matches_fraction_rref(matrix):
     rows, ncols = matrix
-    reduced, pivots = linalg.rref_sparse(rows)
-    assert (reduced, pivots) == _fraction_rref(rows)
-    assert all(type(v) is Fraction for row in reduced for v in row.values())
+    echelon, pivots = linalg._echelon(rows)
+    assert (_reduced(echelon, pivots), pivots) == _fraction_rref(rows)
+    assert all(type(v) is int for row in echelon for v in row.values())
+    assert all(math.gcd(*row.values()) == 1 for row in echelon)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert linalg.rank(dense) == len(pivots)
     basis = nullspace(rows, ncols)
     assert basis == _fraction_nullspace(rows, ncols)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
     _check_kernel(rows, ncols, basis, ncols - len(pivots))
     for row in rows:
-        assert not _fraction_reduce_row(row, reduced, pivots)
+        assert not linalg.echelon_step(echelon, pivots, row, insert=False)
+
+
+def test_nullspace_is_one_elimination(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows):
+        calls.append(1)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    rows = [{0: 1, 2: Fraction(-1, 3)}, {1: 2, 3: 5}, {0: 2, 2: Fraction(-2, 3)}]
+    assert nullspace(rows, 5) == [
+        (1, 0, 3, 0, 0),
+        (0, 1, 0, Fraction(-2, 5), 0),
+        (0, 0, 0, 0, 1),
+    ]
+    assert calls == [1]
 
 
 @st.composite
@@ -716,22 +737,27 @@ def dependent_rows(draw):
 
 @given(dependent_rows(), st.randoms(use_true_random=False))
 def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
+    # the integer echelon of echelon_step, read as a reduced echelon form
     rows, ncols, independent_at_most = matrix
-    reduced, pivots = linalg.rref_sparse(rows)
+    echelon, pivots = linalg._echelon(rows)
+    reduced = _reduced(echelon, pivots)
     assert pivots == sorted(set(pivots))
-    for i, (row, pc) in enumerate(zip(reduced, pivots)):
-        assert min(row) == pc and row[pc] == 1 and all(row.values())
-        assert all(pc not in other for j, other in enumerate(reduced) if j != i)
+    for i, (row, pc) in enumerate(zip(echelon, pivots)):
+        assert min(row) == pc and all(row.values())
+        assert all(pc not in other for j, other in enumerate(echelon) if j != i)
     for row in rows:
+        assert not linalg.echelon_step(echelon, pivots, row, insert=False)
         assert not _fraction_reduce_row(row, reduced, pivots)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert linalg.rref_sparse(shuffled) == (reduced, pivots)
+    other, other_pivots = linalg._echelon(shuffled)
+    assert (_reduced(other, other_pivots), other_pivots) == (reduced, pivots)
     # the Bareiss rank over constant polynomials is an independent reference
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
     exact = poly_matrix_rank([[Polynomial.constant(("t",), v) for v in r]
                               for r in dense])
     assert linalg.rank(dense) == len(pivots) == exact <= independent_at_most
+    assert len(nullspace(rows, ncols)) == ncols - exact
     units = [[Fraction(int(c == j)) for c in range(ncols)] for j in range(ncols)]
     for target in dense + units:
         member = in_span(dense, target)

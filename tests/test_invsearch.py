@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratdyn import invsearch
 from ratdyn.cli import run_command
@@ -16,7 +16,7 @@ from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
                              jacobian_rank, monomials_upto, nullspace,
-                             rref_sparse, transpose, try_divide)
+                             transpose, try_divide)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
@@ -294,7 +294,7 @@ def _reference_pool(found, budget):
         if any(expos) and prod.degree <= bound:
             pool.append(prod)
     den, index, rows = clear_denominators(list(dict.fromkeys(pool)))
-    echelon, pivots = rref_sparse(rows)
+    echelon, pivots = _fraction_rref(rows)
     return pool, den, index, echelon, pivots
 
 
@@ -618,3 +618,68 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
         (found, conclusive), calls = _kernels(lambda: invsearch._pencil_stage(sys, budget))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
     assert (found, conclusive) == ([], True)
+
+
+# -- pencil stage: pinned outputs and the rational roots ---------------------------
+
+_DOUBLE_3D_PENCILS = [
+    "(x + y)/(x - z)", "(2*x + 2*y)/(x - 2*z)", "(x + y)/(z)", "(2*x + 2*y)/(x + 2*z)",
+    "(x + y)/(x + z)", "(x + 2*y)/(2*x - 2*z)", "(x + 2*y)/(x - 2*z)", "(x + 2*y)/(2*z)",
+    "(x + 2*y)/(x + 2*z)", "(x + 2*y)/(2*x + 2*z)", "(y)/(x - z)", "(2*y)/(x - 2*z)",
+    "(y)/(z)", "(2*y)/(x + 2*z)", "(y)/(x + z)", "(x - 2*y)/(2*x - 2*z)",
+    "(x - 2*y)/(x - 2*z)", "(x - 2*y)/(2*z)", "(x - 2*y)/(x + 2*z)", "(x - 2*y)/(2*x + 2*z)",
+    "(x - y)/(x - z)", "(2*x - 2*y)/(x - 2*z)", "(x - y)/(z)", "(2*x - 2*y)/(x + 2*z)",
+    "(x - y)/(x + z)", "(2*x + y)/(2*x - z)", "(2*x + y)/(x - z)", "(2*x + y)/(z)",
+    "(2*x + y)/(x + z)", "(2*x + y)/(2*x + z)", "(x + y)/(2*x - z)", "(x + y)/(2*x + z)",
+    "(y)/(2*x - z)", "(y)/(2*x + z)", "(x - y)/(2*x - z)", "(x - y)/(2*x + z)",
+    "(2*x - y)/(2*x - z)", "(2*x - y)/(x - z)", "(2*x - y)/(z)", "(2*x - y)/(x + z)",
+    "(2*x - y)/(2*x + z)", "(x)/(y + z)", "(2*x)/(y + 2*z)", "(x)/(z)",
+    "(2*x)/(y - 2*z)", "(x)/(y - z)", "(x)/(2*y + z)", "(x)/(2*y - z)", "(x)/(y)",
+]
+
+
+@pytest.mark.parametrize("variables, exprs, budget, expected", [
+    # k = 2: the gcd of the binary quadrics at t2 = 1
+    ("x y", ("y", "(y^2 + 1)/x"), SearchBudget(1, 2, 0, 3),
+     ["(x*y)/(x^2 + y^2 + 1)"]),
+    # k = 3 without quadrics: the grid alone
+    ("x", ("1/x",), SearchBudget(1, 3, 0, 3),
+     ["(x)/(x^2 + 1)", "(x)/(x^2 - x + 1)", "(x)/(x^2 + 1)", "(x)/(x^2 + x + 1)"]),
+    ("x y z", ("2*x", "2*y", "2*z"), SearchBudget(1, 1, 0, 3), _DOUBLE_3D_PENCILS),
+    # k = 3 with quadrics: the gcds of the resultants and of the specialized
+    # quadrics in t3
+    ("x y", ("2*x", "1/y"), SearchBudget(1, 2, 0, 3), ["(y)/(y^2 + 1)"]),
+    ("x y", ("2*x + y", "2*y"), SearchBudget(1, 2, 0, 3), []),
+], ids=["qrt-k2", "inverse-k3-grid", "double-3d-k3-grid", "k3-resultants",
+        "k3-resultants-empty"])
+def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
+    found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget)
+    assert conclusive
+    assert [str(f) for f in found] == expected
+
+
+_ROOT_GRID = sorted({Fraction(p, q) for p in range(-12, 13) for q in range(1, 7)})
+_T = ("t",)
+
+
+@given(st.lists(st.sampled_from(_ROOT_GRID), max_size=4),
+       st.sampled_from(["1", "t^2 + 1", "t^2 - 2", "t^2 + t + 1", "t^3 - 2",
+                        "4*t^4 + 1"]),
+       st.sampled_from([Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(-35, 4)]))
+@example([Fraction(0)], "1", Fraction(1))
+@example([Fraction(2, 3)], "1", Fraction(-3))
+@example([Fraction(0), Fraction(-5, 2)], "1", Fraction(2, 7))
+@example([Fraction(1), Fraction(1)], "1", Fraction(1))
+@example([Fraction(0), Fraction(0), Fraction(4, 3), Fraction(-1, 6)], "t^2 + 1", Fraction(-3))
+@example([], "t^2 - 2", Fraction(1))
+@example([], "1", Fraction(5))
+def test_rational_roots_match_a_brute_force_scan(roots, extra, scale):
+    # linear, quadratic (no, one or two rational roots) and divisor-scan
+    # inputs with zero and non-integer roots; the extra factors have none
+    f = poly(extra, _T).scaled(scale)
+    for r in roots:
+        f = f * Polynomial(_T, {(1,): 1, (0,): -r})
+    found = invsearch._rational_roots(f)
+    assert found == sorted(set(roots))
+    assert found == [r for r in _ROOT_GRID if f.evaluate((r,)) == 0]
+    assert invsearch._rational_roots(Polynomial.zero(_T)) == []

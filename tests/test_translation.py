@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ratdyn.errors import PreconditionError, SingularMatrixError
+from ratdyn.exactalg import clear_denominators, rank
 from ratdyn.invsearch import polynomial_invariant_basis
 from ratdyn.translation import (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT,
                                 CLASS_MONOMIAL, CLASS_UNRECOGNIZED,
@@ -243,3 +244,33 @@ def test_normalize_random_suite():
             for j in range(k):
                 acc = sum(result.forward[i][m] * result.backward[m][j] for m in range(k))
                 assert acc == (1 if i == j else 0)
+
+
+def _rank_blocks_independent(polys):
+    """Reference: full rank of each block's cleared leading coefficients."""
+    blocks = {}
+    for p in polys:
+        blocks.setdefault(p.degree, []).append(p.leading())
+    for leads in blocks.values():
+        _, index, rows = clear_denominators(leads)
+        dense = [[r.get(c, 0) for c in range(len(index))] for r in rows]
+        if rank(dense) != len(leads):
+            return False
+    return True
+
+
+def test_leading_blocks_independent_matches_the_rank_test():
+    # singletons, zero leads, and blocks with and without a dependence
+    rng = random.Random(7)
+    aux = ("s1", "s2")
+    leads = ["0", "1", "2", "s1", "-3*s1", "s1 + 1", "s2/(s1 + 1)", "(s1*s2 - 1)/s2",
+             "1/(s1 + 1)", "s1/(s1 + 1)"]
+    verdicts = set()
+    for _ in range(300):
+        polys = [UnivariatePolynomial([rf("1", aux)] * rng.randint(0, 2)
+                                      + [rf(rng.choice(leads), aux)])
+                 for _ in range(rng.randint(1, 5))]
+        verdict = leading_blocks_independent(polys)
+        assert verdict == _rank_blocks_independent(polys)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
