@@ -6,7 +6,10 @@ reduction step (a multiple of one row minus a multiple of another, divided by
 its content), and inserts a nonzero remainder.  ``rank`` counts the pivots,
 ``in_span`` tests the remainder, and ``nullspace`` reads the unique reduced
 echelon basis of the kernel off one integer echelon, making a Fraction only
-for each entry it returns.  Jacobian rows at integer points are ints as well,
+for each entry it returns.  The rank is at most the column count, and at most
+one less when a kernel vector is known, so ``nullspace`` stops eliminating
+once its echelon holds that many pivots: every later row lies in the span.
+Jacobian rows at integer points are ints as well,
 so the seeded rank test runs in Z throughout.  Two eliminations stay separate
 because they work in other rings:
 
@@ -22,11 +25,12 @@ import bisect
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .poly import Polynomial, _cleared_terms, divide_exact
 from .ratfunc import RationalFunction
-from ..errors import VariableMismatchError
+from ..errors import PreconditionError, VariableMismatchError
 
 SparseRow = Dict[int, Fraction]
 IntRow = Dict[int, int]
@@ -61,13 +65,13 @@ def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
 
     ``echelon`` holds primitive integer rows, each the only one nonzero at
     its pivot column; ``pivots`` lists those columns in ascending order.  The
-    row (int or Fraction entries) is cleared to a primitive integer row and
-    reduced at each pivot column it meets, by ``_eliminate``; the remainder
-    is empty exactly when the row lies in the span.  With ``insert``, a
-    nonzero remainder joins at its first column, where the other rows are
-    then cleared; nothing else is changed in place.
+    row (int or Fraction entries) is cleared to a primitive integer row
+    without its zero entries and reduced at each pivot column it meets, by
+    ``_eliminate``; the remainder is empty exactly when the row lies in the
+    span.  With ``insert``, a nonzero remainder joins at its first column,
+    where the other rows are then cleared; nothing else is changed in place.
     """
-    row = _primitive(_cleared_terms(row)[1])
+    row = _primitive({c: v for c, v in _cleared_terms(row)[1].items() if v})
     for pc, ref in zip(pivots, echelon):
         if row.get(pc):
             row = _eliminate(row, ref, pc)
@@ -82,10 +86,19 @@ def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
     return row
 
 
-def _echelon(rows: Iterable[SparseRow]) -> Tuple[List[IntRow], List[int]]:
+def _echelon(rows: Iterable[SparseRow], stop: Optional[int] = None
+             ) -> Tuple[List[IntRow], List[int]]:
+    """Integer echelon of the rows, by ``echelon_step`` on each in turn.
+
+    With ``stop``, the rows are read only until the echelon holds ``stop``
+    pivots; the caller vouches that the rank is at most ``stop``, so every
+    row left unread lies in the span and would leave the echelon unchanged.
+    """
     echelon: List[IntRow] = []
     pivots: List[int] = []
     for row in rows:
+        if len(pivots) == stop:
+            break
         echelon_step(echelon, pivots, row)
     return echelon, pivots
 
@@ -113,7 +126,8 @@ def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]
 # -- public nullspace / rank ---------------------------------------------------
 
 
-def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[SparseRow], ncols: int,
+              known: Optional[SparseRow] = None) -> List[Tuple[Fraction, ...]]:
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
     Rows are dicts column -> coefficient, with int or Fraction values (zero
@@ -127,9 +141,30 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
     at f, 0 at every other free column, and -row[f] / row[p] at the pivot p
     of each row that meets f.  Its first nonzero entry is the 1 at f, and in
     ascending f these vectors are the kernel's reduced row echelon form.
+
+    The rank is at most ``ncols``, so the echelon stops at that many pivots
+    (the kernel is then {0}).  ``known`` is an optional sparse kernel vector
+    the caller already has: it is checked exactly, and a zero vector or one
+    outside the kernel raises PreconditionError.  The rank is then at most
+    ``ncols - 1``, and the echelon stops there (the kernel is then the line
+    through ``known``).  Either way the echelon it stops at spans the rows,
+    so the basis is the one the full elimination gives.
     """
+    bound = ncols
+    if known is not None:
+        known = {c: v for c, v in known.items() if v}
+        if not known:
+            raise PreconditionError("the known kernel vector is zero")
+        if not all(0 <= c < ncols for c in known):
+            raise PreconditionError("the known vector has a column out of range")
+        if any(sum(v * row.get(c, 0) for c, v in known.items()) for row in rows):
+            raise PreconditionError("the known vector is not in the kernel")
+        bound = ncols - 1
     last = ncols - 1
-    echelon, pivots = _echelon({last - c: v for c, v in row.items() if v} for row in rows)
+    reversed_rows = ({last - c: v for c, v in row.items() if v} for row in rows)
+    # the stop can bind only when the rows outnumber it
+    echelon, pivots = (_echelon(reversed_rows, bound) if len(rows) > bound
+                       else _echelon(reversed_rows))
     pivot_set = set(pivots)
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivot_set}
     for f, vec in basis.items():

@@ -93,9 +93,9 @@ def _monomial_pullbacks(sys: DynamicalSystem, d: int):
     return monos, cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
 
 
-def _kernel_polynomials(sys, monos, columns) -> List[Polynomial]:
-    """Nullspace of the sparse linear map given per-column as an int poly."""
-    basis = nullspace(transpose(columns), len(monos))
+def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
+    """Kernel vectors over the monomials as polynomials, each with a
+    positive leading coefficient."""
     polys = []
     for vec in basis:
         terms = {monos[i]: v for i, v in enumerate(vec) if v}
@@ -118,9 +118,11 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
         raise PreconditionError("degree bound must be >= 0")
     require_dominant(sys)
     monos, images = _monomial_pullbacks(sys, d)
-    # the constant monomial comes first: images[0] = prod(den_i^d)
+    # the constant monomial comes first: images[0] = prod(den_i^d), so
+    # column 0 is zero and the constant 1 is a known kernel vector
     columns = [_minus_shifted(dict(N), e, images[0]) for e, N in zip(monos, images)]
-    return _kernel_polynomials(sys, monos, columns)
+    basis = nullspace(transpose(columns), len(monos), {0: 1})
+    return _kernel_polynomials(sys, monos, basis)
 
 
 # -- denominator catalog ----------------------------------------------------------
@@ -178,6 +180,14 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
                                   composed_cache: dict) -> List[RationalFunction]:
     """Stage 1: with q fixed, invariance of p/q is linear in p.
 
+    The column of a monomial m is I(m)*q - m*I(q), with I the pullback
+    cleared over the common denominator, so p = sum v_m m is a solution iff
+    I(p)*q = p*I(q).  When deg q fits the numerator budget, p = q is one:
+    the columns weighted by q's coefficients sum to I(q)*q - q*I(q) = 0.
+    That is a known kernel vector, so the rank is at most one less than the
+    column count, and a kernel that is just the line through q gives only
+    constants.
+
     ``composed_cache`` maps a clearing degree to its monomial pullbacks and
     is filled here, so that catalog entries of equal degree share them.
     """
@@ -192,9 +202,16 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     q_image = _combine_int(q_int, dict(zip(monos, images)))
     columns = [_minus_shifted(_mul_int(images[i], q_int), monos[i], q_image)
                for i in keep]
-    polys = _kernel_polynomials(sys, [monos[i] for i in keep], columns)
+    monos = [monos[i] for i in keep]
+    known = None
+    if q.total_degree <= dp:
+        col = {e: i for i, e in enumerate(monos)}
+        known = {col[e]: c for e, c in q_int.items()}
+    basis = nullspace(transpose(columns), len(monos), known)
+    if known is not None and len(basis) == 1:
+        return []
     out = []
-    for p in polys:
+    for p in _kernel_polynomials(sys, monos, basis):
         f = RationalFunction(p, q)
         if not f.is_constant:
             out.append(f)
@@ -438,6 +455,7 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
         entries = {pairs[i]: v for i, v in enumerate(vec) if v}
         basis.append(entries)
     found = []
+    verdicts: Dict[RationalFunction, bool] = {}  # one exact gate per candidate
     for t in _decomposable_points(basis, s):
         m = _pencil_matrix(t, basis, s)
         cols = [tuple(m[r][c] for r in range(s)) for c in range(s)]
@@ -454,9 +472,10 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
         if q.leading()[1] < 0:
             q = -q
         f = RationalFunction(p, q)
-        if f.is_constant or pullback(sys, f) != f:
-            continue
-        found.append(f)
+        if f not in verdicts:
+            verdicts[f] = not f.is_constant and pullback(sys, f) == f
+        if verdicts[f]:
+            found.append(f)
     return found, True
 
 
@@ -740,10 +759,13 @@ def square_gain_check(sys: DynamicalSystem,
     that products with some partner system gain invariants at all, and it
     predicts a positive-dimensional translational image, so the base degree
     profile is attached as evidence whenever a new invariant is found.
+
+    The rank never exceeds the dimension.  So when the base rank is n, the
+    pullbacks already have rank 2n, the square's dimension: the square rank
+    is 2n, proven rather than searched, and no new invariant can exist.
     """
     base = adim_lower_bound(sys, budget)
     square = diagonal_power(sys, 2)
-    square_report = adim_lower_bound(square, budget)
     n = sys.dim
     first = list(range(n))
     second = list(range(n, 2 * n))
@@ -752,10 +774,16 @@ def square_gain_check(sys: DynamicalSystem,
         pulls.append(g.embed(square.variables, first))
         pulls.append(g.embed(square.variables, second))
     pullback_rank = jacobian_rank(pulls)
-    new_found = square_report.independence_rank > pullback_rank
+    if base.independence_rank == n:
+        square_rank, square_invariants = 2 * n, ()
+    else:
+        square_report = adim_lower_bound(square, budget)
+        square_rank = square_report.independence_rank
+        square_invariants = square_report.invariants
+    new_found = square_rank > pullback_rank
     witness = None
     if new_found:
-        for f in square_report.invariants:
+        for f in square_invariants:
             if jacobian_rank(pulls + [f]) > pullback_rank:
                 witness = f
                 break
@@ -763,7 +791,7 @@ def square_gain_check(sys: DynamicalSystem,
             raise AssertionError("rank gain without a single witness")
     profile = degree_sequence(sys, _EVIDENCE_WINDOW) if new_found else None
     return SquareGainReport(base_rank=base.independence_rank,
-                            square_rank=square_report.independence_rank,
+                            square_rank=square_rank,
                             pullback_rank=pullback_rank,
                             new_invariant_found=new_found,
                             witness=witness,

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ratdyn.errors import (IndeterminacyError, VariableMismatchError,
-                           ZeroDenominatorError)
+from ratdyn.errors import (IndeterminacyError, PreconditionError,
+                           VariableMismatchError, ZeroDenominatorError)
 from ratdyn.exactalg import linalg
 from ratdyn.exactalg.poly import _cert_point, _certified_coprime, _int_primitive
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
@@ -717,6 +717,105 @@ def test_nullspace_is_one_elimination(monkeypatch):
     assert calls == [1]
 
 
+def _as_fractions(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+def _planted_kernel_matrix(rng):
+    """Sparse integer rows orthogonal to a planted sparse vector v, often of
+    rank len - 1 with redundant rows after it, and the vector itself."""
+    ncols = rng.randint(1, 12)
+    support = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
+    v = {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in support}
+    j = support[0]
+    rows = []
+    for _ in range(rng.randint(0, ncols + 6)):
+        row = {c: rng.randint(-4, 4)
+               for c in rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))}
+        # v[j] * row - (row . v) e_j is orthogonal to v
+        dot = sum(x * v.get(c, 0) for c, x in row.items())
+        row = {c: v[j] * x for c, x in row.items()}
+        row[j] = row.get(j, 0) - dot
+        rows.append({c: x for c, x in row.items() if x})
+    for _ in range(rng.randint(0, 3)):
+        combo = {}
+        for row in rng.sample(rows, min(len(rows), 3)):
+            k = rng.randint(-2, 2)
+            for c, x in row.items():
+                combo[c] = combo.get(c, 0) + k * Fraction(x, 3)
+        rows.append({c: x for c, x in combo.items() if x})
+    return rows, ncols, v
+
+
+def test_nullspace_with_a_known_vector_matches_the_full_solve():
+    rng = random.Random(0x6B6E6F776E)
+    stopped = 0
+    for _ in range(400):
+        rows, ncols, v = _planted_kernel_matrix(rng)
+        full = nullspace(rows, ncols)
+        assert full == _fraction_nullspace(_as_fractions(rows), ncols)
+        scale = rng.choice([1, -2, Fraction(3, 7)])
+        assert nullspace(rows, ncols, {c: scale * x for c, x in v.items()}) == full
+        stopped += len(full) == 1 and len(rows) > ncols - 1
+    assert stopped >= 100  # the early exit was taken, not just allowed
+
+
+def test_nullspace_at_full_column_rank_matches_the_full_solve():
+    rng = random.Random(0x66756C6C)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = [{c: rng.choice([-5, -3, -1, 1, 2, 4]) for c in
+                 rng.sample(range(ncols), rng.randint(1, ncols))}
+                for _ in range(rng.randint(ncols, 2 * ncols + 3))]
+        assert nullspace(rows, ncols) == _fraction_nullspace(_as_fractions(rows), ncols)
+
+
+def test_nullspace_rejects_a_known_vector_outside_the_kernel():
+    rows = [{0: 1, 1: -1}, {1: 1, 2: -1}]
+    assert nullspace(rows, 3, {0: 2, 1: 2, 2: 2}) == [(1, 1, 1)]
+    for known in ({0: 1}, {0: 1, 1: 1, 2: 2}, {}, {0: 0, 2: Fraction(0)},
+                  {0: 1, 1: 1, 2: 1, 3: 1}, {-1: 1}):
+        with pytest.raises(PreconditionError):
+            nullspace(rows, 3, known)
+    # a vector outside the kernel is refused even with no row to stop early
+    with pytest.raises(PreconditionError):
+        nullspace([{0: 1}], 1, {0: 1})
+
+
+def test_nullspace_stops_at_its_rank_bound(monkeypatch):
+    # ncols - 1 independent rows with kernel span{(1, ..., 1)}, then 50
+    # redundant ones: with the known vector only the first ncols - 1 are read
+    ncols = 7
+    rng = random.Random(7)
+    independent = [{i: 1, i + 1: -1} for i in range(ncols - 1)]
+    redundant = []
+    for _ in range(50):
+        ks = [rng.randint(-3, 3) for _ in independent]
+        combo = {c: sum(k * r.get(c, 0) for k, r in zip(ks, independent))
+                 for c in range(ncols)}
+        redundant.append({c: x for c, x in combo.items() if x})
+    rows = independent + redundant
+    steps = []
+    step = linalg.echelon_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon_step", counted)
+    known = {c: 1 for c in range(ncols)}
+    assert nullspace(rows, ncols, known) == [(1,) * ncols]
+    assert len(steps) == ncols - 1
+    steps.clear()
+    assert nullspace(rows, ncols) == [(1,) * ncols]
+    assert len(steps) == len(rows)
+    # at full column rank the bound is ncols, with no known vector
+    steps.clear()
+    full = independent + [{0: 1}] + redundant
+    assert nullspace(full, ncols) == []
+    assert len(steps) == ncols
+
+
 @st.composite
 def dependent_rows(draw):
     """Sparse rational rows, then integer combinations of them, shuffled."""
@@ -798,6 +897,35 @@ def test_rank_and_in_span_match_fraction_rref(matrix):
                                         insert=False)
         assert (echelon, ech_pivots) == before and ech_pivots == pivots
         assert (not remainder) == in_span(dense, target)
+
+
+def test_echelon_step_drops_explicit_zero_entries():
+    echelon, pivots = [], []
+    assert linalg.echelon_step(echelon, pivots, {0: 0, 1: 1}) == {1: 1}
+    assert (echelon, pivots) == ([{1: 1}], [1])
+    assert linalg.echelon_step(echelon, pivots, {0: Fraction(0), 1: 3}, insert=False) == {}
+
+
+@given(dependent_rows(), st.data())
+def test_explicit_zero_entries_change_nothing(matrix, data):
+    # the same rows with explicit zeros (int or Fraction, placed first in the
+    # dict) give the same echelon, rank, remainders and kernel
+    rows, ncols, _ = matrix
+    zero = st.sampled_from([0, Fraction(0)])
+
+    def with_zeros(row):
+        cols = data.draw(st.sets(st.integers(0, ncols - 1)))
+        return {**{c: data.draw(zero) for c in cols - set(row)}, **row}
+
+    zeroed = [with_zeros(row) for row in rows]
+    echelon, pivots = linalg._echelon(rows)
+    assert linalg._echelon(zeroed) == (echelon, pivots)
+    assert all(all(row.values()) for row in echelon)
+    units = [{c: int(c == j) for c in range(ncols)} for j in range(ncols)]
+    for target in rows + units:
+        assert (linalg.echelon_step(echelon, pivots, with_zeros(target), insert=False)
+                == linalg.echelon_step(echelon, pivots, target, insert=False))
+    assert nullspace(zeroed, ncols) == nullspace(rows, ncols)
 
 
 def test_in_span():

@@ -244,6 +244,42 @@ def test_square_gain_swap_default_budget_is_fast():
     assert elapsed < 20.0, f"default-budget swap square took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("sys, budget, full", [
+    (make_system("x y", "y", "x"), SearchBudget(1, 1, 1, 1), False),
+    (make_system("x y", "y", "x"), SearchBudget(2, 1, 1, 3), True),
+    (make_system("x y", "y", "x"), SearchBudget(2, 2, 2, 3), True),
+    (make_system("x y", "y", "x"), DEFAULT_BUDGET, True),
+    (DynamicalSystem.identity(("x",)), SearchBudget(1, 1, 1, 1), True),
+    (DynamicalSystem.identity(("x",)), SearchBudget(2, 1, 1, 3), True),
+    (DynamicalSystem.identity(("x",)), SearchBudget(2, 2, 2, 3), True),
+    (DynamicalSystem.identity(("x",)), DEFAULT_BUDGET, True),
+    (DynamicalSystem.identity(("x", "y")), SearchBudget(1, 1, 1, 1), True),
+], ids=["swap-1111", "swap-2113", "swap-2223", "swap-default", "identity-1111",
+        "identity-2113", "identity-2223", "identity-default", "identity2-1111"])
+def test_square_at_full_base_rank_is_proven_not_searched(sys, budget, full):
+    # at base rank n the square rank is 2n without a search; the search, run
+    # here as the reference, reaches the same rank (swap at 1,1,1,1 has base
+    # rank 1 and is searched as before)
+    searched = []
+    search = invsearch.adim_lower_bound
+
+    def counted(s, b):
+        searched.append(s.dim)
+        return search(s, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "adim_lower_bound", counted)
+        report = square_gain_check(sys, budget)
+    n = sys.dim
+    assert (report.base_rank == n) == full
+    assert searched == ([n] if full else [n, 2 * n])
+    reference = adim_lower_bound(diagonal_power(sys, 2), budget)
+    assert report.square_rank == reference.independence_rank
+    assert report.pullback_rank == 2 * report.base_rank
+    assert (report.new_invariant_found, report.witness, report.degree_profile) == (
+        False, None, None)
+
+
 # -- deduplication pool -----------------------------------------------------------
 
 XYZ = ("x", "y", "z")
@@ -569,11 +605,13 @@ def _ref_pencil_columns(sys, dmax):
 
 
 def _kernels(run):
-    """run() and (live rows, kernel) of each invsearch.nullspace it made."""
+    """run() and (live rows, kernel) of each invsearch.nullspace it made,
+    with the known kernel vector passed on, so that the kernel each stage
+    got is compared with the full solve of the Fraction columns."""
     calls = []
 
-    def recording(rows, ncols):
-        kernel = nullspace(rows, ncols)
+    def recording(rows, ncols, known=None):
+        kernel = nullspace(rows, ncols, known)
         calls.append((sum(1 for r in rows if r), kernel))
         return kernel
 
@@ -596,17 +634,35 @@ def test_polynomial_stage_kernel_matches_fraction_columns(sys, d):
 
 
 @given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
-                                         SearchBudget(2, 2, 1, 3)]),
+                                         SearchBudget(2, 2, 1, 3),
+                                         SearchBudget(1, 3, 1, 3)]),
        st.sampled_from(["1", "3/7", "-2"]))
 def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
-    # a catalog q as it comes and rescaled: the stage clears it either way
+    # a catalog q as it comes and rescaled: the stage clears it either way;
+    # q of degree above the numerator budget is no kernel vector, and its
+    # candidates come from the kernel however many vectors it has
+    dp = budget.max_num_degree
     for q in invsearch._denominator_catalog(sys, budget)[:6]:
         q = q.scaled(Fraction(scale))
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
             sys, q, budget, {}))
-        assert calls == [_ref_kernel(_ref_fixed_denominator_columns(
-            sys, q, budget.max_num_degree))]
+        reference = _ref_kernel(_ref_fixed_denominator_columns(sys, q, dp))
+        assert calls == [reference]
+        monos = [e for e in monomials_upto(sys.dim, max(dp, q.total_degree))
+                 if sum(e) <= dp]
+        candidates = (RationalFunction(p, q) for p in
+                      invsearch._kernel_polynomials(sys, monos, reference[1]))
+        assert found == [f for f in candidates if not f.is_constant]
         assert all(pullback(sys, f) == f for f in found)
+
+
+def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
+    # x -> -x, q = x^2 above the numerator degree 1: the kernel is {1} alone,
+    # and 1/x^2 is an invariant
+    sys = make_system("x", "-x")
+    q = poly("x^2", ("x",))
+    found = invsearch._fixed_denominator_invariants(sys, q, SearchBudget(1, 3, 1, 3), {})
+    assert found == [rf("1/x^2", ("x",))]
 
 
 @given(rescaled_maps(), st.integers(1, 2))
@@ -656,6 +712,29 @@ def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
     found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget)
     assert conclusive
     assert [str(f) for f in found] == expected
+
+
+@pytest.mark.parametrize("variables, exprs, budget, candidates", [
+    ("x", ("1/x",), SearchBudget(1, 3, 0, 3), 4),
+    ("x y z", ("2*x", "2*y", "2*z"), SearchBudget(1, 1, 0, 3), 49),
+], ids=["inverse-k3-grid", "double-3d-k3-grid"])
+def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budget,
+                                                         candidates):
+    # a repeated candidate takes the first one's verdict: one exact pullback
+    # per distinct function, and the output keeps every repeat in push order
+    sys = make_system(variables, *exprs)
+    gated = []
+
+    def counted(s, f):
+        gated.append(f)
+        return pullback(s, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "pullback", counted)
+        found, _ = invsearch._pencil_stage(sys, budget)
+    assert len(found) == candidates
+    assert len(gated) == len(set(gated))
+    assert set(gated) == set(found)
 
 
 _ROOT_GRID = sorted({Fraction(p, q) for p in range(-12, 13) for q in range(1, 7)})
