@@ -6,7 +6,11 @@ The fixed field of the pullback is approached in three stages, each exact:
     linear condition on its coefficients; solve the nullspace over Q;
   * fixed-denominator stage -- for each denominator from a catalog of
     factors of the map's iterated numerators and denominators, invariance of
-    p/q is linear in p;
+    p/q is linear in p.  With I the cleared pullback and g = gcd(q, I(q)),
+    it reads I(p)*q1 = p*r1 for the coprime q1 = q/g and r1 = I(q)/g, so q1
+    divides p (q is a Darboux polynomial when q1 is constant): only p/q1 is
+    solved for, and a q with deg q1 above the numerator budget is skipped
+    without a solve;
   * pencil stage -- the full bilinear condition on p/q is linearized on the
     antisymmetrized coefficient pairs p_i q_j - p_j q_i; decomposable points
     of that nullspace are exactly the invariant pencils, and are extracted
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +40,9 @@ from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        echelon_step, grlex_key, in_span, jacobian_rank,
                        jacobian_row, monomials_upto, nullspace, poly_gcd,
                        rank, squarefree_chain, transpose, try_divide)
-from .exactalg.linalg import _sparse
-from .exactalg.poly import _combine_int, _int_primitive, _minus_shifted, _mul_int
+from .exactalg.linalg import _echelon, _sparse
+from .exactalg.poly import (_combine_int, _divide_int, _gcd_primitive, _int_primitive,
+                            _is_constant, _minus_shifted, _mul_int, _normalized)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -128,13 +134,19 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
 # -- denominator catalog ----------------------------------------------------------
 
 
-def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget) -> List[Polynomial]:
+_Factorization = Tuple[Tuple[Dict[Exponent, int], int], ...]
+
+
+def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget
+                         ) -> List[Tuple[Polynomial, _Factorization]]:
     """Products of iterated numerator/denominator factors, by total degree.
 
     Invariant denominators divide products of factors whose pullbacks stay
     proportional to themselves, and those concentrate among the factors of
     the iterates; the catalog collects the coprime factor basis of the first
-    few iterates and all products up to the denominator degree budget.
+    few iterates and all products up to the denominator degree budget.  Each
+    product q comes with its factorization over that basis: the pairs (F, a)
+    with a > 0 and q = prod f^a, F the integer coefficients of the factor f.
     """
     if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
         return []
@@ -148,21 +160,23 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget) -> List[Pol
             current = compose(current, sys)
     factors = [f for f in coprime_factor_basis(pool)
                if f.total_degree <= budget.max_den_degree]
-    products: List[Polynomial] = []
+    ints = [_int_primitive(f)[1] for f in factors]
+    products: List[Tuple[Polynomial, _Factorization]] = []
 
-    def rec(idx, degree_left, acc):
+    def rec(idx, degree_left, acc, powers):
         if len(products) >= _CATALOG_CAP:
             return
         if idx == len(factors):
             if not acc.is_constant:
-                products.append(acc)
+                products.append((acc, powers))
             return
         f = factors[idx]
         step = f.total_degree
         power = acc
         count = 0
         while True:
-            rec(idx + 1, degree_left - count * step, power)
+            rec(idx + 1, degree_left - count * step, power,
+                powers + ((ints[idx], count),) if count else powers)
             count += 1
             if count * step > degree_left:
                 break
@@ -170,46 +184,87 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget) -> List[Pol
             if power.total_degree > budget.max_den_degree:
                 break
 
-    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1))
-    products.sort(key=lambda p: (p.total_degree, grlex_key(p.leading()[0]), str(p)))
+    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1), ())
+    products.sort(key=lambda entry: (entry[0].total_degree,
+                                     grlex_key(entry[0].leading()[0]), str(entry[0])))
     return products
 
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
+                                  factors: _Factorization,
                                   budget: SearchBudget,
                                   composed_cache: dict) -> List[RationalFunction]:
     """Stage 1: with q fixed, invariance of p/q is linear in p.
 
-    The column of a monomial m is I(m)*q - m*I(q), with I the pullback
-    cleared over the common denominator, so p = sum v_m m is a solution iff
-    I(p)*q = p*I(q).  When deg q fits the numerator budget, p = q is one:
-    the columns weighted by q's coefficients sum to I(q)*q - q*I(q) = 0.
-    That is a known kernel vector, so the rank is at most one less than the
-    column count, and a kernel that is just the line through q gives only
-    constants.
+    With I the pullback cleared over the common denominator, p/q is
+    invariant iff I(p)*q = p*I(q).  Let g = gcd(q, I(q)), q = g*q1 and
+    I(q) = g*r1 with q1 and r1 coprime (q is a Darboux polynomial of the
+    map exactly when q1 is constant).  The condition is then
+    I(p)*q1 = p*r1, which forces q1 | p; so p = q1*s, and s solves
+    I(q1*s) = s*r1.  When deg q1 exceeds the numerator budget the only
+    solution is p = 0, and the stage returns [] without a solve.  Otherwise
+    the unknowns are the monomials m of degree <= dp - deg q1, with the
+    column I(q1*m) - m*r1 combined from the monomial pullbacks.
 
-    ``composed_cache`` maps a clearing degree to its monomial pullbacks and
-    is filled here, so that catalog entries of equal degree share them.
+    g is found by trial division of I(q) by q's own factors (``factors``,
+    the pairs (F, a) of primitive integer polynomials F and exponents a with
+    q = c * prod F^a), then one gcd of what is left: a catalog factor is
+    squarefree but may be reducible, so part of it can divide I(q) when the
+    whole does not.
+
+    When deg q fits the numerator budget, p = q (s = g) is one solution, a
+    known kernel vector, so the rank is at most one less than the column
+    count, and a kernel that is just the line through q gives only
+    constants.  Each kernel vector s maps to p = q1*s, and the stage returns
+    the unique reduced row echelon basis of those p over the monomials of
+    degree <= dp, so its output is that of the full solve for p.
+
+    ``composed_cache`` maps a clearing degree to its monomial pullbacks, as
+    a dict from monomial to image, and is filled here, so that catalog
+    entries of equal degree share them.
     """
     dp = budget.max_num_degree
     clearing = max(dp, q.total_degree)
-    if clearing not in composed_cache:
-        composed_cache[clearing] = _monomial_pullbacks(sys, clearing)
-    monos, images = composed_cache[clearing]
-    keep = [i for i, e in enumerate(monos) if sum(e) <= dp]
-    # the kernel is that of the columns for q itself, scaled by one constant
+    table = composed_cache.get(clearing)
+    if table is None:
+        table = composed_cache[clearing] = dict(zip(*_monomial_pullbacks(sys, clearing)))
     q_int = _int_primitive(q)[1]
-    q_image = _combine_int(q_int, dict(zip(monos, images)))
-    columns = [_minus_shifted(_mul_int(images[i], q_int), monos[i], q_image)
-               for i in keep]
-    monos = [monos[i] for i in keep]
+    q1, r1 = q_int, _combine_int(q_int, table)
+    for f, a in factors:
+        for _ in range(a):
+            r = _divide_int(r1, f)
+            if r is None:
+                break
+            q1, r1 = _divide_int(q1, f), r
+    h = _gcd_primitive(q1, _normalized(r1))
+    if not _is_constant(h):
+        q1, r1 = _divide_int(q1, h), _divide_int(r1, h)
+    free = dp - max(map(sum, q1))
+    if free < 0:
+        return []
+    smonos = [e for e in table if sum(e) <= free]
+    columns = [_minus_shifted(_combine_int({tuple(map(operator.add, e, m)): c
+                                            for e, c in q1.items()}, table), m, r1)
+               for m in smonos]
     known = None
     if q.total_degree <= dp:
-        col = {e: i for i, e in enumerate(monos)}
-        known = {col[e]: c for e, c in q_int.items()}
-    basis = nullspace(transpose(columns), len(monos), known)
+        col = {e: i for i, e in enumerate(smonos)}
+        known = {col[e]: c for e, c in _divide_int(q_int, q1).items()}
+    basis = nullspace(transpose(columns), len(smonos), known)
     if known is not None and len(basis) == 1:
         return []
+    monos = smonos
+    if free < dp:
+        # p = q1*s for each kernel vector s, as the unique reduced echelon
+        # basis (with q1 = 1, p = s and the kernel already is that basis)
+        monos = [e for e in table if sum(e) <= dp]
+        col = {e: i for i, e in enumerate(monos)}
+        echelon, pivots = _echelon(
+            {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
+                                                 if v}).items()}
+            for vec in basis)
+        basis = [[Fraction(row.get(c, 0), row[pc]) for c in range(len(monos))]
+                 for pc, row in zip(pivots, echelon)]
     out = []
     for p in _kernel_polynomials(sys, monos, basis):
         f = RationalFunction(p, q)
@@ -641,6 +696,9 @@ class _Collector:
     previous build, so a search whose candidates all raise the rank factors
     nothing; the pool itself is rebuilt after every kept invariant, from
     exponent vectors and power tables only.
+
+    A candidate equal to a kept invariant is dropped before the exact
+    pullback gate; every other candidate must pass the gate.
     """
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
@@ -677,12 +735,10 @@ class _Collector:
                 echelon_step(*self._echelons[idx], rem)
 
     def offer(self, f: RationalFunction):
-        if f.is_constant:
+        if f.is_constant or any(f == g for g in self.found):
             return
         if pullback(self.sys, f) != f:
             raise AssertionError(f"search produced a non-invariant: {f}")
-        if any(f == g for g in self.found):
-            return
         remainders = self._remainders(f)
         # the rank at some point certainly grew
         if any(rem is not None and bool(rem) + len(echelon[1]) > self.rank
@@ -712,8 +768,8 @@ def rational_invariant_search(sys: DynamicalSystem,
         if not p.is_constant:
             collector.offer(RationalFunction(p))
     composed_cache: dict = {}
-    for q in _denominator_catalog(sys, budget):
-        for f in _fixed_denominator_invariants(sys, q, budget, composed_cache):
+    for q, factors in _denominator_catalog(sys, budget):
+        for f in _fixed_denominator_invariants(sys, q, factors, budget, composed_cache):
             collector.offer(f)
     if not collector.found:
         pencil_found, _ = _pencil_stage(sys, budget)
@@ -763,6 +819,9 @@ def square_gain_check(sys: DynamicalSystem,
     The rank never exceeds the dimension.  So when the base rank is n, the
     pullbacks already have rank 2n, the square's dimension: the square rank
     is 2n, proven rather than searched, and no new invariant can exist.
+    Otherwise the square rank is the larger of the searched rank and the
+    pullback rank: the pullbacks are invariants of the square, so both are
+    proven lower bounds, and a search that misses them reports no less.
     """
     base = adim_lower_bound(sys, budget)
     square = diagonal_power(sys, 2)
@@ -778,7 +837,7 @@ def square_gain_check(sys: DynamicalSystem,
         square_rank, square_invariants = 2 * n, ()
     else:
         square_report = adim_lower_bound(square, budget)
-        square_rank = square_report.independence_rank
+        square_rank = max(square_report.independence_rank, pullback_rank)
         square_invariants = square_report.invariants
     new_found = square_rank > pullback_rank
     witness = None

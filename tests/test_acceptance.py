@@ -267,6 +267,24 @@ def test_criterion_09_translational_square_gain():
             assert gain.square_rank >= sysm.dim
 
 
+def test_criterion_11_default_budget_squares():
+    # the slowest everyday queries: no rank-0 square of mobius, and the
+    # square gains of double and shear; each took 0.1-0.5 s when added
+    expected = {
+        "mobius": (0, 0, 0, None),
+        "double": (1, 2, 3, "(y1)/(y2)"),
+        "shear": (0, 0, 2, "(y1)/(y2)"),
+    }
+    with criterion(11, "default-budget squares of mobius, double and shear", 20.0):
+        for name, (base, pulled, square, witness) in expected.items():
+            doc, code = run_command(["square", corpus(f"{name}.system")])
+            res = doc["result"]
+            assert (res["base_rank"], res["pullback_rank"], res["square_rank"],
+                    res["witness"]) == (base, pulled, square, witness), name
+            assert res["new_invariant_found"] is (witness is not None)
+            assert code == (0 if witness else 1)
+
+
 def test_criterion_10_determinism_and_roundtrip():
     with criterion(10, "byte-identical reports; expression round trips", 60.0):
         for argv in (["square", corpus("shift.system")],

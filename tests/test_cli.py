@@ -304,6 +304,19 @@ def test_cli_square_report_fields():
     assert doc["system"]["fingerprint"]
 
 
+def test_cli_square_rank_is_at_least_the_pullback_rank(tmp_path):
+    # QRT: the base search finds one invariant, whose two pullbacks have
+    # rank 2 on the square, while the square's own search at these budgets
+    # finds rank 0; both are lower bounds, and the larger is reported
+    path = _system_file(tmp_path, "var x, y;\nx -> y;\ny -> (y^2 + 1)/x;\n")
+    for budget in ("2,1,1,3", "2,2,0,3"):
+        doc, code = run_command(["square", path, "--budget", budget])
+        assert code == 1  # no new invariant
+        res = doc["result"]
+        assert (res["base_rank"], res["pullback_rank"], res["square_rank"]) == (1, 2, 2)
+        assert res["new_invariant_found"] is False and res["witness"] is None
+
+
 def test_cli_determinism_byte_identical():
     # identical runs agree byte for byte once the timing field is removed
     for argv in (["square", corpus("shift.system")],

@@ -15,13 +15,15 @@ from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
                            iterate, pullback)
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
-                             jacobian_rank, monomials_upto, nullspace,
+                             jacobian_rank, monomials_upto, nullspace, poly_gcd,
                              transpose, try_divide)
+from ratdyn.exactalg.poly import _int_primitive
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
                               rational_invariant_search, square_gain_check)
 
+from ratdyn.systemfile import load_system
 from ratdyn.translation import classify_system
 
 from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
@@ -523,6 +525,28 @@ def test_collector_point_at_a_pole_of_a_kept_invariant_is_unusable():
     assert results[0] == results[1] == (fs, 0)
 
 
+def test_collector_drops_a_repeat_before_the_exact_gate():
+    double = make_system("x y", "2*x", "2*y")
+    collector = invsearch._Collector(double, SearchBudget(1, 1, 1, 3))
+    gated = []
+    real_pullback = invsearch.pullback
+
+    def counting(sys, f):
+        gated.append(f)
+        return real_pullback(sys, f)
+
+    ratio = rf("x/y", "x y")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "pullback", counting)
+        for f in (ratio, ratio, rf("y/x", "x y"), ratio):
+            collector.offer(f)
+        # every candidate that is not a repeat is still gated
+        with pytest.raises(AssertionError, match="non-invariant"):
+            collector.offer(rf("x", "x y"))
+    assert gated == [ratio, rf("y/x", "x y"), rf("x", "x y")]
+    assert collector.found == [ratio]
+
+
 def test_collector_evaluates_each_gradient_once_per_point(systems_dir):
     offers = []
     real_offer, real_row = invsearch._Collector.offer, invsearch.jacobian_row
@@ -587,14 +611,37 @@ def _ref_polynomial_columns(sys, d):
     return [N - _x(sys, e) * full_den for e, N in zip(monos, images)]
 
 
-def _ref_fixed_denominator_columns(sys, q, dp):
+def _ref_image(sys, q, dp):
+    """The monomials, their cleared pullbacks and I(q), at the clearing
+    degree of the fixed-denominator stage."""
     monos, images = _ref_pullbacks(sys, max(dp, q.total_degree))
     by_expo = {e: i for i, e in enumerate(monos)}
     q_image = Polynomial.zero(sys.variables)
     for e, c in q.terms.items():
         q_image = q_image + images[by_expo[e]].scaled(c)
+    return monos, images, q_image
+
+
+def _ref_fixed_denominator_columns(sys, q, dp):
+    monos, images, q_image = _ref_image(sys, q, dp)
     return [images[i] * q - q_image * _x(sys, e)
             for i, e in enumerate(monos) if sum(e) <= dp]
+
+
+def _ref_fixed_denominator_stage(sys, q, dp):
+    """The stage's output from the full solve of the Fraction columns."""
+    monos = [e for e in monomials_upto(sys.dim, max(dp, q.total_degree)) if sum(e) <= dp]
+    kernel = _ref_kernel(_ref_fixed_denominator_columns(sys, q, dp))[2]
+    candidates = (RationalFunction(p, q)
+                  for p in invsearch._kernel_polynomials(sys, monos, kernel))
+    return [f for f in candidates if not f.is_constant]
+
+
+def _ref_free_degree(sys, q, dp):
+    """dp - deg q1, with q1 = q / gcd(q, I(q)): the degree bound on s in the
+    reduced solve for p = q1*s."""
+    q_image = _ref_image(sys, q, dp)[2]
+    return dp - try_divide(q, poly_gcd(q, q_image)).total_degree
 
 
 def _ref_pencil_columns(sys, dmax):
@@ -605,14 +652,14 @@ def _ref_pencil_columns(sys, dmax):
 
 
 def _kernels(run):
-    """run() and (live rows, kernel) of each invsearch.nullspace it made,
-    with the known kernel vector passed on, so that the kernel each stage
-    got is compared with the full solve of the Fraction columns."""
+    """run() and (live rows, columns, kernel) of each invsearch.nullspace it
+    made, with the known kernel vector passed on, so that the kernel each
+    stage got is compared with the full solve of the Fraction columns."""
     calls = []
 
     def recording(rows, ncols, known=None):
         kernel = nullspace(rows, ncols, known)
-        calls.append((sum(1 for r in rows if r), kernel))
+        calls.append((sum(1 for r in rows if r), ncols, kernel))
         return kernel
 
     with pytest.MonkeyPatch.context() as mp:
@@ -623,7 +670,7 @@ def _kernels(run):
 
 def _ref_kernel(columns):
     rows = transpose(p.terms for p in columns)
-    return len(rows), nullspace(rows, len(columns))
+    return len(rows), len(columns), nullspace(rows, len(columns))
 
 
 @given(rescaled_maps(), st.integers(0, 2))
@@ -638,30 +685,98 @@ def test_polynomial_stage_kernel_matches_fraction_columns(sys, d):
                                          SearchBudget(1, 3, 1, 3)]),
        st.sampled_from(["1", "3/7", "-2"]))
 def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
-    # a catalog q as it comes and rescaled: the stage clears it either way;
-    # q of degree above the numerator budget is no kernel vector, and its
-    # candidates come from the kernel however many vectors it has
+    # a catalog q as it comes and rescaled: the stage clears it either way,
+    # and scaling leaves q's factor exponents unchanged.  The stage solves
+    # only for s in p = q1*s: at most one solve, with a column per monomial
+    # of degree <= dp - deg q1, and none when deg q1 > dp.  Its output is
+    # that of the full solve for p, whatever q's degree
     dp = budget.max_num_degree
-    for q in invsearch._denominator_catalog(sys, budget)[:6]:
+    for q, factors in invsearch._denominator_catalog(sys, budget)[:6]:
         q = q.scaled(Fraction(scale))
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            sys, q, budget, {}))
-        reference = _ref_kernel(_ref_fixed_denominator_columns(sys, q, dp))
-        assert calls == [reference]
-        monos = [e for e in monomials_upto(sys.dim, max(dp, q.total_degree))
-                 if sum(e) <= dp]
-        candidates = (RationalFunction(p, q) for p in
-                      invsearch._kernel_polynomials(sys, monos, reference[1]))
-        assert found == [f for f in candidates if not f.is_constant]
+            sys, q, factors, budget, {}))
+        free = _ref_free_degree(sys, q, dp)
+        assert [ncols for _, ncols, _ in calls] == (
+            [len(monomials_upto(sys.dim, free))] if free >= 0 else [])
+        assert found == _ref_fixed_denominator_stage(sys, q, dp)
         assert all(pullback(sys, f) == f for f in found)
 
 
+@given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
+                                         SearchBudget(2, 2, 1, 3),
+                                         SearchBudget(1, 3, 1, 3),
+                                         SearchBudget(3, 2, 2, 3)]))
+def test_fixed_denominator_reduction_matches_the_full_solve(sys, budget):
+    # every catalog entry: dividing the Darboux cofactor out changes nothing
+    dp = budget.max_num_degree
+    composed_cache = {}
+    for q, factors in invsearch._denominator_catalog(sys, budget):
+        assert (invsearch._fixed_denominator_invariants(sys, q, factors, budget,
+                                                        composed_cache)
+                == _ref_fixed_denominator_stage(sys, q, dp))
+
+
+@pytest.mark.parametrize("variables, exprs, q_src, left, dp, expected", [
+    # x -> -x: q = x^2 - x does not divide I(q) = x^2 + x, but x does; with
+    # q1 = x - 1 and r1 = x + 1, s solves (-x - 1)*s(-x) = (x + 1)*s, so s
+    # is odd, and p = (x - 1)*x^3 gives x^2
+    ("x", ("-x",), "x^2 - x", "x", 1, []),
+    ("x", ("-x",), "x^2 - x", "x", 2, []),
+    ("x", ("-x",), "x^2 - x", "x", 4, ["x^2"]),
+    # doubling: q = y^2 + y, I(q) = 4y^2 + 2y, and y is left; x/y comes from
+    # p = (y + 1)*x, which q does not divide
+    ("x y", ("2*x", "2*y"), "y^2 + y", "y", 2, ["x/y"]),
+])
+def test_fixed_denominator_gcd_completes_the_trial_division(variables, exprs, q_src,
+                                                            left, dp, expected):
+    # q given as one reducible factor, so trial division finds nothing and
+    # the one gcd finds the common factor
+    sys = make_system(variables, *exprs)
+    q = poly(q_src, variables)
+    budget = SearchBudget(dp, 2, 1, 3)
+    real_gcd = invsearch._gcd_primitive
+    gcds = []
+
+    def gcd(a, b):
+        gcds.append(real_gcd(a, b))
+        return gcds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_gcd_primitive", gcd)
+        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
+            sys, q, ((_int_primitive(q)[1], 1),), budget, {}))
+    left = poly(left, variables)
+    assert gcds == [_int_primitive(left)[1]]
+    free = dp - q.total_degree + left.total_degree
+    assert [ncols for _, ncols, _ in calls] == [len(monomials_upto(sys.dim, free))]
+    assert found == _ref_fixed_denominator_stage(sys, q, dp)
+    assert found == [rf(e, variables) for e in expected]
+
+
+def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
+        systems_dir):
+    # mobius's square at 2,3,2,3 has no invariant with a catalog denominator;
+    # a q with deg q1 > 2 makes no solve, and there are such q
+    mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
+    square = diagonal_power(mobius, 2)
+    budget = SearchBudget(2, 3, 2, 3)
+    skipped = 0
+    for q, factors in invsearch._denominator_catalog(square, budget):
+        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
+            square, q, factors, budget, {}))
+        assert found == _ref_fixed_denominator_stage(square, q, 2) == []
+        assert (not calls) == (_ref_free_degree(square, q, 2) < 0)
+        skipped += not calls
+    assert skipped > 0
+
+
 def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
-    # x -> -x, q = x^2 above the numerator degree 1: the kernel is {1} alone,
-    # and 1/x^2 is an invariant
+    # x -> -x, q = x^2 (the factor x, squared) above the numerator degree 1:
+    # the kernel is {1} alone, and 1/x^2 is an invariant
     sys = make_system("x", "-x")
     q = poly("x^2", ("x",))
-    found = invsearch._fixed_denominator_invariants(sys, q, SearchBudget(1, 3, 1, 3), {})
+    found = invsearch._fixed_denominator_invariants(sys, q, (({(1,): 1}, 2),),
+                                                    SearchBudget(1, 3, 1, 3), {})
     assert found == [rf("1/x^2", ("x",))]
 
 
