@@ -234,14 +234,14 @@ def _random_point(rng: random.Random, n: int) -> Tuple[int, ...]:
     return tuple(rng.randint(-half, half) for _ in range(n))
 
 
-def _value_and_gradient(terms: Mapping, powers: List[List[int]]
+def _value_and_gradient(terms: Mapping[Tuple[int, ...], int], powers: List[List[int]]
                         ) -> Tuple[int, List[int]]:
-    """Value and partial derivatives of an integer-coefficient polynomial at
-    the point whose coordinate powers are tabulated, in one pass over terms."""
+    """Value and partial derivatives of an int poly at the point whose
+    coordinate powers are tabulated, in one pass over its terms."""
     value, grad = 0, [0] * len(powers)
     for e, c in terms.items():
         # prefix[j]: the coefficient times the factors before coordinate j
-        prefix = [c.numerator]
+        prefix = [c]
         for table, k in zip(powers, e):
             prefix.append(prefix[-1] * table[k])
         value += prefix[-1]
@@ -260,7 +260,7 @@ def jacobian_row(f: RationalFunction, point: Sequence[int]) -> List[int]:
 
     The power tables of the coordinates are built once, and the value and
     every partial derivative of num and den come from one pass over each
-    term map.  Raises ZeroDivisionError when the point is a pole of f and
+    int term map.  Raises ZeroDivisionError when the point is a pole of f and
     ValueError when a coordinate is not an integer.
     """
     if len(point) != len(f.variables):
@@ -269,10 +269,10 @@ def jacobian_row(f: RationalFunction, point: Sequence[int]) -> List[int]:
         raise ValueError(f"non-integral coordinate in {point}")
     tops = map(max, f.num.max_exponents(), f.den.max_exponents())
     powers = [[int(v) ** k for k in range(top + 1)] for v, top in zip(point, tops)]
-    qv, dq = _value_and_gradient(f.den.terms, powers)
+    qv, dq = _value_and_gradient(f.den._num, powers)
     if qv == 0:
         raise ZeroDivisionError("evaluation at a pole")
-    pv, dp = _value_and_gradient(f.num.terms, powers)
+    pv, dp = _value_and_gradient(f.num._num, powers)
     return [a * qv - pv * b for a, b in zip(dp, dq)]
 
 

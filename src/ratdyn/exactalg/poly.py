@@ -1,25 +1,25 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials over Q: one integer term map over one
+denominator.
 
-A polynomial carries an ordered tuple of variable names and a dict mapping
-exponent tuples to nonzero ``Fraction`` coefficients.  The zero polynomial has
-an empty term map.  Every constructor canonicalizes, so two polynomials are
-equal iff their term maps are equal.
+A polynomial holds an ordered tuple of variable names, an int term map
+``{exponent tuple: nonzero int}`` and a positive integer denominator coprime
+to the gcd of the coefficients, as FLINT's ``fmpq_poly`` does; zero is the
+empty map over 1.  The pair is canonical, so equality compares it directly.
+Arithmetic runs on Python ints, with one gcd of the denominator and the
+coefficients per result (none over 1).  ``terms`` ({exponent: Fraction}) is
+a read-only view built on first access for the public API; no arithmetic
+builds it.
 
 The monomial order used throughout (leading terms, sign normalization,
 printing) is graded lexicographic: total degree first, then the exponent
 tuple itself, earlier variables weighing more.
 
-Arithmetic results are built by a trusted constructor that skips the
-per-term checks of ``__init__``; products multiply integer numerators and
-make one ``Fraction`` per result term.
-
-gcd and exact division share one integer core: the operands are split as
-c * P with P primitive in Z[x] (an ``{exponent: int}`` dict), and by Gauss's
-lemma the gcd and the quotient over Q follow from those of the P's, so the
-work runs on Python ints and a Polynomial is built once, on the way out.
-Exact division keeps one remainder dict and takes its leading terms off a
-heap.  Every gcd, ``poly_gcd``'s and the one in RationalFunction's normal
-form, goes through ``_gcd_primitive``.  It splits off each operand's monomial
+gcd and exact division run on the integer term maps ("int polys"): the
+operands are split as c * P with P primitive in Z[x], and by Gauss's lemma
+the gcd and the quotient over Q follow from those of the P's.  Exact
+division keeps one remainder dict and takes its leading terms off a heap.
+Every gcd, ``poly_gcd``'s and the one in RationalFunction's normal form,
+goes through ``_gcd_primitive``.  It splits off each operand's monomial
 content (the componentwise minimum exponent): the gcd is x^m times that of
 the rest, m the smaller content.  A certificate then tries to prove the rest
 coprime: for each variable x_k of positive degree in both, it evaluates the
@@ -41,6 +41,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import VariableMismatchError
@@ -71,7 +72,11 @@ def monomials_upto(n: int, d: int) -> List[Exponent]:
 
 def _cleared_terms(terms: Mapping[Exponent, Fraction]
                    ) -> Tuple[int, Dict[Exponent, int]]:
-    """(d, {e: n}) with terms[e] = n / d, d the lcm of the denominators."""
+    """(d, {e: n}) with terms[e] = n / d, d the lcm of the denominators.
+
+    For coefficients in lowest terms, d is coprime to the gcd of the n's: a
+    prime dividing d divides the denominator of some coefficient to the full
+    power it has in d, so it does not divide that coefficient's n."""
     den = 1
     for c in terms.values():
         d = c.denominator
@@ -82,58 +87,79 @@ def _cleared_terms(terms: Mapping[Exponent, Fraction]
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
+def _times(p: Dict[Exponent, int], k: int) -> Dict[Exponent, int]:
+    """The int poly k * p (p itself when k is 1); k is nonzero."""
+    return p if k == 1 else {e: c * k for e, c in p.items()}
+
+
 class Polynomial:
-    """Immutable sparse polynomial over Q.
+    """Immutable sparse polynomial over Q, the int term map ``_num`` over
+    ``_den`` (see the module docstring); results may share term maps."""
 
-    Instances should be treated as immutable after construction; all
-    arithmetic returns new objects and values are shareable across threads.
-    """
-
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "_num", "_den", "_view", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Optional[Mapping[Exponent, Fraction]] = None):
         vars_t = tuple(variables)
         n = len(vars_t)
         clean: Dict[Exponent, Fraction] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                e = tuple(expo)
-                if len(e) != n:
-                    raise VariableMismatchError(
-                        f"exponent tuple {e} does not match {n} variables")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[e] = c
+        for expo, coeff in (terms or {}).items():
+            e = tuple(expo)
+            if len(e) != n:
+                raise VariableMismatchError(
+                    f"exponent tuple {e} does not match {n} variables")
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+            if c:
+                clean[e] = c
         self.variables = vars_t
-        self.terms = clean
+        self._den, self._num = _cleared_terms(clean)
+        self._view = None
         self._hash = None
 
     @classmethod
-    def _trusted(cls, variables: Tuple[str, ...],
-                 terms: Dict[Exponent, Fraction]) -> "Polynomial":
-        """Wrap a term map that is already canonical: exponent tuples of the
-        right length and nonzero ``Fraction`` coefficients.  Arithmetic
-        results use it; ``__init__`` keeps every check for outside input."""
+    def _make(cls, variables: Tuple[str, ...], num: Dict[Exponent, int],
+              den: int = 1) -> "Polynomial":
+        """num / den for an int poly num without zero coefficients and an
+        integer den > 0, reduced by one gcd when den is not 1; unchecked, for
+        arithmetic results (``__init__`` checks outside input)."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         p = object.__new__(cls)
         p.variables = variables
-        p.terms = terms
+        p._num = num
+        p._den = den
+        p._view = None
         p._hash = None
         return p
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only view {exponent: Fraction coefficient}, built once."""
+        if self._view is None:
+            d = self._den
+            self._view = MappingProxyType({e: Fraction(c, d) for e, c in self._num.items()})
+        return self._view
+
+    def support(self):
+        """The exponent tuples of the nonzero terms (a read-only keys view)."""
+        return self._num.keys()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
-        return cls(variables)
+        return cls._make(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
+        vars_t = tuple(variables)
         c = Fraction(value)
-        if not c:
-            return cls(variables)
-        return cls(variables, {(0,) * len(tuple(variables)): c})
+        return cls._make(vars_t, {(0,) * len(vars_t): c.numerator} if c else {},
+                         c.denominator)
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
@@ -141,59 +167,52 @@ class Polynomial:
         idx = vars_t.index(name)
         expo = [0] * len(vars_t)
         expo[idx] = 1
-        return cls(vars_t, {tuple(expo): Fraction(1)})
+        return cls._make(vars_t, {tuple(expo): 1})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     @property
     def total_degree(self) -> int:
         """Maximum total degree of a term; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num))
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
+        if not self._num:
             return 0
-        return max(e[index] for e in self.terms)
+        return max(e[index] for e in self._num)
 
     def max_exponents(self) -> Tuple[int, ...]:
         """Componentwise maximum exponent over all terms."""
-        n = len(self.variables)
-        out = [0] * n
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x > out[i]:
-                    out[i] = x
-        return tuple(out)
+        if not self._num:
+            return (0,) * len(self.variables)
+        return tuple(map(max, zip(*self._num)))
 
     def leading(self) -> Tuple[Exponent, Fraction]:
         """Leading (exponent, coefficient) pair under graded lex."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self._num, key=grlex_key)
+        return e, Fraction(self._num[e], self._den)
 
     def coefficient(self, expo: Exponent) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def sorted_terms(self, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=reverse)
+        return Fraction(self._num.get(tuple(expo), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -211,19 +230,22 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
+        # both term maps over the lcm of the denominators
+        den = math.lcm(self._den, o._den)
+        out = dict(self._num) if den == self._den else _times(self._num, den // self._den)
+        k = den // o._den
+        for e, c in o._num.items():
+            s = out.get(e, 0) + c * k
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Polynomial._trusted(self.variables, out)
+                del out[e]
+        return Polynomial._make(self.variables, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.variables, _times(self._num, -1), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -241,17 +263,10 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
-            return Polynomial._trusted(self.variables, {})
-        # multiply the integer numerators; one Fraction per result term
-        da, a = _cleared_terms(self.terms)
-        db, b = _cleared_terms(o.terms)
-        out = _mul_int(a, b)
-        d = da * db
-        if d == 1:
-            return _from_int(self.variables, out)
-        return Polynomial._trusted(
-            self.variables, {e: Fraction(c, d) for e, c in out.items()})
+        if not self._num or not o._num:
+            return Polynomial._make(self.variables, {})
+        return Polynomial._make(self.variables, _mul_int(self._num, o._num),
+                                self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -270,36 +285,35 @@ class Polynomial:
     def scaled(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
-            return Polynomial._trusted(self.variables, {})
-        return Polynomial._trusted(self.variables, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._make(self.variables, {})
+        return Polynomial._make(self.variables, _times(self._num, c.numerator),
+                                self._den * c.denominator)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.variables, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.variables, other)
+        return (self.variables == other.variables and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.variables, items))
+            self._hash = hash((self.variables, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self, index: int) -> "Polynomial":
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for e, c in self._num.items():
             k = e[index]
             if k:
-                ne = list(e)
-                ne[index] = k - 1
-                out[tuple(ne)] = c * k
-        return Polynomial._trusted(self.variables, out)
+                out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
+        return Polynomial._make(self.variables, out, self._den)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point (one value per variable, in order)."""
@@ -307,7 +321,7 @@ class Polynomial:
             raise VariableMismatchError("point length does not match variables")
         # with v = n/d and top the largest exponent of its variable, v^k is
         # n^k d^(top-k) over the common denominator d^top
-        den, ints = _cleared_terms(self.terms)
+        den = self._den
         tables = []
         for v, top in zip(point, self.max_exponents()):
             v = Fraction(v)
@@ -317,7 +331,7 @@ class Polynomial:
             tables.append(table)
             den *= table[0]
         total = 0
-        for e, c in ints.items():
+        for e, c in self._num.items():
             for table, k in zip(tables, e):
                 c *= table[k]
             total += c
@@ -327,22 +341,24 @@ class Polynomial:
         """Rewrite over a wider variable tuple; positions[i] locates old var i."""
         new_vars = tuple(new_variables)
         m = len(new_vars)
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for e, c in self._num.items():
             ne = [0] * m
             for i, k in enumerate(e):
                 if k:
                     ne[positions[i]] = k
             out[tuple(ne)] = c
-        return Polynomial(new_vars, out)
+        return Polynomial._make(new_vars, out, self._den)
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
+        den = self._den
         parts = []
-        for e, c in self.sorted_terms():
+        for e in sorted(self._num, key=grlex_key, reverse=True):
+            c = self._num[e]
             factors = []
             for v, k in zip(self.variables, e):
                 if k == 1:
@@ -350,7 +366,7 @@ class Polynomial:
                 elif k > 1:
                     factors.append(f"{v}^{k}")
             mono = "*".join(factors)
-            mag = abs(c)
+            mag = abs(c) if den == 1 else Fraction(abs(c), den)
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -369,10 +385,9 @@ class Polynomial:
 
 # -- the integer core ------------------------------------------------------------
 #
-# gcd and exact division run on primitive integer polynomials held as plain
-# {exponent: int} dicts ("int polys"); Polynomial objects are built only on
-# the way out.  Over Q a polynomial is c * P with P primitive in Z[x], and by
-# Gauss's lemma a product of primitive polynomials is primitive, so:
+# gcd and exact division run on primitive int polys.  Over Q a polynomial is
+# c * P with P primitive in Z[x], and by Gauss's lemma a product of
+# primitive polynomials is primitive, so:
 #
 #   * gcd(a, b) over Q is gcd(A, B) over Z up to a constant;
 #   * if B divides A over Q, the quotient A / B has integer coefficients, and
@@ -380,20 +395,21 @@ class Polynomial:
 #     divide exactly therefore already proves that b does not divide a.
 
 
-def _int_primitive(p: Polynomial) -> Tuple[Fraction, Dict[Exponent, int]]:
-    """(c, P) with p = c * P, P an int poly with coprime coefficients and
-    positive graded-lex leading coefficient; p must be nonzero."""
-    q = _normalized(_cleared_terms(p.terms)[1])
+def _int_primitive(p: Polynomial) -> Tuple[int, Dict[Exponent, int]]:
+    """(k, P) with p = (k / p._den) * P, P an int poly with coprime
+    coefficients and positive graded-lex leading coefficient; p must be
+    nonzero."""
+    q = _normalized(p._num)
     e = next(iter(q))
-    return p.terms[e] / q[e], q
+    return p._num[e] // q[e], q
 
 
-def _from_int(variables: Tuple[str, ...], p: Dict[Exponent, int],
-              scale: Fraction = Fraction(1)) -> Polynomial:
-    """The Polynomial scale * p of an int poly p."""
-    if scale == 1:
-        return Polynomial._trusted(variables, {e: Fraction(c) for e, c in p.items()})
-    return Polynomial._trusted(variables, {e: c * scale for e, c in p.items()})
+def _scaled_int(variables: Tuple[str, ...], p: Dict[Exponent, int],
+                n: int, d: int = 1) -> Polynomial:
+    """The Polynomial (n / d) * p of an int poly p; n and d nonzero."""
+    if d < 0:
+        n, d = -n, -d
+    return Polynomial._make(variables, _times(p, n), d)
 
 
 def _is_constant(p: Dict[Exponent, int]) -> bool:
@@ -498,7 +514,7 @@ def _divide_int(a: Dict[Exponent, int],
 
 
 def primitive_part(p: Polynomial) -> Polynomial:
-    return p if p.is_zero else _from_int(p.variables, _int_primitive(p)[1])
+    return p if p.is_zero else Polynomial._make(p.variables, _int_primitive(p)[1])
 
 
 # -- exact division ------------------------------------------------------------
@@ -514,12 +530,12 @@ def try_divide(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return a
     if b.is_constant:
         return a.scaled(1 / b.constant_value())
-    ca, pa = _int_primitive(a)
-    cb, pb = _int_primitive(b)
+    ka, pa = _int_primitive(a)
+    kb, pb = _int_primitive(b)
     q = _divide_int(pa, pb)
     if q is None:
         return None
-    return _from_int(a.variables, q, ca / cb)
+    return _scaled_int(a.variables, q, ka * b._den, kb * a._den)
 
 
 def divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -753,8 +769,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return primitive_part(b)
     if b.is_zero:
         return primitive_part(a)
-    return _from_int(a.variables,
-                     _gcd_primitive(_int_primitive(a)[1], _int_primitive(b)[1]))
+    return Polynomial._make(a.variables,
+                            _gcd_primitive(_int_primitive(a)[1], _int_primitive(b)[1]))
 
 
 def _gcd_primitive(a: Dict[Exponent, int],
@@ -864,15 +880,17 @@ def basis_exponents(p: Polynomial, basis: Sequence[Polynomial]
     For pairwise coprime basis elements the exponents are the multiplicities,
     and r is constant exactly when the basis covers p.
     """
-    scale, rest = _int_primitive(p)
+    n, rest = _int_primitive(p)
+    d = p._den
     exponents = []
     for b in basis:
-        cb, pb = _int_primitive(b)
+        kb, pb = _int_primitive(b)
         a = 0
         while True:
             q = _divide_int(rest, pb)
             if q is None:
                 break
-            rest, scale, a = q, scale / cb, a + 1
+            # p = (n / d) * rest * prod b^a, and b = (kb / b._den) * pb
+            rest, n, d, a = q, n * b._den, d * kb, a + 1
         exponents.append(a)
-    return exponents, _from_int(p.variables, rest, scale)
+    return exponents, _scaled_int(p.variables, rest, n, d)

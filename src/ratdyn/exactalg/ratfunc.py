@@ -4,22 +4,25 @@ A rational function is stored as a reduced pair (num, den): the polynomial
 gcd of the two parts is constant, the pair has coprime integer coefficients
 jointly, and the denominator's graded-lex leading coefficient is positive.
 This normal form is canonical, so equality of values implies equality of the
-stored representation.  It is built in Z: each part is split once into a
-rational content and a primitive integer polynomial, the gcd of the two
-primitive parts is divided out (by Gauss's lemma the quotients stay
-primitive, and the denominator's keeps a positive leading coefficient), and
-the ratio of the contents, in lowest terms, scales the two quotients.
+stored representation, and both parts are integer polynomials (denominator
+1), whose int term maps ``substitute`` and the power tables read directly.
+It is built in Z: each part is split once into a rational content and a
+primitive integer polynomial, the gcd of the two primitive parts is divided
+out (by Gauss's lemma the quotients stay primitive, and the denominator's
+keeps a positive leading coefficient), and the ratio of the contents, in
+lowest terms, scales the two quotients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import IndeterminacyError, VariableMismatchError, ZeroDenominatorError
-from .poly import (Exponent, Polynomial, _cleared_terms, _combine_int,
-                   _divide_int, _from_int, _gcd_primitive, _int_primitive,
-                   _is_constant, _mul_int, divide_exact, poly_lcm)
+from .poly import (Exponent, Polynomial, _combine_int, _divide_int,
+                   _gcd_primitive, _int_primitive, _is_constant, _mul_int,
+                   _times, divide_exact, poly_lcm)
 
 
 class RationalFunction:
@@ -38,14 +41,17 @@ class RationalFunction:
             self.num = num
             self.den = Polynomial.constant(num.variables, 1)
             return
-        cn, pn = _int_primitive(num)
-        cd, pd = _int_primitive(den)
+        kn, pn = _int_primitive(num)
+        kd, pd = _int_primitive(den)
         g = _gcd_primitive(pn, pd)
         if not _is_constant(g):
             pn, pd = _divide_int(pn, g), _divide_int(pd, g)
-        scale = cn / cd
-        self.num = _from_int(num.variables, pn, Fraction(scale.numerator))
-        self.den = _from_int(num.variables, pd, Fraction(scale.denominator))
+        # num / den = (a / b) * pn / pd, the ratio of the contents in lowest
+        # terms with b > 0
+        a, b = kn * den._den, kd * num._den
+        h = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        self.num = Polynomial._make(num.variables, _times(pn, a // h))
+        self.den = Polynomial._make(num.variables, _times(pd, b // h))
 
     # -- constructors -------------------------------------------------------
 
@@ -151,10 +157,10 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self._coerce(other)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -218,24 +224,16 @@ def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> Ratio
     # share the denominator prod den_i^{d_i}, which then cancels.
     bounds = tuple(max(a, b) for a, b in
                    zip(f.num.max_exponents(), f.den.max_exponents()))
-    exponents = list(dict.fromkeys(list(f.num.terms) + list(f.den.terms)))
+    exponents = list(dict.fromkeys(list(f.num._num) + list(f.den._num)))
     cleared = dict(zip(exponents, cleared_monomial_images(images, exponents, bounds)))
 
     def compose(p: Polynomial) -> Polynomial:
-        return _from_int(target, _combine_int(_integer_terms(p), cleared))
+        return Polynomial._make(target, _combine_int(p._num, cleared))
 
     den_image = compose(f.den)
     if den_image.is_zero:
         raise IndeterminacyError("composition lands inside the pole set")
     return RationalFunction(compose(f.num), den_image)
-
-
-def _integer_terms(p: Polynomial) -> Dict[Exponent, int]:
-    """The coefficients, integers by construction, of a normal-form part."""
-    den, terms = _cleared_terms(p.terms)
-    if den != 1:
-        raise AssertionError(f"normal-form part {p} has a non-integer coefficient")
-    return terms
 
 
 def cleared_monomial_images(images: Sequence[RationalFunction],
@@ -244,30 +242,35 @@ def cleared_monomial_images(images: Sequence[RationalFunction],
     """Integer numerators of the monomials x^e after x_i -> images[i].
 
     Every exponent tuple e with e_i <= bounds[i] satisfies
-    x^e(images) = N_e / prod(den_i^bounds[i]).  Normal forms have integer
-    coefficients, so each N_e is an ``{exponent: int}`` dict; they are
-    returned in the order of ``exponents`` and may share storage, so callers
-    must not change them.
+    x^e(images) = N_e / prod(den_i^bounds[i]), and N_e = prod T_i[e_i] with
+    T_i[k] = num_i^k * den_i^(bounds[i] - k), tabulated once per variable
+    for the k that occur.  Normal-form parts are integer polynomials, so
+    each N_e is an ``{exponent: int}`` dict; they are returned in the order
+    of ``exponents`` and may share storage, so callers must not change them.
     """
     one = {(0,) * len(images[0].variables): 1}
-    num_pows = []
-    den_pows = []
-    for g, d in zip(images, bounds):
-        num, den = _integer_terms(g.num), _integer_terms(g.den)
+    tables = []
+    for i, (g, b) in enumerate(zip(images, bounds)):
+        if g.num._den != 1 or g.den._den != 1:
+            raise AssertionError(f"normal form {g} has a non-integer coefficient")
+        num, den = g.num._num, g.den._num
         npw = [one]
         dpw = [one]
-        for _ in range(d):
+        for _ in range(b):
             npw.append(_mul_int(npw[-1], num))
             dpw.append(_mul_int(dpw[-1], den))
-        num_pows.append(npw)
-        den_pows.append(dpw)
+        table = {}
+        for k in {e[i] for e in exponents}:  # the entries some monomial takes
+            n, d = npw[k], dpw[b - k]
+            table[k] = n if d == one else d if n == one else _mul_int(n, d)
+        tables.append(table)
     out = []
     for e in exponents:
         t = one
-        for i, k in enumerate(e):
-            for f in (num_pows[i][k], den_pows[i][bounds[i] - k]):
-                if f != one:  # such as every power of the denominator 1
-                    t = f if t is one else _mul_int(t, f)
+        for table, k in zip(tables, e):
+            f = table[k]
+            if f != one:  # such as x_i^0 over the denominator 1
+                t = f if t is one else _mul_int(t, f)
         out.append(t)
     return out
 

@@ -42,7 +42,8 @@ from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        rank, squarefree_chain, transpose, try_divide)
 from .exactalg.linalg import _echelon, _sparse
 from .exactalg.poly import (_combine_int, _divide_int, _gcd_primitive, _int_primitive,
-                            _is_constant, _minus_shifted, _mul_int, _normalized)
+                            _is_constant, _minus_shifted, _mul_int, _normalized,
+                            _scaled_int)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -106,7 +107,7 @@ def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
     for vec in basis:
         terms = {monos[i]: v for i, v in enumerate(vec) if v}
         p = Polynomial(sys.variables, terms)
-        if p.terms and p.leading()[1] < 0:
+        if not p.is_zero and p.leading()[1] < 0:
             p = -p
         polys.append(p)
     return polys
@@ -228,7 +229,7 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     table = composed_cache.get(clearing)
     if table is None:
         table = composed_cache[clearing] = dict(zip(*_monomial_pullbacks(sys, clearing)))
-    q_int = _int_primitive(q)[1]
+    cq, q_int = _int_primitive(q)
     q1, r1 = q_int, _combine_int(q_int, table)
     for f, a in factors:
         for _ in range(a):
@@ -246,10 +247,11 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     columns = [_minus_shifted(_combine_int({tuple(map(operator.add, e, m)): c
                                             for e, c in q1.items()}, table), m, r1)
                for m in smonos]
+    g = _divide_int(q_int, q1)
     known = None
     if q.total_degree <= dp:
         col = {e: i for i, e in enumerate(smonos)}
-        known = {col[e]: c for e, c in _divide_int(q_int, q1).items()}
+        known = {col[e]: c for e, c in g.items()}
     basis = nullspace(transpose(columns), len(smonos), known)
     if known is not None and len(basis) == 1:
         return []
@@ -265,9 +267,13 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
             for vec in basis)
         basis = [[Fraction(row.get(c, 0), row[pc]) for c in range(len(monos))]
                  for pc, row in zip(pivots, echelon)]
+    # p/q = s/(cq*g) with s = p/q1: the normal form need not find q1 again
+    den = _scaled_int(sys.variables, g, cq, q._den)
     out = []
     for p in _kernel_polynomials(sys, monos, basis):
-        f = RationalFunction(p, q)
+        cp, pp = _int_primitive(p)
+        s = pp if _is_constant(q1) else _divide_int(pp, q1)
+        f = RationalFunction(_scaled_int(sys.variables, s, cp, p._den), den)
         if not f.is_constant:
             out.append(f)
     return out
@@ -337,9 +343,8 @@ def _rational_roots(f: Polynomial) -> List[Fraction]:
             return []
         s = Fraction(root, rootd)
         return sorted({(-b + s) / (2 * a), (-b - s) / (2 * a)})
-    # low stakes beyond degree 2: scan divisor candidates after clearing
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    # low stakes beyond degree 2: scan divisor candidates of the cleared ints
+    ints = [f._num.get((i,), 0) for i in range(d + 1)]
     lead, const = ints[d], next((c for c in ints if c), 0)
     roots = [Fraction(0)] if ints[0] == 0 else []
 
@@ -660,15 +665,15 @@ class _ClearedPool:
         self.rows, self.pivots = [], []  # the integer echelon
         for p in cleared:
             echelon_step(self.rows, self.pivots, {self.index.setdefault(
-                e, len(self.index)): c for e, c in p.terms.items()})
+                e, len(self.index)): c for e, c in p._num.items()})
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
         if scale is None:
             return False
-        target_poly = f.num * scale
-        target: Dict[int, Fraction] = {}
-        for e, c in target_poly.terms.items():
+        # the cleared numerator up to a constant, which the span ignores
+        target: Dict[int, int] = {}
+        for e, c in (f.num * scale)._num.items():
             idx = self.index.get(e)
             if idx is None:
                 return False

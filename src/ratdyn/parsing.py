@@ -49,7 +49,7 @@ def _power_terms(p: Polynomial, e: int) -> int:
     """Upper bound on the number of terms of p^e (e >= 1): a multiset of e of
     p's terms, and a monomial of degree at most deg(p^e) in p's variables."""
     k = sum(1 for x in p.max_exponents() if x)
-    return min(math.comb(len(p.terms) + e - 1, e),
+    return min(math.comb(len(p.support()) + e - 1, e),
                math.comb(k + p.total_degree * e, k))
 
 
@@ -57,7 +57,7 @@ def _product_terms(p: Polynomial, q: Polynomial) -> int:
     """Upper bound on the number of terms of p*q: a pair of their terms, and a
     monomial of degree at most deg(p) + deg(q) in their variables."""
     k = sum(1 for a, b in zip(p.max_exponents(), q.max_exponents()) if a or b)
-    return min(len(p.terms) * len(q.terms),
+    return min(len(p.support()) * len(q.support()),
                math.comb(k + p.total_degree + q.total_degree, k))
 
 

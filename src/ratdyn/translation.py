@@ -172,12 +172,6 @@ def _euler_phi(m: int) -> int:
 # -- recognizers ------------------------------------------------------------------
 
 
-def _single_term(p: Polynomial):
-    if len(p.terms) != 1:
-        return None
-    return next(iter(p.terms.items()))
-
-
 def _is_affine(sys: DynamicalSystem) -> bool:
     return all(c.den.is_constant and c.num.total_degree <= 1 for c in sys.coords)
 
@@ -185,7 +179,7 @@ def _is_affine(sys: DynamicalSystem) -> bool:
 def _is_mobius_product(sys: DynamicalSystem) -> bool:
     for i, c in enumerate(sys.coords):
         own = [0] * sys.dim
-        for e in list(c.num.terms) + list(c.den.terms):
+        for e in list(c.num.support()) + list(c.den.support()):
             for j, k in enumerate(e):
                 if k and j != i:
                     return False
@@ -206,11 +200,9 @@ def system_exponent_matrix(sys: DynamicalSystem) -> Optional[ExponentMatrix]:
     coefficient 1 (negative exponents come from the denominator)."""
     rows = []
     for c in sys.coords:
-        top = _single_term(c.num)
-        bot = _single_term(c.den)
-        if top is None or bot is None:
+        if len(c.num.support()) != 1 or len(c.den.support()) != 1:
             return None
-        (en, cn), (ed, cd) = top, bot
+        (en, cn), (ed, cd) = c.num.leading(), c.den.leading()
         if cn != 1 or cd != 1:
             return None
         rows.append(tuple(a - b for a, b in zip(en, ed)))

@@ -88,6 +88,61 @@ def ref_cleared_monomial_images(images, exponents, bounds):
     return out
 
 
+# -- Fraction references for the integer Polynomial layout ----------------------
+#
+# Term maps {exponent: Fraction} without zero coefficients, combined the way
+# Polynomial did before it held an int term map over one denominator.
+
+
+def ref_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scaled(a, k):
+    return {e: c * k for e, c in a.items() if c * k}
+
+
+def ref_derivative(a, index):
+    out = {}
+    for e, c in a.items():
+        if e[index]:
+            ne = list(e)
+            ne[index] -= 1
+            out[tuple(ne)] = c * e[index]
+    return out
+
+
+def ref_embed(a, m, positions):
+    out = {}
+    for e, c in a.items():
+        ne = [0] * m
+        for i, k in enumerate(e):
+            ne[positions[i]] += k
+        out[tuple(ne)] = c
+    return out
+
+
+def ref_str(variables, terms):
+    """The text of a Fraction term map, as Polynomial prints it."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        mono = "*".join(v if k == 1 else f"{v}^{k}"
+                        for v, k in zip(variables, e) if k)
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 # -- Fraction references for the integer eliminations and Jacobian rows ---------
 
 

@@ -22,9 +22,10 @@ from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              squarefree_part, substitute, try_divide)
 
 from conftest import (_fraction_evaluate, _fraction_jacobian_row,
-                      _fraction_reduce_row, _fraction_rref, _ref_gcd,
-                      _ref_normalize, _ref_try_divide, poly,
-                      ref_cleared_monomial_images, rf)
+                      _fraction_product, _fraction_reduce_row, _fraction_rref,
+                      _ref_gcd, _ref_normalize, _ref_try_divide, poly,
+                      ref_cleared_monomial_images, ref_derivative, ref_embed,
+                      ref_scaled, ref_str, ref_sum, rf)
 
 XY = ("x", "y")
 
@@ -111,6 +112,122 @@ def test_evaluate_matches_fraction_evaluation(data):
     value = p.evaluate(point)
     assert type(value) is Fraction
     assert value == _fraction_evaluate(p, point)
+
+
+# -- the int term map over one denominator, against Fraction term maps ----------
+
+
+def _random_terms(rng, n):
+    """A Fraction term map in n variables: empty, a constant or up to five
+    terms, with non-integer coefficients and some zero ones."""
+    kind = rng.random()
+    if kind < 0.1:
+        return {}
+    if kind < 0.25:
+        return {(0,) * n: Fraction(rng.randint(-9, 9), rng.randint(1, 9))}
+    return {tuple(rng.randint(0, 3) for _ in range(n)):
+            Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+            for _ in range(rng.randint(1, 5))}
+
+
+def _assert_layout(got, variables, want_terms, point):
+    """got equals the Polynomial of the reference term map on ==, hash,
+    .terms, str and evaluate, and holds a canonical int pair."""
+    want_terms = {e: c for e, c in want_terms.items() if c}
+    want = Polynomial(variables, want_terms)
+    assert got == want and hash(got) == hash(want)
+    assert dict(got.terms) == want_terms == dict(want.terms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert str(got) == str(want) == ref_str(variables, want_terms)
+    value = sum((c * math.prod(Fraction(v) ** k for v, k in zip(point, e))
+                 for e, c in want_terms.items()), Fraction(0))
+    assert got.evaluate(point) == want.evaluate(point) == value
+    assert got._den > 0 and all(type(c) is int and c for c in got._num.values())
+    assert math.gcd(got._den, *got._num.values()) == 1
+
+
+def test_integer_layout_matches_fraction_term_maps():
+    rng = random.Random(0x1A70)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        variables = tuple("xyzw"[:n])
+        ta, tb = _random_terms(rng, n), _random_terms(rng, n)
+        a, b = Polynomial(variables, ta), Polynomial(variables, tb)
+        ta = {e: c for e, c in ta.items() if c}
+        tb = {e: c for e, c in tb.items() if c}
+        point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+        k = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        i = rng.randrange(n)
+        m = n + rng.randint(0, 2)
+        positions = rng.sample(range(m), n)
+        _assert_layout(a, variables, ta, point)
+        _assert_layout(a * b, variables, _fraction_product(ta, tb), point)
+        _assert_layout(a + b, variables, ref_sum(ta, tb), point)
+        # equal values reached in another term order hash alike
+        assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
+        _assert_layout(a - b, variables, ref_sum(ta, ref_scaled(tb, -1)), point)
+        _assert_layout(-a, variables, ref_scaled(ta, -1), point)
+        _assert_layout(a + k, variables, ref_sum(ta, {(0,) * n: k}), point)
+        _assert_layout(a.scaled(k), variables, ref_scaled(ta, k), point)
+        _assert_layout(a.derivative(i), variables, ref_derivative(ta, i), point)
+        wide = tuple(f"v{j}" for j in range(m))
+        _assert_layout(a.embed(wide, positions), wide, ref_embed(ta, m, positions),
+                       tuple(point[positions.index(j)] if j in positions else 0
+                             for j in range(m)))
+
+
+def test_basis_exponents_keeps_the_scale_of_rational_factors():
+    """Trial division by factors with non-integer coefficients: the cofactor
+    times the factor powers gives back the input exactly."""
+    rng = random.Random(0xBA515)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        variables = tuple("xyz"[:n])
+        basis = [b for b in (Polynomial(variables, _random_terms(rng, n)) for _ in range(2))
+                 if not b.is_constant]
+        p = Polynomial.constant(variables, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for b in basis:
+            p = p * b ** rng.randint(0, 2)
+        exponents, rest = basis_exponents(p, basis)
+        product = rest
+        for b, k in zip(basis, exponents):
+            product = product * b ** k
+        assert product == p
+
+
+def test_terms_is_a_read_only_fraction_view():
+    p = Polynomial(XY, {(1, 0): Fraction(1, 2), (0, 1): 3})
+    assert dict(p.terms) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = Fraction(1)
+    assert p.terms is p.terms
+    assert (p._num, p._den) == ({(1, 0): 1, (0, 1): 6}, 2)
+
+
+def test_cleared_power_tables_match_fraction_products():
+    """Sparse exponent lists, bounds above the largest exponent, and images
+    with a constant denominator other than 1 (a rescaled map)."""
+    rng = random.Random(0x7AB1E)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        variables = tuple("xyzw"[:n])
+        images = []
+        for _ in range(rng.randint(1, 3)):
+            num = Polynomial(variables, _random_terms(rng, n))
+            if rng.random() < 0.4:
+                den = Polynomial.constant(variables, rng.choice((2, 3, 5, Fraction(1, 7))))
+            else:
+                den = Polynomial(variables, _random_terms(rng, n))
+                if den.is_zero:
+                    den = Polynomial.constant(variables, 1)
+            images.append(RationalFunction(num, den))
+        bounds = tuple(rng.randint(0, 3) for _ in images)
+        box = list(itertools.product(*[range(b + 1) for b in bounds]))
+        exponents = rng.sample(box, rng.randint(1, len(box)))
+        got = cleared_monomial_images(images, exponents, bounds)
+        want = ref_cleared_monomial_images(images, exponents, bounds)
+        assert got == want
+        assert all(type(c) is int and c for g in got for c in g.values())
 
 
 # -- gcd ----------------------------------------------------------------------
