@@ -148,6 +148,11 @@ class Polynomial:
         """The exponent tuples of the nonzero terms (a read-only keys view)."""
         return self._num.keys()
 
+    def __reduce__(self):
+        # pickle and copy the pair alone: the view cannot be pickled, and a
+        # hash of strings differs from one process to the next
+        return Polynomial._make, (self.variables, self._num, self._den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

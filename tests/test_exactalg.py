@@ -1,7 +1,9 @@
 """Exact arithmetic core: polynomials, gcd, normal forms, substitution, rank."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -202,6 +204,20 @@ def test_terms_is_a_read_only_fraction_view():
         p.terms[(1, 0)] = Fraction(1)
     assert p.terms is p.terms
     assert (p._num, p._den) == ({(1, 0): 1, (0, 1): 6}, 2)
+
+
+def test_polynomials_pickle_and_copy_after_the_view_is_built():
+    p = Polynomial(XY, {(1, 0): Fraction(1, 2), (0, 1): 3})
+    f = RationalFunction(p, P("x - y"))
+    for value in (p, f):
+        hash(value)
+        if value is p:
+            p.terms
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                       copy.copy(value)):
+            assert copied == value and hash(copied) == hash(value)
+            assert str(copied) == str(value)
+    assert dict(pickle.loads(pickle.dumps(p)).terms) == dict(p.terms)
 
 
 def test_cleared_power_tables_match_fraction_products():
