@@ -3,14 +3,14 @@
 All elimination over Q is ``echelon_step``: it clears a row once to a
 primitive integer row, reduces it against an integer echelon with one integer
 reduction step (a multiple of one row minus a multiple of another, divided by
-its content), and inserts a nonzero remainder.  ``rank`` counts the pivots,
-``in_span`` tests the remainder, and ``nullspace`` reads the unique reduced
-echelon basis of the kernel off one integer echelon, making a Fraction only
-for each entry it returns.  The rank is at most the column count, and at most
-one less when a kernel vector is known, so ``nullspace`` stops eliminating
-once its echelon holds that many pivots: every later row lies in the span.
-Jacobian rows at integer points are ints as well,
-so the seeded rank test runs in Z throughout.  Two eliminations stay separate
+its content), and inserts a nonzero remainder, which is empty exactly for a
+row in the span.  ``rank`` counts the pivots, and ``nullspace`` reads the
+unique reduced echelon basis of the kernel off one integer echelon, making a
+Fraction only for each entry it returns.  The rank is at most the column
+count, and at most one less when a kernel vector is known, so ``nullspace``
+stops eliminating once its echelon holds that many pivots: every later row
+lies in the span.  Jacobian rows at integer points are ints as well, so the
+seeded rank test runs in Z throughout.  Two eliminations stay separate
 because they work in other rings:
 
   * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
@@ -175,13 +175,6 @@ def nullspace(rows: Sequence[SparseRow], ncols: int,
             if c != pc:
                 basis[last - c][last - pc] = Fraction(-v, p)
     return [tuple(v) for v in basis.values()]
-
-
-def in_span(vectors: List[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Whether target lies in the Q-span of the given vectors: an empty
-    remainder against their integer echelon."""
-    echelon, pivots = _echelon(map(_sparse, vectors))
-    return not echelon_step(echelon, pivots, _sparse(target), insert=False)
 
 
 # -- fraction-free elimination over polynomial entries --------------------------

@@ -276,18 +276,20 @@ def cleared_monomial_images(images: Sequence[RationalFunction],
 
 
 def clear_denominators(values: Sequence[RationalFunction]
-                       ) -> Tuple[Polynomial, Dict[Exponent, int], List[Dict[int, Fraction]]]:
-    """Clear denominators jointly and lay out coefficient vectors over Q.
+                       ) -> Tuple[Polynomial, Dict[Exponent, int], List[Dict[int, int]]]:
+    """Clear denominators jointly and lay out coefficient vectors over Z.
 
     Returns the lcm ``den`` of the denominators, a column index per monomial,
-    and per value the sparse row (column -> coefficient) of ``value * den``.
+    and per value the sparse integer row (column -> coefficient) of
+    ``value * den``, all times one positive integer (1 unless some value's
+    denominator has an integer content above 1; den is primitive), which
+    leaves the rank, the span and the kernel of the rows unchanged.
     """
     den = values[0].den
     for v in values[1:]:
         den = poly_lcm(den, v.den)
+    nums = [v.num * divide_exact(den, v.den) for v in values]
+    scale = math.lcm(*(p._den for p in nums))
     index: Dict[Exponent, int] = {}
-    rows = []
-    for v in values:
-        p = v.num * divide_exact(den, v.den)
-        rows.append({index.setdefault(e, len(index)): c for e, c in p.terms.items()})
-    return den, index, rows
+    return den, index, [{index.setdefault(e, len(index)): c * (scale // p._den)
+                         for e, c in p._num.items()} for p in nums]

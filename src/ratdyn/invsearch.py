@@ -37,13 +37,13 @@ from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        cleared_monomial_images, coprime_factor_basis,
-                       echelon_step, grlex_key, in_span, jacobian_rank,
-                       jacobian_row, monomials_upto, nullspace, poly_gcd,
-                       rank, squarefree_chain, transpose, try_divide)
+                       echelon_step, grlex_key, jacobian_rank, jacobian_row,
+                       monomials_upto, nullspace, poly_gcd, squarefree_chain,
+                       transpose, try_divide)
 from .exactalg.linalg import _echelon, _sparse
-from .exactalg.poly import (_combine_int, _divide_int, _gcd_primitive, _int_primitive,
-                            _is_constant, _minus_shifted, _mul_int, _normalized,
-                            _scaled_int)
+from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_primitive,
+                            _int_primitive, _is_constant, _minus_shifted, _mul_int,
+                            _normalized, _scaled_int)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -100,17 +100,17 @@ def _monomial_pullbacks(sys: DynamicalSystem, d: int):
     return monos, cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
 
 
+def _positive(p: Polynomial) -> Polynomial:
+    """p or -p, whichever has a positive leading coefficient; p is nonzero."""
+    return -p if p.leading()[1] < 0 else p
+
+
 def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
     """Kernel vectors over the monomials as polynomials, each with a
     positive leading coefficient."""
-    polys = []
-    for vec in basis:
-        terms = {monos[i]: v for i, v in enumerate(vec) if v}
-        p = Polynomial(sys.variables, terms)
-        if not p.is_zero and p.leading()[1] < 0:
-            p = -p
-        polys.append(p)
-    return polys
+    return [_positive(Polynomial(sys.variables,
+                                 {monos[i]: v for i, v in enumerate(vec) if v}))
+            for vec in basis]
 
 
 def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]:
@@ -255,25 +255,23 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     basis = nullspace(transpose(columns), len(smonos), known)
     if known is not None and len(basis) == 1:
         return []
-    monos = smonos
-    if free < dp:
-        # p = q1*s for each kernel vector s, as the unique reduced echelon
-        # basis (with q1 = 1, p = s and the kernel already is that basis)
-        monos = [e for e in table if sum(e) <= dp]
-        col = {e: i for i, e in enumerate(monos)}
-        echelon, pivots = _echelon(
-            {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
-                                                 if v}).items()}
-            for vec in basis)
-        basis = [[Fraction(row.get(c, 0), row[pc]) for c in range(len(monos))]
-                 for pc, row in zip(pivots, echelon)]
+    # p = q1*s for each kernel vector s, as the unique reduced echelon basis
+    # over the monomials of degree <= dp: each primitive integer echelon row
+    # over its pivot entry, up to sign (with q1 = 1 the kernel already is that
+    # basis, and the echelon only clears it)
+    monos = [e for e in table if sum(e) <= dp]
+    col = {e: i for i, e in enumerate(monos)}
+    echelon, pivots = _echelon(
+        {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
+                                             if v}).items()}
+        for vec in basis)
     # p/q = s/(cq*g) with s = p/q1: the normal form need not find q1 again
     den = _scaled_int(sys.variables, g, cq, q._den)
     out = []
-    for p in _kernel_polynomials(sys, monos, basis):
-        cp, pp = _int_primitive(p)
+    for pc, row in zip(pivots, echelon):
+        pp = _normalized({monos[c]: v for c, v in row.items()})
         s = pp if _is_constant(q1) else _divide_int(pp, q1)
-        f = RationalFunction(_scaled_int(sys.variables, s, cp, p._den), den)
+        f = RationalFunction(_scaled_int(sys.variables, s, 1, abs(row[pc])), den)
         if not f.is_constant:
             out.append(f)
     return out
@@ -282,44 +280,47 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
 # -- stage 2: invariant pencils -----------------------------------------------------
 
 
-def _pencil_matrix(t_coeffs, basis, size):
-    """Antisymmetric matrix of the combination sum(t_k * basis_k)."""
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for t, vec in zip(t_coeffs, basis):
-        if not t:
-            continue
-        for (i, j), val in vec.items():
-            m[i][j] += t * val
-            m[j][i] -= t * val
-    return m
+def _point(t) -> Tuple[int, ...]:
+    """The primitive integer representative of a projective point (int or
+    Fraction entries, not all zero) with a positive first nonzero entry."""
+    den = math.lcm(*(v.denominator for v in t))
+    ints = [v.numerator * (den // v.denominator) for v in t]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-def _grid_points(k: int):
-    if k == 1:
-        return [(Fraction(1),)]
-    values = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    pts = []
-    seen = set()
-    for combo in itertools.product(values, repeat=k):
-        if not any(combo):
-            continue
-        lead = next(v for v in combo if v)
-        normed = tuple(v / lead for v in combo)
-        if normed not in seen:
-            seen.add(normed)
-            pts.append(normed)
-    return pts
+def _grid_points(k: int) -> List[Tuple[int, ...]]:
+    """The distinct points of {-2, ..., 2}^k without 0, in first-seen order."""
+    combos = (c for c in itertools.product(range(-2, 3), repeat=k) if any(c))
+    return list(dict.fromkeys(map(_point, combos)))
 
 
-def _univariate(coeffs: Sequence[Fraction]) -> Polynomial:
+def _pencil_rows(t: Tuple[int, ...], basis) -> List[Dict[int, int]]:
+    """The nonzero rows of the antisymmetric matrix sum(t_k basis_k), in
+    row order, as sparse int rows; basis_k maps pairs i < j to ints."""
+    rows: Dict[int, Dict[int, int]] = {}
+    for tk, vec in zip(t, basis):
+        if tk:
+            for (i, j), v in vec.items():
+                upper, lower = rows.setdefault(i, {}), rows.setdefault(j, {})
+                upper[j] = upper.get(j, 0) + tk * v
+                lower[i] = lower.get(i, 0) - tk * v
+    nonzero = ({c: v for c, v in row.items() if v} for _, row in sorted(rows.items()))
+    return [row for row in nonzero if row]
+
+
+def _univariate(coeffs: Sequence[int]) -> Polynomial:
     """The polynomial in one variable with the given ascending coefficients."""
     return Polynomial(("t",), {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _at_t2_one(form: Polynomial) -> Polynomial:
-    """A binary form in (t1, t2) at t2 = 1, as a polynomial in t1."""
+    """A binary form in (t1, t2) at t2 = 1, as a polynomial in t1 (up to a
+    positive factor)."""
     deg = form.total_degree
-    return _univariate([form.coefficient((i, deg - i)) for i in range(deg + 1)])
+    return _univariate([form._num.get((i, deg - i), 0) for i in range(deg + 1)])
 
 
 def _rational_roots(f: Polynomial) -> List[Fraction]:
@@ -327,69 +328,56 @@ def _rational_roots(f: Polynomial) -> List[Fraction]:
     d = f.total_degree
     if d == 0:
         return []
-    coeffs = [f.coefficient((i,)) for i in range(d + 1)]
+    num = _normalized(f._num)  # f over its content
+    ints = [num.get((i,), 0) for i in range(d + 1)]
     if d == 1:
-        return [-coeffs[0] / coeffs[1]]
+        return [Fraction(-ints[0], ints[1])]
     if d == 2:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        c, b, a = ints
         disc = b * b - 4 * a * c
-        if disc < 0:
+        root = math.isqrt(max(disc, 0))
+        if root * root != disc:
             return []
-        root = math.isqrt(disc.numerator)
-        if root * root != disc.numerator:
-            return []
-        rootd = math.isqrt(disc.denominator)
-        if rootd * rootd != disc.denominator:
-            return []
-        s = Fraction(root, rootd)
-        return sorted({(-b + s) / (2 * a), (-b - s) / (2 * a)})
-    # low stakes beyond degree 2: scan divisor candidates of the cleared ints
-    ints = [f._num.get((i,), 0) for i in range(d + 1)]
-    lead, const = ints[d], next((c for c in ints if c), 0)
+        return sorted({Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a)})
+    # low stakes beyond degree 2: scan the divisor candidates p/q, each by
+    # the integer q^d * f(p/q)
+    lead, const = ints[d], next(c for c in ints if c)
     roots = [Fraction(0)] if ints[0] == 0 else []
 
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.add(i)
-                out.add(n // i)
-            i += 1
-        return out or {1}
+    def divisors(n):  # n is nonzero
+        small = [i for i in range(1, math.isqrt(abs(n)) + 1) if n % i == 0]
+        return {*small, *(abs(n) // i for i in small)}
 
     for p in divisors(const):
         for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                    roots.append(cand)
+            for cand in (p, -p):
+                if not sum(c * cand ** i * q ** (d - i) for i, c in enumerate(ints)):
+                    roots.append(Fraction(cand, q))
     return sorted(set(roots))
 
 
-def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
-    """Parameter points t where sum(t_k basis_k) has rank <= 2.
+def _decomposable_points(basis) -> List[Tuple[int, ...]]:
+    """Parameter points t where sum(t_k basis_k) has rank 2, for int
+    basis vectors (maps from pairs i < j to ints).
 
     For nullspaces of dimension 1 the basis vector itself is checked; for
     dimension 2 and 3 the quadratic decomposability conditions (vanishing of
     the 4x4 sub-Pfaffians) are solved exactly, via binary-form gcds and one
     resultant elimination; a deterministic grid augments the search so that
     degenerate positive-dimensional solution sets still yield witnesses.
+    Each point is kept as its ``_point`` representative, once.
     """
     k = len(basis)
-    candidates: List[Tuple[Fraction, ...]] = []
+    candidates: List[Tuple[int, ...]] = []
     seen = set()
 
     def push(t):
-        lead = next((v for v in t if v), None)
-        if lead is None:
-            return
-        normed = tuple(v / lead for v in t)
-        if normed in seen:
-            return
-        seen.add(normed)
-        if rank(_pencil_matrix(normed, basis, size)) == 2:
-            candidates.append(normed)
+        t = _point(t)
+        if t not in seen:
+            seen.add(t)
+            # a rank above 2 shows by the third pivot
+            if len(_echelon(_pencil_rows(t, basis), 3)[1]) == 2:
+                candidates.append(t)
 
     support = sorted({idx for vec in basis for pair in vec for idx in pair})
     tvars = tuple(f"t{i + 1}" for i in range(k))
@@ -417,7 +405,7 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
             break
 
     if k == 1:
-        push((Fraction(1),))
+        push((1,))
         return candidates
 
     if not quadrics:
@@ -429,31 +417,25 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
         # common projective roots of binary quadratics via univariate gcd
         g = functools.reduce(poly_gcd, map(_at_t2_one, quadrics))
         for r in _rational_roots(g):
-            push((r, Fraction(1)))
-        if all(q.coefficient((2, 0)) == 0 for q in quadrics):
-            push((Fraction(1), Fraction(0)))
+            push((r, 1))
+        if all((2, 0) not in q.support() for q in quadrics):
+            push((1, 0))
         return candidates
 
     if k == 3:
         # eliminate t3 between pairs of quadrics; fall back to the grid when
         # the system is degenerate
         def split(q):
-            # q = A t3^2 + B t3 + C with A in Q, B linear, C quadratic in t1,t2
-            A = q.coefficient((0, 0, 2))
-            B = {}
-            C = {}
-            for e, coeff in q.terms.items():
-                if e[2] == 1:
-                    B[(e[0], e[1])] = coeff
-                elif e[2] == 0:
-                    C[(e[0], e[1])] = coeff
-            two = ("t1", "t2")
-            return (Polynomial.constant(two, A), Polynomial(two, B), Polynomial(two, C))
+            # q = A t3^2 + B t3 + C with A constant, B linear, C quadratic in t1,t2
+            parts = ({}, {}, {})
+            for e, coeff in q._num.items():
+                parts[e[2]][e[:2]] = coeff
+            return tuple(Polynomial._make(("t1", "t2"), part) for part in reversed(parts))
 
         def at(q, t1, t2):
             # q at (t1, t2), as a polynomial in t3
-            coeffs = [Fraction(0)] * 3
-            for e, coeff in q.terms.items():
+            coeffs = [0] * 3
+            for e, coeff in q._num.items():
                 coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
             return _univariate(coeffs)
 
@@ -465,22 +447,20 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
                    - (a1 * b2 - b1 * a2) * (b1 * c2 - c1 * b2))
             if not res.is_zero:
                 resultants.append(res)
-        pairs_t12: List[Tuple[Fraction, Fraction]] = []
         if resultants:
             g = functools.reduce(poly_gcd, map(_at_t2_one, resultants))
-            for r in _rational_roots(g):
-                pairs_t12.append((r, Fraction(1)))
-            pairs_t12.append((Fraction(1), Fraction(0)))
-        for t1, t2 in pairs_t12:
-            specialized = functools.reduce(poly_gcd, (at(q, t1, t2) for q in quadrics))
-            if specialized.is_zero:
-                for t3 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
+            # (t1, t2) as integer pairs: a root r = n/d as (n, d), then
+            # (1, 0).  At (n, d) the roots in t3 are d times those at (r, 1),
+            # so each point (n, d, t3) is the point (r, 1, t3/d).  A nonzero
+            # resultant needs a quadric with a t3^2 term, which vanishes at
+            # no (t1, t2), so the gcd in t3 is never zero
+            roots = _rational_roots(g)
+            for t1, t2 in [(r.numerator, r.denominator) for r in roots] + [(1, 0)]:
+                for t3 in _rational_roots(functools.reduce(
+                        poly_gcd, (at(q, t1, t2) for q in quadrics))):
                     push((t1, t2, t3))
-            else:
-                for t3 in _rational_roots(specialized):
-                    push((t1, t2, t3))
-        if all(q.coefficient((0, 0, 2)) == 0 for q in quadrics):
-            push((Fraction(0), Fraction(0), Fraction(1)))
+        if all((0, 0, 2) not in q.support() for q in quadrics):
+            push((0, 0, 1))
         for t in _grid_points(k):
             push(t)
         return candidates
@@ -488,6 +468,35 @@ def _decomposable_points(basis, size) -> List[Tuple[Fraction, ...]]:
     for t in _grid_points(k):
         push(t)
     return candidates
+
+
+def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
+    """The candidate p/q of each decomposable point of the pencil
+    sum(t_k basis_k), in the order the points are found.
+
+    ``basis`` holds the kernel vectors as maps from pairs i < j to
+    rationals.  They are cleared over one common denominator, which scales
+    the whole pencil and moves no point; clearing each on its own would
+    reparametrize it.  At a point the matrix has rank 2 and its rows are its
+    columns negated: p is the first nonzero row and q the first later row
+    outside p's span, each over the monomials with its sign normalized.
+    """
+    _, cleared = _cleared_terms({(k, pair): v for k, vec in enumerate(basis)
+                                 for pair, v in vec.items()})
+    ints: List[Dict[Tuple[int, int], int]] = [{} for _ in basis]
+    for (k, pair), v in cleared.items():
+        ints[k][pair] = v
+    out = []
+    for t in _decomposable_points(ints):
+        first, *rest = _pencil_rows(t, ints)
+        echelon, pivots = _echelon([first])
+        second = next(row for row in rest
+                      if echelon_step(echelon, pivots, row, insert=False))
+        p, q = (_positive(Polynomial._make(variables,
+                                           {monos[c]: v for c, v in row.items()}))
+                for row in (first, second))
+        out.append(RationalFunction(p, q))
+    return out
 
 
 def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
@@ -510,28 +519,10 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
         return [], False
     if not basis_vecs:
         return [], True
-    basis = []
-    for vec in basis_vecs:
-        entries = {pairs[i]: v for i, v in enumerate(vec) if v}
-        basis.append(entries)
+    basis = [{pairs[i]: v for i, v in enumerate(vec) if v} for vec in basis_vecs]
     found = []
     verdicts: Dict[RationalFunction, bool] = {}  # one exact gate per candidate
-    for t in _decomposable_points(basis, s):
-        m = _pencil_matrix(t, basis, s)
-        cols = [tuple(m[r][c] for r in range(s)) for c in range(s)]
-        first = next((c for c in cols if any(c)), None)
-        if first is None:
-            continue
-        second = next((c for c in cols if not in_span([first], c)), None)
-        if second is None:
-            continue
-        p = Polynomial(sys.variables, {monos[i]: v for i, v in enumerate(first) if v})
-        q = Polynomial(sys.variables, {monos[i]: v for i, v in enumerate(second) if v})
-        if p.leading()[1] < 0:
-            p = -p
-        if q.leading()[1] < 0:
-            q = -q
-        f = RationalFunction(p, q)
+    for f in _pencil_candidates(sys.variables, monos, basis):
         if f not in verdicts:
             verdicts[f] = not f.is_constant and pullback(sys, f) == f
         if verdicts[f]:

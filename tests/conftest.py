@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 import sys
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ratdyn.exactalg import Polynomial  # noqa: E402
+from ratdyn.exactalg import Polynomial, RationalFunction, poly_gcd  # noqa: E402
 
 settings.register_profile(
     "ci",
@@ -195,7 +197,7 @@ def _fraction_rref(rows):
         if not row:
             continue
         pc = min(row)
-        inv = 1 / row[pc]
+        inv = 1 / Fraction(row[pc])
         row = {c: v * inv for c, v in row.items()}
         for i, other in enumerate(reduced):
             if other.get(pc):
@@ -345,3 +347,201 @@ def _ref_normalize(num, den):
     if cd < 0:
         scale = -scale
     return num.scaled(1 / scale), den.scaled(1 / scale)
+
+
+# -- Fraction reference for the pencil stage -----------------------------------
+#
+# A test-local copy of the earlier pencil stage over Fraction: the dense
+# antisymmetric matrix of each point with its Fraction rank, grid points and
+# pushed points normalized to a first nonzero entry 1, the rational roots by
+# Fraction evaluation, and p/q read off the matrix's columns with a Fraction
+# span test.
+
+
+def _ref_pencil_matrix(t_coeffs, basis, size):
+    """Antisymmetric matrix of the combination sum(t_k * basis_k)."""
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for t, vec in zip(t_coeffs, basis):
+        if not t:
+            continue
+        for (i, j), val in vec.items():
+            m[i][j] += t * val
+            m[j][i] -= t * val
+    return m
+
+
+def _ref_sparse(vector):
+    return {c: v for c, v in enumerate(vector) if v}
+
+
+def _ref_grid_points(k):
+    values = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
+    pts = []
+    seen = set()
+    for combo in itertools.product(values, repeat=k):
+        if not any(combo):
+            continue
+        lead = next(v for v in combo if v)
+        normed = tuple(v / lead for v in combo)
+        if normed not in seen:
+            seen.add(normed)
+            pts.append(normed)
+    return pts
+
+
+def _ref_univariate(coeffs):
+    return Polynomial(("t",), {(i,): c for i, c in enumerate(coeffs)})
+
+
+def _ref_at_t2_one(form):
+    deg = form.total_degree
+    return _ref_univariate([form.coefficient((i, deg - i)) for i in range(deg + 1)])
+
+
+def _ref_rational_roots(f):
+    d = f.total_degree
+    if d == 0:
+        return []
+    coeffs = [f.coefficient((i,)) for i in range(d + 1)]
+    if d == 1:
+        return [-coeffs[0] / coeffs[1]]
+    if d == 2:
+        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        root, rootd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if root * root != disc.numerator or rootd * rootd != disc.denominator:
+            return []
+        s = Fraction(root, rootd)
+        return sorted({(-b + s) / (2 * a), (-b - s) / (2 * a)})
+    ints = [f._num.get((i,), 0) for i in range(d + 1)]
+    lead, const = ints[d], next(c for c in ints if c)
+    roots = [Fraction(0)] if ints[0] == 0 else []
+
+    def divisors(n):
+        n = abs(n)
+        out = {i for i in range(1, math.isqrt(n) + 1) if n % i == 0}
+        return out | {n // i for i in out} or {1}
+
+    for p in divisors(const):
+        for q in divisors(lead):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
+                    roots.append(cand)
+    return sorted(set(roots))
+
+
+def _ref_decomposable_points(basis, size):
+    k = len(basis)
+    candidates = []
+    seen = set()
+
+    def push(t):
+        lead = next(v for v in t if v)
+        normed = tuple(Fraction(v) / lead for v in t)
+        if normed in seen:
+            return
+        seen.add(normed)
+        rows = map(_ref_sparse, _ref_pencil_matrix(normed, basis, size))
+        if len(_fraction_rref(rows)[1]) == 2:
+            candidates.append(normed)
+
+    support = sorted({idx for vec in basis for pair in vec for idx in pair})
+    tvars = tuple(f"t{i + 1}" for i in range(k))
+
+    def entry(i, j):
+        terms = {}
+        for m, vec in enumerate(basis):
+            if vec.get((i, j)):
+                terms[tuple(int(x == m) for x in range(k))] = vec[(i, j)]
+        return Polynomial(tvars, terms)
+
+    quadrics = []
+    for a, b, c, d in itertools.combinations(support, 4):
+        q = (entry(a, b) * entry(c, d) - entry(a, c) * entry(b, d)
+             + entry(a, d) * entry(b, c))
+        if not q.is_zero:
+            quadrics.append(q)
+        if len(quadrics) >= 400:
+            break
+    if k == 1:
+        push((Fraction(1),))
+    elif not quadrics or k > 3:
+        for t in _ref_grid_points(k):
+            push(t)
+    elif k == 2:
+        g = functools.reduce(poly_gcd, map(_ref_at_t2_one, quadrics))
+        for r in _ref_rational_roots(g):
+            push((r, Fraction(1)))
+        if all(q.coefficient((2, 0)) == 0 for q in quadrics):
+            push((Fraction(1), Fraction(0)))
+    else:
+        two = ("t1", "t2")
+
+        def split(q):
+            b, c = {}, {}
+            for e, coeff in q.terms.items():
+                if e[2] == 1:
+                    b[e[:2]] = coeff
+                elif e[2] == 0:
+                    c[e[:2]] = coeff
+            return (Polynomial.constant(two, q.coefficient((0, 0, 2))),
+                    Polynomial(two, b), Polynomial(two, c))
+
+        def at(q, t1, t2):
+            coeffs = [Fraction(0)] * 3
+            for e, coeff in q.terms.items():
+                coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
+            return _ref_univariate(coeffs)
+
+        resultants = []
+        for q1, q2 in itertools.combinations(quadrics, 2):
+            a1, b1, c1 = split(q1)
+            a2, b2, c2 = split(q2)
+            res = ((a1 * c2 - c1 * a2) ** 2
+                   - (a1 * b2 - b1 * a2) * (b1 * c2 - c1 * b2))
+            if not res.is_zero:
+                resultants.append(res)
+        pairs_t12 = []
+        if resultants:
+            g = functools.reduce(poly_gcd, map(_ref_at_t2_one, resultants))
+            pairs_t12 = [(r, Fraction(1)) for r in _ref_rational_roots(g)]
+            pairs_t12.append((Fraction(1), Fraction(0)))
+        for t1, t2 in pairs_t12:
+            specialized = functools.reduce(poly_gcd, (at(q, t1, t2) for q in quadrics))
+            if specialized.is_zero:
+                for t3 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
+                    push((t1, t2, t3))
+            else:
+                for t3 in _ref_rational_roots(specialized):
+                    push((t1, t2, t3))
+        if all(q.coefficient((0, 0, 2)) == 0 for q in quadrics):
+            push((Fraction(0), Fraction(0), Fraction(1)))
+        for t in _ref_grid_points(k):
+            push(t)
+    return candidates
+
+
+def ref_pencil_candidates(variables, monos, basis):
+    """Reference: p/q of each decomposable point of sum(t_k basis_k), for
+    rational basis vectors (maps from pairs i < j), by the Fraction pencil:
+    p the first nonzero column, q the first column outside its span, each
+    with a positive leading coefficient."""
+    size = len(monos)
+    out = []
+    for t in _ref_decomposable_points(basis, size):
+        m = _ref_pencil_matrix(t, basis, size)
+        cols = [tuple(m[r][c] for r in range(size)) for c in range(size)]
+        first = next(c for c in cols if any(c))
+        reduced, pivots = _fraction_rref([_ref_sparse(first)])
+        second = next(c for c in cols
+                      if _fraction_reduce_row(_ref_sparse(c), reduced, pivots))
+        p, q = (Polynomial(variables, {monos[i]: v for i, v in enumerate(c) if v})
+                for c in (first, second))
+        if p.leading()[1] < 0:
+            p = -p
+        if q.leading()[1] < 0:
+            q = -q
+        out.append(RationalFunction(p, q))
+    return out

@@ -293,6 +293,25 @@ def test_cli_invariants_report():
     assert doc["result"]["independence_rank"] == 1
 
 
+def test_cli_invariants_from_the_pencil_grid():
+    # no catalog and a 6-dimensional pencil kernel: the k >= 4 grid path
+    start = time.perf_counter()
+    doc, code = run_command(["invariants", "--budget", "2,2,0,8",
+                             corpus("double.system")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert doc["result"]["invariants"] == [
+        "(x)/(y)", "(x)/(x - y)", "(2*x^2 + 2*x*y)/(x^2 - 2*y^2)",
+        "(2*x^2 + 2*x*y)/(x^2 + 2*y^2)", "(x^2 + x*y)/(x^2 + y^2)",
+        "(x^2 + 2*x*y)/(x^2 - 2*y^2)", "(x^2 + 2*x*y)/(x^2 + 2*y^2)",
+        "(x^2 + 2*x*y)/(2*x^2 + 2*y^2)", "(2*x^2 + x*y)/(2*x^2 - y^2)",
+        "(2*x^2 + x*y)/(2*x^2 + y^2)", "(x^2 + x*y)/(2*x^2 - y^2)",
+        "(x^2 + x*y)/(2*x^2 + y^2)", "(2*x^2)/(x*y - 2*y^2)", "(x^2)/(2*x*y - y^2)"]
+    assert doc["result"]["independence_rank"] == 1
+    assert doc["result"]["reduction_generators"] == ["(x)/(y)"]
+    assert elapsed < 10.0, f"invariants --budget 2,2,0,8 took {elapsed:.1f} s"
+
+
 def test_cli_square_report_fields():
     doc, code = run_command(["square", corpus("scale.system"),
                              "--budget", "1,1,2,3"])
@@ -385,6 +404,20 @@ def test_cli_selftest():
     assert doc["result"]["passed"] is True
     names = {entry["system"] for entry in doc["result"]["systems"]}
     assert {"shift", "double", "swap", "monomial", "henon", "mobius"} <= names
+
+
+_DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(_DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo):
+    # each demo in a fresh interpreter, against the package as it is now
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, os.path.join(_DEMOS, demo)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def _ratdyn(*args):

@@ -16,8 +16,9 @@ from ratdyn.errors import (IndeterminacyError, PreconditionError,
 from ratdyn.exactalg import linalg
 from ratdyn.exactalg.poly import _cert_point, _certified_coprime, _int_primitive
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
-                             cleared_monomial_images, coprime_factor_basis,
-                             divide_exact, in_span, jacobian_rank, nullspace,
+                             clear_denominators, cleared_monomial_images,
+                             coprime_factor_basis,
+                             divide_exact, jacobian_rank, nullspace,
                              poly_gcd,
                              poly_matrix_rank, primitive_part,
                              ratfunc_normalize, squarefree_chain,
@@ -992,10 +993,10 @@ def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
     assert len(nullspace(rows, ncols)) == ncols - exact
     units = [[Fraction(int(c == j)) for c in range(ncols)] for j in range(ncols)]
     for target in dense + units:
-        member = in_span(dense, target)
+        sparse_target = {c: v for c, v in enumerate(target) if v}
+        member = not linalg.echelon_step(echelon, pivots, sparse_target, insert=False)
         assert member == (linalg.rank(dense + [target]) == exact)
-        assert member == (not _fraction_reduce_row(
-            {c: v for c, v in enumerate(target) if v}, reduced, pivots))
+        assert member == (not _fraction_reduce_row(sparse_target, reduced, pivots))
 
 
 @st.composite
@@ -1019,9 +1020,8 @@ def test_rank_and_in_span_match_fraction_rref(matrix):
     mixed = [sum(k * r[c] for k, r in zip((1, -2, 3), dense)) for c in range(ncols)]
     for target in dense + units + [mixed]:
         sparse_target = {c: v for c, v in enumerate(target) if v}
-        assert in_span(dense, target) == (
-            not _fraction_reduce_row(sparse_target, reduced, pivots))
-        # a remainder with insert=False leaves the echelon as it was
+        # a remainder with insert=False leaves the echelon as it was, and is
+        # empty exactly for a member of the span
         echelon, ech_pivots = [], []
         for row in rows:
             linalg.echelon_step(echelon, ech_pivots, row)
@@ -1029,7 +1029,27 @@ def test_rank_and_in_span_match_fraction_rref(matrix):
         remainder = linalg.echelon_step(echelon, ech_pivots, sparse_target,
                                         insert=False)
         assert (echelon, ech_pivots) == before and ech_pivots == pivots
-        assert (not remainder) == in_span(dense, target)
+        assert (not remainder) == (not _fraction_reduce_row(sparse_target, reduced, pivots))
+
+
+@pytest.mark.parametrize("sources", [
+    ["x/2", "y/3", "(x + y)/6", "x/(2*y)"],   # denominators with an integer content
+    ["x/(x + 1)", "(y^2 - 1)/(x - y)", "3/(x + 1)^2"],
+])
+def test_clear_denominators_rows_are_one_multiple_of_the_cleared_values(sources):
+    # integer rows of value * den, all times the same positive integer
+    values = [F(src) for src in sources]
+    den, index, rows = clear_denominators(values)
+    ratios = set()
+    for value, row in zip(values, rows):
+        cleared = value * RationalFunction(den)
+        assert cleared.den.is_constant
+        coeffs = {index[e]: c / cleared.den.constant_value()
+                  for e, c in cleared.num.terms.items()}
+        assert row.keys() == coeffs.keys()
+        assert all(type(v) is int for v in row.values())
+        ratios |= {row[col] / c for col, c in coeffs.items()}
+    assert len(ratios) == 1 and ratios.pop() > 0
 
 
 def test_echelon_step_drops_explicit_zero_entries():
@@ -1059,13 +1079,6 @@ def test_explicit_zero_entries_change_nothing(matrix, data):
         assert (linalg.echelon_step(echelon, pivots, with_zeros(target), insert=False)
                 == linalg.echelon_step(echelon, pivots, target, insert=False))
     assert nullspace(zeroed, ncols) == nullspace(rows, ncols)
-
-
-def test_in_span():
-    v1 = (Fraction(1), Fraction(0), Fraction(1))
-    v2 = (Fraction(0), Fraction(1), Fraction(1))
-    assert in_span([v1, v2], (Fraction(2), Fraction(3), Fraction(5)))
-    assert not in_span([v1, v2], (Fraction(0), Fraction(0), Fraction(1)))
 
 
 # -- printing round trip ----------------------------------------------------------

@@ -28,7 +28,7 @@ from ratdyn.translation import classify_system
 
 from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
                       _fraction_rref, make_system, poly,
-                      ref_cleared_monomial_images, rf)
+                      ref_cleared_monomial_images, ref_pencil_candidates, rf)
 
 
 def test_budget_validation():
@@ -785,7 +785,7 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
     # no rank-1 limit, and no decomposable points: the stage ends at its kernel
     budget = SearchBudget(dmax, dmax, 0, 10**6)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch, "_decomposable_points", lambda basis, size: [])
+        mp.setattr(invsearch, "_decomposable_points", lambda basis: [])
         (found, conclusive), calls = _kernels(lambda: invsearch._pencil_stage(sys, budget))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
     assert (found, conclusive) == ([], True)
@@ -813,7 +813,7 @@ _DOUBLE_3D_PENCILS = [
     # k = 2: the gcd of the binary quadrics at t2 = 1
     ("x y", ("y", "(y^2 + 1)/x"), SearchBudget(1, 2, 0, 3),
      ["(x*y)/(x^2 + y^2 + 1)"]),
-    # k = 3 without quadrics: the grid alone
+    # k = 3 with one quadric, so no resultant: the grid
     ("x", ("1/x",), SearchBudget(1, 3, 0, 3),
      ["(x)/(x^2 + 1)", "(x)/(x^2 - x + 1)", "(x)/(x^2 + 1)", "(x)/(x^2 + x + 1)"]),
     ("x y z", ("2*x", "2*y", "2*z"), SearchBudget(1, 1, 0, 3), _DOUBLE_3D_PENCILS),
@@ -832,7 +832,9 @@ def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
 @pytest.mark.parametrize("variables, exprs, budget, candidates", [
     ("x", ("1/x",), SearchBudget(1, 3, 0, 3), 4),
     ("x y z", ("2*x", "2*y", "2*z"), SearchBudget(1, 1, 0, 3), 49),
-], ids=["inverse-k3-grid", "double-3d-k3-grid"])
+    # k = 6: the grid alone
+    ("x y", ("2*x", "2*y"), SearchBudget(2, 2, 0, 8), 58),
+], ids=["inverse-k3-grid", "double-3d-k3-grid", "double-k6-grid"])
 def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budget,
                                                          candidates):
     # a repeated candidate takes the first one's verdict: one exact pullback
@@ -850,6 +852,55 @@ def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budge
     assert len(found) == candidates
     assert len(gated) == len(set(gated))
     assert set(gated) == set(found)
+
+
+@st.composite
+def pencil_bases(draw):
+    """size <= 6 and 1-4 pencil basis vectors over the pairs i < j < size,
+    with small rational entries, most of them zero."""
+    size = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(-2, 2),
+                                            st.sampled_from([1, 2, 3])))
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(value, min_size=len(pairs), max_size=len(pairs)))
+        basis.append({pair: v for pair, v in zip(pairs, values) if v}
+                     or {pairs[0]: Fraction(1)})
+    return size, basis
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@given(pencil_bases())
+# the grid without quadrics (k = 2, 4; size 3): denominators that differ
+# between the vectors, and points of either sign
+@example((3, [{(0, 1): _HALF}, {(0, 2): _THIRD, (1, 2): 1}]))
+@example((3, [{(0, 1): _HALF}, {(0, 2): 1}, {(1, 2): _THIRD}, {(0, 2): -_HALF}]))
+# the kernels of the pinned searches below (qrt-k2 in both orders and
+# k3-resultants, each with a vector rescaled; inverse-k3-grid,
+# k3-resultants-empty), whose quadrics have rational roots
+@example((6, [{(0, 1): 1, (0, 2): 1, (1, 4): 1, (1, 5): -1, (2, 3): -1, (2, 4): 1},
+              {(0, 4): _THIRD, (3, 4): _THIRD, (4, 5): -_THIRD}]))
+@example((6, [{(0, 4): _THIRD, (3, 4): _THIRD, (4, 5): -_THIRD},
+              {(0, 1): 1, (0, 2): 1, (1, 4): 1, (1, 5): -1, (2, 3): -1, (2, 4): 1}]))
+@example((6, [{(0, 1): 1, (1, 3): -1}, {(0, 2): _HALF, (1, 4): -_HALF},
+              {(1, 2): 1, (3, 4): -1}]))
+@example((4, [{(0, 1): 1, (2, 3): -1}, {(0, 2): 1, (1, 3): -1}, {(1, 2): 1, (2, 3): -1}]))
+@example((6, [{(0, 3): 1, (1, 2): -3},
+              {(1, 3): 1, (1, 5): Fraction(-4, 5), (2, 3): Fraction(6, 5),
+               (2, 4): Fraction(4, 5)},
+              {(1, 4): 1, (1, 5): Fraction(-6, 5), (2, 3): Fraction(4, 5),
+               (2, 4): Fraction(6, 5)}]))
+def test_pencil_candidates_match_the_fraction_pencil(data):
+    # the integer pencil (one common denominator, primitive points, int
+    # rank and span tests) against the Fraction pencil it replaces: the
+    # same p/q in the same order, repeats included
+    size, basis = data
+    monos = monomials_upto(2, 2)[:size]
+    assert (invsearch._pencil_candidates(("x", "y"), monos, basis)
+            == ref_pencil_candidates(("x", "y"), monos, basis))
 
 
 _ROOT_GRID = sorted({Fraction(p, q) for p in range(-12, 13) for q in range(1, 7)})
