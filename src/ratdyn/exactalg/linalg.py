@@ -68,10 +68,13 @@ def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
     row (int or Fraction entries) is cleared to a primitive integer row
     without its zero entries and reduced at each pivot column it meets, by
     ``_eliminate``; the remainder is empty exactly when the row lies in the
-    span.  With ``insert``, a nonzero remainder joins at its first column,
+    span.  A row of ints needs no clearing, only the zero filter and the
+    content.  With ``insert``, a nonzero remainder joins at its first column,
     where the other rows are then cleared; nothing else is changed in place.
     """
-    row = _primitive({c: v for c, v in _cleared_terms(row)[1].items() if v})
+    if not all(type(v) is int for v in row.values()):
+        row = _cleared_terms(row)[1]
+    row = _primitive({c: v for c, v in row.items() if v})
     for pc, ref in zip(pivots, echelon):
         if row.get(pc):
             row = _eliminate(row, ref, pc)

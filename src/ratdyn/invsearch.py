@@ -186,9 +186,17 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget
                 break
 
     rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1), ())
-    products.sort(key=lambda entry: (entry[0].total_degree,
-                                     grlex_key(entry[0].leading()[0]), str(entry[0])))
-    return products
+    # by degree, then leading monomial (the grlex key of the leading monomial
+    # holds both), then text, which is rendered only to order a tied run
+    keyed = sorted(((grlex_key(max(entry[0]._num, key=grlex_key)), entry)
+                    for entry in products), key=operator.itemgetter(0))
+    out: List[Tuple[Polynomial, _Factorization]] = []
+    for _, run in itertools.groupby(keyed, key=operator.itemgetter(0)):
+        run = [entry for _, entry in run]
+        if len(run) > 1:
+            run.sort(key=lambda entry: str(entry[0]))
+        out += run
+    return out
 
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
@@ -540,8 +548,9 @@ class _FactorBasis:
     (numerator exponents minus denominator exponents).  The basis covers the
     squarefree chain of every numerator and denominator, so the
     decomposition is exact, and ``cover`` refines it with the invariants
-    added since its last call instead of recomputing it.  Powers of each
-    factor are tabulated once and kept across refinements.
+    added since its last call instead of recomputing it; a refinement
+    replaces ``factors`` by a new list.  Powers of each factor are tabulated
+    once and kept across refinements.
     """
 
     def __init__(self, variables):
@@ -549,7 +558,6 @@ class _FactorBasis:
         self.factors: List[Polynomial] = []
         self.vectors: List[List[int]] = []
         self._powers: Dict[Polynomial, List[Polynomial]] = {}
-        self._products: Dict[Tuple[int, ...], Polynomial] = {}
 
     def cover(self, found: Sequence[RationalFunction]):
         def split(fs):
@@ -565,36 +573,28 @@ class _FactorBasis:
             # a split factor changes the vectors of earlier invariants too
             self.factors = coprime_factor_basis(rests, self.factors)
             self.vectors = []
-            self._products = {}
             parts = split(found)
         for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
             if not (num_rest.is_constant and den_rest.is_constant):
                 raise AssertionError("factor basis does not cover an invariant")
             self.vectors.append([a - b for a, b in zip(num, den)])
 
-    def products(self, vectors: Sequence[Tuple[int, ...]]) -> List[Polynomial]:
-        """prod b_j^x_j for each vector x of non-negative exponents, from the
-        power tables; products of the previous call are reused."""
-        previous, self._products = self._products, {}
-        for x in vectors:
-            if x in self._products:
-                continue
-            p = previous.get(x)
-            if p is None:
-                p = self.one
-                for b, k in zip(self.factors, x):
-                    if k:
-                        table = self._powers.setdefault(b, [self.one])
-                        while len(table) <= k:
-                            table.append(table[-1] * b)
-                        p = p * table[k]
-            self._products[x] = p
-        return [self._products[x] for x in vectors]
+    def product(self, x: Sequence[int]) -> Polynomial:
+        """prod b_j^x_j for a vector x of non-negative exponents, from the
+        power tables (a single power is the table entry itself)."""
+        p = self.one
+        for b, k in zip(self.factors, x):
+            if k:
+                table = self._powers.setdefault(b, [self.one])
+                while len(table) <= k:
+                    table.append(table[-1] * b)
+                p = table[k] if p is self.one else p * table[k]
+        return p
 
 
 class _ClearedPool:
     """The capped Laurent products of the found invariants over their common
-    denominator, echelonized once and reused across candidates.
+    denominator, as one integer echelon that grows with the invariants.
 
     Invariants form a field, so a candidate algebraically dependent on the
     prior ones is uninformative exactly when it is a rational combination of
@@ -606,55 +606,99 @@ class _ClearedPool:
     alone gives the product's normal-form degree (the larger of the positive
     and the negative part of s, each weighted by deg b_j), equality up to a
     constant (equal s), the lcm of the denominators (prod b_j^t_j, with t_j
-    the largest -s_j) and each cleared row (prod b_j^(s_j + t_j)); no gcd,
-    lcm or division is taken.
+    the largest -s_j: the lift) and each cleared row (prod b_j^(s_j + t_j));
+    no gcd, lcm or division is taken.
+
+    ``extend`` brings the pool up to a longer list of invariants, starting
+    from the empty pool.  The capped set {e : sum |e_i| <= total,
+    sum |e_i| deg g_i <= bound} does not depend on the order of the
+    invariants, so the products that the new invariants add are exactly
+    those of the vectors e nonzero on one of them: only those are formed and
+    reduced into the kept echelon.  A refined factor basis changes every s,
+    and a grown lift every cleared row, so either one builds the whole pool
+    again; ``full_builds`` counts those builds, the first one included.
 
     Membership of f first requires f.den to divide the pool lcm (the
     denominator of any Q-combination does), then reduces the cleared
-    numerator against the cached integer echelon; a nonzero remainder or
-    any monomial outside the pool support is a certain negative.
+    numerator against the integer echelon; a nonzero remainder or any
+    monomial outside the pool support is a certain negative.  The span does
+    not depend on the order in which rows joined, so neither does the
+    answer.
     """
 
-    def __init__(self, found: Sequence[RationalFunction], basis: _FactorBasis,
-                 budget: SearchBudget):
+    def __init__(self, basis: _FactorBasis, budget: SearchBudget):
+        self.basis = basis
+        self.bound = max(budget.max_num_degree, budget.max_den_degree)
+        self.total = max(budget.max_num_degree, 1)
+        self.factors: Optional[List[Polynomial]] = None  # what s is over
+        self.degrees: List[int] = []  # of the covered invariants, each >= 1
+        self.vectors: Dict[Tuple[int, ...], None] = {}  # insertion-ordered set of s
+        self.lift: Optional[Tuple[int, ...]] = None
+        self.full_builds = 0
+
+    def _exponents(self, order, first, stop, weight_left, degree_left):
+        """The nonzero sparse vectors [(i, e_i), ...] over the invariants
+        order[first:] with sum |e_i| <= weight_left and
+        sum |e_i| * deg g_i <= degree_left whose first entry is at a
+        position below ``stop``."""
+        # degree_left prunes products whose degree could only come back under
+        # the budget through cancellation; missing those merely keeps an extra
+        # candidate later, it never drops a sound invariant
+        for pos in range(first, stop):
+            i = order[pos]
+            degree = self.degrees[i]
+            for m in range(1, min(weight_left, degree_left // degree) + 1):
+                rests = [[]]
+                rests += self._exponents(order, pos + 1, len(order), weight_left - m,
+                                         degree_left - m * degree)
+                for rest in rests:
+                    yield [(i, m)] + rest
+                    yield [(i, -m)] + rest
+
+    def extend(self, found: Sequence[RationalFunction]):
+        """Add the products of ``found``, which extends the list the pool
+        covers."""
+        basis = self.basis
         basis.cover(found)
-        bound = max(budget.max_num_degree, budget.max_den_degree)
-        total = max(budget.max_num_degree, 1)
-        k = len(found)
-        # >= 1, since found invariants are not constant
-        degrees = [g.degree for g in found]
-        widths = [b.total_degree for b in basis.factors]
-
-        def vectors(idx, weight_left, degree_left):
-            # degree_left prunes products whose degree could only come back
-            # under the budget through cancellation; missing those merely
-            # keeps an extra candidate later, it never drops a sound invariant
-            if idx == k:
-                yield ()
-                return
-            cap = min(weight_left, total, degree_left // degrees[idx])
-            for e in range(-cap, cap + 1):
-                for rest in vectors(idx + 1, weight_left - abs(e),
-                                    degree_left - abs(e) * degrees[idx]):
-                    yield (e,) + rest
-
-        products = {(0,) * len(widths): None}  # insertion-ordered set of s
-        for expos in vectors(0, total, bound):
+        if basis.factors is not self.factors:
+            # a refined basis changes the s of every product: start over
+            self.factors, self.degrees, self.lift = basis.factors, [], None
+            self.vectors = {(0,) * len(self.factors): None}
+        start = len(self.degrees)
+        if start == len(found) and self.lift is not None:
+            return
+        self.degrees += [g.degree for g in found[start:]]
+        widths = [b.total_degree for b in self.factors]
+        sparse = [[(j, aj) for j, aj in enumerate(a) if aj] for a in basis.vectors]
+        order = list(range(start, len(found))) + list(range(start))
+        fresh = []
+        lift = [0] * len(widths) if self.lift is None else list(self.lift)
+        for expos in self._exponents(order, 0, len(found) - start, self.total,
+                                    self.bound):
             s = [0] * len(widths)
-            for e, a in zip(expos, basis.vectors):
-                if e:
-                    for j, aj in enumerate(a):
-                        s[j] += e * aj
+            for i, e in expos:
+                for j, aj in sparse[i]:
+                    s[j] += e * aj
             num_degree = sum(w * x for w, x in zip(widths, s) if x > 0)
             den_degree = -sum(w * x for w, x in zip(widths, s) if x < 0)
-            if max(num_degree, den_degree) <= bound:
-                products[tuple(s)] = None
-        lift = tuple(max(0, -min(col)) for col in zip(*products))
-        self.den, *cleared = basis.products(
-            [lift] + [tuple(x + t for x, t in zip(s, lift)) for s in products])
-        self.index: Dict[Exponent, int] = {}
-        self.rows, self.pivots = [], []  # the integer echelon
-        for p in cleared:
+            s = tuple(s)
+            if max(num_degree, den_degree) <= self.bound and s not in self.vectors:
+                self.vectors[s] = None
+                fresh.append(s)
+                for j, x in enumerate(s):
+                    if -x > lift[j]:
+                        lift[j] = -x
+        lift = tuple(lift)
+        if lift != self.lift:
+            # every cleared row changes: build the pool again
+            self.lift, fresh = lift, list(self.vectors)
+            self.den = basis.product(lift)
+            self.index: Dict[Exponent, int] = {}
+            self.rows, self.pivots = [], []  # the integer echelon
+            self.full_builds += 1
+        for s in fresh:
+            # the cleared row of s = 0 is the lcm itself
+            p = basis.product(tuple(map(operator.add, s, lift))) if any(s) else self.den
             echelon_step(self.rows, self.pivots, {self.index.setdefault(
                 e, len(self.index)): c for e, c in p._num.items()})
 
@@ -688,10 +732,9 @@ class _Collector:
     remainders join the echelons as they are.
 
     The kept invariants are held in factored form over one coprime factor
-    basis.  Each pool build refines it with the invariants kept since the
-    previous build, so a search whose candidates all raise the rank factors
-    nothing; the pool itself is rebuilt after every kept invariant, from
-    exponent vectors and power tables only.
+    basis, and one pool serves the whole search.  Before a span test the
+    pool is extended with the invariants kept since the last one, so a
+    search whose candidates all raise the rank builds nothing.
 
     A candidate equal to a kept invariant is dropped before the exact
     pullback gate; every other candidate must pass the gate.
@@ -699,15 +742,13 @@ class _Collector:
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
         self.sys = sys
-        self.budget = budget
         self.found: List[RationalFunction] = []
         self.rank = 0
         rng = random.Random(0x6465647570)
         self._points = [tuple(rng.randint(-999, 999) for _ in sys.variables)
                         for _ in range(3)]
         self._echelons = [([], []) for _ in self._points]  # (rows, pivots)
-        self._factors = _FactorBasis(sys.variables)
-        self._pool = None
+        self._pool = _ClearedPool(_FactorBasis(sys.variables), budget)
 
     def _remainders(self, f: RationalFunction) -> list:
         """f's gradient reduced against each point's echelon; None where f
@@ -741,13 +782,10 @@ class _Collector:
                for rem, echelon in zip(remainders, self._echelons)):
             self._remember(f, remainders)
             self.rank += 1
-            self._pool = None
             return
-        if self._pool is None:
-            self._pool = _ClearedPool(self.found, self._factors, self.budget)
+        self._pool.extend(self.found)
         if not self._pool.contains(f):
             self._remember(f, remainders)
-            self._pool = None
 
 
 def rational_invariant_search(sys: DynamicalSystem,

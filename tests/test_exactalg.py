@@ -1059,6 +1059,23 @@ def test_echelon_step_drops_explicit_zero_entries():
     assert linalg.echelon_step(echelon, pivots, {0: Fraction(0), 1: 3}, insert=False) == {}
 
 
+@given(int_matrices(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_int_rows_take_the_fraction_path_result(matrix, target):
+    # rows of ints skip the clearing; as Fractions (zeros included) they are
+    # cleared, and both give the same remainders and echelon
+    rows, _ = matrix
+    target = dict(enumerate(target))
+    as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows + [target]]
+    results = []
+    for ints in (rows + [target], as_fractions):
+        echelon, pivots = [], []
+        remainders = [linalg.echelon_step(echelon, pivots, row) for row in ints[:-1]]
+        remainders.append(linalg.echelon_step(echelon, pivots, ints[-1], insert=False))
+        assert all(type(v) is int for row in echelon + remainders for v in row.values())
+        results.append((remainders, echelon, pivots))
+    assert results[0] == results[1]
+
+
 @given(dependent_rows(), st.data())
 def test_explicit_zero_entries_change_nothing(matrix, data):
     # the same rows with explicit zeros (int or Fraction, placed first in the

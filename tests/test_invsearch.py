@@ -15,8 +15,8 @@ from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
                            iterate, pullback)
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
-                             jacobian_rank, monomials_upto, nullspace, poly_gcd,
-                             transpose, try_divide)
+                             grlex_key, jacobian_rank, monomials_upto, nullspace,
+                             poly_gcd, transpose, try_divide)
 from ratdyn.exactalg.poly import _int_primitive
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
@@ -297,8 +297,8 @@ def test_factor_basis_covers_every_invariant_exactly():
         basis.cover(found[:n])
         assert len(basis.vectors) == n
         for g, a in zip(found[:n], basis.vectors):
-            num, den = basis.products([tuple(max(x, 0) for x in a),
-                                       tuple(max(-x, 0) for x in a)])
+            num = basis.product([max(x, 0) for x in a])
+            den = basis.product([max(-x, 0) for x in a])
             assert RationalFunction(num, den) == g
             assert num.scaled(g.num.leading()[1] / num.leading()[1]) == g.num
             assert den.scaled(g.den.leading()[1] / den.leading()[1]) == g.den
@@ -374,12 +374,11 @@ def found_lists(draw):
                                        SearchBudget(2, 3, 1, 3)]),
        st.randoms(use_true_random=False))
 def test_factored_pool_matches_reference_pool(found, budget, rnd):
-    # one basis refined along the list, as the collector does, so that the
-    # last pool reuses products and power tables of the earlier ones
-    basis = _FactorBasis(XYZ)
+    # one pool extended along the list, as the collector does
+    pool = _ClearedPool(_FactorBasis(XYZ), budget)
     for n in range(1, len(found) + 1):
         ref = _reference_pool(found[:n], budget)
-        pool = _ClearedPool(found[:n], basis, budget)
+        pool.extend(found[:n])
         products = ref[0]
         # same span: every reference product is a member, and the ranks agree
         assert all(pool.contains(p) for p in products)
@@ -396,6 +395,26 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     for f in inside + outside:
         assert pool.contains(f) == _reference_contains(ref, f), f
     assert all(_reference_contains(ref, f) for f in inside)
+
+
+@pytest.mark.parametrize("sources, budget, full_builds", [
+    # x/y needs no new factor and no larger lift, so the pool is extended;
+    # x^2/(y*z) = (x/y)*(x/z) comes only from a vector mixing old and new
+    (["x/z", "y/z", "x/y"], SearchBudget(2, 2, 1, 3), 1),
+    # y^2/x needs no new factor, but (x/y)/(y^2/x) = x^2/y^3 grows the lift
+    # on y, so the pool is built again in full
+    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 2),
+])
+def test_pool_extension_matches_the_reference_pool(sources, budget, full_builds):
+    found = [rf(src, XYZ) for src in sources]
+    pool = _ClearedPool(_FactorBasis(XYZ), budget)
+    pool.extend(found[:-1])
+    factors = pool.factors
+    pool.extend(found)
+    ref = _reference_pool(found, budget)
+    assert pool.factors is factors and pool.full_builds == full_builds
+    assert all(pool.contains(p) for p in ref[0])
+    assert len(pool.rows) == len(ref[3])
 
 
 # -- the collector's integer rank oracle -------------------------------------------
@@ -456,7 +475,8 @@ class _FractionCollector:
             self._pool = None
             return
         if self._pool is None:
-            self._pool = _ClearedPool(self.found, self._factors, self.budget)
+            self._pool = _ClearedPool(self._factors, self.budget)
+            self._pool.extend(self.found)
         if not self._pool.contains(f):
             self._remember(f)
             self._pool = None
@@ -508,6 +528,93 @@ def test_collector_matches_fraction_collector_on_heavy_searches(
     found, rank = _search(invsearch._Collector, sys, budget)
     assert (found, rank) == _search(_FractionCollector, sys, budget)
     assert rank >= 1 and len(found) > rank
+
+
+def _check_pools_against_fresh_builds(mp, answers):
+    """Make every span test of an extended pool also ask a pool built from
+    empty for the invariants it covers, and check that both give the
+    same answer and the same rank; ``answers`` collects the answers.
+
+    The fresh pools of one search share a factor basis of their own, which
+    the search's basis never touches (a new basis per fresh pool would
+    factor every invariant again, which makes the 3-D doubling square take
+    about 10 s).  One fresh pool serves the span tests between two
+    extensions."""
+    real_init, real_extend, real_contains = (
+        _ClearedPool.__init__, _ClearedPool.extend, _ClearedPool.contains)
+
+    def init(self, basis, budget):
+        real_init(self, basis, budget)
+        self.reference = (_FactorBasis(basis.one.variables), budget)
+        self.covered = None
+
+    def extend(self, found):
+        real_extend(self, found)
+        if self.covered != found:
+            self.covered = list(found)
+            self.fresh = _ClearedPool.__new__(_ClearedPool)
+            real_init(self.fresh, *self.reference)
+            real_extend(self.fresh, self.covered)
+            assert self.fresh.full_builds == 1
+
+    def contains(self, f):
+        got = real_contains(self, f)
+        fresh = self.fresh
+        assert got == real_contains(fresh, f), (self.covered, f)
+        assert len(self.rows) == len(fresh.rows)
+        answers.append(got)
+        return got
+
+    mp.setattr(_ClearedPool, "__init__", init)
+    mp.setattr(_ClearedPool, "extend", extend)
+    mp.setattr(_ClearedPool, "contains", contains)
+
+
+@pytest.mark.parametrize("variables, exprs, command, budget", [
+    ("x y", ("2*x", "2*y"), "square", "2,2,2,3"),
+    ("x y z", ("y", "z", "x"), "invariants", "3,2,1,3"),
+    ("x y z", ("2*x", "2*y", "2*z"), "square", "2,2,2,3"),
+])
+def test_extended_pool_matches_a_fresh_pool_on_every_offer(
+        tmp_path, variables, exprs, command, budget):
+    names = variables.split()
+    path = tmp_path / "input.system"
+    path.write_text(f"var {', '.join(names)};\n"
+                    + "".join(f"{v} -> {e};\n" for v, e in zip(names, exprs)))
+    answers = []
+    with pytest.MonkeyPatch.context() as mp:
+        _check_pools_against_fresh_builds(mp, answers)
+        _, code = run_command([command, str(path), "--budget", budget])
+    assert code == 0
+    # both answers occur: the extended pool keeps and drops candidates
+    assert set(answers) == {True, False}
+
+
+@given(st.data())
+def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
+    sys = data.draw(rescaled_maps())
+    budget = data.draw(st.sampled_from(_SEARCH_BUDGETS))
+    with pytest.MonkeyPatch.context() as mp:
+        _check_pools_against_fresh_builds(mp, [])
+        rational_invariant_search(sys, budget)
+
+
+def test_double_square_builds_the_pool_in_full_at_most_three_times(systems_dir):
+    # one kept invariant after another extends the pool; only a refined
+    # factor basis or a grown lift builds it again in full
+    pools = []
+    real_init = _ClearedPool.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        pools.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ClearedPool, "__init__", init)
+        doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
+                                 "--budget", "2,2,2,3"])
+    assert code == 0 and doc["result"]["square_rank"] == 3
+    assert sum(pool.full_builds for pool in pools) <= 3
 
 
 def test_collector_point_at_a_pole_of_a_kept_invariant_is_unusable():
@@ -778,6 +885,24 @@ def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
     found = invsearch._fixed_denominator_invariants(sys, q, (({(1,): 1}, 2),),
                                                     SearchBudget(1, 3, 1, 3), {})
     assert found == [rf("1/x^2", ("x",))]
+
+
+def test_catalog_order_is_degree_leading_monomial_then_text(systems_dir):
+    # the text breaks ties only, and ties are common on the squares
+    def key(entry):
+        q = entry[0]
+        return q.total_degree, grlex_key(q.leading()[0]), str(q)
+
+    ties = 0
+    for name in sorted(os.listdir(systems_dir)):
+        base = load_system(os.path.join(systems_dir, name)).build()
+        for sys in (base, diagonal_power(base, 2)):
+            for budget in (DEFAULT_BUDGET, SearchBudget(2, 3, 2, 3)):
+                catalog = invsearch._denominator_catalog(sys, budget)
+                assert catalog == sorted(catalog, key=key)
+                keys = [key(entry)[:2] for entry in catalog]
+                ties += len(keys) - len(set(keys))
+    assert ties > 0
 
 
 @given(rescaled_maps(), st.integers(1, 2))
