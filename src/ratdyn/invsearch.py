@@ -4,13 +4,13 @@ The fixed field of the pullback is approached in three stages, each exact:
 
   * polynomial stage -- invariance of a polynomial of bounded degree is a
     linear condition on its coefficients; solve the nullspace over Q;
-  * fixed-denominator stage -- for each denominator from a catalog of
-    factors of the map's iterated numerators and denominators, invariance of
-    p/q is linear in p.  With I the cleared pullback and g = gcd(q, I(q)),
-    it reads I(p)*q1 = p*r1 for the coprime q1 = q/g and r1 = I(q)/g, so q1
-    divides p (q is a Darboux polynomial when q1 is constant): only p/q1 is
-    solved for, and a q with deg q1 above the numerator budget is skipped
-    without a solve;
+  * fixed-denominator stage -- for each denominator q from a catalog of
+    products of factors of the map's iterated numerators and denominators,
+    invariance of p/q is linear in p.  The denominator of an invariant in
+    lowest terms divides its own cleared pullback I(q) (it is a Darboux
+    polynomial), so only a q that divides I(q) is solved, as I(p) = p*r
+    with r = I(q)/q; the catalog's factors are split until skipping the
+    other q loses nothing;
   * pencil stage -- the full bilinear condition on p/q is linearized on the
     antisymmetrized coefficient pairs p_i q_j - p_j q_i; decomposable points
     of that nullspace are exactly the invariant pencils, and are extracted
@@ -36,14 +36,13 @@ from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
                      diagonal_power, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
-                       cleared_monomial_images, coprime_factor_basis,
+                       cleared_monomial_images, coprime_factor_basis, divide_exact,
                        echelon_step, grlex_key, jacobian_rank, jacobian_row,
-                       monomials_upto, nullspace, poly_gcd, squarefree_chain,
-                       transpose, try_divide)
+                       monomials_upto, nullspace, poly_gcd, primitive_part,
+                       squarefree_chain, transpose, try_divide)
 from .exactalg.linalg import _echelon, _sparse
-from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_primitive,
-                            _int_primitive, _is_constant, _minus_shifted, _mul_int,
-                            _normalized, _scaled_int)
+from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _int_primitive,
+                            _minus_shifted, _mul_int, _normalized)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -135,19 +134,56 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
 # -- denominator catalog ----------------------------------------------------------
 
 
-_Factorization = Tuple[Tuple[Dict[Exponent, int], int], ...]
+def _pullback_table(sys: DynamicalSystem, d: int, tables: dict) -> dict:
+    """The monomials of degree <= d mapped to their cleared pullbacks (over
+    prod(den_i^d)), kept in ``tables`` by d."""
+    if d not in tables:
+        tables[d] = dict(zip(*_monomial_pullbacks(sys, d)))
+    return tables[d]
 
 
-def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget
-                         ) -> List[Tuple[Polynomial, _Factorization]]:
+def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
+                   tables: dict) -> List[Polynomial]:
+    """The factors, each non-Darboux f (one that does not divide its cleared
+    pullback I(f), over prod(den_i^deg f)) split by its gcd with the
+    squarefree chains of the coordinate denominators and of every factor's
+    I(f), until nothing changes: then each non-Darboux factor has one
+    valuation at all its irreducible factors in each of those chains."""
+
+    @functools.cache
+    def image(f):
+        return Polynomial._make(sys.variables, _combine_int(
+            _int_primitive(f)[1], _pullback_table(sys, f.total_degree, tables)))
+
+    chain = functools.cache(squarefree_chain)
+    out = factors
+    while True:
+        loose = [f for f in out if f.total_degree > 1 and try_divide(image(f), f) is None]
+        if not loose:
+            return out
+        splitters = [c for p in [coord.den for coord in sys.coords] + list(map(image, out))
+                     for c in chain(p)]
+        cuts = {}
+        for f in loose:
+            g = next((g for g in (poly_gcd(f, c) for c in splitters)
+                      if 0 < g.total_degree < f.total_degree), None)
+            if g is not None:
+                cuts[f] = (g, primitive_part(divide_exact(f, g)))
+        if not cuts:
+            return out
+        # each piece takes its factor's place
+        out = [h for f in out for h in cuts.get(f, (f,))]
+
+
+def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
+                         tables: Optional[dict] = None) -> List[Polynomial]:
     """Products of iterated numerator/denominator factors, by total degree.
 
-    Invariant denominators divide products of factors whose pullbacks stay
-    proportional to themselves, and those concentrate among the factors of
-    the iterates; the catalog collects the coprime factor basis of the first
-    few iterates and all products up to the denominator degree budget.  Each
-    product q comes with its factorization over that basis: the pairs (F, a)
-    with a > 0 and q = prod f^a, F the integer coefficients of the factor f.
+    Invariant denominators are Darboux polynomials, which concentrate among
+    the factors of the iterates; the catalog collects the coprime factor
+    basis of the first few iterates up to the denominator degree budget,
+    split by ``_darboux_split`` (``tables`` caches ``_pullback_table``), and
+    all its products up to that budget.
     """
     if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
         return []
@@ -159,25 +195,24 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget
             pool.append(c.den)
         if depth + 1 < budget.denominator_catalog_depth:
             current = compose(current, sys)
-    factors = [f for f in coprime_factor_basis(pool)
-               if f.total_degree <= budget.max_den_degree]
-    ints = [_int_primitive(f)[1] for f in factors]
-    products: List[Tuple[Polynomial, _Factorization]] = []
+    factors = _darboux_split(sys, [f for f in coprime_factor_basis(pool)
+                                   if f.total_degree <= budget.max_den_degree],
+                             {} if tables is None else tables)
+    products: List[Polynomial] = []
 
-    def rec(idx, degree_left, acc, powers):
+    def rec(idx, degree_left, acc):
         if len(products) >= _CATALOG_CAP:
             return
         if idx == len(factors):
             if not acc.is_constant:
-                products.append((acc, powers))
+                products.append(acc)
             return
         f = factors[idx]
         step = f.total_degree
         power = acc
         count = 0
         while True:
-            rec(idx + 1, degree_left - count * step, power,
-                powers + ((ints[idx], count),) if count else powers)
+            rec(idx + 1, degree_left - count * step, power)
             count += 1
             if count * step > degree_left:
                 break
@@ -185,104 +220,67 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget
             if power.total_degree > budget.max_den_degree:
                 break
 
-    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1), ())
+    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1))
     # by degree, then leading monomial (the grlex key of the leading monomial
     # holds both), then text, which is rendered only to order a tied run
-    keyed = sorted(((grlex_key(max(entry[0]._num, key=grlex_key)), entry)
-                    for entry in products), key=operator.itemgetter(0))
-    out: List[Tuple[Polynomial, _Factorization]] = []
+    keyed = sorted(((grlex_key(max(q._num, key=grlex_key)), q) for q in products),
+                   key=operator.itemgetter(0))
+    out: List[Polynomial] = []
     for _, run in itertools.groupby(keyed, key=operator.itemgetter(0)):
-        run = [entry for _, entry in run]
+        run = [q for _, q in run]
         if len(run) > 1:
-            run.sort(key=lambda entry: str(entry[0]))
+            run.sort(key=str)
         out += run
     return out
 
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
-                                  factors: _Factorization,
                                   budget: SearchBudget,
-                                  composed_cache: dict) -> List[RationalFunction]:
+                                  tables: dict) -> List[RationalFunction]:
     """Stage 1: with q fixed, invariance of p/q is linear in p.
 
-    With I the pullback cleared over the common denominator, p/q is
-    invariant iff I(p)*q = p*I(q).  Let g = gcd(q, I(q)), q = g*q1 and
-    I(q) = g*r1 with q1 and r1 coprime (q is a Darboux polynomial of the
-    map exactly when q1 is constant).  The condition is then
-    I(p)*q1 = p*r1, which forces q1 | p; so p = q1*s, and s solves
-    I(q1*s) = s*r1.  When deg q1 exceeds the numerator budget the only
-    solution is p = 0, and the stage returns [] without a solve.  Otherwise
-    the unknowns are the monomials m of degree <= dp - deg q1, with the
-    column I(q1*m) - m*r1 combined from the monomial pullbacks.
+    With I the pullback cleared at degree max(dp, deg q), p/q is invariant
+    iff I(p)*q = p*I(q).  When q divides I(q), with cofactor r, this is
+    I(p) = p*r: one column I(m) - m*r per monomial m of degree <= dp, and
+    the reduced row echelon kernel, each vector with a positive leading
+    coefficient, is the output.  When deg q <= dp, p = q is a known kernel
+    vector, and a kernel that is just the line through q gives only
+    constants.  A q that does not divide I(q) returns [] without a solve,
+    which loses nothing the search keeps:
 
-    g is found by trial division of I(q) by q's own factors (``factors``,
-    the pairs (F, a) of primitive integer polynomials F and exponents a with
-    q = c * prod F^a), then one gcd of what is left: a catalog factor is
-    squarefree but may be reducible, so part of it can divide I(q) when the
-    whole does not.
+      (a) a candidate p/q = p'/q' in lowest terms has q' | I(q'), so q'
+          divides D, q's largest Darboux divisor: the limit of
+          g <- gcd(g, I(g)) from g = q;
+      (b) after ``_darboux_split`` each non-Darboux factor has the same
+          valuation at each of its irreducible factors in every pullback
+          and every denominator chain, so D is a product of whole factors;
+          ``rec`` enumerates D before q, D's exponents being <= q's, so the
+          cap cannot keep q and cut D, and D sorts earlier, its degree
+          being lower;
+      (c) D's own solve used the full numerator bound dp (and p'*D/q' has
+          degree <= deg p), so everything q could emit lies in the pool's
+          span of what was already kept (applying (a)-(c) to D if D fails
+          its own test), and the collector would drop it.
 
-    When deg q fits the numerator budget, p = q (s = g) is one solution, a
-    known kernel vector, so the rank is at most one less than the column
-    count, and a kernel that is just the line through q gives only
-    constants.  Each kernel vector s maps to p = q1*s, and the stage returns
-    the unique reduced row echelon basis of those p over the monomials of
-    degree <= dp, so its output is that of the full solve for p.
-
-    ``composed_cache`` maps a clearing degree to its monomial pullbacks, as
-    a dict from monomial to image, and is filled here, so that catalog
-    entries of equal degree share them.
+    ``tables`` caches ``_pullback_table``.
     """
     dp = budget.max_num_degree
-    clearing = max(dp, q.total_degree)
-    table = composed_cache.get(clearing)
-    if table is None:
-        table = composed_cache[clearing] = dict(zip(*_monomial_pullbacks(sys, clearing)))
-    cq, q_int = _int_primitive(q)
-    q1, r1 = q_int, _combine_int(q_int, table)
-    for f, a in factors:
-        for _ in range(a):
-            r = _divide_int(r1, f)
-            if r is None:
-                break
-            q1, r1 = _divide_int(q1, f), r
-    h = _gcd_primitive(q1, _normalized(r1))
-    if not _is_constant(h):
-        q1, r1 = _divide_int(q1, h), _divide_int(r1, h)
-    free = dp - max(map(sum, q1))
-    if free < 0:
+    table = _pullback_table(sys, max(dp, q.total_degree), tables)
+    q_int = _int_primitive(q)[1]
+    r = _divide_int(_combine_int(q_int, table), q_int)
+    if r is None:
         return []
-    smonos = [e for e in table if sum(e) <= free]
-    columns = [_minus_shifted(_combine_int({tuple(map(operator.add, e, m)): c
-                                            for e, c in q1.items()}, table), m, r1)
-               for m in smonos]
-    g = _divide_int(q_int, q1)
+    monos = [e for e in table if sum(e) <= dp]
     known = None
     if q.total_degree <= dp:
-        col = {e: i for i, e in enumerate(smonos)}
-        known = {col[e]: c for e, c in g.items()}
-    basis = nullspace(transpose(columns), len(smonos), known)
+        col = {e: i for i, e in enumerate(monos)}
+        known = {col[e]: c for e, c in q_int.items()}
+    basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
+                      len(monos), known)
     if known is not None and len(basis) == 1:
         return []
-    # p = q1*s for each kernel vector s, as the unique reduced echelon basis
-    # over the monomials of degree <= dp: each primitive integer echelon row
-    # over its pivot entry, up to sign (with q1 = 1 the kernel already is that
-    # basis, and the echelon only clears it)
-    monos = [e for e in table if sum(e) <= dp]
-    col = {e: i for i, e in enumerate(monos)}
-    echelon, pivots = _echelon(
-        {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
-                                             if v}).items()}
-        for vec in basis)
-    # p/q = s/(cq*g) with s = p/q1: the normal form need not find q1 again
-    den = _scaled_int(sys.variables, g, cq, q._den)
-    out = []
-    for pc, row in zip(pivots, echelon):
-        pp = _normalized({monos[c]: v for c, v in row.items()})
-        s = pp if _is_constant(q1) else _divide_int(pp, q1)
-        f = RationalFunction(_scaled_int(sys.variables, s, 1, abs(row[pc])), den)
-        if not f.is_constant:
-            out.append(f)
-    return out
+    candidates = (RationalFunction(p, q) for p in _kernel_polynomials(sys, monos, basis))
+    return [f for f in candidates if not f.is_constant]
 
 
 # -- stage 2: invariant pencils -----------------------------------------------------
@@ -736,13 +734,15 @@ class _Collector:
     pool is extended with the invariants kept since the last one, so a
     search whose candidates all raise the rank builds nothing.
 
-    A candidate equal to a kept invariant is dropped before the exact
-    pullback gate; every other candidate must pass the gate.
+    A candidate equal to a kept invariant, found by a set lookup, is dropped
+    before the exact pullback gate; every other candidate must pass the
+    gate.
     """
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
         self.sys = sys
         self.found: List[RationalFunction] = []
+        self._kept = set()
         self.rank = 0
         rng = random.Random(0x6465647570)
         self._points = [tuple(rng.randint(-999, 999) for _ in sys.variables)
@@ -765,6 +765,7 @@ class _Collector:
 
     def _remember(self, f: RationalFunction, remainders: list):
         self.found.append(f)
+        self._kept.add(f)
         for idx, rem in enumerate(remainders):
             if rem is None:
                 self._echelons[idx] = None
@@ -772,7 +773,7 @@ class _Collector:
                 echelon_step(*self._echelons[idx], rem)
 
     def offer(self, f: RationalFunction):
-        if f.is_constant or any(f == g for g in self.found):
+        if f.is_constant or f in self._kept:
             return
         if pullback(self.sys, f) != f:
             raise AssertionError(f"search produced a non-invariant: {f}")
@@ -801,9 +802,9 @@ def rational_invariant_search(sys: DynamicalSystem,
     for p in polynomial_invariant_basis(sys, budget.max_num_degree):
         if not p.is_constant:
             collector.offer(RationalFunction(p))
-    composed_cache: dict = {}
-    for q, factors in _denominator_catalog(sys, budget):
-        for f in _fixed_denominator_invariants(sys, q, factors, budget, composed_cache):
+    tables: dict = {}
+    for q in _denominator_catalog(sys, budget, tables):
+        for f in _fixed_denominator_invariants(sys, q, budget, tables):
             collector.offer(f)
     if not collector.found:
         pencil_found, _ = _pencil_stage(sys, budget)

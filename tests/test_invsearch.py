@@ -1,5 +1,6 @@
 """Invariant search: bases, catalogs, pencils, ranks, square gain."""
 
+import operator
 import os
 import random
 import re
@@ -14,10 +15,13 @@ from ratdyn.cli import run_command
 from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
                            iterate, pullback)
 from ratdyn.errors import NotDominantError
-from ratdyn.exactalg import (Polynomial, RationalFunction, clear_denominators,
-                             grlex_key, jacobian_rank, monomials_upto, nullspace,
-                             poly_gcd, transpose, try_divide)
-from ratdyn.exactalg.poly import _int_primitive
+from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
+                             clear_denominators, grlex_key, jacobian_rank,
+                             monomials_upto, nullspace, transpose, try_divide)
+from ratdyn.exactalg.linalg import _echelon
+from ratdyn.exactalg.poly import (_combine_int, _divide_int, _gcd_primitive,
+                                  _int_primitive, _is_constant, _minus_shifted,
+                                  _mul_int, _normalized, _scaled_int)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
                               _FactorBasis, adim_lower_bound,
                               independence_rank, polynomial_invariant_basis,
@@ -654,6 +658,55 @@ def test_collector_drops_a_repeat_before_the_exact_gate():
     assert collector.found == [ratio]
 
 
+class _LinearScanCollector(invsearch._Collector):
+    """The collector with its repeat check as a scan of the kept list."""
+
+    def offer(self, f):
+        if f.is_constant or any(f == g for g in self.found):
+            return
+        if invsearch.pullback(self.sys, f) != f:
+            raise AssertionError(f"search produced a non-invariant: {f}")
+        remainders = self._remainders(f)
+        if any(rem is not None and bool(rem) + len(echelon[1]) > self.rank
+               for rem, echelon in zip(remainders, self._echelons)):
+            self._remember(f, remainders)
+            self.rank += 1
+            return
+        self._pool.extend(self.found)
+        if not self._pool.contains(f):
+            self._remember(f, remainders)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collector_repeat_set_matches_the_linear_scan(seed):
+    # a seeded stream of invariants of the doubling map, with repeats, some
+    # of them written differently, and constants
+    variables = "x y"
+    sys = make_system(variables, "2*x", "2*y")
+    sources = ["x/y", "2*x/(2*y)", "y/x", "(x + y)/y", "x^2/y^2", "(x^2 + y^2)/(x*y)",
+               "x/y + 1", "3*x/y", "(x - y)/(x + y)", "x*y/(x^2 + y^2)", "1", "-2"]
+    rng = random.Random(seed)
+    stream = [rf(rng.choice(sources), variables) for _ in range(40)]
+    assert len(set(stream)) < len(stream)
+    results = []
+    for collector in (invsearch._Collector, _LinearScanCollector):
+        gated = []
+        real_pullback = invsearch.pullback
+
+        def counting(sys, f):
+            gated.append(f)
+            return real_pullback(sys, f)
+
+        c = collector(sys, SearchBudget(2, 2, 1, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invsearch, "pullback", counting)
+            for f in stream:
+                c.offer(f)
+        results.append((c.found, c.rank, gated))
+    assert results[0] == results[1]
+    assert len(results[0][2]) < sum(not f.is_constant for f in stream)
+
+
 def test_collector_evaluates_each_gradient_once_per_point(systems_dir):
     offers = []
     real_offer, real_row = invsearch._Collector.offer, invsearch.jacobian_row
@@ -744,13 +797,6 @@ def _ref_fixed_denominator_stage(sys, q, dp):
     return [f for f in candidates if not f.is_constant]
 
 
-def _ref_free_degree(sys, q, dp):
-    """dp - deg q1, with q1 = q / gcd(q, I(q)): the degree bound on s in the
-    reduced solve for p = q1*s."""
-    q_image = _ref_image(sys, q, dp)[2]
-    return dp - try_divide(q, poly_gcd(q, q_image)).total_degree
-
-
 def _ref_pencil_columns(sys, dmax):
     monos, images = _ref_pullbacks(sys, dmax)
     s = len(monos)
@@ -787,25 +833,30 @@ def test_polynomial_stage_kernel_matches_fraction_columns(sys, d):
     assert basis[0] == Polynomial.constant(sys.variables, 1)
 
 
+def _is_darboux(sys, q, dp):
+    """Whether q divides I(q), cleared at the stage's degree max(dp, deg q)."""
+    return try_divide(_ref_image(sys, q, dp)[2], q) is not None
+
+
 @given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
                                          SearchBudget(2, 2, 1, 3),
                                          SearchBudget(1, 3, 1, 3)]),
        st.sampled_from(["1", "3/7", "-2"]))
 def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
-    # a catalog q as it comes and rescaled: the stage clears it either way,
-    # and scaling leaves q's factor exponents unchanged.  The stage solves
-    # only for s in p = q1*s: at most one solve, with a column per monomial
-    # of degree <= dp - deg q1, and none when deg q1 > dp.  Its output is
-    # that of the full solve for p, whatever q's degree
+    # a catalog q as it comes and rescaled: the stage clears it either way.
+    # A Darboux q makes one solve, with a column per monomial of degree
+    # <= dp, and its output is that of the full solve for p; any other q
+    # makes none and returns []
     dp = budget.max_num_degree
-    for q, factors in invsearch._denominator_catalog(sys, budget)[:6]:
+    for q in invsearch._denominator_catalog(sys, budget)[:6]:
         q = q.scaled(Fraction(scale))
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            sys, q, factors, budget, {}))
-        free = _ref_free_degree(sys, q, dp)
-        assert [ncols for _, ncols, _ in calls] == (
-            [len(monomials_upto(sys.dim, free))] if free >= 0 else [])
-        assert found == _ref_fixed_denominator_stage(sys, q, dp)
+            sys, q, budget, {}))
+        if _is_darboux(sys, q, dp):
+            assert [ncols for _, ncols, _ in calls] == [len(monomials_upto(sys.dim, dp))]
+            assert found == _ref_fixed_denominator_stage(sys, q, dp)
+        else:
+            assert (found, calls) == ([], [])
         assert all(pullback(sys, f) == f for f in found)
 
 
@@ -814,66 +865,45 @@ def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
                                          SearchBudget(1, 3, 1, 3),
                                          SearchBudget(3, 2, 2, 3)]))
 def test_fixed_denominator_reduction_matches_the_full_solve(sys, budget):
-    # every catalog entry: dividing the Darboux cofactor out changes nothing
+    # every catalog entry, with one cache of pullback tables for all: the
+    # full solve on a Darboux q, nothing on any other
     dp = budget.max_num_degree
-    composed_cache = {}
-    for q, factors in invsearch._denominator_catalog(sys, budget):
-        assert (invsearch._fixed_denominator_invariants(sys, q, factors, budget,
-                                                        composed_cache)
-                == _ref_fixed_denominator_stage(sys, q, dp))
+    tables = {}
+    for q in invsearch._denominator_catalog(sys, budget, tables):
+        assert (invsearch._fixed_denominator_invariants(sys, q, budget, tables)
+                == (_ref_fixed_denominator_stage(sys, q, dp)
+                    if _is_darboux(sys, q, dp) else []))
 
 
-@pytest.mark.parametrize("variables, exprs, q_src, left, dp, expected", [
-    # x -> -x: q = x^2 - x does not divide I(q) = x^2 + x, but x does; with
-    # q1 = x - 1 and r1 = x + 1, s solves (-x - 1)*s(-x) = (x + 1)*s, so s
-    # is odd, and p = (x - 1)*x^3 gives x^2
-    ("x", ("-x",), "x^2 - x", "x", 1, []),
-    ("x", ("-x",), "x^2 - x", "x", 2, []),
-    ("x", ("-x",), "x^2 - x", "x", 4, ["x^2"]),
-    # doubling: q = y^2 + y, I(q) = 4y^2 + 2y, and y is left; x/y comes from
-    # p = (y + 1)*x, which q does not divide
-    ("x y", ("2*x", "2*y"), "y^2 + y", "y", 2, ["x/y"]),
-])
-def test_fixed_denominator_gcd_completes_the_trial_division(variables, exprs, q_src,
-                                                            left, dp, expected):
-    # q given as one reducible factor, so trial division finds nothing and
-    # the one gcd finds the common factor
-    sys = make_system(variables, *exprs)
-    q = poly(q_src, variables)
-    budget = SearchBudget(dp, 2, 1, 3)
-    real_gcd = invsearch._gcd_primitive
-    gcds = []
-
-    def gcd(a, b):
-        gcds.append(real_gcd(a, b))
-        return gcds[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch, "_gcd_primitive", gcd)
-        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            sys, q, ((_int_primitive(q)[1], 1),), budget, {}))
-    left = poly(left, variables)
-    assert gcds == [_int_primitive(left)[1]]
-    free = dp - q.total_degree + left.total_degree
-    assert [ncols for _, ncols, _ in calls] == [len(monomials_upto(sys.dim, free))]
-    assert found == _ref_fixed_denominator_stage(sys, q, dp)
-    assert found == [rf(e, variables) for e in expected]
+@given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
+                                         SearchBudget(2, 2, 1, 3),
+                                         SearchBudget(1, 3, 1, 3),
+                                         SearchBudget(3, 2, 2, 3)]))
+def test_fixed_denominator_stage_emits_only_darboux_denominators(sys, budget):
+    # the denominator of an invariant in lowest terms divides its own
+    # cleared pullback, at the degree max(deg num, deg den)
+    tables = {}
+    for q in invsearch._denominator_catalog(sys, budget, tables):
+        for f in invsearch._fixed_denominator_invariants(sys, q, budget, tables):
+            assert _is_darboux(sys, f.den, f.num.total_degree)
 
 
 def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
         systems_dir):
     # mobius's square at 2,3,2,3 has no invariant with a catalog denominator;
-    # a q with deg q1 > 2 makes no solve, and there are such q
+    # a q that does not divide its cleared pullback makes no solve, and
+    # there are such q
     mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
     square = diagonal_power(mobius, 2)
     budget = SearchBudget(2, 3, 2, 3)
     skipped = 0
-    for q, factors in invsearch._denominator_catalog(square, budget):
+    for q in invsearch._denominator_catalog(square, budget):
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            square, q, factors, budget, {}))
+            square, q, budget, {}))
         assert found == _ref_fixed_denominator_stage(square, q, 2) == []
-        assert (not calls) == (_ref_free_degree(square, q, 2) < 0)
-        skipped += not calls
+        if not _is_darboux(square, q, 2):
+            assert not calls
+            skipped += 1
     assert skipped > 0
 
 
@@ -882,16 +912,160 @@ def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
     # the kernel is {1} alone, and 1/x^2 is an invariant
     sys = make_system("x", "-x")
     q = poly("x^2", ("x",))
-    found = invsearch._fixed_denominator_invariants(sys, q, (({(1,): 1}, 2),),
-                                                    SearchBudget(1, 3, 1, 3), {})
+    found = invsearch._fixed_denominator_invariants(sys, q, SearchBudget(1, 3, 1, 3), {})
     assert found == [rf("1/x^2", ("x",))]
+
+
+def _split_calls(run):
+    """run() and the (factors, result) of each _darboux_split it made."""
+    calls = []
+    real = invsearch._darboux_split
+
+    def recording(sys, factors, tables):
+        given = list(factors)
+        calls.append((given, real(sys, factors, tables)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_darboux_split", recording)
+        out = run()
+    return out, calls
+
+
+# the Darboux part of a reducible catalog factor is an entry only after the split
+_SPLIT_MAPS = [
+    ("x y", ("x", "(x + 1)*(x + y)"), SearchBudget(2, 2, 1, 3), "x + 1", "1/(x + 1)"),
+    ("x y", ("-x", "(x^2 + 1)*(y + 1)"), SearchBudget(1, 3, 1, 3), "x^2 + 1",
+     "1/(x^2 + 1)"),
+]
+
+
+@pytest.mark.parametrize("variables, exprs, budget, entry, invariant", _SPLIT_MAPS)
+def test_darboux_split_makes_the_darboux_part_a_catalog_entry(variables, exprs, budget,
+                                                              entry, invariant):
+    sys = make_system(variables, *exprs)
+    entry, invariant = poly(entry, variables), rf(invariant, variables)
+    catalog, [(factors, split)] = _split_calls(
+        lambda: invsearch._denominator_catalog(sys, budget))
+    assert entry in split and entry not in factors and entry in catalog
+    assert invariant in rational_invariant_search(sys, budget)
+    # without the split, skipping the non-Darboux factor loses the invariant
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_darboux_split", lambda sys, factors, tables: factors)
+        assert entry not in invsearch._denominator_catalog(sys, budget)
+        assert invariant not in rational_invariant_search(sys, budget)
+
+
+def test_darboux_split_leaves_the_bundled_factor_bases_unchanged(systems_dir):
+    for name in sorted(os.listdir(systems_dir)):
+        base = load_system(os.path.join(systems_dir, name)).build()
+        for sys in (base, diagonal_power(base, 2)):
+            for budget in (DEFAULT_BUDGET, SearchBudget(2, 3, 2, 3)):
+                _, calls = _split_calls(lambda: invsearch._denominator_catalog(sys, budget))
+                assert [factors for factors, _ in calls] == [split for _, split in calls]
+
+
+def _q1_stage(sys, q, factors, budget, composed_cache):
+    """The fixed-denominator stage before it solved only Darboux q: q1 =
+    q / gcd(q, I(q)) found by trial division of I(q) by q's own factors
+    (pairs of primitive int polys and exponents) and one gcd, then a solve
+    for s in p = q1*s and the reduced echelon basis of those p."""
+    dp = budget.max_num_degree
+    clearing = max(dp, q.total_degree)
+    table = composed_cache.get(clearing)
+    if table is None:
+        table = composed_cache[clearing] = dict(zip(*invsearch._monomial_pullbacks(
+            sys, clearing)))
+    cq, q_int = _int_primitive(q)
+    q1, r1 = q_int, _combine_int(q_int, table)
+    for f, a in factors:
+        for _ in range(a):
+            r = _divide_int(r1, f)
+            if r is None:
+                break
+            q1, r1 = _divide_int(q1, f), r
+    h = _gcd_primitive(q1, _normalized(r1))
+    if not _is_constant(h):
+        q1, r1 = _divide_int(q1, h), _divide_int(r1, h)
+    free = dp - max(map(sum, q1))
+    if free < 0:
+        return []
+    smonos = [e for e in table if sum(e) <= free]
+    columns = [_minus_shifted(_combine_int({tuple(map(operator.add, e, m)): c
+                                            for e, c in q1.items()}, table), m, r1)
+               for m in smonos]
+    g = _divide_int(q_int, q1)
+    known = None
+    if q.total_degree <= dp:
+        col = {e: i for i, e in enumerate(smonos)}
+        known = {col[e]: c for e, c in g.items()}
+    basis = nullspace(transpose(columns), len(smonos), known)
+    if known is not None and len(basis) == 1:
+        return []
+    monos = [e for e in table if sum(e) <= dp]
+    col = {e: i for i, e in enumerate(monos)}
+    echelon, pivots = _echelon(
+        {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
+                                             if v}).items()}
+        for vec in basis)
+    den = _scaled_int(sys.variables, g, cq, q._den)
+    out = []
+    for pc, row in zip(pivots, echelon):
+        pp = _normalized({monos[c]: v for c, v in row.items()})
+        s = pp if _is_constant(q1) else _divide_int(pp, q1)
+        f = RationalFunction(_scaled_int(sys.variables, s, 1, abs(row[pc])), den)
+        if not f.is_constant:
+            out.append(f)
+    return out
+
+
+def _q1_search(sys, budget):
+    """rational_invariant_search with the q1 stage, each q factored over the
+    catalog's factor basis."""
+    basis = []
+    real_split = invsearch._darboux_split
+
+    def split(sys, factors, tables):
+        basis[:] = real_split(sys, factors, tables)
+        return basis[:]
+
+    def stage(sys, q, budget, tables):
+        exponents = basis_exponents(q, basis)[0]
+        factors = tuple((_int_primitive(f)[1], a) for f, a in zip(basis, exponents) if a)
+        return _q1_stage(sys, q, factors, budget, tables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_darboux_split", split)
+        mp.setattr(invsearch, "_fixed_denominator_invariants", stage)
+        return rational_invariant_search(sys, budget)
+
+
+_EXTRA_MAPS = [
+    ("x y", "y", "(y + 1)/x"),           # Lyness
+    ("x y", "y", "(y^2 + 1)/x"),         # QRT
+    ("x", "1/x"), ("x", "-1/(x + 1)"), ("x y z", "y", "z", "x"),
+] + [(variables, *exprs) for variables, exprs, *_ in _SPLIT_MAPS]
+
+
+@pytest.mark.parametrize("budget", ["3,3,2,3", "1,1,1,1", "2,2,2,3", "2,3,2,3",
+                                    "3,3,1,3"])
+def test_darboux_only_search_matches_the_q1_stage(systems_dir, budget):
+    # skipping every q that does not divide its cleared pullback drops only
+    # candidates that the collector would drop: same functions, same order,
+    # on the bundled systems, their squares and the maps above
+    budget = SearchBudget(*map(int, budget.split(",")))
+    bundled = [load_system(os.path.join(systems_dir, name)).build()
+               for name in sorted(os.listdir(systems_dir))]
+    systems = (bundled + [diagonal_power(sys, 2) for sys in bundled]
+               + [make_system(*spec) for spec in _EXTRA_MAPS])
+    for sys in systems:
+        assert rational_invariant_search(sys, budget) == _q1_search(sys, budget), sys
 
 
 def test_catalog_order_is_degree_leading_monomial_then_text(systems_dir):
     # the text breaks ties only, and ties are common on the squares
     def key(entry):
-        q = entry[0]
-        return q.total_degree, grlex_key(q.leading()[0]), str(q)
+        return entry.total_degree, grlex_key(entry.leading()[0]), str(entry)
 
     ties = 0
     for name in sorted(os.listdir(systems_dir)):
