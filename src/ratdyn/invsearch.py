@@ -156,13 +156,13 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
             _int_primitive(f)[1], _pullback_table(sys, f.total_degree, tables)))
 
     chain = functools.cache(squarefree_chain)
+    dens = [coord.den for coord in sys.coords]
     out = factors
     while True:
         loose = [f for f in out if f.total_degree > 1 and try_divide(image(f), f) is None]
         if not loose:
             return out
-        splitters = [c for p in [coord.den for coord in sys.coords] + list(map(image, out))
-                     for c in chain(p)]
+        splitters = [c for p in dens + list(map(image, out)) for c in chain(p)]
         cuts = {}
         for f in loose:
             g = next((g for g in (poly_gcd(f, c) for c in splitters)
@@ -176,7 +176,7 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
 
 
 def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
-                         tables: Optional[dict] = None) -> List[Polynomial]:
+                         tables: dict) -> List[Polynomial]:
     """Products of iterated numerator/denominator factors, by total degree.
 
     Invariant denominators are Darboux polynomials, which concentrate among
@@ -196,8 +196,7 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
         if depth + 1 < budget.denominator_catalog_depth:
             current = compose(current, sys)
     factors = _darboux_split(sys, [f for f in coprime_factor_basis(pool)
-                                   if f.total_degree <= budget.max_den_degree],
-                             {} if tables is None else tables)
+                                   if f.total_degree <= budget.max_den_degree], tables)
     products: List[Polynomial] = []
 
     def rec(idx, degree_left, acc):
@@ -240,13 +239,12 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     """Stage 1: with q fixed, invariance of p/q is linear in p.
 
     With I the pullback cleared at degree max(dp, deg q), p/q is invariant
-    iff I(p)*q = p*I(q).  When q divides I(q), with cofactor r, this is
-    I(p) = p*r: one column I(m) - m*r per monomial m of degree <= dp, and
-    the reduced row echelon kernel, each vector with a positive leading
-    coefficient, is the output.  When deg q <= dp, p = q is a known kernel
-    vector, and a kernel that is just the line through q gives only
-    constants.  A q that does not divide I(q) returns [] without a solve,
-    which loses nothing the search keeps:
+    iff I(p)*q = p*I(q).  When q divides I(q), this is I(p) = p*r with
+    r = I(q)/q, one column I(m) - m*r per monomial m of degree <= dp, and
+    the output is the reduced row echelon kernel, each vector with a
+    positive leading coefficient (when deg q <= dp, q is a known kernel
+    vector, and the line through q alone gives only constants).  Any other
+    q returns [] without a solve, which loses nothing the search keeps:
 
       (a) a candidate p/q = p'/q' in lowest terms has q' | I(q'), so q'
           divides D, q's largest Darboux divisor: the limit of
@@ -257,10 +255,10 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
           ``rec`` enumerates D before q, D's exponents being <= q's, so the
           cap cannot keep q and cut D, and D sorts earlier, its degree
           being lower;
-      (c) D's own solve used the full numerator bound dp (and p'*D/q' has
+      (c) D's own solve used the full numerator bound dp (p'*D/q' has
           degree <= deg p), so everything q could emit lies in the pool's
-          span of what was already kept (applying (a)-(c) to D if D fails
-          its own test), and the collector would drop it.
+          span of what was already kept (by (a)-(c) for D if D fails its
+          own test), and the collector would drop it.
 
     ``tables`` caches ``_pullback_table``.
     """

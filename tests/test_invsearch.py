@@ -848,7 +848,7 @@ def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
     # <= dp, and its output is that of the full solve for p; any other q
     # makes none and returns []
     dp = budget.max_num_degree
-    for q in invsearch._denominator_catalog(sys, budget)[:6]:
+    for q in invsearch._denominator_catalog(sys, budget, {})[:6]:
         q = q.scaled(Fraction(scale))
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
             sys, q, budget, {}))
@@ -897,7 +897,7 @@ def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
     square = diagonal_power(mobius, 2)
     budget = SearchBudget(2, 3, 2, 3)
     skipped = 0
-    for q in invsearch._denominator_catalog(square, budget):
+    for q in invsearch._denominator_catalog(square, budget, {}):
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
             square, q, budget, {}))
         assert found == _ref_fixed_denominator_stage(square, q, 2) == []
@@ -946,13 +946,13 @@ def test_darboux_split_makes_the_darboux_part_a_catalog_entry(variables, exprs, 
     sys = make_system(variables, *exprs)
     entry, invariant = poly(entry, variables), rf(invariant, variables)
     catalog, [(factors, split)] = _split_calls(
-        lambda: invsearch._denominator_catalog(sys, budget))
+        lambda: invsearch._denominator_catalog(sys, budget, {}))
     assert entry in split and entry not in factors and entry in catalog
     assert invariant in rational_invariant_search(sys, budget)
     # without the split, skipping the non-Darboux factor loses the invariant
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_darboux_split", lambda sys, factors, tables: factors)
-        assert entry not in invsearch._denominator_catalog(sys, budget)
+        assert entry not in invsearch._denominator_catalog(sys, budget, {})
         assert invariant not in rational_invariant_search(sys, budget)
 
 
@@ -961,7 +961,8 @@ def test_darboux_split_leaves_the_bundled_factor_bases_unchanged(systems_dir):
         base = load_system(os.path.join(systems_dir, name)).build()
         for sys in (base, diagonal_power(base, 2)):
             for budget in (DEFAULT_BUDGET, SearchBudget(2, 3, 2, 3)):
-                _, calls = _split_calls(lambda: invsearch._denominator_catalog(sys, budget))
+                _, calls = _split_calls(
+                    lambda: invsearch._denominator_catalog(sys, budget, {}))
                 assert [factors for factors, _ in calls] == [split for _, split in calls]
 
 
@@ -1072,7 +1073,7 @@ def test_catalog_order_is_degree_leading_monomial_then_text(systems_dir):
         base = load_system(os.path.join(systems_dir, name)).build()
         for sys in (base, diagonal_power(base, 2)):
             for budget in (DEFAULT_BUDGET, SearchBudget(2, 3, 2, 3)):
-                catalog = invsearch._denominator_catalog(sys, budget)
+                catalog = invsearch._denominator_catalog(sys, budget, {})
                 assert catalog == sorted(catalog, key=key)
                 keys = [key(entry)[:2] for entry in catalog]
                 ties += len(keys) - len(set(keys))
