@@ -7,10 +7,11 @@ share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import (IndeterminacyError, NotDominantError, PreconditionError,
                      VariableMismatchError)
@@ -105,21 +106,39 @@ def compose(outer: DynamicalSystem, inner: DynamicalSystem) -> DynamicalSystem:
     return DynamicalSystem(outer.variables, coords)
 
 
+def _size(sys: DynamicalSystem) -> int:
+    """Number of numerator and denominator terms over all coordinates."""
+    return sum(len(c.num.support()) + len(c.den.support()) for c in sys.coords)
+
+
+def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
+    """The iterates phi, phi^2, phi^3, ... of a dominant map, normalized.
+
+    The only place where a map is composed with itself.  Powers of one map
+    commute, so ``compose(current, phi)`` and ``compose(phi, current)`` give
+    the same next iterate; the cost is in the power tables that
+    ``substitute`` builds for the inner map, so the map with fewer terms
+    goes inside, the iterate so far on a tie.  Dominance is the caller's
+    precondition: on a map that is not dominant the bracketing matters.
+    """
+    size = _size(sys)
+    current = sys
+    while True:
+        yield current
+        if size < _size(current):
+            current = compose(current, sys)
+        else:
+            current = compose(sys, current)
+
+
 def iterate(sys: DynamicalSystem, m: int) -> DynamicalSystem:
-    """m-th iterate with fully normalized coordinates (binary powering)."""
+    """m-th iterate of a dominant map, with fully normalized coordinates."""
     if m < 0:
         raise PreconditionError("iteration count must be >= 0")
+    require_dominant(sys)
     if m == 0:
         return DynamicalSystem.identity(sys.variables)
-    result = None
-    base = sys
-    while m:
-        if m & 1:
-            result = base if result is None else compose(result, base)
-        m >>= 1
-        if m:
-            base = compose(base, base)
-    return result
+    return next(itertools.islice(iterates(sys), m - 1, None))
 
 
 def _fresh_names(groups: Sequence[Sequence[str]]) -> List[List[str]]:
@@ -233,12 +252,7 @@ def degree_sequence(sys: DynamicalSystem, N: int) -> DegreeProfile:
     if N < 1:
         raise PreconditionError("window length must be >= 1")
     require_dominant(sys)
-    degrees = []
-    current = sys
-    for _ in range(N):
-        degrees.append(current.degree)
-        if len(degrees) < N:
-            current = compose(current, sys)
+    degrees = [it.degree for it in itertools.islice(iterates(sys), N)]
     half = math.ceil(N / 2)
     tail = degrees[N - half:]
     head = degrees[:N - half]

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dynsys import (DegreeProfile, DynamicalSystem, compose, degree_sequence,
-                     diagonal_power, pullback, require_dominant)
+from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_power,
+                     iterates, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        cleared_monomial_images, coprime_factor_basis, divide_exact,
@@ -188,13 +188,10 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
     if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
         return []
     pool = []
-    current = sys
-    for depth in range(budget.denominator_catalog_depth):
-        for c in current.coords:
+    for it in itertools.islice(iterates(sys), budget.denominator_catalog_depth):
+        for c in it.coords:
             pool.append(c.num)
             pool.append(c.den)
-        if depth + 1 < budget.denominator_catalog_depth:
-            current = compose(current, sys)
     factors = _darboux_split(sys, [f for f in coprime_factor_basis(pool)
                                    if f.total_degree <= budget.max_den_degree], tables)
     products: List[Polynomial] = []
@@ -383,6 +380,10 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
             if len(_echelon(_pencil_rows(t, basis), 3)[1]) == 2:
                 candidates.append(t)
 
+    if k == 1:
+        push((1,))
+        return candidates
+
     support = sorted({idx for vec in basis for pair in vec for idx in pair})
     tvars = tuple(f"t{i + 1}" for i in range(k))
 
@@ -407,10 +408,6 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
             quadrics.append(q)
         if len(quadrics) >= 400:
             break
-
-    if k == 1:
-        push((1,))
-        return candidates
 
     if not quadrics:
         for t in _grid_points(k):

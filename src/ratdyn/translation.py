@@ -235,17 +235,17 @@ def classify_system(sys: DynamicalSystem, window: int = _DEFAULT_WINDOW) -> Tran
     exponential growth negative evidence.
     """
     profile = degree_sequence(sys, window)
+    matrix = None
     if _is_affine(sys):
         cls = CLASS_AFFINE
     elif _is_mobius_product(sys):
         cls = CLASS_MOBIUS_PRODUCT
-    elif system_exponent_matrix(sys) is not None:
-        cls = CLASS_MONOMIAL
     else:
-        cls = CLASS_UNRECOGNIZED
+        matrix = system_exponent_matrix(sys)
+        cls = CLASS_UNRECOGNIZED if matrix is None else CLASS_MONOMIAL
     if cls in (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT):
         verdict = VERDICT_PROVEN
-    elif cls == CLASS_MONOMIAL and system_exponent_matrix(sys).has_finite_order():
+    elif cls == CLASS_MONOMIAL and matrix.has_finite_order():
         verdict = VERDICT_PROVEN
     elif profile.growth_class == GROWTH_EXPONENTIAL:
         verdict = VERDICT_NEGATIVE

@@ -514,3 +514,23 @@ def test_cli_henon_degrees_are_fast():
     assert code == 0
     assert doc["result"]["degrees"] == [2 ** k for k in range(1, 10)]
     assert elapsed < 6.0, f"henon degrees --n 9 took {elapsed:.1f} s"
+
+
+def test_cli_henon_iterate_is_fast():
+    # binary powering squared phi^8 to reach phi^9, which took about 27 s on a
+    # shared 2-core host
+    start = time.perf_counter()
+    doc, code = run_command(["iterate", "--m", "9", corpus("henon.system")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert doc["result"]["degree"] == 2 ** 9
+    assert elapsed < 10.0, f"henon iterate --m 9 took {elapsed:.1f} s"
+
+
+def test_cli_iterate_of_a_map_that_is_not_dominant_is_a_usage_error(tmp_path):
+    path = _system_file(tmp_path, "var x, y;\nx -> (-2*x + 2*y - 2)/(2*x + y + 2);\n"
+                                  "y -> 0;\n")
+    for m in ("2", "3", "4"):
+        doc, code = run_command(["iterate", "--m", m, path])
+        assert code == 2
+        assert doc["error"]["code"] == "NotDominantError"

@@ -1,16 +1,20 @@
 """Systems: dominance, iteration, products, pullback, degree growth."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ratdyn import dynsys
 from ratdyn.dynsys import (DOMINANT, GROWTH_BOUNDED, GROWTH_EXPONENTIAL,
                            NOT_DOMINANT, DynamicalSystem, compose,
-                           degree_sequence, diagonal_power, iterate, product,
-                           pullback, symmetrize_iterate_invariant,
+                           degree_sequence, diagonal_power, iterate, iterates,
+                           product, pullback, symmetrize_iterate_invariant,
                            validate_dominant)
-from ratdyn.errors import PreconditionError, VariableMismatchError
+from ratdyn.errors import (NotDominantError, PreconditionError,
+                           VariableMismatchError)
 
 from conftest import make_system, rf
 
@@ -44,6 +48,104 @@ def test_iterate_exponent_laws():
     mob = make_system("x", "(2*x + 3)/(x + 1)")
     assert iterate(iterate(mob, 2), 3) == iterate(mob, 6)
     assert compose(iterate(mob, 3), iterate(mob, 2)) == iterate(mob, 5)
+
+
+def _nonzero(rng, lo=-3, hi=3):
+    return rng.choice([v for v in range(lo, hi + 1) if v])
+
+
+def _seeded_map(family, rng):
+    """A dominant map of the family with seeded constants."""
+    if family == "affine":
+        while True:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if a * d - b * c:
+                break
+        e, f = rng.randint(-3, 3), rng.randint(-3, 3)
+        return make_system("x y", f"({a})*x + ({b})*y + ({e})",
+                           f"({c})*x + ({d})*y + ({f})")
+    if family == "mobius":
+        while True:
+            a, b, d = (rng.randint(-3, 3) for _ in range(3))
+            c = _nonzero(rng)
+            if a * d - b * c:
+                break
+        return make_system("x", f"(({a})*x + ({b}))/(({c})*x + ({d}))")
+    if family == "monomial":
+        while True:
+            p, q, r, u = (rng.randint(0, 2) for _ in range(4))
+            if p * u - q * r:
+                break
+        s, t = _nonzero(rng), _nonzero(rng)
+        return make_system("x y", f"({s})*x^{p}*y^{q}", f"({t})*x^{r}*y^{u}")
+    # the rest conjugated by a seeded diagonal scaling x -> a*x, y -> b*y
+    a, b = _nonzero(rng), _nonzero(rng)
+    if family == "henon":
+        c, k = rng.randint(-3, 3), _nonzero(rng)
+        return make_system("x y", f"({b})*y/({a})",
+                           f"({b * b}*y^2 - ({k * a})*x + ({c}))/({b})")
+    if family == "qrt":
+        return make_system("x y", f"({b})*y/({a})", f"({b * b}*y^2 + 1)/(({a * b})*x)")
+    assert family == "lyness"
+    return make_system("x y", f"({b})*y/({a})", f"(({b})*y + 1)/(({a * b})*x)")
+
+
+def _binary_power(sys, m):
+    # binary powering, which iterate used before the iterates generator
+    result = None
+    base = sys
+    while m:
+        if m & 1:
+            result = base if result is None else compose(result, base)
+        m >>= 1
+        if m:
+            base = compose(base, base)
+    return result
+
+
+@pytest.mark.parametrize("family",
+                         ["affine", "mobius", "monomial", "henon", "qrt", "lyness"])
+def test_iterate_matches_both_folds_and_binary_powering(family):
+    rng = random.Random(f"iterates-{family}")
+    for _ in range(2):
+        sysm = _seeded_map(family, rng)
+        assert validate_dominant(sysm) == DOMINANT
+        for m in range(1, 7):
+            left = functools.reduce(lambda acc, _: compose(acc, sysm), range(m - 1), sysm)
+            right = functools.reduce(lambda acc, _: compose(sysm, acc), range(m - 1), sysm)
+            got = iterate(sysm, m)
+            for other in (left, right, _binary_power(sysm, m)):
+                assert got == other
+                assert [str(c) for c in got.coords] == [str(c) for c in other.coords]
+
+
+def test_iterates_puts_the_map_with_fewer_terms_inside():
+    # Henon's iterates outgrow the map, so the map goes inside; a monomial
+    # map's iterates tie with it on terms, so the iterate so far goes inside
+    calls = []
+
+    def recorded(outer, inner):
+        calls.append((outer is sysm, inner is sysm))
+        return compose(outer, inner)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynsys, "compose", recorded)
+        for sysm, inner_is_phi in ((make_system("x y", "y", "y^2 - x"), True),
+                                   (make_system("x y", "x^2*y", "x*y"), False)):
+            calls.clear()
+            list(itertools.islice(iterates(sysm), 5))
+            # phi^2 is phi composed with itself, either way
+            assert calls[0] == (True, True)
+            assert calls[1:] == [(not inner_is_phi, inner_is_phi)] * 3
+
+
+def test_iterate_requires_a_dominant_map():
+    # binary powering gave (-1, 0) at m = 2 and 4 but an IndeterminacyError
+    # at m = 3: on a map that is not dominant the bracketing matters
+    sysm = make_system("x y", "(-2*x + 2*y - 2)/(2*x + y + 2)", "0")
+    for m in range(5):
+        with pytest.raises(NotDominantError):
+            iterate(sysm, m)
 
 
 def test_product_and_diagonal_power():

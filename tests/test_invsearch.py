@@ -1117,8 +1117,11 @@ _DOUBLE_3D_PENCILS = [
     # quadrics in t3
     ("x y", ("2*x", "1/y"), SearchBudget(1, 2, 0, 3), ["(y)/(y^2 + 1)"]),
     ("x y", ("2*x + y", "2*y"), SearchBudget(1, 2, 0, 3), []),
+    # k = 3 whose one pencil point lies off the grid: only the elimination
+    # finds it
+    ("x y", ("x + 1", "-2*x + y + 3"), SearchBudget(1, 2, 0, 3), ["x^2 - 4*x + y"]),
 ], ids=["qrt-k2", "inverse-k3-grid", "double-3d-k3-grid", "k3-resultants",
-        "k3-resultants-empty"])
+        "k3-resultants-empty", "k3-resultants-off-grid"])
 def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
     found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget)
     assert conclusive
