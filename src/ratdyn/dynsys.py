@@ -2,20 +2,24 @@
 
 A system is an ordered variable tuple plus one normalized rational function
 per coordinate.  All operations are pure; systems are immutable and safe to
-share across threads.
+share across threads.  A system keeps the packed power tables of its own
+coordinates (``power_tables``), which every substitution into it reads; a
+call that needs higher powers builds new tables and swaps the reference,
+and never changes tables in place, so a reader sees either one complete
+object or the other.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (IndeterminacyError, NotDominantError, PreconditionError,
                      VariableMismatchError)
-from .exactalg import RationalFunction, jacobian_rank, substitute
+from .exactalg import PowerTables, RationalFunction, jacobian_rank
 
 DOMINANT = "dominant"
 NOT_DOMINANT = "not-dominant"
@@ -31,6 +35,8 @@ class DynamicalSystem:
 
     variables: Tuple[str, ...]
     coords: Tuple[RationalFunction, ...]
+    _tables: Optional[PowerTables] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -52,6 +58,15 @@ class DynamicalSystem:
     def degree(self) -> int:
         """max over coordinates of max(deg num, deg den), after normalization."""
         return max(c.degree for c in self.coords)
+
+    def power_tables(self, bounds: Sequence[int]) -> PowerTables:
+        """Power tables of the coordinates that hold the powers up to
+        ``bounds``, kept for the next call."""
+        tables = self._tables
+        grown = PowerTables(self.coords, bounds) if tables is None else tables.covering(bounds)
+        if grown is not tables:
+            object.__setattr__(self, "_tables", grown)
+        return grown
 
     @classmethod
     def identity(cls, variables: Sequence[str]) -> "DynamicalSystem":
@@ -97,8 +112,10 @@ def compose(outer: DynamicalSystem, inner: DynamicalSystem) -> DynamicalSystem:
     """The system x -> outer(inner(x))."""
     if outer.variables != inner.variables:
         raise VariableMismatchError("composition of systems over different variables")
+    bounds = [c.max_exponents() for c in outer.coords]
+    tables = inner.power_tables([max(column) for column in zip(*bounds)])
     try:
-        coords = tuple(substitute(c, inner.coords) for c in outer.coords)
+        coords = tuple(map(tables.substitute, outer.coords, bounds))
     except IndeterminacyError as exc:
         raise IndeterminacyError(
             "composition fell into a pole set; the maps are not composable "
@@ -116,10 +133,12 @@ def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
 
     The only place where a map is composed with itself.  Powers of one map
     commute, so ``compose(current, phi)`` and ``compose(phi, current)`` give
-    the same next iterate; the cost is in the power tables that
-    ``substitute`` builds for the inner map, so the map with fewer terms
-    goes inside, the iterate so far on a tie.  Dominance is the caller's
-    precondition: on a map that is not dominant the bracketing matters.
+    the same next iterate; the cost is in the power tables of the inner
+    map, so the map with fewer terms goes inside, the iterate so far on a
+    tie.  When phi is inside, every step reads phi's own tables, which are
+    built once and grown only when a step needs higher powers.  Dominance
+    is the caller's precondition: on a map that is not dominant the
+    bracketing matters.
     """
     size = _size(sys)
     current = sys
@@ -194,7 +213,8 @@ def pullback(sys: DynamicalSystem, f: RationalFunction) -> RationalFunction:
     """The composition f after the map: the field endomorphism f -> f(coords)."""
     if f.variables != sys.variables:
         raise VariableMismatchError("function over different variables than the system")
-    return substitute(f, sys.coords)
+    bounds = f.max_exponents()
+    return sys.power_tables(bounds).substitute(f, bounds)
 
 
 def symmetrize_iterate_invariant(sys: DynamicalSystem, f: RationalFunction,

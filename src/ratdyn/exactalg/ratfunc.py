@@ -11,18 +11,40 @@ primitive integer polynomial, the gcd of the two primitive parts is divided
 out (by Gauss's lemma the quotients stay primitive, and the denominator's
 keeps a positive leading coefficient), and the ratio of the contents, in
 lowest terms, scales the two quotients.
+
+Substitution x_i -> g_i = num_i / den_i runs on packed exponents (Monagan
+and Pearce, CASC 2007).  ``PowerTables`` holds num_i^k and den_i^k for
+k <= top_i; inside it an exponent tuple (a_0, ..., a_{n-1}) of the target
+variables is the one int sum(a_j * w_j), with w_{n-1} = 1, w_j = w_{j+1} *
+r_{j+1} and the radix
+
+    r_j = 1 + sum_i top_i * maxexp_j(num_i, den_i),
+
+maxexp_j being the largest exponent of x_j in num_i or den_i.  Every
+polynomial the tables form is a product of at most top_i parts of image i,
+summed, so its exponent of x_j is below r_j: no slot carries, adding packed
+keys multiplies monomials exactly, and the first variable is the most
+significant digit, so packed order is lex order.  Each result is unpacked
+once.  A map keeps the tables of its coordinates
+(``DynamicalSystem.power_tables``), so every composition into the same map
+and every pullback by it reuse them; a call that needs a higher power gets
+new tables whose top at least doubles, and tables are never changed in
+place.  ``substitute`` and ``cleared_monomial_images`` build tables for
+their one call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from ..errors import IndeterminacyError, VariableMismatchError, ZeroDenominatorError
+from ..errors import (IndeterminacyError, PreconditionError, VariableMismatchError,
+                      ZeroDenominatorError)
 from .poly import (Exponent, Polynomial, _combine_int, _divide_int,
-                   _gcd_primitive, _int_primitive, _is_constant, _mul_int,
-                   _times, divide_exact, poly_lcm)
+                   _gcd_primitive, _int_primitive, _is_constant, _times,
+                   divide_exact, poly_lcm)
 
 
 class RationalFunction:
@@ -84,6 +106,10 @@ class RationalFunction:
     def degree(self) -> int:
         """max(deg num, deg den) of the normal form."""
         return max(self.num.total_degree, self.den.total_degree)
+
+    def max_exponents(self) -> Tuple[int, ...]:
+        """Componentwise maximum exponent over num and den."""
+        return tuple(map(max, zip(*self.num._num, *self.den._num)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -202,6 +228,138 @@ def ratfunc_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+# The packed 1, shared by every table; nothing changes a packed poly in place.
+_ONE = {0: 1}
+
+
+def _mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The product of two packed int polys (see ``PowerTables``)."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        (k, c), = b.items()
+        if c == 1:
+            return a if k == 0 else {e + k: v for e, v in a.items()}
+        return {e + k: v * c for e, v in a.items()}
+    out: Dict[int, int] = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+class PowerTables:
+    """The powers num_i^k and den_i^k, k <= top[i], of some images, packed.
+
+    A packed int poly is an ``{int: int}`` dict keyed by exponent tuples of
+    the images' variables written in mixed radix (see the module
+    docstring).  Immutable: a caller that needs higher powers asks
+    ``covering`` for a new object.
+    """
+
+    __slots__ = ("images", "top", "_weights", "_npw", "_dpw")
+
+    def __init__(self, images: Sequence[RationalFunction], top: Sequence[int]):
+        self.images = images = tuple(images)
+        self.top = top = tuple(top)
+        parts = []
+        # r_j = 1 + sum_i top_i * maxexp_j(num_i, den_i), so no slot carries
+        radix = [1] * len(images[0].variables) if images else []
+        for g, t in zip(images, top):
+            num, den = g.num, g.den
+            if num._den != 1 or den._den != 1:
+                raise AssertionError(f"normal form {g} has a non-integer coefficient")
+            parts.append((num._num, den._num, t))
+            if t:
+                for j, column in enumerate(zip(*num._num, *den._num)):
+                    radix[j] += t * max(column)
+        weights = [1] * len(radix)
+        for j in range(len(radix) - 1, 0, -1):
+            weights[j - 1] = weights[j] * radix[j]
+        self._weights = weights
+        unit = (0,) * len(radix)
+        mul = operator.mul
+        self._npw, self._dpw = npw, dpw = [], []
+        for num, den, t in parts:
+            for part, pw in ((num, npw), (den, dpw)):
+                const = part.get(unit) if len(part) == 1 else None
+                if not t or const == 1:
+                    pw.append([_ONE] * (t + 1))  # a den of 1 costs nothing
+                    continue
+                p = ({0: const} if const is not None
+                     else {sum(map(mul, e, weights)): c for e, c in part.items()})
+                powers = [_ONE, p]
+                for _ in range(t - 1):
+                    powers.append(_mul(powers[-1], p))
+                pw.append(powers)
+
+    def unpack(self, p: Dict[int, int]) -> Dict[Exponent, int]:
+        """The int poly of a packed one, with exponent tuple keys."""
+        w = self._weights
+        if len(w) == 1:
+            return {(k,): c for k, c in p.items()}
+        if len(w) == 2:
+            return {divmod(k, w[0]): c for k, c in p.items()}
+        out = {}
+        for k, c in p.items():
+            e = []
+            for wj in w[:-1]:
+                q, k = divmod(k, wj)
+                e.append(q)
+            e.append(k)
+            out[tuple(e)] = c
+        return out
+
+    def covering(self, bounds: Sequence[int]) -> "PowerTables":
+        """self if it holds the powers up to ``bounds``, otherwise new tables
+        whose top at least doubles where it falls short."""
+        if all(map(operator.le, bounds, self.top)):
+            return self
+        return PowerTables(self.images, [t if b <= t else max(b, 2 * t)
+                                         for b, t in zip(bounds, self.top)])
+
+    def cleared(self, exponents: Sequence[Exponent],
+                bounds: Sequence[int]) -> List[Dict[int, int]]:
+        """The packed N_e of ``cleared_monomial_images``; each exponent must
+        lie in [0, bounds] and bounds in [0, top], which is not checked.
+        The results may share storage with the tables and with each other."""
+        tables = []
+        for i, (npw, dpw, b) in enumerate(zip(self._npw, self._dpw, bounds)):
+            table = {}
+            for k in {e[i] for e in exponents} if b else (0,):
+                n, d = npw[k], dpw[b - k]  # T_i[k] for the k that occur
+                table[k] = n if d is _ONE else d if n is _ONE else _mul(n, d)
+            tables.append(table)
+        out = []
+        for e in exponents:
+            t = _ONE
+            for table, k in zip(tables, e):
+                f = table[k]
+                if f is not _ONE:  # such as x_i^0 over the denominator 1
+                    t = f if t is _ONE else _mul(t, f)
+            out.append(t)
+        return out
+
+    def substitute(self, f: RationalFunction, bounds: Sequence[int]) -> RationalFunction:
+        """f(images), for f over one variable per image whose largest
+        exponents (``f.max_exponents()``) are ``bounds`` <= top; raises
+        IndeterminacyError when the composed denominator vanishes
+        identically."""
+        # Clear every image denominator with a single power product: both
+        # compositions share the denominator prod den_i^{b_i}, which cancels.
+        exponents = list(dict.fromkeys([*f.num._num, *f.den._num]))
+        cleared = dict(zip(exponents, self.cleared(exponents, bounds)))
+        den = _combine_int(f.den._num, cleared)
+        if not den:
+            raise IndeterminacyError("composition lands inside the pole set")
+        target = self.images[0].variables
+        return RationalFunction(
+            Polynomial._make(target, self.unpack(_combine_int(f.num._num, cleared))),
+            Polynomial._make(target, self.unpack(den)))
+
+
 def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> RationalFunction:
     """Exact composition f(images).
 
@@ -218,22 +376,8 @@ def substitute(f: RationalFunction, images: Sequence[RationalFunction]) -> Ratio
     for g in images:
         if g.variables != target:
             raise VariableMismatchError("images over different variable tuples")
-
-    # Clear every image denominator with a single power product: with
-    # d_i = max exponent of variable i across num and den, both compositions
-    # share the denominator prod den_i^{d_i}, which then cancels.
-    bounds = tuple(max(a, b) for a, b in
-                   zip(f.num.max_exponents(), f.den.max_exponents()))
-    exponents = list(dict.fromkeys(list(f.num._num) + list(f.den._num)))
-    cleared = dict(zip(exponents, cleared_monomial_images(images, exponents, bounds)))
-
-    def compose(p: Polynomial) -> Polynomial:
-        return Polynomial._make(target, _combine_int(p._num, cleared))
-
-    den_image = compose(f.den)
-    if den_image.is_zero:
-        raise IndeterminacyError("composition lands inside the pole set")
-    return RationalFunction(compose(f.num), den_image)
+    bounds = f.max_exponents()
+    return PowerTables(images, bounds).substitute(f, bounds)
 
 
 def cleared_monomial_images(images: Sequence[RationalFunction],
@@ -241,38 +385,20 @@ def cleared_monomial_images(images: Sequence[RationalFunction],
                             bounds: Sequence[int]) -> List[Dict[Exponent, int]]:
     """Integer numerators of the monomials x^e after x_i -> images[i].
 
-    Every exponent tuple e with e_i <= bounds[i] satisfies
+    Every exponent tuple e with 0 <= e_i <= bounds[i] satisfies
     x^e(images) = N_e / prod(den_i^bounds[i]), and N_e = prod T_i[e_i] with
-    T_i[k] = num_i^k * den_i^(bounds[i] - k), tabulated once per variable
-    for the k that occur.  Normal-form parts are integer polynomials, so
-    each N_e is an ``{exponent: int}`` dict; they are returned in the order
-    of ``exponents`` and may share storage, so callers must not change them.
+    T_i[k] = num_i^k * den_i^(bounds[i] - k), formed once per variable for
+    the k that occur.  Normal-form parts are integer polynomials, so each
+    N_e is an ``{exponent: int}`` dict; they are returned in the order of
+    ``exponents``.
     """
-    one = {(0,) * len(images[0].variables): 1}
-    tables = []
-    for i, (g, b) in enumerate(zip(images, bounds)):
-        if g.num._den != 1 or g.den._den != 1:
-            raise AssertionError(f"normal form {g} has a non-integer coefficient")
-        num, den = g.num._num, g.den._num
-        npw = [one]
-        dpw = [one]
-        for _ in range(b):
-            npw.append(_mul_int(npw[-1], num))
-            dpw.append(_mul_int(dpw[-1], den))
-        table = {}
-        for k in {e[i] for e in exponents}:  # the entries some monomial takes
-            n, d = npw[k], dpw[b - k]
-            table[k] = n if d == one else d if n == one else _mul_int(n, d)
-        tables.append(table)
-    out = []
+    if any(b < 0 for b in bounds):
+        raise PreconditionError(f"negative exponent bound in {tuple(bounds)}")
     for e in exponents:
-        t = one
-        for table, k in zip(tables, e):
-            f = table[k]
-            if f != one:  # such as x_i^0 over the denominator 1
-                t = f if t is one else _mul_int(t, f)
-        out.append(t)
-    return out
+        if not all(map(operator.le, e, bounds)) or min(e, default=0) < 0:
+            raise PreconditionError(f"exponent {e} outside the bounds {tuple(bounds)}")
+    tables = PowerTables(images, bounds)
+    return [tables.unpack(N) for N in tables.cleared(exponents, bounds)]
 
 
 def clear_denominators(values: Sequence[RationalFunction]

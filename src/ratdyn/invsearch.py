@@ -36,10 +36,10 @@ from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_p
                      iterates, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
-                       cleared_monomial_images, coprime_factor_basis, divide_exact,
-                       echelon_step, grlex_key, jacobian_rank, jacobian_row,
-                       monomials_upto, nullspace, poly_gcd, primitive_part,
-                       squarefree_chain, transpose, try_divide)
+                       coprime_factor_basis, divide_exact, echelon_step, grlex_key,
+                       jacobian_rank, jacobian_row, monomials_upto, nullspace,
+                       poly_gcd, primitive_part, squarefree_chain, transpose,
+                       try_divide)
 from .exactalg.linalg import _echelon, _sparse
 from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _int_primitive,
                             _minus_shifted, _mul_int, _normalized)
@@ -96,7 +96,9 @@ def _monomial_pullbacks(sys: DynamicalSystem, d: int):
     """Monomials of total degree <= d and the numerators of their pullbacks,
     all over the common denominator prod(den_i^d)."""
     monos = monomials_upto(sys.dim, d)
-    return monos, cleared_monomial_images(sys.coords, monos, (d,) * sys.dim)
+    bounds = (d,) * sys.dim
+    tables = sys.power_tables(bounds)
+    return monos, [tables.unpack(N) for N in tables.cleared(monos, bounds)]
 
 
 def _positive(p: Polynomial) -> Polynomial:

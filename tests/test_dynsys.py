@@ -223,6 +223,66 @@ def test_product_pullback_compatibility():
     assert pullback(ab, lifted) == pullback(a, f).embed(ab.variables, [0, 1])
 
 
+_SHARED_MAP = ("x y", "(x + 2*y)/(x - 3)", "-x*y + 1")
+
+
+def _pullback_functions(degrees):
+    variables = ("x", "y")
+    return [rf(f"(x^{d} - 2*y + 1)/(y^{d} + x*y + 3)", variables) for d in degrees]
+
+
+@pytest.mark.parametrize("degrees", [(1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1),
+                                     (2, 6, 1, 4, 3, 5)],
+                         ids=["ascending", "descending", "mixed"])
+def test_shared_power_tables_are_invisible(degrees):
+    # one system answers pullbacks of rising, falling and mixed degree from
+    # the tables it keeps, growing them on the way; each answer equals a
+    # substitution with tables built for it alone, and the system itself
+    # still equals, hashes, prints and fingerprints as a fresh parse
+    from ratdyn.cli import fingerprint
+    from ratdyn.exactalg import substitute
+    sysm = make_system(*_SHARED_MAP)
+    seen = []
+    for f in _pullback_functions(degrees):
+        got = pullback(sysm, f)
+        want = substitute(f, sysm.coords)
+        assert got == want
+        assert got.num._num == want.num._num and got.den._num == want.den._num
+        tables = sysm.power_tables((0, 0))
+        seen.append((tables, tables.top))
+    # the tables grew unless the first call asked for the most, and no
+    # table object changed once handed out
+    assert (len({id(t) for t, _ in seen}) > 1) == (degrees[0] != max(degrees))
+    assert all(t.top == top for t, top in seen)
+    assert all(a >= max(degrees) for a in seen[-1][1])
+    fresh = make_system(*_SHARED_MAP)
+    assert sysm == fresh and hash(sysm) == hash(fresh)
+    assert str(sysm) == str(fresh) and repr(sysm) == repr(fresh)
+    assert fingerprint(sysm) == fingerprint(fresh)
+    assert compose(sysm, sysm) == compose(fresh, fresh)
+
+
+def test_shared_power_tables_across_threads():
+    # more threads than cores ask one system for pullbacks of different
+    # degrees while it swaps in grown tables; with a short switch interval
+    # a table read half-built or changed in place would give a wrong answer
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    functions = _pullback_functions((1, 5, 2, 6, 3, 4)) * 3
+    want = [pullback(make_system(*_SHARED_MAP), f) for f in functions]
+    sysm = make_system(*_SHARED_MAP)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(pullback, sysm, f) for f in functions]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert sysm == make_system(*_SHARED_MAP)
+
+
 def test_symmetrize_negation():
     neg = make_system("x", "-x")
     f = rf("x", ("x",))

@@ -14,7 +14,8 @@ from hypothesis import example, given, strategies as st
 from ratdyn.errors import (IndeterminacyError, PreconditionError,
                            VariableMismatchError, ZeroDenominatorError)
 from ratdyn.exactalg import linalg
-from ratdyn.exactalg.poly import _cert_point, _certified_coprime, _int_primitive
+from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _combine_int,
+                                 _int_primitive, _mul_int)
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              clear_denominators, cleared_monomial_images,
                              coprime_factor_basis,
@@ -628,6 +629,130 @@ def test_cleared_monomial_images_reject_a_non_integer_normal_form():
     broken.den = Polynomial.constant(XY, 1)
     with pytest.raises(AssertionError):
         cleared_monomial_images([broken, F("y")], [(1, 0)], (1, 0))
+
+
+def test_cleared_monomial_images_reject_exponents_outside_the_bounds():
+    # packing adds exponents slot by slot, so every exponent must lie in
+    # [0, bound]: above it (a bare IndexError before) or below 0 a slot
+    # could carry, and a negative bound read the lists from their end
+    images = [F("x + 1"), F("y/(x - 2)")]
+    for exponents, bounds in ((((2, 0),), (1, 1)), (((0, 0),), (-1, 1)),
+                              (((1, 2),), (1, 1)), (((-1, 0),), (1, 1))):
+        with pytest.raises(PreconditionError):
+            cleared_monomial_images(images, exponents, bounds)
+    assert cleared_monomial_images(images, [(1, 1)], (1, 1)) == \
+        [{(1, 1): 1, (0, 1): 1}]
+
+
+# -- the tuple-keyed power tables, as substitution ran before packing ------------
+
+
+def _tuple_cleared_monomial_images(images, exponents, bounds):
+    """cleared_monomial_images over tuple-keyed power lists, built per call."""
+    one = {(0,) * len(images[0].variables): 1}
+    tables = []
+    for i, (g, b) in enumerate(zip(images, bounds)):
+        num, den = g.num._num, g.den._num
+        npw = [one]
+        dpw = [one]
+        for _ in range(b):
+            npw.append(_mul_int(npw[-1], num))
+            dpw.append(_mul_int(dpw[-1], den))
+        table = {}
+        for k in {e[i] for e in exponents}:
+            n, d = npw[k], dpw[b - k]
+            table[k] = n if d == one else d if n == one else _mul_int(n, d)
+        tables.append(table)
+    out = []
+    for e in exponents:
+        t = one
+        for table, k in zip(tables, e):
+            f = table[k]
+            if f != one:
+                t = f if t is one else _mul_int(t, f)
+        out.append(t)
+    return out
+
+
+def _tuple_substitute(f, images):
+    bounds = tuple(max(a, b) for a, b in
+                   zip(f.num.max_exponents(), f.den.max_exponents()))
+    exponents = list(dict.fromkeys(list(f.num._num) + list(f.den._num)))
+    cleared = dict(zip(exponents,
+                       _tuple_cleared_monomial_images(images, exponents, bounds)))
+
+    def compose(p):
+        return Polynomial._make(images[0].variables, _combine_int(p._num, cleared))
+
+    den = compose(f.den)
+    if den.is_zero:
+        raise IndeterminacyError("composition lands inside the pole set")
+    return RationalFunction(compose(f.num), den)
+
+
+def _random_int_poly(rng, n, terms, top):
+    """An integer polynomial in n variables with up to ``terms`` terms of
+    exponents <= top and coefficients of both signs."""
+    return Polynomial(tuple(f"x{j}" for j in range(n)),
+                      {tuple(rng.randint(0, top) for _ in range(n)):
+                       rng.choice((-1, 1)) * rng.randint(1, 9)
+                       for _ in range(rng.randint(1, terms))})
+
+
+def _random_image(rng, n):
+    """A normal form in n variables: a constant (zero included), a
+    polynomial, or a quotient with a denominator that is not constant."""
+    variables = tuple(f"x{j}" for j in range(n))
+    kind = rng.random()
+    if kind < 0.15:
+        return RationalFunction.constant(variables, rng.randint(-4, 4))
+    num = _random_int_poly(rng, n, 3, 2)
+    if kind < 0.5:
+        return RationalFunction(num)
+    den = _random_int_poly(rng, n, 3, 2)
+    return RationalFunction(num, den) if not den.is_zero else RationalFunction(num)
+
+
+def _assert_same_term_maps(got, want):
+    for g, w in zip((got.num, got.den), (want.num, want.den)):
+        assert g._num == w._num and g._den == w._den
+
+
+def test_packed_power_tables_match_the_tuple_keyed_tables():
+    rng = random.Random(0x9AC4ED)
+    for case in range(150):
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        images = [_random_image(rng, n) for _ in range(k)]
+        bounds = tuple(rng.randint(0, 3) for _ in range(k))
+        box = list(itertools.product(*[range(b + 1) for b in bounds]))
+        # the corner has every exponent at its bound
+        exponents = [bounds] + rng.sample(box, min(len(box), rng.randint(1, 12)))
+        got = cleared_monomial_images(images, exponents, bounds)
+        assert got == _tuple_cleared_monomial_images(images, exponents, bounds)
+        f = RationalFunction(_random_int_poly(rng, k, 2, 2),
+                             _random_int_poly(rng, k, 2, 1))
+        try:
+            want = _tuple_substitute(f, images)
+        except IndeterminacyError:
+            with pytest.raises(IndeterminacyError):
+                substitute(f, images)
+            continue
+        _assert_same_term_maps(substitute(f, images), want)
+
+
+def test_packed_substitution_into_a_six_variable_square_matches():
+    from ratdyn.dynsys import diagonal_power, pullback
+    from conftest import make_system
+    square = diagonal_power(make_system("x y z", "-y", "z - 2*x*y",
+                                        "(x + 1)/(y^2 - 3)"), 2)
+    rng = random.Random(0x5D1A6)
+    for _ in range(12):
+        f = RationalFunction(_random_int_poly(rng, 6, 4, 2),
+                             _random_int_poly(rng, 6, 2, 2)).embed(
+            square.variables, range(6))
+        want = _tuple_substitute(f, square.coords)
+        _assert_same_term_maps(substitute(f, square.coords), want)
+        _assert_same_term_maps(pullback(square, f), want)
 
 
 @st.composite
