@@ -3,11 +3,14 @@
 import functools
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from ratdyn import dynsys
+from ratdyn.cli import fingerprint
 from ratdyn.dynsys import (DOMINANT, GROWTH_BOUNDED, GROWTH_EXPONENTIAL,
                            NOT_DOMINANT, DynamicalSystem, compose,
                            degree_sequence, diagonal_power, iterate, iterates,
@@ -15,6 +18,7 @@ from ratdyn.dynsys import (DOMINANT, GROWTH_BOUNDED, GROWTH_EXPONENTIAL,
                            validate_dominant)
 from ratdyn.errors import (NotDominantError, PreconditionError,
                            VariableMismatchError)
+from ratdyn.exactalg import substitute
 
 from conftest import make_system, rf
 
@@ -239,8 +243,6 @@ def test_shared_power_tables_are_invisible(degrees):
     # the tables it keeps, growing them on the way; each answer equals a
     # substitution with tables built for it alone, and the system itself
     # still equals, hashes, prints and fingerprints as a fresh parse
-    from ratdyn.cli import fingerprint
-    from ratdyn.exactalg import substitute
     sysm = make_system(*_SHARED_MAP)
     seen = []
     for f in _pullback_functions(degrees):
@@ -266,8 +268,6 @@ def test_shared_power_tables_across_threads():
     # more threads than cores ask one system for pullbacks of different
     # degrees while it swaps in grown tables; with a short switch interval
     # a table read half-built or changed in place would give a wrong answer
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
     functions = _pullback_functions((1, 5, 2, 6, 3, 4)) * 3
     want = [pullback(make_system(*_SHARED_MAP), f) for f in functions]
     sysm = make_system(*_SHARED_MAP)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ratdyn.dynsys import diagonal_power, pullback
 from ratdyn.errors import (IndeterminacyError, PreconditionError,
                            VariableMismatchError, ZeroDenominatorError)
 from ratdyn.exactalg import linalg
@@ -27,9 +28,9 @@ from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
 
 from conftest import (_fraction_evaluate, _fraction_jacobian_row,
                       _fraction_product, _fraction_reduce_row, _fraction_rref,
-                      _ref_gcd, _ref_normalize, _ref_try_divide, poly,
-                      ref_cleared_monomial_images, ref_derivative, ref_embed,
-                      ref_scaled, ref_str, ref_sum, rf)
+                      _ref_gcd, _ref_normalize, _ref_try_divide, make_system,
+                      poly, ref_cleared_monomial_images, ref_derivative,
+                      ref_embed, ref_scaled, ref_str, ref_sum, rf)
 
 XY = ("x", "y")
 
@@ -720,7 +721,7 @@ def _assert_same_term_maps(got, want):
 
 def test_packed_power_tables_match_the_tuple_keyed_tables():
     rng = random.Random(0x9AC4ED)
-    for case in range(150):
+    for _ in range(150):
         k, n = rng.randint(1, 6), rng.randint(1, 6)
         images = [_random_image(rng, n) for _ in range(k)]
         bounds = tuple(rng.randint(0, 3) for _ in range(k))
@@ -741,8 +742,6 @@ def test_packed_power_tables_match_the_tuple_keyed_tables():
 
 
 def test_packed_substitution_into_a_six_variable_square_matches():
-    from ratdyn.dynsys import diagonal_power, pullback
-    from conftest import make_system
     square = diagonal_power(make_system("x y z", "-y", "z - 2*x*y",
                                         "(x + 1)/(y^2 - 3)"), 2)
     rng = random.Random(0x5D1A6)
