@@ -18,19 +18,32 @@ gcd and exact division run on the integer term maps ("int polys"): the
 operands are split as c * P with P primitive in Z[x], and by Gauss's lemma
 the gcd and the quotient over Q follow from those of the P's.  Exact
 division keeps one remainder dict and takes its leading terms off a heap.
-Every gcd, ``poly_gcd``'s and the one in RationalFunction's normal form,
-goes through ``_gcd_primitive``.  It splits off each operand's monomial
-content (the componentwise minimum exponent): the gcd is x^m times that of
-the rest, m the smaller content.  A certificate then tries to prove the rest
-coprime: for each variable x_k of positive degree in both, it evaluates the
-others mod a fixed prime at a fixed point with independent coordinates,
-drawn from a fixed seed.  If neither leading coefficient in x_k vanishes
-there, the gcd's image keeps its degree in x_k and divides both images, so
-univariate images with a constant gcd in F_p prove deg_k gcd = 0.  When that
-holds for every such variable the gcd is 1; otherwise the primitive
-pseudo-remainder sequence runs (over Z, recursing on the last variable).
-The certificate proves "coprime" and nothing else, so the results are exact
-either way.
+Every gcd goes through ``_gcd_primitive``, which returns the gcd g together
+with the cofactors a / g and b / g, so no caller divides by a gcd it has
+just taken: ``poly_gcd`` keeps g, and ``poly_lcm``, ``squarefree_part``,
+``coprime_factor_basis``, ``invsearch``'s Darboux split and
+RationalFunction's normal form use the cofactors.  Its steps:
+
+1. an operand that is constant gives the gcd 1;
+2. each operand's monomial content (the componentwise minimum exponent) is
+   split off: the gcd is x^m times that of the rest, m the smaller content;
+3. if the rest with fewer terms has no exponent above the other's in any
+   variable, it is tried as an exact divisor of the other; if it divides,
+   it is the gcd (gcd(a, b) = b when b divides a) and the quotient is the
+   other's cofactor;
+4. a certificate tries to prove the rest coprime: for each variable x_k of
+   positive degree in both, it evaluates the others mod a fixed prime at a
+   fixed point with independent coordinates, drawn from a fixed seed.  If
+   neither leading coefficient in x_k vanishes there, the gcd's image keeps
+   its degree in x_k and divides both images, so univariate images with a
+   constant gcd in F_p prove deg_k gcd = 0.  When that holds for every such
+   variable the gcd is 1;
+5. otherwise the primitive pseudo-remainder sequence runs (over Z,
+   recursing on the last variable), and exact division by its result gives
+   the cofactors.
+
+The divisor test and the certificate only ever prove a gcd, so the results
+are exact either way.
 """
 
 from __future__ import annotations
@@ -552,14 +565,18 @@ def divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
 
 # -- multivariate gcd ----------------------------------------------------------
 #
-# First a coprimality certificate mod one prime (below); when it does not
-# apply, the primitive pseudo-remainder sequence over Z, recursing on the last
-# variable.  At level k the operands involve x_0..x_k only; a polynomial is
-# split into its coefficients in x_k ({degree: int poly with x_k^0}), and its
-# content in x_k (the gcd of those coefficients) comes from the same
-# recursion one variable down.  Contents and pseudo-remainders are made
-# primitive over Z as they arise, which keeps the coefficients small and
-# changes the result only by a unit; the exit normalizes it.
+# ``_gcd_primitive`` returns the gcd with its two cofactors.  After the
+# constant check and the monomial split it tries the operand with fewer terms,
+# when its degrees fit, as an exact divisor of the other, whose cofactor is
+# then the quotient; then a coprimality certificate mod one prime (below);
+# when neither applies, the primitive pseudo-remainder sequence over Z,
+# recursing on the last variable, and the cofactors by exact division.  At
+# level k the operands involve x_0..x_k only; a polynomial is split into its
+# coefficients in x_k ({degree: int poly with x_k^0}), and its content in x_k
+# (the gcd of those coefficients) comes from the same recursion one variable
+# down.  Contents and pseudo-remainders are made primitive over Z as they
+# arise, which keeps the coefficients small and changes the result only by a
+# unit; the exit normalizes it.
 
 
 def _split(p: Dict[Exponent, int], k: int) -> Dict[int, Dict[Exponent, int]]:
@@ -774,30 +791,58 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return primitive_part(b)
     if b.is_zero:
         return primitive_part(a)
-    return Polynomial._make(a.variables,
-                            _gcd_primitive(_int_primitive(a)[1], _int_primitive(b)[1]))
+    return _gcd_cofactors(a, b)[0]
 
 
-def _gcd_primitive(a: Dict[Exponent, int],
-                   b: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    """The normalized gcd of two nonzero primitive int polys (see the module docstring)."""
+def _gcd_cofactors(a: Polynomial, b: Polynomial
+                   ) -> Tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a / g, b / g) for nonzero a and b, g = poly_gcd(a, b)."""
+    if a.variables != b.variables:
+        raise VariableMismatchError("gcd of polynomials over different variables")
+    ka, pa = _int_primitive(a)
+    kb, pb = _int_primitive(b)
+    g, qa, qb = _gcd_primitive(pa, pb)
+    v = a.variables
+    return (Polynomial._make(v, g), _scaled_int(v, qa, ka, a._den),
+            _scaled_int(v, qb, kb, b._den))
+
+
+def _gcd_primitive(a: Dict[Exponent, int], b: Dict[Exponent, int]
+                   ) -> Tuple[Dict[Exponent, int], Dict[Exponent, int], Dict[Exponent, int]]:
+    """(g, a / g, b / g) for nonzero primitive int polys a and b of positive
+    leading coefficient, g their normalized gcd (see the module docstring)."""
     if _is_constant(a) or _is_constant(b):
-        return _one_like(a)
+        return _one_like(a), a, b
 
     def shift(p, m, op):
         return {tuple(map(op, e, m)): c for e, c in p.items()} if any(m) else p
 
+    sub, add = operator.sub, operator.add
     m, n = (tuple(map(min, zip(*p))) for p in (a, b))
-    a, b = shift(a, m, operator.sub), shift(b, n, operator.sub)
-    g = (_one_like(a) if _certified_coprime(a, b)
-         else _normalized(_gcd_int(a, b, len(m) - 1)))
-    return shift(g, tuple(map(min, m, n)), operator.add)
+    s = tuple(map(min, m, n))
+    a, b = shift(a, m, sub), shift(b, n, sub)
+    one = _one_like(a)
+    # the operand with fewer terms is the gcd if it divides the other; its
+    # degrees must fit first
+    small, big = (b, a) if len(b) <= len(a) else (a, b)
+    q = (_divide_int(big, small)
+         if all(map(operator.le, map(max, zip(*small)), map(max, zip(*big))))
+         else None)
+    if q is not None:
+        g, qa, qb = (small, q, one) if small is b else (small, one, q)
+    elif _certified_coprime(a, b):
+        g, qa, qb = one, a, b
+    else:
+        g = _normalized(_gcd_int(a, b, len(m) - 1))
+        qa, qb = (a, b) if _is_constant(g) else (_divide_int(a, g), _divide_int(b, g))
+    return (shift(g, s, add), shift(qa, tuple(map(sub, m, s)), add),
+            shift(qb, tuple(map(sub, n, s)), add))
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
         return Polynomial(a.variables)
-    return primitive_part(a * divide_exact(b, poly_gcd(a, b)))
+    return primitive_part(a * _gcd_cofactors(a, b)[2])
 
 
 # -- gcd-driven partial factorization ----------------------------------------
@@ -809,15 +854,17 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     p = primitive_part(p)
     if p.is_zero or p.is_constant:
         return p
-    g = p
+    # p / g is the product of the cofactors g_old / g_new of the chain
+    g, sf = p, Polynomial.constant(p.variables, 1)
     for i in range(len(p.variables)):
         dp = p.derivative(i)
         if dp.is_zero:
             continue
-        g = poly_gcd(g, dp)
+        g, cofactor, _ = _gcd_cofactors(g, dp)
         if g.is_constant:
             return p
-    return primitive_part(divide_exact(p, g))
+        sf = sf * cofactor
+    return primitive_part(sf)
 
 
 def squarefree_chain(p: Polynomial) -> List[Polynomial]:
@@ -863,11 +910,11 @@ def coprime_factor_basis(polys: Iterable[Polynomial],
             if p == q:
                 split = True
                 break
-            g = poly_gcd(p, q)
+            g, p_g, q_g = _gcd_cofactors(p, q)
             if not g.is_constant:
                 basis.pop(i)
-                for part in (g, try_divide(q, g), try_divide(p, g)):
-                    if part is not None and not part.is_constant:
+                for part in (g, q_g, p_g):
+                    if not part.is_constant:
                         work.append(primitive_part(part))
                 split = True
                 break

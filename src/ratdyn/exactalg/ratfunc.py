@@ -7,10 +7,12 @@ This normal form is canonical, so equality of values implies equality of the
 stored representation, and both parts are integer polynomials (denominator
 1), whose int term maps ``substitute`` and the power tables read directly.
 It is built in Z: each part is split once into a rational content and a
-primitive integer polynomial, the gcd of the two primitive parts is divided
-out (by Gauss's lemma the quotients stay primitive, and the denominator's
-keeps a positive leading coefficient), and the ratio of the contents, in
-lowest terms, scales the two quotients.
+primitive integer polynomial, the gcd of the two primitive parts comes with
+their cofactors (``poly._gcd_primitive``; by Gauss's lemma the cofactors stay
+primitive, and the denominator's keeps a positive leading coefficient), and
+the ratio of the contents, in lowest terms, scales the two cofactors.  The
+gcd's own exact division, the divisor test or the one after the
+pseudo-remainder sequence, is the only division.
 
 Substitution x_i -> g_i = num_i / den_i runs on packed exponents (Monagan
 and Pearce, CASC 2007).  ``PowerTables`` holds num_i^k and den_i^k for
@@ -42,9 +44,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import (IndeterminacyError, PreconditionError, VariableMismatchError,
                       ZeroDenominatorError)
-from .poly import (Exponent, Polynomial, _combine_int, _divide_int,
-                   _gcd_primitive, _int_primitive, _is_constant, _times,
-                   divide_exact, poly_lcm)
+from .poly import (Exponent, Polynomial, _combine_int, _gcd_primitive,
+                   _int_primitive, _times, divide_exact, poly_lcm)
 
 
 class RationalFunction:
@@ -65,9 +66,9 @@ class RationalFunction:
             return
         kn, pn = _int_primitive(num)
         kd, pd = _int_primitive(den)
-        g = _gcd_primitive(pn, pd)
-        if not _is_constant(g):
-            pn, pd = _divide_int(pn, g), _divide_int(pd, g)
+        # pn and pd become the cofactors of their gcd, which the gcd returns
+        # with no further division
+        _, pn, pd = _gcd_primitive(pn, pd)
         # num / den = (a / b) * pn / pd, the ratio of the contents in lowest
         # terms with b > 0
         a, b = kn * den._den, kd * num._den

@@ -36,13 +36,13 @@ from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_p
                      iterates, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
-                       coprime_factor_basis, divide_exact, echelon_step, grlex_key,
+                       coprime_factor_basis, echelon_step, grlex_key,
                        jacobian_rank, jacobian_row, monomials_upto, nullspace,
                        poly_gcd, primitive_part, squarefree_chain, transpose,
                        try_divide)
 from .exactalg.linalg import _echelon, _sparse
-from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _int_primitive,
-                            _minus_shifted, _mul_int, _normalized)
+from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_cofactors,
+                            _int_primitive, _minus_shifted, _mul_int, _normalized)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 _EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
@@ -167,10 +167,11 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
         splitters = [c for p in dens + list(map(image, out)) for c in chain(p)]
         cuts = {}
         for f in loose:
-            g = next((g for g in (poly_gcd(f, c) for c in splitters)
-                      if 0 < g.total_degree < f.total_degree), None)
-            if g is not None:
-                cuts[f] = (g, primitive_part(divide_exact(f, g)))
+            for c in splitters:
+                g, f_g, _ = _gcd_cofactors(f, c)
+                if 0 < g.total_degree < f.total_degree:
+                    cuts[f] = (g, primitive_part(f_g))
+                    break
         if not cuts:
             return out
         # each piece takes its factor's place

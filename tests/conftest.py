@@ -55,6 +55,22 @@ def systems_dir():
     return os.path.join(os.path.dirname(ratdyn.__file__), "systems")
 
 
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """The variable index of every entry into ``poly._gcd_int``, the
+    pseudo-remainder sequence, during the test (recursive entries too)."""
+    from ratdyn.exactalg import poly as poly_module
+    calls = []
+    gcd_int = poly_module._gcd_int
+
+    def counted(a, b, k):
+        calls.append(k)
+        return gcd_int(a, b, k)
+
+    monkeypatch.setattr(poly_module, "_gcd_int", counted)
+    return calls
+
+
 # -- Fraction references for the integer monomial power tables -------------------
 
 

@@ -439,12 +439,32 @@ def test_demo_runs(demo):
     assert out.returncode == 0, out.stderr
 
 
-def _ratdyn(*args):
+def _ratdyn(*args, hash_seed=None):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.run([sys.executable, "-m", "ratdyn", *args],
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["square", corpus("double.system")],
+    ["invariants", "--budget", "2,3,2,3", corpus("mobius.system")],
+    ["selftest", "--budget", "2,2,2,3"],
+])
+def test_cli_reports_do_not_depend_on_the_hash_seed(argv):
+    # set and dict iteration order follows the hash seed of each process;
+    # the reports must not
+    reports = []
+    for hash_seed in (0, 1):
+        out = _ratdyn(*argv, hash_seed=hash_seed)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        doc.pop("timing")
+        reports.append(render_json(doc).encode())
+    assert reports[0] == reports[1]
 
 
 def test_cli_negative_budget_is_a_usage_error():

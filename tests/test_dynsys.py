@@ -346,6 +346,19 @@ def test_degree_sequence_qrt_cancels_every_common_factor():
     assert degree_sequence(qrt, 12).degrees == tuple(range(2, 25, 2))
 
 
+@pytest.mark.parametrize("coords, degrees", [
+    (("y", "(y^2 + 1)/x"), tuple(range(2, 25, 2))),                   # QRT
+    (("3*y/2", "((3*y)^2 + 1)/(6*x)"), tuple(range(2, 25, 2))),       # rescaled QRT
+    (("y", "(y + 1)/x"), (1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 2)),       # Lyness
+])
+def test_degree_sequence_normal_forms_run_no_prs(prs_calls, coords, degrees):
+    # every common factor of these iterates' numerators and denominators is
+    # one part dividing the other, which the gcd's divisor test finds, so
+    # the pseudo-remainder sequence never runs
+    assert degree_sequence(make_system("x y", *coords), 12).degrees == degrees
+    assert prs_calls == []
+
+
 def test_degree_sequence_mobius_bounded():
     mob = make_system("x", "(2*x + 3)/(x + 1)")
     prof = degree_sequence(mob, 5)

@@ -16,7 +16,7 @@ from ratdyn.errors import (IndeterminacyError, PreconditionError,
                            VariableMismatchError, ZeroDenominatorError)
 from ratdyn.exactalg import linalg
 from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _combine_int,
-                                 _int_primitive, _mul_int)
+                                 _gcd_cofactors, _int_primitive, _mul_int)
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              clear_denominators, cleared_monomial_images,
                              coprime_factor_basis,
@@ -400,6 +400,87 @@ def test_gcd_with_monomial_factors_matches_fraction_prs(pair):
     a, b = pair
     assert poly_gcd(a, b) == _ref_gcd(a, b)
     assert poly_gcd(b, a) == _ref_gcd(b, a)
+
+
+# -- the cofactor gcd against the Fraction PRS ---------------------------------
+#
+# _gcd_primitive tries the operand with fewer terms as an exact divisor of the
+# other before the certificate and the PRS, and returns the cofactors.  The
+# shapes below force each way through it: a divisor, the same polynomial, a
+# monomial multiple, a divisor whose degrees fit but which does not divide,
+# and a proper common factor; the divisor cases are taken after each operand
+# gets its own signed monomial factor, so the monomial split runs too.
+
+VARS4 = ("x", "y", "z", "w")
+_COFACTOR_SHAPES = ("b | a", "a | b", "a == b", "b = a*x^k", "fits, no divisor",
+                    "common factor")
+
+
+@st.composite
+def cofactor_pairs(draw, shape):
+    n = draw(st.integers(1, 4))
+    variables = VARS4[:n]
+    coeff = st.integers(-5, 5).filter(bool)
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+
+    def part(least):
+        size = draw(st.integers(least, 3))
+        return Polynomial(variables, draw(st.dictionaries(
+            expo, coeff, min_size=size, max_size=size)))
+
+    def monomial():
+        return Polynomial(variables, {draw(expo): draw(coeff)})
+
+    u, v = part(2), part(1)
+    if shape == "a == b":
+        m = monomial()
+        return u * m, u * m
+    if shape == "b = a*x^k":
+        x = Polynomial.variable(variables, variables[draw(st.integers(0, n - 1))])
+        return u, u * x ** draw(st.integers(1, 3))
+    if shape == "fits, no divisor":
+        # u is not constant, so it does not divide u*v + c
+        return u * v + draw(coeff), u
+    a, b = {"b | a": (u * v, u), "a | b": (u, u * v),
+            "common factor": (u * v, u * part(1))}[shape]
+    return a * monomial(), b * monomial()
+
+
+def _check_cofactors(a, b):
+    g, a_g, b_g = _gcd_cofactors(a, b)
+    assert g * a_g == a and g * b_g == b
+    # primitive over Z, with a positive leading coefficient
+    assert g == primitive_part(g) and g.leading()[1] > 0
+    assert g == _ref_gcd(a, b) == poly_gcd(a, b)
+
+
+@pytest.mark.parametrize("shape", _COFACTOR_SHAPES)
+@given(data=st.data())
+def test_cofactor_gcd_matches_fraction_prs(shape, data):
+    a, b = data.draw(cofactor_pairs(shape))
+    _check_cofactors(a, b)
+    _check_cofactors(b, a)
+    for num, den in ((a, b), (b, a)):
+        f = RationalFunction(num, den)
+        want_num, want_den = _ref_normalize(num, den)
+        assert f.num.terms == want_num.terms and f.den.terms == want_den.terms
+
+
+def test_cofactor_gcd_examples():
+    for a, b in ((P("-2*x^3*y - 2*x^2*y"), P("3*x*y^2 + 3*y^2")),  # equal once split
+                 (P("x^2 - 1"), P("x + 1")),
+                 (P("x^2 + x + 1"), P("x + 1")),                 # fits, no divisor
+                 (P("x + y"), P("x + y")),
+                 (P("x - y"), P("-x^3*y + x^2*y^2"))):           # b = -a*x^2*y
+        _check_cofactors(a, b)
+        _check_cofactors(b, a)
+    p = P("x^2 + 1")
+    _check_cofactors(p, p)
+
+
+def test_pairs_that_share_a_factor_but_do_not_divide_reach_the_prs(prs_calls):
+    assert poly_gcd(P("(x + 1)*(y + 2)"), P("(x + 1)*(y - 3)")) == P("x + 1")
+    assert prs_calls
 
 
 def test_squarefree_and_factor_basis():

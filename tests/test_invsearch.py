@@ -981,7 +981,7 @@ def _q1_stage(sys, q, factors, budget, composed_cache):
             if r is None:
                 break
             q1, r1 = _divide_int(q1, f), r
-    h = _gcd_primitive(q1, _normalized(r1))
+    h = _gcd_primitive(q1, _normalized(r1))[0]
     if not _is_constant(h):
         q1, r1 = _divide_int(q1, h), _divide_int(r1, h)
     free = dp - max(map(sum, q1))
