@@ -30,7 +30,8 @@ RationalFunction's normal form use the cofactors.  Its steps:
 3. if the rest with fewer terms has no exponent above the other's in any
    variable, it is tried as an exact divisor of the other; if it divides,
    it is the gcd (gcd(a, b) = b when b divides a) and the quotient is the
-   other's cofactor;
+   other's cofactor.  A rest of one term is the constant 1, which divides
+   with no division;
 4. a certificate tries to prove the rest coprime: for each variable x_k of
    positive degree in both, it evaluates the others mod a fixed prime at a
    fixed point with independent coordinates, drawn from a fixed seed.  If
@@ -823,11 +824,15 @@ def _gcd_primitive(a: Dict[Exponent, int], b: Dict[Exponent, int]
     a, b = shift(a, m, sub), shift(b, n, sub)
     one = _one_like(a)
     # the operand with fewer terms is the gcd if it divides the other; its
-    # degrees must fit first
+    # degrees must fit first.  One term left after the split is the constant
+    # 1, which divides anything.
     small, big = (b, a) if len(b) <= len(a) else (a, b)
-    q = (_divide_int(big, small)
-         if all(map(operator.le, map(max, zip(*small)), map(max, zip(*big))))
-         else None)
+    if len(small) == 1:
+        q = big
+    elif all(map(operator.le, map(max, zip(*small)), map(max, zip(*big)))):
+        q = _divide_int(big, small)
+    else:
+        q = None
     if q is not None:
         g, qa, qb = (small, q, one) if small is b else (small, one, q)
     elif _certified_coprime(a, b):
