@@ -10,13 +10,11 @@ Fraction only for each entry it returns.  The rank is at most the column
 count, and at most one less when a kernel vector is known, so ``nullspace``
 stops eliminating once its echelon holds that many pivots: every later row
 lies in the span.  Jacobian rows at integer points are ints as well, so the
-seeded rank test runs in Z throughout.  Two eliminations stay separate
-because they work in other rings:
-
-  * ``poly_matrix_rank`` uses fraction-free (Bareiss) elimination, which
-    stays in the polynomial ring via exact divisions;
-  * ``translation.ExponentMatrix.det`` keeps its own elimination, since it
-    needs the product of the pivots, which an echelon does not record.
+seeded rank test runs in Z throughout, and an exponent matrix is singular
+exactly when its ``rank`` falls short of its size.  One elimination stays
+separate because it works in another ring: ``poly_matrix_rank`` uses
+fraction-free (Bareiss) elimination, which stays in the polynomial ring via
+exact divisions.
 """
 
 from __future__ import annotations

@@ -853,23 +853,34 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 # -- gcd-driven partial factorization ----------------------------------------
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors of p (characteristic zero),
-    obtained by dividing out gcd(p, dp/dx_1, ..., dp/dx_n)."""
-    p = primitive_part(p)
-    if p.is_zero or p.is_constant:
-        return p
-    # p / g is the product of the cofactors g_old / g_new of the chain
-    g, sf = p, Polynomial.constant(p.variables, 1)
-    for i in range(len(p.variables)):
-        dp = p.derivative(i)
+def _squarefree_split(p: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """(sqf(p), p / sqf(p)) for a nonconstant p, with no division.
+
+    With p = c*P, P primitive, the chain g <- gcd(g, dP/dx_i) from g = P
+    ends at g = gcd(P, dP/dx_1, ..., dP/dx_n), and P / g is the product of
+    the cofactors g_old / g_new of its steps: that is sqf(p), and p / sqf(p)
+    is exactly c*g."""
+    k, num = _int_primitive(p)
+    v = p.variables
+    g = P = Polynomial._make(v, num)
+    sf = Polynomial.constant(v, 1)
+    for i in range(len(v)):
+        dp = P.derivative(i)
         if dp.is_zero:
             continue
         g, cofactor, _ = _gcd_cofactors(g, dp)
         if g.is_constant:
-            return p
+            return P, _scaled_int(v, g._num, k, p._den)
         sf = sf * cofactor
-    return primitive_part(sf)
+    return primitive_part(sf), _scaled_int(v, g._num, k, p._den)
+
+
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """Product of the distinct irreducible factors of p (characteristic zero),
+    obtained by dividing out gcd(p, dp/dx_1, ..., dp/dx_n)."""
+    if p.is_zero or p.is_constant:
+        return primitive_part(p)
+    return _squarefree_split(p)[0]
 
 
 def squarefree_chain(p: Polynomial) -> List[Polynomial]:
@@ -878,11 +889,13 @@ def squarefree_chain(p: Polynomial) -> List[Polynomial]:
     The k-th entry collects the factors of p of multiplicity above k, so the
     squarefree parts of the entries multiply to p up to a constant, and a
     coprime factor basis of the entries covers p with its multiplicities.
+    Each next entry is the gcd that ``_squarefree_split`` finds, scaled by
+    p's content.
     """
     chain = []
     while not p.is_constant:
         chain.append(p)
-        p = divide_exact(p, squarefree_part(p))
+        p = _squarefree_split(p)[1]
     return chain
 
 

@@ -2,8 +2,9 @@
 
 The fixed field of the pullback is approached in three stages, each exact:
 
-  * polynomial stage -- invariance of a polynomial of bounded degree is a
-    linear condition on its coefficients; solve the nullspace over Q;
+  * polynomial stage -- the fixed-denominator solve below at q = 1, which
+    runs first: invariance of a polynomial of bounded degree is a linear
+    condition on its coefficients; solve the nullspace over Q;
   * fixed-denominator stage -- for each denominator q from a catalog of
     products of factors of the map's iterated numerators and denominators,
     invariance of p/q is linear in p.  The denominator of an invariant in
@@ -11,14 +12,17 @@ The fixed field of the pullback is approached in three stages, each exact:
     polynomial), so only a q that divides I(q) is solved, as I(p) = p*r
     with r = I(q)/q; the catalog's factors are split until skipping the
     other q loses nothing;
-  * pencil stage -- the full bilinear condition on p/q is linearized on the
-    antisymmetrized coefficient pairs p_i q_j - p_j q_i; decomposable points
-    of that nullspace are exactly the invariant pencils, and are extracted
-    when the nullspace is small enough to solve the quadratic conditions.
+  * pencil stage -- when nothing was found, the full bilinear condition on
+    p/q is linearized on the antisymmetrized coefficient pairs
+    p_i q_j - p_j q_i; decomposable points of that nullspace are exactly
+    the invariant pencils, and are extracted when the nullspace is small
+    enough to solve the quadratic conditions.
 
-Every emitted function is verified against the exact identity "pullback
-equals the function itself"; budget exhaustion only limits completeness,
-which is never claimed.
+The stages share one table of cleared monomial pullbacks per degree.  Every
+emitted function is verified against the exact identity "pullback equals
+the function itself", and kept unless it lies in the span of the capped
+Laurent products of those kept before it; budget exhaustion only limits
+completeness, which is never claimed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,10 +40,9 @@ from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_p
 from .errors import PreconditionError
 from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
                        coprime_factor_basis, echelon_step, grlex_key,
-                       jacobian_rank, jacobian_row, monomials_upto, nullspace,
-                       poly_gcd, primitive_part, squarefree_chain, transpose,
-                       try_divide)
-from .exactalg.linalg import _echelon, _sparse
+                       jacobian_rank, monomials_upto, nullspace, poly_gcd,
+                       primitive_part, squarefree_chain, transpose, try_divide)
+from .exactalg.linalg import _echelon
 from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_cofactors,
                             _int_primitive, _minus_shifted, _mul_int, _normalized)
 
@@ -92,13 +94,17 @@ class SquareGainReport:
 # -- shared machinery -----------------------------------------------------------
 
 
-def _monomial_pullbacks(sys: DynamicalSystem, d: int):
-    """Monomials of total degree <= d and the numerators of their pullbacks,
-    all over the common denominator prod(den_i^d)."""
-    monos = monomials_upto(sys.dim, d)
-    bounds = (d,) * sys.dim
-    tables = sys.power_tables(bounds)
-    return monos, [tables.unpack(N) for N in tables.cleared(monos, bounds)]
+def _pullback_table(sys: DynamicalSystem, d: int, tables: dict) -> dict:
+    """The monomials of degree <= d, in ascending graded-lex order, mapped to
+    the numerators of their pullbacks over the common denominator
+    prod(den_i^d); kept in ``tables`` by d, one dict per search."""
+    if d not in tables:
+        monos = monomials_upto(sys.dim, d)
+        bounds = (d,) * sys.dim
+        power = sys.power_tables(bounds)
+        tables[d] = {m: power.unpack(N)
+                     for m, N in zip(monos, power.cleared(monos, bounds))}
+    return tables[d]
 
 
 def _positive(p: Polynomial) -> Polynomial:
@@ -114,34 +120,42 @@ def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
             for vec in basis]
 
 
+def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int,
+                    table: dict) -> Optional[List[Polynomial]]:
+    """The p of degree <= dp with I(p) = p*r, r = I(q)/q, for a primitive
+    int q of degree <= the table's: the reduced row echelon kernel of the
+    columns I(m) - m*r, one per monomial m of degree <= dp, as
+    ``_kernel_polynomials``; None when q does not divide I(q).
+
+    When deg q <= dp, q is a known kernel vector."""
+    r = _divide_int(_combine_int(q_int, table), q_int)
+    if r is None:
+        return None
+    monos = [e for e in table if sum(e) <= dp]
+    known = None
+    if max(map(sum, q_int)) <= dp:
+        col = {e: i for i, e in enumerate(monos)}
+        known = {col[e]: c for e, c in q_int.items()}
+    basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
+                      len(monos), known)
+    return _kernel_polynomials(sys, monos, basis)
+
+
 def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]:
     """Basis over Q of the polynomials of total degree <= d fixed by the map.
 
-    Computed as the exact nullspace of the linear operator sending f to the
-    numerator of (f after the map) - f, echelonized deterministically with
-    columns in ascending graded-lex order; the constant 1 is always the
-    first element.
+    The fixed-denominator solve at q = 1: the exact nullspace of the linear
+    operator sending f to the numerator of (f after the map) - f,
+    echelonized deterministically with columns in ascending graded-lex
+    order; the constant 1 is always the first element.
     """
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
     require_dominant(sys)
-    monos, images = _monomial_pullbacks(sys, d)
-    # the constant monomial comes first: images[0] = prod(den_i^d), so
-    # column 0 is zero and the constant 1 is a known kernel vector
-    columns = [_minus_shifted(dict(N), e, images[0]) for e, N in zip(monos, images)]
-    basis = nullspace(transpose(columns), len(monos), {0: 1})
-    return _kernel_polynomials(sys, monos, basis)
+    return _darboux_kernel(sys, {(0,) * sys.dim: 1}, d, _pullback_table(sys, d, {}))
 
 
 # -- denominator catalog ----------------------------------------------------------
-
-
-def _pullback_table(sys: DynamicalSystem, d: int, tables: dict) -> dict:
-    """The monomials of degree <= d mapped to their cleared pullbacks (over
-    prod(den_i^d)), kept in ``tables`` by d."""
-    if d not in tables:
-        tables[d] = dict(zip(*_monomial_pullbacks(sys, d)))
-    return tables[d]
 
 
 def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
@@ -236,7 +250,8 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
                                   budget: SearchBudget,
                                   tables: dict) -> List[RationalFunction]:
-    """Stage 1: with q fixed, invariance of p/q is linear in p.
+    """Stage 1: with q fixed, invariance of p/q is linear in p; q = 1 is the
+    polynomial stage.
 
     With I the pullback cleared at degree max(dp, deg q), p/q is invariant
     iff I(p)*q = p*I(q).  When q divides I(q), this is I(p) = p*r with
@@ -263,21 +278,11 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     ``tables`` caches ``_pullback_table``.
     """
     dp = budget.max_num_degree
-    table = _pullback_table(sys, max(dp, q.total_degree), tables)
-    q_int = _int_primitive(q)[1]
-    r = _divide_int(_combine_int(q_int, table), q_int)
-    if r is None:
+    kernel = _darboux_kernel(sys, _int_primitive(q)[1], dp,
+                             _pullback_table(sys, max(dp, q.total_degree), tables))
+    if kernel is None or (q.total_degree <= dp and len(kernel) == 1):
         return []
-    monos = [e for e in table if sum(e) <= dp]
-    known = None
-    if q.total_degree <= dp:
-        col = {e: i for i, e in enumerate(monos)}
-        known = {col[e]: c for e, c in q_int.items()}
-    basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
-                      len(monos), known)
-    if known is not None and len(basis) == 1:
-        return []
-    candidates = (RationalFunction(p, q) for p in _kernel_polynomials(sys, monos, basis))
+    candidates = (RationalFunction(p, q) for p in kernel)
     return [f for f in candidates if not f.is_constant]
 
 
@@ -503,13 +508,15 @@ def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
     return out
 
 
-def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget):
-    """Returns (found invariants, conclusive flag)."""
+def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget, tables: dict):
+    """Returns (found invariants, conclusive flag); ``tables`` caches
+    ``_pullback_table``."""
     limit = budget.nullspace_rank1_limit
     if limit == 0:
         return [], False
-    dmax = max(budget.max_num_degree, budget.max_den_degree)
-    monos, images = _monomial_pullbacks(sys, dmax)
+    table = _pullback_table(sys, max(budget.max_num_degree, budget.max_den_degree),
+                            tables)
+    monos, images = list(table), list(table.values())
     s = len(monos)
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
     # images[j]*x_i - images[i]*x_j: each column negated, the kernel kept
@@ -715,22 +722,18 @@ class _ClearedPool:
 class _Collector:
     """Order-preserving deduplication per the report contract.
 
-    A candidate is kept iff it certifiably raises the independence rank or
-    lies outside the Q-span of the capped Laurent products of the prior
-    invariants.  The rank test uses seeded integer points, which can only
-    under-report rank: a missed increase falls through to the span test,
-    where an algebraically independent candidate can never be a member, so
-    the kept set is identical either way.
-
-    Each point keeps the integer echelon of the kept invariants' gradients
-    (None once one has a pole there).  A candidate's gradient is evaluated
-    once per usable point and reduced against it; a kept candidate's
-    remainders join the echelons as they are.
+    A candidate is kept iff it lies outside the Q-span of the capped Laurent
+    products of the invariants already kept (``_ClearedPool``).  That one
+    test decides alone: a candidate that raises the independence rank is
+    algebraically independent of the kept ones, so it is never in the span,
+    and a rank pre-test in front of the span test could only ever agree
+    with it.  Until something is kept the span holds only the constants,
+    which ``offer`` drops first, so the first candidate is kept without a
+    pool.
 
     The kept invariants are held in factored form over one coprime factor
-    basis, and one pool serves the whole search.  Before a span test the
-    pool is extended with the invariants kept since the last one, so a
-    search whose candidates all raise the rank builds nothing.
+    basis, and one pool serves the whole search: before a span test it is
+    extended with the invariants kept since the last one.
 
     A candidate equal to a kept invariant, found by a set lookup, is dropped
     before the exact pullback gate; every other candidate must pass the
@@ -741,50 +744,19 @@ class _Collector:
         self.sys = sys
         self.found: List[RationalFunction] = []
         self._kept = set()
-        self.rank = 0
-        rng = random.Random(0x6465647570)
-        self._points = [tuple(rng.randint(-999, 999) for _ in sys.variables)
-                        for _ in range(3)]
-        self._echelons = [([], []) for _ in self._points]  # (rows, pivots)
         self._pool = _ClearedPool(_FactorBasis(sys.variables), budget)
-
-    def _remainders(self, f: RationalFunction) -> list:
-        """f's gradient reduced against each point's echelon; None where f
-        or a found function has a pole."""
-        out = []
-        for point, echelon in zip(self._points, self._echelons):
-            try:
-                row = None if echelon is None else jacobian_row(f, point)
-            except ZeroDivisionError:  # a pole of f
-                row = None
-            out.append(None if row is None else
-                       echelon_step(*echelon, _sparse(row), insert=False))
-        return out
-
-    def _remember(self, f: RationalFunction, remainders: list):
-        self.found.append(f)
-        self._kept.add(f)
-        for idx, rem in enumerate(remainders):
-            if rem is None:
-                self._echelons[idx] = None
-            else:
-                echelon_step(*self._echelons[idx], rem)
 
     def offer(self, f: RationalFunction):
         if f.is_constant or f in self._kept:
             return
         if pullback(self.sys, f) != f:
             raise AssertionError(f"search produced a non-invariant: {f}")
-        remainders = self._remainders(f)
-        # the rank at some point certainly grew
-        if any(rem is not None and bool(rem) + len(echelon[1]) > self.rank
-               for rem, echelon in zip(remainders, self._echelons)):
-            self._remember(f, remainders)
-            self.rank += 1
-            return
-        self._pool.extend(self.found)
-        if not self._pool.contains(f):
-            self._remember(f, remainders)
+        if self.found:
+            self._pool.extend(self.found)
+            if self._pool.contains(f):
+                return
+        self.found.append(f)
+        self._kept.add(f)
 
 
 def rational_invariant_search(sys: DynamicalSystem,
@@ -796,16 +768,15 @@ def rational_invariant_search(sys: DynamicalSystem,
     echelonized kernels fix the discovery order.  An exhausted budget is not
     an error; completeness beyond the budget is never claimed.
     """
+    require_dominant(sys)
     collector = _Collector(sys, budget)
-    for p in polynomial_invariant_basis(sys, budget.max_num_degree):
-        if not p.is_constant:
-            collector.offer(RationalFunction(p))
-    tables: dict = {}
-    for q in _denominator_catalog(sys, budget, tables):
+    tables: dict = {}  # the one pullback table of each degree
+    one = Polynomial.constant(sys.variables, 1)
+    for q in [one, *_denominator_catalog(sys, budget, tables)]:
         for f in _fixed_denominator_invariants(sys, q, budget, tables):
             collector.offer(f)
     if not collector.found:
-        pencil_found, _ = _pencil_stage(sys, budget)
+        pencil_found, _ = _pencil_stage(sys, budget, tables)
         for f in pencil_found:
             collector.offer(f)
     return collector.found

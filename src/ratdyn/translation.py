@@ -66,26 +66,6 @@ class ExponentMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def det(self) -> int:
-        n = self.size
-        m = [[Fraction(v) for v in row] for row in self.entries]
-        det = Fraction(1)
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c]), None)
-            if pivot is None:
-                return 0
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    f = m[r][c] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        assert det.denominator == 1
-        return int(det)
-
     def times(self, other: "ExponentMatrix") -> "ExponentMatrix":
         n = self.size
         a, b = self.entries, other.entries
@@ -108,7 +88,7 @@ class ExponentMatrix:
         that passes it is raised to the M-th power over Z, where the entries
         of an expanding matrix would grow to thousands of digits."""
         n = self.size
-        if self.det() == 0:
+        if rank(self.entries) < n:
             return False
         admissible = [m for m in range(1, 4 * n * n + 5)
                       if _euler_phi(m) <= n]
@@ -265,7 +245,7 @@ def monomial_invariant_lattice(A: ExponentMatrix, d: int) -> List[Tuple[int, ...
     """
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
-    if A.det() == 0:
+    if rank(A.entries) < A.size:
         raise SingularMatrixError("exponent matrix must be nonsingular")
     n = A.size
     return [u for u in monomials_upto(n, d)
@@ -350,33 +330,13 @@ class NormalizedSequence:
     backward: Tuple[Tuple[Fraction, ...], ...]
 
 
-def _dependence(values: Sequence[RationalFunction],
-                probe_points=None) -> Optional[List[Fraction]]:
+def _dependence(values: Sequence[RationalFunction]) -> Optional[List[Fraction]]:
     """A Q-linear dependence among field elements, or None if independent.
 
-    The optional probe points give a randomized independence fast path
-    (evaluation can only underestimate rank); dependence itself is always
-    certified by the exact nullspace after clearing denominators.  The
+    Decided by the exact nullspace after clearing denominators.  The
     returned vector is the canonical one whose last nonzero entry sits at
     the largest possible index and equals 1.
     """
-    if probe_points:
-        rows = []
-        for v in values:
-            row = []
-            usable = True
-            for pt in probe_points:
-                try:
-                    row.append(v.evaluate(pt))
-                except ZeroDivisionError:
-                    usable = False
-                    break
-            if not usable:
-                rows = None
-                break
-            rows.append(row)
-        if rows is not None and rank(rows) == len(values):
-            return None
     # one equation per monomial of the cleared numerators
     _, _, rows = clear_denominators(values)
     kernel = nullspace(transpose(rows), len(values))
@@ -387,8 +347,7 @@ def _dependence(values: Sequence[RationalFunction],
     return [x / best[last] for x in best]
 
 
-def normalize_leading_sequence(qs: Sequence[UnivariatePolynomial],
-                               probe_points=None) -> NormalizedSequence:
+def normalize_leading_sequence(qs: Sequence[UnivariatePolynomial]) -> NormalizedSequence:
     """Rewrite to the same Q-span with independent leading blocks.
 
     Whenever the leading coefficients of an equal-degree block admit a
@@ -416,7 +375,7 @@ def normalize_leading_sequence(qs: Sequence[UnivariatePolynomial],
             idxs = blocks[deg]
             if len(idxs) == 1:
                 continue
-            dep = _dependence([ps[i].leading() for i in idxs], probe_points)
+            dep = _dependence([ps[i].leading() for i in idxs])
             if dep is not None:
                 target = (idxs, dep)
                 break

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,32 @@ def prs_calls(monkeypatch):
 
     monkeypatch.setattr(poly_module, "_gcd_int", counted)
     return calls
+
+
+@pytest.fixture
+def pool_builds(monkeypatch):
+    """What the dedup pools do during the test: ``builds`` holds, for every
+    full build of a pool in order, whether the extension that made it
+    refined the pool's factor basis; ``kept`` the length of every search's
+    output."""
+    from ratdyn import invsearch
+    seen = types.SimpleNamespace(builds=[], kept=[])
+    pool, search = invsearch._ClearedPool, invsearch.rational_invariant_search
+    real_extend = pool.extend
+
+    def extend(self, found):
+        factors, before = self.factors, self.full_builds
+        real_extend(self, found)
+        seen.builds += [self.factors is not factors] * (self.full_builds - before)
+
+    def counted(sys, budget):
+        found = search(sys, budget)
+        seen.kept.append(len(found))
+        return found
+
+    monkeypatch.setattr(pool, "extend", extend)
+    monkeypatch.setattr(invsearch, "rational_invariant_search", counted)
+    return seen
 
 
 # -- Fraction references for the integer monomial power tables -------------------

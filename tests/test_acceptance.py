@@ -15,7 +15,7 @@ from fractions import Fraction
 from ratdyn.cli import bundled_systems_dir, render_json, run_command
 from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
                            iterate, pullback, symmetrize_iterate_invariant)
-from ratdyn.exactalg import RationalFunction
+from ratdyn.exactalg import RationalFunction, rank
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, adim_lower_bound,
                               polynomial_invariant_basis, square_gain_check)
 from ratdyn.parsing import parse_expression
@@ -114,7 +114,7 @@ def test_criterion_04_monomial_oracle_equivalence():
             rows = tuple(tuple(rng.randint(0, 2) for _ in range(n))
                          for _ in range(n))
             A = ExponentMatrix(rows)
-            if A.det() == 0:
+            if rank(rows) < n:
                 continue
             produced += 1
             sysm = monomial_system(tuple("xyz"[:n]), A)

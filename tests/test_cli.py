@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ratdyn import cli, invsearch
+from ratdyn import cli
 from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
 from ratdyn.errors import SystemFileError
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
@@ -312,23 +312,18 @@ def test_cli_invariants_from_the_pencil_grid():
     assert elapsed < 10.0, f"invariants --budget 2,2,0,8 took {elapsed:.1f} s"
 
 
-def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, monkeypatch):
-    # 110 kept invariants on the square: the dedup pool grows with them and
-    # is built in full only when its factor basis or its lift changes
+def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_builds):
+    # 5 + 110 kept invariants: the dedup pool grows with them and is built
+    # in full 2 + 5 times, each build after an early invariant that brings a
+    # new factor refined the factor basis; no build comes from a grown lift
     path = _system_file(tmp_path, "var x, y, z;\nx -> 2*x;\ny -> 2*y;\nz -> 2*z;\n")
-    pools = []
-    real_init = invsearch._ClearedPool.__init__
-
-    def init(self, *args):
-        real_init(self, *args)
-        pools.append(self)
-
-    monkeypatch.setattr(invsearch._ClearedPool, "__init__", init)
     doc, code = run_command(["square", path, "--budget", "2,2,2,3"])
     assert code == 0
     assert doc["result"]["square_rank"] == 5
     assert doc["result"]["witness"] == "(z1)/(z2)"
-    assert sum(pool.full_builds for pool in pools) <= 3
+    assert pool_builds.builds == [True] * 7
+    assert pool_builds.kept == [5, 110]
+    assert sum(pool_builds.kept) > len(pool_builds.builds)
 
 
 def test_cli_square_report_fields():

@@ -14,9 +14,10 @@ from hypothesis import example, given, strategies as st
 from ratdyn.dynsys import diagonal_power, pullback
 from ratdyn.errors import (IndeterminacyError, PreconditionError,
                            VariableMismatchError, ZeroDenominatorError)
-from ratdyn.exactalg import linalg
+from ratdyn.exactalg import linalg, poly as poly_module
 from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _combine_int,
-                                 _gcd_cofactors, _int_primitive, _mul_int)
+                                 _gcd_cofactors, _int_primitive, _mul_int,
+                                 _squarefree_split)
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              clear_denominators, cleared_monomial_images,
                              coprime_factor_basis,
@@ -512,6 +513,67 @@ def test_factor_basis_of_squarefree_chain_covers_multiplicities():
     # refining a basis keeps it pairwise coprime and covering the old inputs
     refined = coprime_factor_basis([poly("x^2 - 1", xyz)], basis)
     assert [str(b) for b in refined] == ["z", "y", "x + 1", "x - 1"]
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """c * prod f_i^k_i over 1-3 variables: a rational content c of either
+    sign, 1-3 small factors with rational coefficients (so a negative
+    leading coefficient is common), each to a power 1-3."""
+    n = draw(st.integers(1, 3))
+    variables = VARS3[:n]
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 1)] * n)
+    p = Polynomial.constant(variables, draw(st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))))
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        f = Polynomial(variables, draw(st.dictionaries(expo, coeff, min_size=size,
+                                                       max_size=size)))
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+def _divide_exact_chain(p):
+    """squarefree_chain as it was: each entry divided by its squarefree part."""
+    chain = []
+    while not p.is_constant:
+        chain.append(p)
+        p = divide_exact(p, squarefree_part(p))
+    return chain
+
+
+@given(repeated_factor_products())
+@example(P("(x - 1)^3*(x + 2)").scaled(Fraction(-2, 3)))
+@example(P("(2*x*y - y)^2*(x + y)^3").scaled(Fraction(5, 2)))
+@example(P("(x + 1)*y").scaled(Fraction(-3, 2)))                  # squarefree
+@example(poly("-(x*z - y)^2*(y + 1)^3*z", VARS3))
+def test_squarefree_chain_matches_the_divide_exact_chain(p):
+    chain = squarefree_chain(p)
+    want = _divide_exact_chain(p)
+    # the same coefficients, not just the same values
+    assert [q.terms for q in chain] == [q.terms for q in want]
+    if chain:
+        sqf, rest = _squarefree_split(p)
+        assert sqf == squarefree_part(p) and sqf * rest == p
+
+
+def test_squarefree_chain_makes_no_exact_division(monkeypatch):
+    divisions = []
+    real = poly_module.try_divide
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(poly_module, "try_divide", counted)
+    c = Fraction(-3, 2)
+    p = P("(x + 1)^3*(x*y - 2)^2*y").scaled(c)
+    assert squarefree_chain(p) == [p, P("(x + 1)^2*(x*y - 2)").scaled(c),
+                                   P("x + 1").scaled(c)]
+    assert divisions == []
+    # the chain as it was divides once per entry
+    assert len(_divide_exact_chain(p)) == len(divisions) == 3
 
 
 # -- rational function normalization ------------------------------------------

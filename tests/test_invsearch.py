@@ -106,6 +106,38 @@ def test_entry_points_reject_non_dominant_maps():
             call(collapse)
 
 
+@pytest.mark.parametrize("variables, exprs, budget, degrees", [
+    # the q = 1 solve, every catalog solve and the pencil stage at degree 3
+    ("x", ("(2*x + 3)/(x + 1)",), DEFAULT_BUDGET, [3]),
+    # the Darboux split tabulates degree 2 first
+    ("x y", ("y", "(y^2 + 1)/x"), DEFAULT_BUDGET, [2, 1, 3]),
+    # no catalog: the q = 1 solve at degree 1, the pencil stage at 2
+    ("x y", ("2*x", "2*y"), SearchBudget(1, 2, 0, 6), [1, 2]),
+])
+def test_search_solves_q1_first_and_tabulates_each_degree_once(variables, exprs,
+                                                               budget, degrees):
+    sys = make_system(variables, *exprs)
+    tabulated, solved = [], []
+    real_monomials, real_stage = (invsearch.monomials_upto,
+                                  invsearch._fixed_denominator_invariants)
+
+    def monomials(n, d):
+        tabulated.append(d)
+        return real_monomials(n, d)
+
+    def stage(sys, q, budget, tables):
+        solved.append(q)
+        return real_stage(sys, q, budget, tables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "monomials_upto", monomials)
+        mp.setattr(invsearch, "_fixed_denominator_invariants", stage)
+        rational_invariant_search(sys, budget)
+    assert tabulated == degrees
+    assert solved[0] == Polynomial.constant(sys.variables, 1)
+    assert not any(q.is_constant for q in solved[1:])
+
+
 def test_henon_search_is_empty():
     henon = make_system("x y", "y", "y^2 - x")
     assert rational_invariant_search(henon, SearchBudget(4, 4, 2, 3)) == []
@@ -421,13 +453,16 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, full_builds)
     assert len(pool.rows) == len(ref[3])
 
 
-# -- the collector's integer rank oracle -------------------------------------------
+# -- the collector against a rank pre-test ---------------------------------------
 
 
 class _FractionCollector:
-    """The collector before the integer rank oracle: Fraction gradients,
-    a Fraction rank of every cached row per candidate, and the gradients of
-    a kept candidate evaluated again."""
+    """The reference collector: a rank pre-test in front of the span test,
+    with Fraction gradients at seeded points, a Fraction rank of every
+    cached row per candidate, and the gradients of a kept candidate
+    evaluated again.  A candidate that raises the rank is never in the span,
+    so the pre-test only decides whether the span test runs, and the kept
+    list must be the collector's, which runs the span test alone."""
 
     def __init__(self, sys, budget):
         self.sys = sys
@@ -487,8 +522,9 @@ class _FractionCollector:
 
 
 def _search(collector, sys, budget, points=None):
-    """The kept list and rank of rational_invariant_search run with the
-    given collector class, at its own points or at ``points``."""
+    """The kept list of rational_invariant_search run with the given
+    collector class, and the search's collector; ``points`` replace the
+    seeded points of the reference collector."""
     made = []
 
     def make(s, b):
@@ -500,7 +536,7 @@ def _search(collector, sys, budget, points=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_Collector", make)
         found = rational_invariant_search(sys, budget)
-    return found, made[0].rank
+    return found, made[0]
 
 
 _SEARCH_BUDGETS = [SearchBudget(1, 1, 1, 3), SearchBudget(2, 1, 1, 3),
@@ -509,14 +545,15 @@ _SEARCH_BUDGETS = [SearchBudget(1, 1, 1, 3), SearchBudget(2, 1, 1, 3),
 
 @given(st.data())
 def test_collector_matches_fraction_collector(data):
-    # the stage maps below, at the seeded points and at tiny points, where
-    # poles and points that drop the rank are common
+    # the stage maps below, with the reference's rank pre-test at its seeded
+    # points and at tiny points, where poles and points that drop the rank
+    # are common
     sys = data.draw(rescaled_maps())
     budget = data.draw(st.sampled_from(_SEARCH_BUDGETS))
     points = data.draw(st.one_of(st.none(), st.lists(
         st.tuples(*[st.integers(-2, 2)] * sys.dim), min_size=3, max_size=3)))
-    assert (_search(invsearch._Collector, sys, budget, points)
-            == _search(_FractionCollector, sys, budget, points))
+    assert (_search(invsearch._Collector, sys, budget)[0]
+            == _search(_FractionCollector, sys, budget, points)[0])
 
 
 @pytest.mark.parametrize("variables, exprs, square, budget", [
@@ -529,9 +566,12 @@ def test_collector_matches_fraction_collector_on_heavy_searches(
     sys = make_system(variables, *exprs)
     if square:
         sys = diagonal_power(sys, 2)
-    found, rank = _search(invsearch._Collector, sys, budget)
-    assert (found, rank) == _search(_FractionCollector, sys, budget)
-    assert rank >= 1 and len(found) > rank
+    found, _ = _search(invsearch._Collector, sys, budget)
+    reference, collector = _search(_FractionCollector, sys, budget)
+    assert found == reference
+    # both tests of the reference decide: its pre-test keeps some candidates
+    # and its span test others
+    assert collector.rank >= 1 and len(found) > collector.rank
 
 
 def _check_pools_against_fresh_builds(mp, answers):
@@ -603,37 +643,17 @@ def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
         rational_invariant_search(sys, budget)
 
 
-def test_double_square_builds_the_pool_in_full_at_most_three_times(systems_dir):
-    # one kept invariant after another extends the pool; only a refined
-    # factor basis or a grown lift builds it again in full
-    pools = []
-    real_init = _ClearedPool.__init__
-
-    def init(self, *args):
-        real_init(self, *args)
-        pools.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ClearedPool, "__init__", init)
-        doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
-                                 "--budget", "2,2,2,3"])
+def test_double_square_builds_the_pool_in_full_once_per_refinement(systems_dir,
+                                                                    pool_builds):
+    # one kept invariant after another extends the pool; 1 + 3 full builds
+    # for 1 + 18 kept invariants, each after an early invariant that brings
+    # a new factor refined the factor basis, none from a grown lift
+    doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
+                             "--budget", "2,2,2,3"])
     assert code == 0 and doc["result"]["square_rank"] == 3
-    assert sum(pool.full_builds for pool in pools) <= 3
-
-
-def test_collector_point_at_a_pole_of_a_kept_invariant_is_unusable():
-    # every point is a pole of 1/x, which the span test keeps; y is then
-    # kept by the span test too, with no point left to raise the rank
-    ident = make_system("x y", "x", "y")
-    fs = [rf("1/x", "x y"), rf("y", "x y")]
-    results = []
-    for collector in (invsearch._Collector, _FractionCollector):
-        c = collector(ident, SearchBudget(1, 1, 1, 3))
-        c._points = [(0, 1), (0, 2), (0, 3)]
-        for f in fs:
-            c.offer(f)
-        results.append((c.found, c.rank))
-    assert results[0] == results[1] == (fs, 0)
+    assert pool_builds.builds == [True] * 4
+    assert pool_builds.kept == [1, 18]
+    assert sum(pool_builds.kept) > len(pool_builds.builds)
 
 
 def test_collector_drops_a_repeat_before_the_exact_gate():
@@ -698,30 +718,9 @@ def test_collector_repeat_set_matches_the_linear_scan(seed):
             mp.setattr(invsearch, "pullback", counting)
             for f in stream:
                 c.offer(f)
-        results.append((c.found, c.rank, gated))
+        results.append((c.found, gated))
     assert results[0] == results[1]
-    assert len(results[0][2]) < sum(not f.is_constant for f in stream)
-
-
-def test_collector_evaluates_each_gradient_once_per_point(systems_dir):
-    offers = []
-    real_offer, real_row = invsearch._Collector.offer, invsearch.jacobian_row
-
-    def offer(self, f):
-        offers.append([])
-        real_offer(self, f)
-
-    def row(f, point):
-        offers[-1].append(point)
-        return real_row(f, point)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch._Collector, "offer", offer)
-        mp.setattr(invsearch, "jacobian_row", row)
-        _, code = run_command(["square", os.path.join(systems_dir, "double.system"),
-                               "--budget", "2,2,2,3"])
-    assert code == 0 and any(offers)
-    assert all(len(points) == len(set(points)) for points in offers)
+    assert len(results[0][1]) < sum(not f.is_constant for f in stream)
 
 
 # -- the integer columns of the three linear stages --------------------------------
@@ -969,10 +968,7 @@ def _q1_stage(sys, q, factors, budget, composed_cache):
     for s in p = q1*s and the reduced echelon basis of those p."""
     dp = budget.max_num_degree
     clearing = max(dp, q.total_degree)
-    table = composed_cache.get(clearing)
-    if table is None:
-        table = composed_cache[clearing] = dict(zip(*invsearch._monomial_pullbacks(
-            sys, clearing)))
+    table = invsearch._pullback_table(sys, clearing, composed_cache)
     cq, q_int = _int_primitive(q)
     q1, r1 = q_int, _combine_int(q_int, table)
     for f, a in factors:
@@ -1082,7 +1078,8 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
     budget = SearchBudget(dmax, dmax, 0, 10**6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_decomposable_points", lambda basis: [])
-        (found, conclusive), calls = _kernels(lambda: invsearch._pencil_stage(sys, budget))
+        (found, conclusive), calls = _kernels(
+            lambda: invsearch._pencil_stage(sys, budget, {}))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
     assert (found, conclusive) == ([], True)
 
@@ -1123,7 +1120,7 @@ _DOUBLE_3D_PENCILS = [
 ], ids=["qrt-k2", "inverse-k3-grid", "double-3d-k3-grid", "k3-resultants",
         "k3-resultants-empty", "k3-resultants-off-grid"])
 def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
-    found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget)
+    found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
     assert conclusive
     assert [str(f) for f in found] == expected
 
@@ -1147,7 +1144,7 @@ def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budge
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "pullback", counted)
-        found, _ = invsearch._pencil_stage(sys, budget)
+        found, _ = invsearch._pencil_stage(sys, budget, {})
     assert len(found) == candidates
     assert len(gated) == len(set(gated))
     assert set(gated) == set(found)

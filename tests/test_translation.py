@@ -131,7 +131,7 @@ def test_lattice_agrees_with_linear_search():
         n = rng.choice([2, 3])
         rows = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n))
         A = ExponentMatrix(rows)
-        if A.det() == 0:
+        if rank(rows) < n:
             continue
         produced += 1
         variables = tuple("xyz"[:n])
@@ -181,17 +181,6 @@ def test_normalize_keeps_already_valid():
 def test_normalize_rejects_dependent_input():
     with pytest.raises(PreconditionError):
         normalize_leading_sequence([U("0", "s"), U("0", "2*s")])
-
-
-def test_normalize_with_probe_points():
-    # probe points short-circuit independent blocks; the result is the same
-    from fractions import Fraction
-    probe = [(Fraction(3),), (Fraction(-7),), (Fraction(11),)]
-    inputs = [U("0", "1", "s"), U("0", "0", "s"), U("1", "s")]
-    with_probe = normalize_leading_sequence(inputs, probe_points=probe)
-    without = normalize_leading_sequence(inputs)
-    assert with_probe.polys == without.polys
-    assert with_probe.forward == without.forward
 
 
 def test_normalize_transition_matrices():
