@@ -726,10 +726,9 @@ class _Collector:
     products of the invariants already kept (``_ClearedPool``).  That one
     test decides alone: a candidate that raises the independence rank is
     algebraically independent of the kept ones, so it is never in the span,
-    and a rank pre-test in front of the span test could only ever agree
-    with it.  Until something is kept the span holds only the constants,
-    which ``offer`` drops first, so the first candidate is kept without a
-    pool.
+    and no rank test is needed in front of this one.  Until something is
+    kept the span holds only the constants, which ``offer`` drops first, so
+    the first candidate is kept without a pool.
 
     The kept invariants are held in factored form over one coprime factor
     basis, and one pool serves the whole search: before a span test it is
