@@ -97,7 +97,7 @@ def validate_dominant(sys: DynamicalSystem) -> str:
 
     The map is dominant iff its Jacobian has full rank over the function
     field.  ``jacobian_rank`` decides that exactly (a seeded evaluation only
-    short-circuits a full rank), so the verdict is ``dominant`` or
+    ever proves independence), so the verdict is ``dominant`` or
     ``not-dominant``, never a guess.
     """
     return DOMINANT if jacobian_rank(sys.coords) == sys.dim else NOT_DOMINANT

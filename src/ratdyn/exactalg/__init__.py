@@ -6,11 +6,11 @@ from .poly import (Exponent, Polynomial, basis_exponents, coprime_factor_basis,
                    try_divide)
 from .ratfunc import (PowerTables, RationalFunction, clear_denominators,
                       cleared_monomial_images, ratfunc_normalize, substitute)
-from .linalg import (echelon_step, jacobian_rank, jacobian_row, nullspace,
-                     poly_matrix_rank, rank, transpose)
+from .linalg import (JacobianSelector, echelon_step, jacobian_rank, jacobian_row,
+                     nullspace, poly_matrix_rank, rank, transpose)
 
 __all__ = [
-    "Exponent", "Polynomial", "PowerTables", "RationalFunction",
+    "Exponent", "JacobianSelector", "Polynomial", "PowerTables", "RationalFunction",
     "basis_exponents", "clear_denominators", "cleared_monomial_images",
     "coprime_factor_basis", "divide_exact", "echelon_step", "grlex_key",
     "jacobian_rank", "jacobian_row", "monomials_upto", "nullspace", "poly_gcd",

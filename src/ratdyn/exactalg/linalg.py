@@ -9,12 +9,17 @@ unique reduced echelon basis of the kernel off one integer echelon, making a
 Fraction only for each entry it returns.  The rank is at most the column
 count, and at most one less when a kernel vector is known, so ``nullspace``
 stops eliminating once its echelon holds that many pivots: every later row
-lies in the span.  Jacobian rows at integer points are ints as well, so the
-seeded rank test runs in Z throughout, and an exponent matrix is singular
-exactly when its ``rank`` falls short of its size.  One elimination stays
-separate because it works in another ring: ``poly_matrix_rank`` uses
-fraction-free (Bareiss) elimination, which stays in the polynomial ring via
-exact divisions.
+lies in the span.  An exponent matrix is singular exactly when its ``rank``
+falls short of its size.
+
+One elimination stays separate because it works in another ring:
+``_bareiss_join`` reduces a row of polynomials against a fraction-free
+(Bareiss) echelon, which stays in the polynomial ring via exact divisions.
+``poly_matrix_rank`` counts the rows that join one such echelon.
+``JacobianSelector`` keeps a maximal independent subset of the functions
+offered to it: Jacobian rows at a seeded integer point are ints, so its
+seeded test runs in Z, and ``_bareiss_join`` on den^2 * grad f decides
+whenever that test cannot.  ``jacobian_rank`` counts what a selector keeps.
 """
 
 from __future__ import annotations
@@ -69,6 +74,15 @@ def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
     span.  A row of ints needs no clearing, only the zero filter and the
     content.  With ``insert``, a nonzero remainder joins at its first column,
     where the other rows are then cleared; nothing else is changed in place.
+
+    Membership (``insert=False``) needs only a triangular echelon: each
+    row's least column is its pivot, and the pivots are distinct.  The
+    remainder is then zero at every pivot column, and a nonzero combination
+    of the rows is not, at the least pivot it uses.  So rows multiplied by
+    one polynomial, with exponent tuples as columns in lex order (a
+    monomial order: a product's least monomial is the sum of its factors'),
+    still answer membership of the multiplied span, and an insertion keeps
+    the echelon triangular.
     """
     if not all(type(v) is int for v in row.values()):
         row = _cleared_terms(row)[1]
@@ -181,40 +195,38 @@ def nullspace(rows: Sequence[SparseRow], ncols: int,
 # -- fraction-free elimination over polynomial entries --------------------------
 
 
-def poly_matrix_rank(matrix: List[List[Polynomial]]) -> int:
-    """Rank of a matrix of polynomials over the rational function field,
-    by Bareiss elimination with full pivoting (exact divisions only)."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = [row[:] for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    steps = min(nrows, ncols)
+def _bareiss_join(echelon: List[Tuple[int, List[Polynomial]]],
+                  row: List[Polynomial]) -> bool:
+    """Reduce a row of polynomials by a fraction-free (Bareiss) echelon, and
+    append it with its pivot column when the result is nonzero.
+
+    Row t of the echelon is stored after t - 1 steps, with its pivot column
+    c_t and pivot p_t = E_t[c_t].  The row is reduced by the k steps
+    row <- (p_t * row - row[c_t] * E_t) / p_(t-1), with p_0 = 1.  By
+    Sylvester's identity each entry is then the (k+1)-minor of the echelon's
+    rows and this one on the columns c_1..c_k and its own, so every division
+    is exact, and the result is zero exactly when the row lies in the span
+    of the echelon's rows over the fraction field.
+    """
     prev = None
-    r = 0
-    for k in range(steps):
-        pr = pc = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if not m[i][j].is_zero:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        if pc != r:
-            for row in m:
-                row[r], row[pc] = row[pc], row[r]
-        pivot = m[r][r]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                t = pivot * m[i][j] - m[i][r] * m[r][j]
-                m[i][j] = t if prev is None else divide_exact(t, prev)
-            m[i][r] = Polynomial.zero(pivot.variables)
-        prev = pivot
-        r += 1
-    return r
+    for c, ref in echelon:
+        p, a = ref[c], row[c]
+        row = [p * v - a * w for v, w in zip(row, ref)]
+        if prev is not None:
+            row = [divide_exact(v, prev) for v in row]
+        prev = p
+    column = next((j for j, v in enumerate(row) if v), None)
+    if column is None:
+        return False
+    echelon.append((column, row))
+    return True
+
+
+def poly_matrix_rank(matrix: List[List[Polynomial]]) -> int:
+    """Rank of a matrix of polynomials over the rational function field: the
+    number of its rows that join one fraction-free echelon in turn."""
+    echelon: List[Tuple[int, List[Polynomial]]] = []
+    return sum(_bareiss_join(echelon, list(row)) for row in matrix)
 
 
 # -- Jacobian rank ---------------------------------------------------------------
@@ -270,14 +282,74 @@ def jacobian_row(f: RationalFunction, point: Sequence[int]) -> List[int]:
     return [a * qv - pv * b for a, b in zip(dp, dq)]
 
 
+def _gradient_row(f: RationalFunction) -> List[Polynomial]:
+    """den^2 * grad f: the gradient of f over Q(x), each entry a polynomial."""
+    p, q = f.num, f.den
+    return [p.derivative(j) * q - p * q.derivative(j) for j in range(len(f.variables))]
+
+
+class JacobianSelector:
+    """A maximal algebraically independent subset of the functions offered,
+    chosen greedily in offer order: ``offer(f)`` keeps f (and says so)
+    exactly when its gradient lies outside the span, over the function
+    field, of the gradients of the functions in ``kept``.
+
+    Two tests decide, each exact in what it claims:
+
+      * the seeded test keeps an integer echelon of the kept functions'
+        ``jacobian_row`` at one seeded point.  The rank at a point is at
+        most the rank, so a nonzero remainder of f's row proves f
+        independent, but only while every kept function has a pivot there:
+        a kept function whose row has a pole at the point or reduces to zero
+        ends the seeded test for good;
+      * the exact test runs only when the seeded one cannot decide.  It
+        reduces den^2 * grad f by ``_bareiss_join`` against a fraction-free
+        echelon of the kept functions' rows, built lazily and extended with
+        each kept function: f is dependent exactly when the result is zero.
+    """
+
+    def __init__(self, variables: Sequence[str], seed: int = 0x5261):
+        self.variables = tuple(variables)
+        self.kept: List[RationalFunction] = []
+        self._point = _random_point(random.Random(seed), len(self.variables))
+        # the seeded echelon, None once a kept function has no pivot in it
+        self._seeded: Optional[Tuple[List[IntRow], List[int]]] = ([], [])
+        # (c_t, E_t) of kept[:len(self._exact)]
+        self._exact: List[Tuple[int, List[Polynomial]]] = []
+
+    def _seeded_join(self, f: RationalFunction) -> bool:
+        """Whether f's row at the point joins the seeded echelon, which
+        proves f independent; False when the seeded test is over, the point
+        is a pole of f, or the row reduces to zero."""
+        if self._seeded is None:
+            return False
+        try:
+            row = jacobian_row(f, self._point)
+        except ZeroDivisionError:
+            return False
+        return bool(echelon_step(*self._seeded, _sparse(row)))
+
+    def offer(self, f: RationalFunction) -> bool:
+        if f.variables != self.variables:
+            raise VariableMismatchError("functions over different variable tuples")
+        if not self._seeded_join(f):
+            # the kept functions are independent, so each one joins
+            for g in self.kept[len(self._exact):]:
+                _bareiss_join(self._exact, _gradient_row(g))
+            if not _bareiss_join(self._exact, _gradient_row(f)):
+                return False
+            self._seeded = None  # f has no pivot at the point
+        self.kept.append(f)
+        return True
+
+
 def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
     """Rank over the function field of the matrix of partial derivatives.
 
     In characteristic zero this equals the number of algebraically
-    independent functions among ``fs``.  A seeded random evaluation serves as
-    a lower-bound fast path (a special point can only drop the rank); the
-    exact fraction-free elimination decides whenever the fast path is not
-    already maximal.
+    independent functions among ``fs``: the number that a
+    ``JacobianSelector`` keeps of them, offered in turn until it keeps as
+    many as there are variables.
     """
     fs = list(fs)
     if not fs:
@@ -286,25 +358,9 @@ def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
     for f in fs[1:]:
         if f.variables != variables:
             raise VariableMismatchError("functions over different variable tuples")
-    n = len(variables)
-    r = len(fs)
-    cap = min(r, n)
-
-    rng = random.Random(seed)
-    for _ in range(4):
-        point = _random_point(rng, n)
-        try:
-            # each row is scaled by a nonzero den^2, which keeps the rank
-            rows = [jacobian_row(f, point) for f in fs]
-        except ZeroDivisionError:
-            continue
-        if rank(rows) == cap:
-            return cap
-        break
-
-    # exact: scale row i by den_i^2, entries stay polynomial
-    matrix = []
+    selector = JacobianSelector(variables, seed)
     for f in fs:
-        p, q = f.num, f.den
-        matrix.append([p.derivative(j) * q - p * q.derivative(j) for j in range(n)])
-    return poly_matrix_rank(matrix)
+        if len(selector.kept) == len(variables):
+            break
+        selector.offer(f)
+    return len(selector.kept)

@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_power,
                      iterates, pullback, require_dominant)
 from .errors import PreconditionError
-from .exactalg import (Exponent, Polynomial, RationalFunction, basis_exponents,
-                       coprime_factor_basis, echelon_step, grlex_key,
+from .exactalg import (JacobianSelector, Polynomial, RationalFunction,
+                       basis_exponents, coprime_factor_basis, echelon_step, grlex_key,
                        jacobian_rank, monomials_upto, nullspace, poly_gcd,
                        primitive_part, squarefree_chain, transpose, try_divide)
 from .exactalg.linalg import _echelon
@@ -544,6 +544,15 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget, tables: dict):
 # -- deduplication and reports ---------------------------------------------------
 
 
+def _placed(x: Sequence[int], moved: Sequence[int], width: int) -> List[int]:
+    """The vector x over old factors, each entry moved to its factor's
+    position ``moved[j]`` among ``width`` factors, zero elsewhere."""
+    out = [0] * width
+    for j, v in zip(moved, x):
+        out[j] = v
+    return out
+
+
 class _FactorBasis:
     """Pairwise coprime factors b_j of a growing list of invariants.
 
@@ -552,8 +561,11 @@ class _FactorBasis:
     squarefree chain of every numerator and denominator, so the
     decomposition is exact, and ``cover`` refines it with the invariants
     added since its last call instead of recomputing it; a refinement
-    replaces ``factors`` by a new list.  Powers of each factor are tabulated
-    once and kept across refinements.
+    replaces ``factors`` by a new list.  When the refinement keeps every old
+    factor (``positions``), the old vectors only move to the old factors'
+    new positions and gain zeros at the new ones, so only the new invariants
+    are split; when it splits an old factor, every invariant is split again.
+    Powers of each factor are tabulated once and kept across refinements.
     """
 
     def __init__(self, variables):
@@ -561,6 +573,13 @@ class _FactorBasis:
         self.factors: List[Polynomial] = []
         self.vectors: List[List[int]] = []
         self._powers: Dict[Polynomial, List[Polynomial]] = {}
+
+    def positions(self, old: Sequence[Polynomial]) -> Optional[List[int]]:
+        """The position in ``factors`` of each of the ``old`` factors, or
+        None when a refinement since then split one of them."""
+        where = {b: j for j, b in enumerate(self.factors)}
+        moved = [where.get(b) for b in old]
+        return None if None in moved else moved
 
     def cover(self, found: Sequence[RationalFunction]):
         def split(fs):
@@ -573,10 +592,16 @@ class _FactorBasis:
         parts = split(new)
         rests = [c for _, rest in parts for c in squarefree_chain(rest)]
         if rests:
-            # a split factor changes the vectors of earlier invariants too
-            self.factors = coprime_factor_basis(rests, self.factors)
-            self.vectors = []
-            parts = split(found)
+            old = self.factors
+            self.factors = coprime_factor_basis(rests, old)
+            moved = self.positions(old)
+            if moved is None:
+                # a split factor changes the vectors of earlier invariants too
+                self.vectors, new = [], found
+            else:
+                self.vectors = [_placed(a, moved, len(self.factors))
+                                for a in self.vectors]
+            parts = split(new)
         for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
             if not (num_rest.is_constant and den_rest.is_constant):
                 raise AssertionError("factor basis does not cover an invariant")
@@ -612,21 +637,33 @@ class _ClearedPool:
     the largest -s_j: the lift) and each cleared row (prod b_j^(s_j + t_j));
     no gcd, lcm or division is taken.
 
-    ``extend`` brings the pool up to a longer list of invariants, starting
-    from the empty pool.  The capped set {e : sum |e_i| <= total,
-    sum |e_i| deg g_i <= bound} does not depend on the order of the
-    invariants, so the products that the new invariants add are exactly
-    those of the vectors e nonzero on one of them: only those are formed and
-    reduced into the kept echelon.  A refined factor basis changes every s,
-    and a grown lift every cleared row, so either one builds the whole pool
-    again; ``full_builds`` counts those builds, the first one included.
+    ``extend`` brings the pool up to a longer list of invariants.  The
+    capped set {e : sum |e_i| <= total, sum |e_i| deg g_i <= bound} does not
+    depend on the order of the invariants, so the products that the new
+    invariants add are exactly those of the vectors e nonzero on one of
+    them: only those are formed and reduced into the kept echelon.  Each
+    kept structure grows instead of being built again:
+
+      * a refined factor basis that keeps every old factor leaves every old
+        product as it was: its s and the lift only move to the old factors'
+        new positions and gain zeros at the new ones;
+      * a grown lift t' multiplies every cleared row by the same
+        den'/den = prod b_j^(t'_j - t_j).  The echelon's columns are the
+        exponent tuples themselves, in lex order, and each row's pivot is its
+        least column.  Lex is a monomial order, so each product's least
+        monomial is the sum of its factors': the rows stay triangular, with
+        distinct pivots, which is all that membership needs
+        (``echelon_step``).
+
+    Only the first extend, and a refinement that splits an old factor (it
+    changes old s), build the pool in full; ``full_builds`` counts those
+    builds and ``multiplied`` the extensions that multiplied the echelon.
 
     Membership of f first requires f.den to divide the pool lcm (the
     denominator of any Q-combination does), then reduces the cleared
-    numerator against the integer echelon; a nonzero remainder or any
-    monomial outside the pool support is a certain negative.  The span does
-    not depend on the order in which rows joined, so neither does the
-    answer.
+    numerator against the integer echelon; a nonzero remainder is a certain
+    negative.  The span does not depend on the order in which rows joined,
+    so neither does the answer.
     """
 
     def __init__(self, basis: _FactorBasis, budget: SearchBudget):
@@ -638,6 +675,7 @@ class _ClearedPool:
         self.vectors: Dict[Tuple[int, ...], None] = {}  # insertion-ordered set of s
         self.lift: Optional[Tuple[int, ...]] = None
         self.full_builds = 0
+        self.multiplied = 0
 
     def _exponents(self, order, first, stop, weight_left, degree_left):
         """The nonzero sparse vectors [(i, e_i), ...] over the invariants
@@ -664,9 +702,17 @@ class _ClearedPool:
         basis = self.basis
         basis.cover(found)
         if basis.factors is not self.factors:
-            # a refined basis changes the s of every product: start over
-            self.factors, self.degrees, self.lift = basis.factors, [], None
-            self.vectors = {(0,) * len(self.factors): None}
+            width = len(basis.factors)
+            moved = None if self.lift is None else basis.positions(self.factors)
+            if moved is None:
+                # the first extend, or a split factor changes old s: start over
+                self.degrees, self.lift = [], None
+                self.vectors = {(0,) * width: None}
+            else:
+                self.vectors = {tuple(_placed(s, moved, width)): None
+                                for s in self.vectors}
+                self.lift = tuple(_placed(self.lift, moved, width))
+            self.factors = basis.factors
         start = len(self.degrees)
         if start == len(found) and self.lift is not None:
             return
@@ -692,31 +738,32 @@ class _ClearedPool:
                     if -x > lift[j]:
                         lift[j] = -x
         lift = tuple(lift)
-        if lift != self.lift:
-            # every cleared row changes: build the pool again
-            self.lift, fresh = lift, list(self.vectors)
-            self.den = basis.product(lift)
-            self.index: Dict[Exponent, int] = {}
+        if self.lift is None:
+            fresh = list(self.vectors)
             self.rows, self.pivots = [], []  # the integer echelon
             self.full_builds += 1
+        elif lift != self.lift:
+            # every cleared row gains the factor m = den'/den, and every
+            # pivot the least monomial of m
+            m = basis.product(tuple(map(operator.sub, lift, self.lift)))._num
+            low = min(m)
+            self.rows = [_mul_int(row, m) for row in self.rows]
+            self.pivots = [tuple(map(operator.add, pc, low)) for pc in self.pivots]
+            self.multiplied += 1
+        if lift != self.lift:
+            self.lift, self.den = lift, basis.product(lift)
         for s in fresh:
             # the cleared row of s = 0 is the lcm itself
             p = basis.product(tuple(map(operator.add, s, lift))) if any(s) else self.den
-            echelon_step(self.rows, self.pivots, {self.index.setdefault(
-                e, len(self.index)): c for e, c in p._num.items()})
+            echelon_step(self.rows, self.pivots, p._num)
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
         if scale is None:
             return False
         # the cleared numerator up to a constant, which the span ignores
-        target: Dict[int, int] = {}
-        for e, c in (f.num * scale)._num.items():
-            idx = self.index.get(e)
-            if idx is None:
-                return False
-            target[idx] = c
-        return not echelon_step(self.rows, self.pivots, target, insert=False)
+        return not echelon_step(self.rows, self.pivots, (f.num * scale)._num,
+                                insert=False)
 
 
 class _Collector:
@@ -732,7 +779,9 @@ class _Collector:
 
     The kept invariants are held in factored form over one coprime factor
     basis, and one pool serves the whole search: before a span test it is
-    extended with the invariants kept since the last one.
+    extended with the invariants kept since the last one, which moves its
+    vectors to a refined basis and multiplies its echelon by a grown
+    denominator in place; only a split of an old factor builds it again.
 
     A candidate equal to a kept invariant, found by a set lookup, is dropped
     before the exact pullback gate; every other candidate must pass the
@@ -790,23 +839,25 @@ def adim_lower_bound(sys: DynamicalSystem,
                      budget: SearchBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Search, rank, and select a maximal independent generating subset.
 
-    The resulting independence rank is a lower bound for the number of
-    algebraically independent invariants; it never exceeds the dimension.
+    The generators are what a ``JacobianSelector`` keeps of the found
+    invariants, offered in discovery order until it keeps n of them: each
+    one is tested against the kept ones only, by the seeded test where it
+    decides and by one fraction-free reduction of its own row otherwise.
+    The subset is a maximal independent one, so its size, the independence
+    rank, is the rank of the whole list.  It is a lower bound for the number
+    of algebraically independent invariants and never exceeds the
+    dimension.
     """
     invariants = rational_invariant_search(sys, budget)
-    # greedy selection with the exact rank oracle: the subset it ends with is
-    # a maximal independent one, so its size is the rank of the whole list
-    generators: List[RationalFunction] = []
+    selector = JacobianSelector(sys.variables)
     for f in invariants:
-        if len(generators) == sys.dim:
+        if len(selector.kept) == sys.dim:
             break
-        if jacobian_rank(generators + [f]) > len(generators):
-            generators.append(f)
-    rank = len(generators)
-    assert rank <= sys.dim
+        selector.offer(f)
+    generators = selector.kept
     return InvariantReport(system=sys, budget=budget,
                            invariants=tuple(invariants),
-                           independence_rank=rank, verified=True,
+                           independence_rank=len(generators), verified=True,
                            reduction_generators=tuple(generators))
 
 
@@ -819,6 +870,14 @@ def square_gain_check(sys: DynamicalSystem,
     predicts a positive-dimensional translational image, so the base degree
     profile is attached as evidence whenever a new invariant is found.
 
+    The pullbacks are the base invariants embedded in either factor.  Every
+    base invariant is algebraic over the base generators, so the pullbacks
+    of the generators have the same algebraic closure as all of them: one
+    ``JacobianSelector`` is seeded with those, and the pullback rank is the
+    number it keeps.  The witness is the first square invariant that the
+    same selector keeps next, that is, the first one independent of the
+    pullbacks.
+
     The rank never exceeds the dimension.  So when the base rank is n, the
     pullbacks already have rank 2n, the square's dimension: the square rank
     is 2n, proven rather than searched, and no new invariant can exist.
@@ -829,13 +888,11 @@ def square_gain_check(sys: DynamicalSystem,
     base = adim_lower_bound(sys, budget)
     square = diagonal_power(sys, 2)
     n = sys.dim
-    first = list(range(n))
-    second = list(range(n, 2 * n))
-    pulls = []
-    for g in base.invariants:
-        pulls.append(g.embed(square.variables, first))
-        pulls.append(g.embed(square.variables, second))
-    pullback_rank = jacobian_rank(pulls)
+    selector = JacobianSelector(square.variables)
+    for g in base.reduction_generators:
+        for positions in (range(n), range(n, 2 * n)):
+            selector.offer(g.embed(square.variables, list(positions)))
+    pullback_rank = len(selector.kept)
     if base.independence_rank == n:
         square_rank, square_invariants = 2 * n, ()
     else:
@@ -845,10 +902,7 @@ def square_gain_check(sys: DynamicalSystem,
     new_found = square_rank > pullback_rank
     witness = None
     if new_found:
-        for f in square_invariants:
-            if jacobian_rank(pulls + [f]) > pullback_rank:
-                witness = f
-                break
+        witness = next((f for f in square_invariants if selector.offer(f)), None)
         if witness is None:
             raise AssertionError("rank gain without a single witness")
     profile = degree_sequence(sys, _EVIDENCE_WINDOW) if new_found else None

@@ -76,17 +76,19 @@ def prs_calls(monkeypatch):
 def pool_builds(monkeypatch):
     """What the dedup pools do during the test: ``builds`` holds, for every
     full build of a pool in order, whether the extension that made it
-    refined the pool's factor basis; ``kept`` the length of every search's
-    output."""
+    refined the pool's factor basis; ``multiplied`` counts the extensions
+    that multiplied a pool's echelon by a grown denominator instead; ``kept``
+    the length of every search's output."""
     from ratdyn import invsearch
-    seen = types.SimpleNamespace(builds=[], kept=[])
+    seen = types.SimpleNamespace(builds=[], multiplied=0, kept=[])
     pool, search = invsearch._ClearedPool, invsearch.rational_invariant_search
     real_extend = pool.extend
 
     def extend(self, found):
-        factors, before = self.factors, self.full_builds
+        factors, before, grown = self.factors, self.full_builds, self.multiplied
         real_extend(self, found)
         seen.builds += [self.factors is not factors] * (self.full_builds - before)
+        seen.multiplied += self.multiplied - grown
 
     def counted(sys, budget):
         found = search(sys, budget)

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ratdyn.dynsys import diagonal_power, pullback
 from ratdyn.errors import (IndeterminacyError, PreconditionError,
@@ -484,6 +484,71 @@ def test_pairs_that_share_a_factor_but_do_not_divide_reach_the_prs(prs_calls):
     assert prs_calls
 
 
+# Before the trial division, ``_may_divide`` asks that the operand with fewer
+# terms fits the other in degree and that its lex-greatest and least terms
+# divide the other's.  The near misses below alter a true divisor u of u*v at
+# one term: an extreme coefficient scaled (the precheck may reject it), an
+# extreme exponent moved (likewise), or an inner coefficient changed (the
+# extremes still divide, so the trial division decides).
+
+_NEAR_MISSES = ("divisor", "scaled extreme", "moved extreme", "changed inner")
+
+
+@st.composite
+def near_miss_divisors(draw, kind):
+    n = draw(st.integers(1, 3))
+    variables = VARS4[:n]
+    coeff = st.integers(-5, 5).filter(bool)
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+
+    def part(least, most):
+        size = draw(st.integers(least, most))
+        return dict(draw(st.dictionaries(expo, coeff, min_size=size, max_size=size)))
+
+    u, v = part(3, 3), part(1, 2)
+    a = Polynomial(variables, u) * Polynomial(variables, v)
+    if kind == "scaled extreme":
+        e = draw(st.sampled_from([max(u), min(u)]))
+        u[e] *= draw(st.sampled_from([2, 3, -2]))
+    elif kind == "moved extreme":
+        e = draw(st.sampled_from([max(u), min(u)]))
+        k = draw(st.integers(0, n - 1))
+        moved = e[:k] + (e[k] + 1,) + e[k + 1:]
+        u[moved] = u.get(moved, 0) + u.pop(e)
+    elif kind == "changed inner":
+        e = draw(st.sampled_from(sorted(u)[1:-1]))
+        u[e] += draw(st.sampled_from([1, -1, 2]))
+    b = Polynomial(variables, {e: c for e, c in u.items() if c})
+    return a * Polynomial(variables, {draw(expo): draw(coeff)}), b
+
+
+@pytest.mark.parametrize("kind", _NEAR_MISSES)
+@given(data=st.data())
+def test_divisor_precheck_matches_fraction_prs(kind, data):
+    a, b = data.draw(near_miss_divisors(kind))
+    assume(not b.is_zero)
+    _check_cofactors(a, b)
+    _check_cofactors(b, a)
+    # the precheck never turns away a true divisor
+    pa, pb = _int_primitive(a)[1], _int_primitive(b)[1]
+    if _ref_try_divide(a, b) is not None:
+        assert poly_module._may_divide(pb, pa)
+
+
+def test_divisor_precheck_examples():
+    may = poly_module._may_divide
+
+    def ints(src):
+        return _int_primitive(P(src))[1]
+
+    assert may(ints("x + 1"), ints("x^2 - 1"))
+    assert not may(ints("2*x + 1"), ints("x^2 + 4*x + 3"))  # greatest 2*x vs x^2
+    assert not may(ints("x + 2"), ints("x^2 + 4*x + 3"))    # least 2 vs 3
+    assert not may(ints("x*y + 1"), ints("x^2 + y + 1"))     # y fits, x*y does not
+    assert may(ints("x + 2"), ints("x^2 + 5*x + 6"))
+
+
+
 def test_squarefree_and_factor_basis():
     assert squarefree_part(P("(x + y)^3")) == P("x + y")
     basis = coprime_factor_basis([P("(x + 1)^2*y"), P("y^2*(x - 1)")])
@@ -942,6 +1007,96 @@ def test_jacobian_rank_bounds_and_stability():
     assert jacobian_rank(fs + [dependent]) == r
 
 
+def _det(m):
+    """Determinant of a square matrix of polynomials, by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    total = Polynomial.zero(m[0][0].variables)
+    for j, v in enumerate(m[0]):
+        if v:
+            term = v * _det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+XYZ = ("x", "y", "z")
+
+
+def _selector_at(variables):
+    """A JacobianSelector and the coordinates of its seeded point as
+    polynomials, so that functions can be made special there."""
+    selector = linalg.JacobianSelector(variables)
+    return selector, [Polynomial.constant(variables, v) for v in selector._point]
+
+
+def test_selector_keeps_a_function_with_a_pole_at_the_seeded_point():
+    selector, (a, b) = _selector_at(XY)
+    x, y = (Polynomial.variable(XY, v) for v in XY)
+    pole = RationalFunction(Polynomial.constant(XY, 1), x - a)
+    assert selector.offer(pole)
+    # x is algebraic over 1/(x - a); the seeded echelon has no pivot for
+    # the kept pole, so its empty remainder test must not keep x
+    assert not selector.offer(RationalFunction(x, Polynomial.constant(XY, 1)))
+    assert not selector.offer(RationalFunction(x * x - a, x - a))
+    # a candidate with a pole there is decided by the exact test too
+    assert selector.offer(RationalFunction(y, y - b))
+    assert selector.kept == [pole, RationalFunction(y, y - b)]
+
+
+def test_selector_decides_a_dependent_candidate_at_rank_n_minus_one():
+    selector = linalg.JacobianSelector(XYZ)
+    f = [rf(src, XYZ) for src in ("x + y + z", "x^2 + y^2 + z^2",
+                                   "x*y + y*z + z*x", "(x + y + z)/(x^2 + y^2 + z^2)",
+                                   "x^3 + y^3 + z^3")]
+    assert selector.offer(f[0]) and selector.offer(f[1])
+    # rank 2 = n - 1: the next two are algebraic over the first two, and
+    # only the exact test can say so
+    assert not selector.offer(f[2]) and not selector.offer(f[3])
+    assert selector.offer(f[4])
+    assert selector.kept == [f[0], f[1], f[4]]
+    assert jacobian_rank(f) == 3 and jacobian_rank(f[:4]) == 2
+
+
+def test_selector_ends_the_seeded_test_when_a_kept_row_vanishes():
+    # (y - b)^2 is independent of x, but its gradient vanishes at the
+    # seeded point, so y's nonzero remainder there proves nothing
+    selector, (a, b) = _selector_at(XY)
+    one = Polynomial.constant(XY, 1)
+    x, y = (Polynomial.variable(XY, v) for v in XY)
+    square = RationalFunction((y - b) * (y - b), one)
+    assert selector.offer(RationalFunction(x, one)) and selector.offer(square)
+    assert not selector.offer(RationalFunction(y, one))
+    assert not selector.offer(RationalFunction(x * y, one + x))
+    assert len(selector.kept) == 2
+
+
+def test_selector_exact_rows_are_the_minors_of_sylvesters_identity():
+    # a pole at the seeded point sends every function to the exact echelon;
+    # row t, after t - 1 steps, holds at column j the t-minor of the first t
+    # gradient rows on the earlier pivot columns and j
+    selector, (a, _, _) = _selector_at(XYZ)
+    x = Polynomial.variable(XYZ, "x")
+    fs = [RationalFunction(Polynomial.constant(XYZ, 1), x - a),
+          rf("(x + y)/(y*z + 1)", XYZ), rf("x*y*z + y^2", XYZ),
+          rf("x + y + z", XYZ)]
+    assert [selector.offer(f) for f in fs] == [True, True, True, False]
+    grads = [linalg._gradient_row(f) for f in fs]
+    columns = [c for c, _ in selector._exact]
+    assert sorted(columns) == [0, 1, 2]
+    for t, (c, row) in enumerate(selector._exact):
+        assert row[c]
+        for j in range(3):
+            minor = [[g[k] for k in columns[:t] + [j]] for g in grads[:t + 1]]
+            assert row[j] == _det(minor)
+
+
+def test_poly_matrix_rank_matches_the_selector_on_gradient_rows():
+    fs = [rf(src, XYZ) for src in ("x/y", "(x + z)/y", "x*z/y^2", "(x^2 + x*z)/y^2")]
+    rows = [linalg._gradient_row(f) for f in fs]
+    assert poly_matrix_rank(rows) == jacobian_rank(fs) == 2
+    assert poly_matrix_rank(rows[:3]) == 2 and poly_matrix_rank([]) == 0
+
+
 @st.composite
 def functions_and_points(draw):
     """f in 1-4 variables with exponents up to 6, and an integer point that
@@ -1317,6 +1472,57 @@ def test_clear_denominators_rows_are_one_multiple_of_the_cleared_values(sources)
         assert all(type(v) is int for v in row.values())
         ratios |= {row[col] / c for col, c in coeffs.items()}
     assert len(ratios) == 1 and ratios.pop() > 0
+
+
+@st.composite
+def lex_rows(draw):
+    """Rows of polynomials keyed by exponent tuples, as the dedup pool's
+    are, one of them a combination of the others, and a nonzero multiplier."""
+    n = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    poly_row = st.dictionaries(expo, st.integers(-4, 4).filter(bool),
+                               min_size=1, max_size=4)
+    rows = draw(st.lists(poly_row, min_size=1, max_size=5))
+    combo = {}
+    for r in rows:
+        k = draw(st.integers(-2, 2))
+        for e, v in r.items():
+            combo[e] = combo.get(e, 0) + k * v
+    combo = {e: v for e, v in combo.items() if v}
+    return rows + [combo] * bool(combo), draw(poly_row), draw(expo)
+
+
+@given(lex_rows())
+def test_echelon_multiplied_by_a_polynomial_answers_like_a_fresh_one(data):
+    # lex is a monomial order, so each product's least column is its
+    # factors' sum: multiplied row by row, the echelon stays triangular
+    rows, m, e = data
+    echelon, pivots = linalg._echelon(rows)
+    low = min(m)
+    multiplied = [_mul_int(r, m) for r in echelon]
+    shifted = [tuple(a + b for a, b in zip(pc, low)) for pc in pivots]
+    assert [min(r) for r in multiplied] == shifted == sorted(set(shifted))
+    products = [_mul_int(r, m) for r in rows]
+    fresh, fresh_pivots = linalg._echelon(products)
+    # the pivot set of a triangular basis is the span's own
+    assert shifted == fresh_pivots
+    member = {}
+    for k, r in enumerate(products):
+        for c, v in r.items():
+            member[c] = member.get(c, 0) + (k - 1) * v
+    member = {c: v for c, v in member.items() if v}
+    outside = dict(member)
+    outside[e] = outside.get(e, 0) + 1
+    targets = products + rows + [member, outside, {e: 1}]
+    for target in targets:
+        assert (not linalg.echelon_step(multiplied, shifted, target, insert=False)) == (
+            not linalg.echelon_step(fresh, fresh_pivots, target, insert=False))
+    assert not linalg.echelon_step(multiplied, shifted, member, insert=False)
+    # an insertion keeps the multiplied echelon triangular and equal in span
+    for target in targets:
+        linalg.echelon_step(multiplied, shifted, target)
+        linalg.echelon_step(fresh, fresh_pivots, target)
+        assert [min(r) for r in multiplied] == shifted == fresh_pivots
 
 
 def test_echelon_step_drops_explicit_zero_entries():

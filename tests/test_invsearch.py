@@ -433,24 +433,60 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     assert all(_reference_contains(ref, f) for f in inside)
 
 
-@pytest.mark.parametrize("sources, budget, full_builds", [
+@pytest.mark.parametrize("sources, budget, multiplied", [
     # x/y needs no new factor and no larger lift, so the pool is extended;
     # x^2/(y*z) = (x/y)*(x/z) comes only from a vector mixing old and new
-    (["x/z", "y/z", "x/y"], SearchBudget(2, 2, 1, 3), 1),
+    (["x/z", "y/z", "x/y"], SearchBudget(2, 2, 1, 3), 0),
     # y^2/x needs no new factor, but (x/y)/(y^2/x) = x^2/y^3 grows the lift
-    # on y, so the pool is built again in full
-    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 2),
+    # on y, so the echelon is multiplied by y in place
+    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 1),
 ])
-def test_pool_extension_matches_the_reference_pool(sources, budget, full_builds):
+def test_pool_extension_matches_the_reference_pool(sources, budget, multiplied):
     found = [rf(src, XYZ) for src in sources]
     pool = _ClearedPool(_FactorBasis(XYZ), budget)
     pool.extend(found[:-1])
     factors = pool.factors
     pool.extend(found)
     ref = _reference_pool(found, budget)
-    assert pool.factors is factors and pool.full_builds == full_builds
+    assert pool.factors is factors
+    assert (pool.full_builds, pool.multiplied) == (1, multiplied)
     assert all(pool.contains(p) for p in ref[0])
     assert len(pool.rows) == len(ref[3])
+
+
+@pytest.mark.parametrize("sources, budget, moved, counts", [
+    # the 3-cycle's fourth invariant brings a factor that sorts before the
+    # third one's: the old factors move to positions 0, 1 and 3, and the
+    # lift grows on the new factor
+    (["x + y + z", "x^2 + y^2 + z^2", "x^3 + y^3 + z^3", "x^2*z + x*y^2 + y*z^2"],
+     SearchBudget(3, 2, 1, 3), [0, 1, 3], (1, 3)),
+    # y^2/x brings no factor, and grows the lift on y, an old one
+    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), [0, 1], (1, 1)),
+    # (x + y)/z splits the old factor x^2 - y^2, so the pool is built again
+    (["(x^2 - y^2)/z", "(x + y)/z"], SearchBudget(2, 2, 1, 3), None, (2, 0)),
+])
+def test_extended_pool_equals_a_fresh_pool(sources, budget, moved, counts):
+    found = [rf(src, XYZ) for src in sources]
+    pool = _ClearedPool(_FactorBasis(XYZ), budget)
+    for n in range(1, len(found)):
+        pool.extend(found[:n])
+    old = pool.factors
+    pool.extend(found)
+    assert pool.basis.positions(old) == moved
+    assert (pool.full_builds, pool.multiplied) == counts
+    fresh = _ClearedPool(_FactorBasis(XYZ), budget)
+    fresh.extend(found)
+    assert (fresh.full_builds, fresh.multiplied) == (1, 0)
+    assert pool.factors == fresh.factors and pool.basis.vectors == fresh.basis.vectors
+    assert (pool.lift, pool.den) == (fresh.lift, fresh.den)
+    # a triangular echelon's pivots are its span's least monomials
+    assert pool.pivots == fresh.pivots
+    products = _reference_pool(found, budget)[0]
+    others = [rf("(x + 2)/y", XYZ), rf("x*y*z - 1", XYZ),
+              products[-1] + rf("1/(z + 3)", XYZ), found[0] ** (budget.max_num_degree + 2)]
+    assert all(pool.contains(f) for f in products)
+    assert [pool.contains(f) for f in others] == [fresh.contains(f) for f in others]
+    assert not all(fresh.contains(f) for f in others)
 
 
 # -- the collector against a rank pre-test ---------------------------------------
@@ -605,7 +641,8 @@ def _check_pools_against_fresh_builds(mp, answers):
         got = real_contains(self, f)
         fresh = self.fresh
         assert got == real_contains(fresh, f), (self.covered, f)
-        assert len(self.rows) == len(fresh.rows)
+        # a triangular echelon's pivots are its span's least monomials
+        assert self.pivots == fresh.pivots
         answers.append(got)
         return got
 
@@ -645,13 +682,15 @@ def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
 
 def test_double_square_builds_the_pool_in_full_once_per_refinement(systems_dir,
                                                                     pool_builds):
-    # one kept invariant after another extends the pool; 1 + 3 full builds
-    # for 1 + 18 kept invariants, each after an early invariant that brings
-    # a new factor refined the factor basis, none from a grown lift
+    # one kept invariant after another extends the pool; 1 + 1 full builds
+    # for 1 + 18 kept invariants, one per search at its first extension:
+    # every later refinement of the factor basis keeps the old factors, and
+    # the 2 grown lifts multiply the echelon in place
     doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
                              "--budget", "2,2,2,3"])
     assert code == 0 and doc["result"]["square_rank"] == 3
-    assert pool_builds.builds == [True] * 4
+    assert pool_builds.builds == [True] * 2
+    assert pool_builds.multiplied == 2
     assert pool_builds.kept == [1, 18]
     assert sum(pool_builds.kept) > len(pool_builds.builds)
 
@@ -1224,3 +1263,116 @@ def test_rational_roots_match_a_brute_force_scan(roots, extra, scale):
     assert found == sorted(set(roots))
     assert found == [r for r in _ROOT_GRID if f.evaluate((r,)) == 0]
     assert invsearch._rational_roots(Polynomial.zero(_T)) == []
+
+
+# -- generator selection against the jacobian_rank loops ---------------------------
+
+
+def _ref_poly_matrix_rank(matrix):
+    """Bareiss elimination with full pivoting over the whole matrix, as
+    ``poly_matrix_rank`` was before the row-by-row echelon."""
+    if not matrix or not matrix[0]:
+        return 0
+    m = [row[:] for row in matrix]
+    nrows, ncols = len(m), len(m[0])
+    prev, r = None, 0
+    for _ in range(min(nrows, ncols)):
+        found = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
+                      if not m[i][j].is_zero), None)
+        if found is None:
+            break
+        pr, pc = found
+        m[r], m[pr] = m[pr], m[r]
+        for row in m:
+            row[r], row[pc] = row[pc], row[r]
+        pivot = m[r][r]
+        for i in range(r + 1, nrows):
+            for j in range(r + 1, ncols):
+                t = pivot * m[i][j] - m[i][r] * m[r][j]
+                m[i][j] = t if prev is None else try_divide(t, prev)
+            m[i][r] = Polynomial.zero(pivot.variables)
+        prev, r = pivot, r + 1
+    return r
+
+
+def _ref_jacobian_rank(fs):
+    """jacobian_rank as it was: up to 4 seeded points, and the full Bareiss
+    elimination whenever the rank at a point falls short."""
+    n = len(fs[0].variables)
+    cap = min(len(fs), n)
+    rng = random.Random(0x5261)
+    for _ in range(4):
+        point = tuple(rng.randint(-500001, 500001) for _ in range(n))
+        try:
+            rows = [_fraction_jacobian_row(f, point) for f in fs]
+        except ZeroDivisionError:
+            continue
+        if len(_fraction_rref([{c: v for c, v in enumerate(r) if v}
+                               for r in rows])[1]) == cap:
+            return cap
+        break
+    return _ref_poly_matrix_rank(
+        [[f.num.derivative(j) * f.den - f.num * f.den.derivative(j) for j in range(n)]
+         for f in fs])
+
+
+def _ref_generators(invariants, n):
+    """The greedy loop of ``adim_lower_bound`` as it was."""
+    generators = []
+    for f in invariants:
+        if len(generators) == n:
+            break
+        if _ref_jacobian_rank(generators + [f]) > len(generators):
+            generators.append(f)
+    return generators
+
+
+def _check_selection_against_the_rank_loops(sys, budget):
+    """square_gain_check's base and square generators, pullback rank and
+    witness against the jacobian_rank loops on the same searches, which
+    take the pullbacks of every base invariant."""
+    reports = []
+    select = invsearch.adim_lower_bound
+
+    def recording(s, b):
+        reports.append(select(s, b))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "adim_lower_bound", recording)
+        report = square_gain_check(sys, budget)
+    for r in reports:
+        assert list(r.reduction_generators) == _ref_generators(r.invariants, r.system.dim)
+        assert r.independence_rank == len(r.reduction_generators)
+    square = diagonal_power(sys, 2)
+    n = sys.dim
+    pulls = [g.embed(square.variables, list(positions))
+             for g in reports[0].invariants
+             for positions in (range(n), range(n, 2 * n))]
+    pullback_rank = _ref_jacobian_rank(pulls) if pulls else 0
+    assert report.pullback_rank == pullback_rank
+    witness = None
+    if report.new_invariant_found:
+        witness = next(f for f in reports[1].invariants
+                       if _ref_jacobian_rank(pulls + [f]) > pullback_rank)
+    assert report.witness == witness
+    return report
+
+
+@given(rescaled_maps(), st.sampled_from(_SEARCH_BUDGETS))
+def test_selection_matches_the_rank_loops_on_the_stage_maps(sys, budget):
+    _check_selection_against_the_rank_loops(sys, budget)
+
+
+@pytest.mark.parametrize("variables, exprs, budget, found", [
+    # the dedup-heavy searches: swap's square takes the full-rank path, the
+    # 3-cycle's base rank is 3, and double's square finds a witness
+    ("x y", ("y", "x"), SearchBudget(2, 1, 1, 3), False),
+    ("x y z", ("y", "z", "x"), SearchBudget(3, 2, 1, 3), False),
+    ("x y", ("2*x", "2*y"), SearchBudget(2, 2, 2, 3), True),
+])
+def test_selection_matches_the_rank_loops_on_the_dedup_searches(variables, exprs,
+                                                                 budget, found):
+    report = _check_selection_against_the_rank_loops(
+        make_system(variables, *exprs), budget)
+    assert report.new_invariant_found == found
