@@ -433,15 +433,17 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     assert all(_reference_contains(ref, f) for f in inside)
 
 
-@pytest.mark.parametrize("sources, budget, multiplied", [
+@pytest.mark.parametrize("sources, budget, passes", [
     # x/y needs no new factor and no larger lift, so the pool is extended;
     # x^2/(y*z) = (x/y)*(x/z) comes only from a vector mixing old and new
-    (["x/z", "y/z", "x/y"], SearchBudget(2, 2, 1, 3), 0),
+    (["x/z", "y/z", "x/y"], SearchBudget(2, 2, 1, 3), 1),
     # y^2/x needs no new factor, but (x/y)/(y^2/x) = x^2/y^3 grows the lift
     # on y, so the echelon is multiplied by y in place
-    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 1),
+    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 2),
 ])
-def test_pool_extension_matches_the_reference_pool(sources, budget, multiplied):
+def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
+    # passes over the whole echelon: the one full build, then one in-place
+    # multiplication per grown lift
     found = [rf(src, XYZ) for src in sources]
     pool = _ClearedPool(_FactorBasis(XYZ), budget)
     pool.extend(found[:-1])
@@ -449,7 +451,7 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, multiplied):
     pool.extend(found)
     ref = _reference_pool(found, budget)
     assert pool.factors is factors
-    assert (pool.full_builds, pool.multiplied) == (1, multiplied)
+    assert (pool.full_builds, pool.multiplied) == (1, passes - 1)
     assert all(pool.contains(p) for p in ref[0])
     assert len(pool.rows) == len(ref[3])
 
