@@ -18,11 +18,13 @@ The fixed field of the pullback is approached in three stages, each exact:
     the invariant pencils, and are extracted when the nullspace is small
     enough to solve the quadratic conditions.
 
-The stages share one table of cleared monomial pullbacks per degree.  Every
-emitted function is verified against the exact identity "pullback equals
-the function itself", and kept unless it lies in the span of the capped
-Laurent products of those kept before it; budget exhaustion only limits
-completeness, which is never claimed.
+The stages of one search share one table of cleared monomial pullbacks per
+degree, and the fixed-denominator stage makes one solve per table degree and
+cofactor r: catalog entries with the same r share it.  Every distinct
+emitted function is verified once against the exact identity "pullback
+equals the function itself", and kept unless it lies in the span of the
+capped Laurent products of those kept before it; budget exhaustion only
+limits completeness, which is never claimed.
 """
 
 from __future__ import annotations
@@ -120,25 +122,34 @@ def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
             for vec in basis]
 
 
-def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int,
-                    table: dict) -> Optional[List[Polynomial]]:
+def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int, d: int,
+                    tables: dict, kernels: dict) -> Optional[List[Polynomial]]:
     """The p of degree <= dp with I(p) = p*r, r = I(q)/q, for a primitive
-    int q of degree <= the table's: the reduced row echelon kernel of the
-    columns I(m) - m*r, one per monomial m of degree <= dp, as
+    int q of degree <= d, cleared at degree d: the reduced row echelon
+    kernel of the columns I(m) - m*r, one per monomial m of degree <= dp, as
     ``_kernel_polynomials``; None when q does not divide I(q).
 
-    When deg q <= dp, q is a known kernel vector."""
+    The columns depend only on d, dp and r, so ``kernels`` holds one solve
+    per table degree and cofactor, keyed by (d, r), for one search (whose dp
+    is fixed); a q that shares both reuses it.  When deg q <= dp, the q that
+    makes the solve is a known kernel vector; the reduced basis does not
+    depend on it, and every other q with the same key lies in the kernel
+    too, since I(q) = q*r.  ``tables`` caches ``_pullback_table``."""
+    table = _pullback_table(sys, d, tables)
     r = _divide_int(_combine_int(q_int, table), q_int)
     if r is None:
         return None
-    monos = [e for e in table if sum(e) <= dp]
-    known = None
-    if max(map(sum, q_int)) <= dp:
-        col = {e: i for i, e in enumerate(monos)}
-        known = {col[e]: c for e, c in q_int.items()}
-    basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
-                      len(monos), known)
-    return _kernel_polynomials(sys, monos, basis)
+    key = (d, frozenset(r.items()))
+    if key not in kernels:
+        monos = [e for e in table if sum(e) <= dp]
+        known = None
+        if max(map(sum, q_int)) <= dp:
+            col = {e: i for i, e in enumerate(monos)}
+            known = {col[e]: c for e, c in q_int.items()}
+        basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
+                          len(monos), known)
+        kernels[key] = _kernel_polynomials(sys, monos, basis)
+    return kernels[key]
 
 
 def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]:
@@ -152,7 +163,7 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
     require_dominant(sys)
-    return _darboux_kernel(sys, {(0,) * sys.dim: 1}, d, _pullback_table(sys, d, {}))
+    return _darboux_kernel(sys, {(0,) * sys.dim: 1}, d, d, {}, {})
 
 
 # -- denominator catalog ----------------------------------------------------------
@@ -248,8 +259,8 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
 
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
-                                  budget: SearchBudget,
-                                  tables: dict) -> List[RationalFunction]:
+                                  budget: SearchBudget, tables: dict,
+                                  kernels: dict) -> List[RationalFunction]:
     """Stage 1: with q fixed, invariance of p/q is linear in p; q = 1 is the
     polynomial stage.
 
@@ -257,8 +268,10 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     iff I(p)*q = p*I(q).  When q divides I(q), this is I(p) = p*r with
     r = I(q)/q, one column I(m) - m*r per monomial m of degree <= dp, and
     the output is the reduced row echelon kernel, each vector with a
-    positive leading coefficient (when deg q <= dp, q is a known kernel
-    vector, and the line through q alone gives only constants).  Any other
+    positive leading coefficient (when deg q <= dp, q is a kernel vector,
+    and the line through q alone gives only constants).  That kernel
+    depends only on the clearing degree and r, so every q that shares both
+    with an earlier one reuses its solve (``kernels``).  Any other
     q returns [] without a solve, which loses nothing the search keeps:
 
       (a) a candidate p/q = p'/q' in lowest terms has q' | I(q'), so q'
@@ -275,11 +288,12 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
           span of what was already kept (by (a)-(c) for D if D fails its
           own test), and the collector would drop it.
 
-    ``tables`` caches ``_pullback_table``.
+    ``tables`` caches ``_pullback_table`` and ``kernels`` the solves, both
+    for one search.
     """
     dp = budget.max_num_degree
-    kernel = _darboux_kernel(sys, _int_primitive(q)[1], dp,
-                             _pullback_table(sys, max(dp, q.total_degree), tables))
+    kernel = _darboux_kernel(sys, _int_primitive(q)[1], dp, max(dp, q.total_degree),
+                             tables, kernels)
     if kernel is None or (q.total_degree <= dp and len(kernel) == 1):
         return []
     candidates = (RationalFunction(p, q) for p in kernel)
@@ -783,20 +797,23 @@ class _Collector:
     vectors to a refined basis and multiplies its echelon by a grown
     denominator in place; only a split of an old factor builds it again.
 
-    A candidate equal to a kept invariant, found by a set lookup, is dropped
-    before the exact pullback gate; every other candidate must pass the
-    gate.
+    Each candidate is decided once: a repeat of one already offered, kept
+    or dropped, is dropped by a set lookup before the exact pullback gate,
+    and every other candidate must pass the gate.  The pool's span and its
+    denominator only grow, so a candidate dropped once would be dropped
+    again, and a kept one lies in the span of the kept list.
     """
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
         self.sys = sys
         self.found: List[RationalFunction] = []
-        self._kept = set()
+        self._decided = set()
         self._pool = _ClearedPool(_FactorBasis(sys.variables), budget)
 
     def offer(self, f: RationalFunction):
-        if f.is_constant or f in self._kept:
+        if f.is_constant or f in self._decided:
             return
+        self._decided.add(f)
         if pullback(self.sys, f) != f:
             raise AssertionError(f"search produced a non-invariant: {f}")
         if self.found:
@@ -804,7 +821,6 @@ class _Collector:
             if self._pool.contains(f):
                 return
         self.found.append(f)
-        self._kept.add(f)
 
 
 def rational_invariant_search(sys: DynamicalSystem,
@@ -819,9 +835,10 @@ def rational_invariant_search(sys: DynamicalSystem,
     require_dominant(sys)
     collector = _Collector(sys, budget)
     tables: dict = {}  # the one pullback table of each degree
+    kernels: dict = {}  # the one Darboux kernel of each degree and cofactor
     one = Polynomial.constant(sys.variables, 1)
     for q in [one, *_denominator_catalog(sys, budget, tables)]:
-        for f in _fixed_denominator_invariants(sys, q, budget, tables):
+        for f in _fixed_denominator_invariants(sys, q, budget, tables, kernels):
             collector.offer(f)
     if not collector.found:
         pencil_found, _ = _pencil_stage(sys, budget, tables)

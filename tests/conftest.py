@@ -100,6 +100,31 @@ def pool_builds(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def darboux_solves(monkeypatch):
+    """The (table degree, q) of every ``invsearch._darboux_kernel`` call
+    during the test that reached ``nullspace``, in order; q as its primitive
+    int term map."""
+    from ratdyn import invsearch
+    solves, reached = [], []
+    kernel, nullspace = invsearch._darboux_kernel, invsearch.nullspace
+
+    def counted_nullspace(*args):
+        reached.append(True)
+        return nullspace(*args)
+
+    def counted_kernel(sys, q_int, dp, d, tables, kernels):
+        reached.clear()
+        out = kernel(sys, q_int, dp, d, tables, kernels)
+        if reached:
+            solves.append((d, q_int))
+        return out
+
+    monkeypatch.setattr(invsearch, "nullspace", counted_nullspace)
+    monkeypatch.setattr(invsearch, "_darboux_kernel", counted_kernel)
+    return solves
+
+
 # -- Fraction references for the integer monomial power tables -------------------
 
 

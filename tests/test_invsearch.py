@@ -125,9 +125,9 @@ def test_search_solves_q1_first_and_tabulates_each_degree_once(variables, exprs,
         tabulated.append(d)
         return real_monomials(n, d)
 
-    def stage(sys, q, budget, tables):
+    def stage(sys, q, budget, tables, kernels):
         solved.append(q)
-        return real_stage(sys, q, budget, tables)
+        return real_stage(sys, q, budget, tables, kernels)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "monomials_upto", monomials)
@@ -719,14 +719,13 @@ def test_collector_drops_a_repeat_before_the_exact_gate():
     assert collector.found == [ratio]
 
 
-class _LinearScan:
-    """The collector's repeat check as it was: a scan of the kept list."""
-
-    def __init__(self, found):
-        self.found = found
+class _Undecided:
+    """A repeat set that holds nothing: a collector with it decides every
+    offer afresh, by the exact gate and, once something is kept, the span
+    test."""
 
     def __contains__(self, f):
-        return any(f == g for g in self.found)
+        return False
 
     def add(self, f):
         pass
@@ -735,7 +734,8 @@ class _LinearScan:
 @pytest.mark.parametrize("seed", range(4))
 def test_collector_repeat_set_matches_the_linear_scan(seed):
     # a seeded stream of invariants of the doubling map, with repeats, some
-    # of them written differently, and constants
+    # of them written differently, and constants, against a collector that
+    # decides every offer afresh
     variables = "x y"
     sys = make_system(variables, "2*x", "2*y")
     sources = ["x/y", "2*x/(2*y)", "y/x", "(x + y)/y", "x^2/y^2", "(x^2 + y^2)/(x*y)",
@@ -744,7 +744,7 @@ def test_collector_repeat_set_matches_the_linear_scan(seed):
     stream = [rf(rng.choice(sources), variables) for _ in range(40)]
     assert len(set(stream)) < len(stream)
     results = []
-    for linear in (False, True):
+    for afresh in (False, True):
         gated = []
         real_pullback = invsearch.pullback
 
@@ -753,15 +753,95 @@ def test_collector_repeat_set_matches_the_linear_scan(seed):
             return real_pullback(sys, f)
 
         c = invsearch._Collector(sys, SearchBudget(2, 2, 1, 3))
-        if linear:
-            c._kept = _LinearScan(c.found)
+        if afresh:
+            c._decided = _Undecided()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invsearch, "pullback", counting)
             for f in stream:
                 c.offer(f)
         results.append((c.found, gated))
-    assert results[0] == results[1]
-    assert len(results[0][1]) < sum(not f.is_constant for f in stream)
+    (found, gated), (reference, _) = results
+    assert found == reference
+    # each distinct candidate is gated once, in the order first offered;
+    # dropped ones are among them
+    assert gated == list(dict.fromkeys(f for f in stream if not f.is_constant))
+    assert len(found) < len(gated)
+
+
+def _search_counts(run, reference=False):
+    """run(), the output of every rational_invariant_search it made, and the
+    numbers of invsearch ``nullspace`` calls and exact pullback gates.  With
+    ``reference``, every fixed-denominator solve gets a kernel memo of its
+    own, and every collector decides every offer afresh (``_Undecided``)."""
+    found, counts = [], {"nullspace": 0, "gates": 0}
+    real_nullspace, real_pullback = invsearch.nullspace, invsearch.pullback
+    real_kernel, real_collector = invsearch._darboux_kernel, invsearch._Collector
+    real_search = invsearch.rational_invariant_search
+
+    def recorded_search(sys, budget):
+        found.append(real_search(sys, budget))
+        return found[-1]
+
+    def counted_nullspace(*args):
+        counts["nullspace"] += 1
+        return real_nullspace(*args)
+
+    def counted_pullback(sys, f):
+        counts["gates"] += 1
+        return real_pullback(sys, f)
+
+    def unshared_kernel(sys, q_int, dp, d, tables, kernels):
+        return real_kernel(sys, q_int, dp, d, tables, {})
+
+    def afresh_collector(sys, budget):
+        collector = real_collector(sys, budget)
+        collector._decided = _Undecided()
+        return collector
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "nullspace", counted_nullspace)
+        mp.setattr(invsearch, "pullback", counted_pullback)
+        mp.setattr(invsearch, "rational_invariant_search", recorded_search)
+        if reference:
+            mp.setattr(invsearch, "_darboux_kernel", unshared_kernel)
+            mp.setattr(invsearch, "_Collector", afresh_collector)
+        out = run()
+    return out, found, counts
+
+
+def _check_against_the_undecided_search(run):
+    """run() makes the same report, and its searches the same found lists,
+    as with no kernel memo and no repeat set, from no more solves and
+    gates; returns both counts."""
+    report, found, counts = _search_counts(run)
+    reference, reference_found, reference_counts = _search_counts(run, reference=True)
+    assert report == reference
+    assert found == reference_found
+    assert counts["nullspace"] <= reference_counts["nullspace"]
+    assert counts["gates"] <= reference_counts["gates"]
+    return counts, reference_counts
+
+
+@pytest.mark.parametrize("variables, exprs, budget, solves, gates", [
+    # (without the memo and the repeat set, with them); a collector that
+    # dropped only repeats of kept candidates before the gate made 96, 450
+    # and 22 gates
+    ("x y", ("2*x", "2*y"), "2,2,2,3", (21, 6), (110, 58)),
+    ("x y z", ("2*x", "2*y", "2*z"), "2,2,2,3", (38, 6), (486, 288)),
+    ("x y", ("2*x + y", "2*y"), "3,3,2,3", (14, 8), (31, 11)),
+], ids=["double", "double-3d", "shear"])
+def test_square_solves_each_cofactor_once_and_gates_each_candidate_once(
+        variables, exprs, budget, solves, gates, darboux_solves):
+    # one solve per table degree and cofactor, one gate per distinct
+    # candidate, against the search with neither
+    sys = make_system(variables, *exprs)
+    budget = SearchBudget(*map(int, budget.split(",")))
+    counts, reference = _check_against_the_undecided_search(
+        lambda: square_gain_check(sys, budget))
+    assert (reference["nullspace"], counts["nullspace"]) == solves
+    assert (reference["gates"], counts["gates"]) == gates
+    # every nullspace call of both searches is a Darboux solve
+    assert len(darboux_solves) == sum(solves)
 
 
 # -- the integer columns of the three linear stages --------------------------------
@@ -777,8 +857,8 @@ _SCALES = ["1", "2", "3", "-5", "1/2", "5/3"]
 
 
 @st.composite
-def rescaled_maps(draw):
-    variables, *exprs = draw(st.sampled_from(_STAGE_MAPS))
+def rescaled_maps(draw, maps=_STAGE_MAPS):
+    variables, *exprs = draw(st.sampled_from(maps))
     names = variables.split()
     scales = [draw(st.sampled_from(_SCALES)) for _ in names]
     # psi_i(x) = phi_i(c x) / c_i
@@ -786,6 +866,36 @@ def rescaled_maps(draw):
     scaled = {v: f"(({c})*{v})" for v, c in zip(names, scales)}
     return make_system(variables, *[f"({pattern.sub(lambda m: scaled[m[1]], e)})/({c})"
                                     for e, c in zip(exprs, scales)])
+
+
+# the searches of the dedup-heavy and linear-solve benchmark workloads
+_WORKLOAD_SEARCHES = [
+    (("x y", "y", "x"), square_gain_check, SearchBudget(2, 1, 1, 3)),
+    (("x y z", "y", "z", "x"), adim_lower_bound, SearchBudget(3, 2, 1, 3)),
+    (("x y", "2*x", "2*y"), square_gain_check, SearchBudget(2, 2, 2, 3)),
+    (("x y", "2*x + y", "2*y"), square_gain_check, SearchBudget(2, 2, 2, 3)),
+    (("x y", "2*x + y", "2*y"), square_gain_check, SearchBudget(3, 3, 2, 3)),
+    (("x", "(2*x + 3)/(x + 1)"), square_gain_check, SearchBudget(3, 3, 1, 3)),
+    (("x", "(2*x + 3)/(x + 1)"), square_gain_check, SearchBudget(2, 3, 2, 3)),
+]
+
+
+@given(st.data())
+def test_search_matches_the_undecided_search_on_the_stage_maps(data):
+    # against no kernel memo and a collector that decides every offer
+    # afresh: the same invariants, ranks and generators
+    sys = data.draw(rescaled_maps())
+    budget = data.draw(st.sampled_from(_SEARCH_BUDGETS))
+    _check_against_the_undecided_search(lambda: adim_lower_bound(sys, budget))
+
+
+@given(st.data())
+def test_search_matches_the_undecided_search_on_the_workload_searches(data):
+    # the same, on the rescaled workload searches: the rescaling changes
+    # the cofactors, and with them the memo's keys
+    spec, run, budget = data.draw(st.sampled_from(_WORKLOAD_SEARCHES))
+    sys = data.draw(rescaled_maps([spec]))
+    _check_against_the_undecided_search(lambda: run(sys, budget))
 
 
 def _ref_pullbacks(sys, d):
@@ -887,7 +997,7 @@ def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
     for q in invsearch._denominator_catalog(sys, budget, {})[:6]:
         q = q.scaled(Fraction(scale))
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            sys, q, budget, {}))
+            sys, q, budget, {}, {}))
         if _is_darboux(sys, q, dp):
             assert [ncols for _, ncols, _ in calls] == [len(monomials_upto(sys.dim, dp))]
             assert found == _ref_fixed_denominator_stage(sys, q, dp)
@@ -901,12 +1011,12 @@ def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
                                          SearchBudget(1, 3, 1, 3),
                                          SearchBudget(3, 2, 2, 3)]))
 def test_fixed_denominator_reduction_matches_the_full_solve(sys, budget):
-    # every catalog entry, with one cache of pullback tables for all: the
-    # full solve on a Darboux q, nothing on any other
+    # every catalog entry, with one cache of pullback tables and solves for
+    # all: the full solve on a Darboux q, nothing on any other
     dp = budget.max_num_degree
-    tables = {}
+    tables, kernels = {}, {}
     for q in invsearch._denominator_catalog(sys, budget, tables):
-        assert (invsearch._fixed_denominator_invariants(sys, q, budget, tables)
+        assert (invsearch._fixed_denominator_invariants(sys, q, budget, tables, kernels)
                 == (_ref_fixed_denominator_stage(sys, q, dp)
                     if _is_darboux(sys, q, dp) else []))
 
@@ -918,9 +1028,10 @@ def test_fixed_denominator_reduction_matches_the_full_solve(sys, budget):
 def test_fixed_denominator_stage_emits_only_darboux_denominators(sys, budget):
     # the denominator of an invariant in lowest terms divides its own
     # cleared pullback, at the degree max(deg num, deg den)
-    tables = {}
+    tables, kernels = {}, {}
     for q in invsearch._denominator_catalog(sys, budget, tables):
-        for f in invsearch._fixed_denominator_invariants(sys, q, budget, tables):
+        for f in invsearch._fixed_denominator_invariants(sys, q, budget, tables,
+                                                         kernels):
             assert _is_darboux(sys, f.den, f.num.total_degree)
 
 
@@ -935,7 +1046,7 @@ def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
     skipped = 0
     for q in invsearch._denominator_catalog(square, budget, {}):
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            square, q, budget, {}))
+            square, q, budget, {}, {}))
         assert found == _ref_fixed_denominator_stage(square, q, 2) == []
         if not _is_darboux(square, q, 2):
             assert not calls
@@ -948,7 +1059,8 @@ def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
     # the kernel is {1} alone, and 1/x^2 is an invariant
     sys = make_system("x", "-x")
     q = poly("x^2", ("x",))
-    found = invsearch._fixed_denominator_invariants(sys, q, SearchBudget(1, 3, 1, 3), {})
+    found = invsearch._fixed_denominator_invariants(sys, q, SearchBudget(1, 3, 1, 3),
+                                                    {}, {})
     assert found == [rf("1/x^2", ("x",))]
 
 
@@ -1063,7 +1175,7 @@ def _q1_search(sys, budget):
         basis[:] = real_split(sys, factors, tables)
         return basis[:]
 
-    def stage(sys, q, budget, tables):
+    def stage(sys, q, budget, tables, kernels):
         exponents = basis_exponents(q, basis)[0]
         factors = tuple((_int_primitive(f)[1], a) for f, a in zip(basis, exponents) if a)
         return _q1_stage(sys, q, factors, budget, tables)
