@@ -719,16 +719,35 @@ def test_collector_drops_a_repeat_before_the_exact_gate():
     assert collector.found == [ratio]
 
 
-class _Undecided:
-    """A repeat set that holds nothing: a collector with it decides every
-    offer afresh, by the exact gate and, once something is kept, the span
-    test."""
+class _RepeatsOf:
+    """A collector's repeat set that holds what a given list holds, and
+    nothing it is told to add."""
+
+    def __init__(self, candidates):
+        self.candidates = candidates
 
     def __contains__(self, f):
-        return False
+        return f in self.candidates
 
     def add(self, f):
         pass
+
+
+class _UndecidedCollector(invsearch._Collector):
+    """A collector that decides every offer afresh, by the exact gate and,
+    once something is kept, the span test."""
+
+    def __init__(self, sys, budget):
+        super().__init__(sys, budget)
+        self._decided = _RepeatsOf([])
+
+
+class _KeptOnlyCollector(invsearch._Collector):
+    """A collector that gates every offer but a repeat of a kept one."""
+
+    def __init__(self, sys, budget):
+        super().__init__(sys, budget)
+        self._decided = _RepeatsOf(self.found)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -752,9 +771,8 @@ def test_collector_repeat_set_matches_the_linear_scan(seed):
             gated.append(f)
             return real_pullback(sys, f)
 
-        c = invsearch._Collector(sys, SearchBudget(2, 2, 1, 3))
-        if afresh:
-            c._decided = _Undecided()
+        collector = _UndecidedCollector if afresh else invsearch._Collector
+        c = collector(sys, SearchBudget(2, 2, 1, 3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invsearch, "pullback", counting)
             for f in stream:
@@ -772,11 +790,10 @@ def _search_counts(run, reference=False):
     """run(), the output of every rational_invariant_search it made, and the
     numbers of invsearch ``nullspace`` calls and exact pullback gates.  With
     ``reference``, every fixed-denominator solve gets a kernel memo of its
-    own, and every collector decides every offer afresh (``_Undecided``)."""
+    own, and every collector is an ``_UndecidedCollector``."""
     found, counts = [], {"nullspace": 0, "gates": 0}
     real_nullspace, real_pullback = invsearch.nullspace, invsearch.pullback
-    real_kernel, real_collector = invsearch._darboux_kernel, invsearch._Collector
-    real_search = invsearch.rational_invariant_search
+    real_kernel, real_search = invsearch._darboux_kernel, invsearch.rational_invariant_search
 
     def recorded_search(sys, budget):
         found.append(real_search(sys, budget))
@@ -793,18 +810,13 @@ def _search_counts(run, reference=False):
     def unshared_kernel(sys, q_int, dp, d, tables, kernels):
         return real_kernel(sys, q_int, dp, d, tables, {})
 
-    def afresh_collector(sys, budget):
-        collector = real_collector(sys, budget)
-        collector._decided = _Undecided()
-        return collector
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "nullspace", counted_nullspace)
         mp.setattr(invsearch, "pullback", counted_pullback)
         mp.setattr(invsearch, "rational_invariant_search", recorded_search)
         if reference:
             mp.setattr(invsearch, "_darboux_kernel", unshared_kernel)
-            mp.setattr(invsearch, "_Collector", afresh_collector)
+            mp.setattr(invsearch, "_Collector", _UndecidedCollector)
         out = run()
     return out, found, counts
 
@@ -823,12 +835,11 @@ def _check_against_the_undecided_search(run):
 
 
 @pytest.mark.parametrize("variables, exprs, budget, solves, gates", [
-    # (without the memo and the repeat set, with them); a collector that
-    # dropped only repeats of kept candidates before the gate made 96, 450
-    # and 22 gates
-    ("x y", ("2*x", "2*y"), "2,2,2,3", (21, 6), (110, 58)),
-    ("x y z", ("2*x", "2*y", "2*z"), "2,2,2,3", (38, 6), (486, 288)),
-    ("x y", ("2*x + y", "2*y"), "3,3,2,3", (14, 8), (31, 11)),
+    # solves: (without the memo, with it); gates: (a repeat set of the kept
+    # candidates, none, one of every decided candidate)
+    ("x y", ("2*x", "2*y"), "2,2,2,3", (21, 6), (96, 110, 58)),
+    ("x y z", ("2*x", "2*y", "2*z"), "2,2,2,3", (38, 6), (450, 486, 288)),
+    ("x y", ("2*x + y", "2*y"), "3,3,2,3", (14, 8), (22, 31, 11)),
 ], ids=["double", "double-3d", "shear"])
 def test_square_solves_each_cofactor_once_and_gates_each_candidate_once(
         variables, exprs, budget, solves, gates, darboux_solves):
@@ -836,12 +847,18 @@ def test_square_solves_each_cofactor_once_and_gates_each_candidate_once(
     # candidate, against the search with neither
     sys = make_system(variables, *exprs)
     budget = SearchBudget(*map(int, budget.split(",")))
-    counts, reference = _check_against_the_undecided_search(
-        lambda: square_gain_check(sys, budget))
-    assert (reference["nullspace"], counts["nullspace"]) == solves
-    assert (reference["gates"], counts["gates"]) == gates
+
+    def run():
+        return square_gain_check(sys, budget)
+
+    counts, reference = _check_against_the_undecided_search(run)
     # every nullspace call of both searches is a Darboux solve
     assert len(darboux_solves) == sum(solves)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_Collector", _KeptOnlyCollector)
+        kept_only = _search_counts(run)[2]
+    assert (reference["nullspace"], counts["nullspace"]) == solves
+    assert (kept_only["gates"], reference["gates"], counts["gates"]) == gates
 
 
 # -- the integer columns of the three linear stages --------------------------------
