@@ -801,7 +801,7 @@ class _Collector:
     or dropped, is dropped by a set lookup before the exact pullback gate,
     and every other candidate must pass the gate.  The pool's span and its
     denominator only grow, so a candidate dropped once would be dropped
-    again, and a kept one lies in the span of the kept list.
+    again, and a repeat of a kept one would fall in the span.
     """
 
     def __init__(self, sys: DynamicalSystem, budget: SearchBudget):
