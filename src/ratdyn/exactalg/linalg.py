@@ -177,9 +177,7 @@ def nullspace(rows: Sequence[SparseRow], ncols: int,
         bound = ncols - 1
     last = ncols - 1
     reversed_rows = ({last - c: v for c, v in row.items() if v} for row in rows)
-    # the stop can bind only when the rows outnumber it
-    echelon, pivots = (_echelon(reversed_rows, bound) if len(rows) > bound
-                       else _echelon(reversed_rows))
+    echelon, pivots = _echelon(reversed_rows, bound)
     pivot_set = set(pivots)
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivot_set}
     for f, vec in basis.items():

@@ -522,12 +522,16 @@ def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
     return out
 
 
-def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget, tables: dict):
-    """Returns (found invariants, conclusive flag); ``tables`` caches
+def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget,
+                  tables: dict) -> List[RationalFunction]:
+    """The candidates of the pencil kernel, as ``_pencil_candidates``; none
+    when the kernel's dimension exceeds the rank-1 limit.  Each is invariant
+    exactly, since a decomposable point p wedge q of the kernel satisfies
+    P*I(Q) = Q*I(P); the collector gates it all the same.  ``tables`` caches
     ``_pullback_table``."""
     limit = budget.nullspace_rank1_limit
     if limit == 0:
-        return [], False
+        return []
     table = _pullback_table(sys, max(budget.max_num_degree, budget.max_den_degree),
                             tables)
     monos, images = list(table), list(table.values())
@@ -538,32 +542,25 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget, tables: dict):
                                     images[i]) for i, j in pairs)
     if len(pairs) - len(rows) > limit:
         # kernel dimension is at least #columns - #rows, already over budget
-        return [], False
+        return []
     basis_vecs = nullspace(rows, len(pairs))
-    if len(basis_vecs) > limit:
-        return [], False
-    if not basis_vecs:
-        return [], True
+    if not basis_vecs or len(basis_vecs) > limit:
+        return []
     basis = [{pairs[i]: v for i, v in enumerate(vec) if v} for vec in basis_vecs]
-    found = []
-    verdicts: Dict[RationalFunction, bool] = {}  # one exact gate per candidate
-    for f in _pencil_candidates(sys.variables, monos, basis):
-        if f not in verdicts:
-            verdicts[f] = not f.is_constant and pullback(sys, f) == f
-        if verdicts[f]:
-            found.append(f)
-    return found, True
+    return _pencil_candidates(sys.variables, monos, basis)
 
 
 # -- deduplication and reports ---------------------------------------------------
 
 
-def _placed(x: Sequence[int], moved: Sequence[int], width: int) -> List[int]:
-    """The vector x over old factors, each entry moved to its factor's
-    position ``moved[j]`` among ``width`` factors, zero elsewhere."""
+def _placed(x: Sequence[int], move: Sequence[Sequence[Tuple[int, int]]],
+            width: int) -> List[int]:
+    """The vector x over old factors moved to ``width`` refined ones: the
+    j-th old factor is prod b_k^m over the pairs (k, m) of ``move[j]``."""
     out = [0] * width
-    for j, v in zip(moved, x):
-        out[j] = v
+    for pairs, v in zip(move, x):
+        for k, m in pairs:
+            out[k] += m * v
     return out
 
 
@@ -575,10 +572,9 @@ class _FactorBasis:
     squarefree chain of every numerator and denominator, so the
     decomposition is exact, and ``cover`` refines it with the invariants
     added since its last call instead of recomputing it; a refinement
-    replaces ``factors`` by a new list.  When the refinement keeps every old
-    factor (``positions``), the old vectors only move to the old factors'
-    new positions and gain zeros at the new ones, so only the new invariants
-    are split; when it splits an old factor, every invariant is split again.
+    replaces ``factors`` by a new list.  Every old factor is a constant
+    times a product of new ones (``moves``), so the old vectors are moved to
+    the new basis by that map, and only the new invariants are split.
     Powers of each factor are tabulated once and kept across refinements.
     """
 
@@ -588,12 +584,14 @@ class _FactorBasis:
         self.vectors: List[List[int]] = []
         self._powers: Dict[Polynomial, List[Polynomial]] = {}
 
-    def positions(self, old: Sequence[Polynomial]) -> Optional[List[int]]:
-        """The position in ``factors`` of each of the ``old`` factors, or
-        None when a refinement since then split one of them."""
-        where = {b: j for j, b in enumerate(self.factors)}
-        moved = [where.get(b) for b in old]
-        return None if None in moved else moved
+    def moves(self, old: Sequence[Polynomial]) -> List[List[Tuple[int, int]]]:
+        """Each of the ``old`` factors, of an earlier basis, as pairs (k, m)
+        with old = c * prod(factors[k]^m): [(k, 1)] when a refinement kept
+        it, its pieces when one split it."""
+        where = {b: k for k, b in enumerate(self.factors)}
+        return [[(where[b], 1)] if b in where else
+                [(k, m) for k, m in enumerate(basis_exponents(b, self.factors)[0]) if m]
+                for b in old]
 
     def cover(self, found: Sequence[RationalFunction]):
         def split(fs):
@@ -608,13 +606,8 @@ class _FactorBasis:
         if rests:
             old = self.factors
             self.factors = coprime_factor_basis(rests, old)
-            moved = self.positions(old)
-            if moved is None:
-                # a split factor changes the vectors of earlier invariants too
-                self.vectors, new = [], found
-            else:
-                self.vectors = [_placed(a, moved, len(self.factors))
-                                for a in self.vectors]
+            move = self.moves(old)
+            self.vectors = [_placed(a, move, len(self.factors)) for a in self.vectors]
             parts = split(new)
         for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
             if not (num_rest.is_constant and den_rest.is_constant):
@@ -651,16 +644,21 @@ class _ClearedPool:
     the largest -s_j: the lift) and each cleared row (prod b_j^(s_j + t_j));
     no gcd, lcm or division is taken.
 
-    ``extend`` brings the pool up to a longer list of invariants.  The
-    capped set {e : sum |e_i| <= total, sum |e_i| deg g_i <= bound} does not
-    depend on the order of the invariants, so the products that the new
-    invariants add are exactly those of the vectors e nonzero on one of
-    them: only those are formed and reduced into the kept echelon.  Each
-    kept structure grows instead of being built again:
+    ``extend`` brings the pool up to a longer list of invariants, starting
+    from the pool of the empty list: the constant row alone, over an empty
+    factor basis with lift 0 and denominator 1.  The capped set
+    {e : sum |e_i| <= total, sum |e_i| deg g_i <= bound} does not depend on
+    the order of the invariants, so the products that the new invariants
+    add are exactly those of the vectors e nonzero on one of them: only
+    those are formed and reduced into the kept echelon.  Each kept structure
+    grows instead of being built again:
 
-      * a refined factor basis that keeps every old factor leaves every old
-        product as it was: its s and the lift only move to the old factors'
-        new positions and gain zeros at the new ones;
+      * a refined factor basis writes each old factor as a constant times a
+        product of new ones (``_FactorBasis.moves``), so every old s and the
+        lift move by that map.  The old factors are squarefree and pairwise
+        coprime, so the pieces of different ones are disjoint: each old
+        product, the denominator and every cleared row stay the same
+        polynomials up to a constant;
       * a grown lift t' multiplies every cleared row by the same
         den'/den = prod b_j^(t'_j - t_j).  The echelon's columns are the
         exponent tuples themselves, in lex order, and each row's pivot is its
@@ -669,9 +667,8 @@ class _ClearedPool:
         distinct pivots, which is all that membership needs
         (``echelon_step``).
 
-    Only the first extend, and a refinement that splits an old factor (it
-    changes old s), build the pool in full; ``full_builds`` counts those
-    builds and ``multiplied`` the extensions that multiplied the echelon.
+    ``multiplied`` counts the extensions that multiplied the echelon, the
+    first of them the constant row alone.
 
     Membership of f first requires f.den to divide the pool lcm (the
     denominator of any Q-combination does), then reduces the cleared
@@ -684,11 +681,13 @@ class _ClearedPool:
         self.basis = basis
         self.bound = max(budget.max_num_degree, budget.max_den_degree)
         self.total = max(budget.max_num_degree, 1)
-        self.factors: Optional[List[Polynomial]] = None  # what s is over
+        self.factors: List[Polynomial] = []  # what s is over
         self.degrees: List[int] = []  # of the covered invariants, each >= 1
-        self.vectors: Dict[Tuple[int, ...], None] = {}  # insertion-ordered set of s
-        self.lift: Optional[Tuple[int, ...]] = None
-        self.full_builds = 0
+        self.vectors: Dict[Tuple[int, ...], None] = {(): None}  # ordered set of s
+        self.lift: Tuple[int, ...] = ()
+        self.den = basis.one
+        # the integer echelon, from the cleared row of s = 0: the lcm itself
+        self.rows, self.pivots = [dict(basis.one._num)], list(basis.one._num)
         self.multiplied = 0
 
     def _exponents(self, order, first, stop, weight_left, degree_left):
@@ -716,26 +715,19 @@ class _ClearedPool:
         basis = self.basis
         basis.cover(found)
         if basis.factors is not self.factors:
-            width = len(basis.factors)
-            moved = None if self.lift is None else basis.positions(self.factors)
-            if moved is None:
-                # the first extend, or a split factor changes old s: start over
-                self.degrees, self.lift = [], None
-                self.vectors = {(0,) * width: None}
-            else:
-                self.vectors = {tuple(_placed(s, moved, width)): None
-                                for s in self.vectors}
-                self.lift = tuple(_placed(self.lift, moved, width))
+            move, width = basis.moves(self.factors), len(basis.factors)
+            self.vectors = {tuple(_placed(s, move, width)): None for s in self.vectors}
+            self.lift = tuple(_placed(self.lift, move, width))
             self.factors = basis.factors
         start = len(self.degrees)
-        if start == len(found) and self.lift is not None:
+        if start == len(found):
             return
         self.degrees += [g.degree for g in found[start:]]
         widths = [b.total_degree for b in self.factors]
         sparse = [[(j, aj) for j, aj in enumerate(a) if aj] for a in basis.vectors]
         order = list(range(start, len(found))) + list(range(start))
         fresh = []
-        lift = [0] * len(widths) if self.lift is None else list(self.lift)
+        lift = list(self.lift)
         for expos in self._exponents(order, 0, len(found) - start, self.total,
                                     self.bound):
             s = [0] * len(widths)
@@ -752,11 +744,7 @@ class _ClearedPool:
                     if -x > lift[j]:
                         lift[j] = -x
         lift = tuple(lift)
-        if self.lift is None:
-            fresh = list(self.vectors)
-            self.rows, self.pivots = [], []  # the integer echelon
-            self.full_builds += 1
-        elif lift != self.lift:
+        if lift != self.lift:
             # every cleared row gains the factor m = den'/den, and every
             # pivot the least monomial of m
             m = basis.product(tuple(map(operator.sub, lift, self.lift)))._num
@@ -764,12 +752,10 @@ class _ClearedPool:
             self.rows = [_mul_int(row, m) for row in self.rows]
             self.pivots = [tuple(map(operator.add, pc, low)) for pc in self.pivots]
             self.multiplied += 1
-        if lift != self.lift:
             self.lift, self.den = lift, basis.product(lift)
         for s in fresh:
-            # the cleared row of s = 0 is the lcm itself
-            p = basis.product(tuple(map(operator.add, s, lift))) if any(s) else self.den
-            echelon_step(self.rows, self.pivots, p._num)
+            echelon_step(self.rows, self.pivots,
+                         basis.product(tuple(map(operator.add, s, lift)))._num)
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
@@ -788,14 +774,14 @@ class _Collector:
     test decides alone: a candidate that raises the independence rank is
     algebraically independent of the kept ones, so it is never in the span,
     and no rank test is needed in front of this one.  Until something is
-    kept the span holds only the constants, which ``offer`` drops first, so
-    the first candidate is kept without a pool.
+    kept the span holds only the constants, so the first candidate that is
+    not a constant is kept.
 
     The kept invariants are held in factored form over one coprime factor
     basis, and one pool serves the whole search: before a span test it is
     extended with the invariants kept since the last one, which moves its
     vectors to a refined basis and multiplies its echelon by a grown
-    denominator in place; only a split of an old factor builds it again.
+    denominator in place.
 
     Each candidate is decided once: a repeat of one already offered, kept
     or dropped, is dropped by a set lookup before the exact pullback gate,
@@ -816,11 +802,9 @@ class _Collector:
         self._decided.add(f)
         if pullback(self.sys, f) != f:
             raise AssertionError(f"search produced a non-invariant: {f}")
-        if self.found:
-            self._pool.extend(self.found)
-            if self._pool.contains(f):
-                return
-        self.found.append(f)
+        self._pool.extend(self.found)
+        if not self._pool.contains(f):
+            self.found.append(f)
 
 
 def rational_invariant_search(sys: DynamicalSystem,
@@ -841,8 +825,7 @@ def rational_invariant_search(sys: DynamicalSystem,
         for f in _fixed_denominator_invariants(sys, q, budget, tables, kernels):
             collector.offer(f)
     if not collector.found:
-        pencil_found, _ = _pencil_stage(sys, budget, tables)
-        for f in pencil_found:
+        for f in _pencil_stage(sys, budget, tables):
             collector.offer(f)
     return collector.found
 

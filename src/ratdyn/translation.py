@@ -95,43 +95,36 @@ class ExponentMatrix:
         M = 1
         for m in admissible:
             M = M * m // math.gcd(M, m)
-        if not _power_is_identity_mod_p(self.entries, M):
-            return False
-        power = self
-        result = None
-        k = M
-        while k:
-            if k & 1:
-                result = power if result is None else result.times(power)
-            k >>= 1
-            if k:
-                power = power.times(power)
-        return result.is_identity()
+        return (_power_is_identity(self.entries, M, _ORDER_PRIME)
+                and _power_is_identity(self.entries, M))
 
 
 _ORDER_PRIME = 2147483647
 
 
-def _power_is_identity_mod_p(entries: Sequence[Sequence[int]], k: int) -> bool:
-    """Whether A^k = I modulo _ORDER_PRIME, by repeated squaring."""
-    p = _ORDER_PRIME
-    n = len(entries)
+def _power_is_identity(entries: Sequence[Sequence[int]], k: int,
+                       modulus: Optional[int] = None) -> bool:
+    """Whether A^k = I over Z, or modulo ``modulus`` when one is given, by
+    repeated squaring."""
+
+    def reduce(v):
+        return v if modulus is None else v % modulus
 
     def times(a, b):
         cols = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+        return [[reduce(sum(x * y for x, y in zip(row, col))) for col in cols]
                 for row in a]
 
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = [[v % p for v in row] for row in entries]
+    n = len(entries)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    result, power = identity, [[reduce(v) for v in row] for row in entries]
     while k:
         if k & 1:
             result = times(result, power)
         k >>= 1
         if k:
             power = times(power, power)
-    return all(v == (1 if i == j else 0) for i, row in enumerate(result)
-               for j, v in enumerate(row))
+    return result == identity
 
 
 def _euler_phi(m: int) -> int:

@@ -73,21 +73,22 @@ def prs_calls(monkeypatch):
 
 
 @pytest.fixture
-def pool_builds(monkeypatch):
-    """What the dedup pools do during the test: ``builds`` holds, for every
-    full build of a pool in order, whether the extension that made it
-    refined the pool's factor basis; ``multiplied`` counts the extensions
-    that multiplied a pool's echelon by a grown denominator instead; ``kept``
-    the length of every search's output."""
+def pool_extensions(monkeypatch):
+    """What the dedup pools do during the test: ``refined`` holds, for every
+    extension that moved a pool to a refined factor basis, in order,
+    whether the refinement split one of the pool's old factors;
+    ``multiplied`` counts the extensions that multiplied a pool's echelon by
+    a grown denominator; ``kept`` the length of every search's output."""
     from ratdyn import invsearch
-    seen = types.SimpleNamespace(builds=[], multiplied=0, kept=[])
+    seen = types.SimpleNamespace(refined=[], multiplied=0, kept=[])
     pool, search = invsearch._ClearedPool, invsearch.rational_invariant_search
     real_extend = pool.extend
 
     def extend(self, found):
-        factors, before, grown = self.factors, self.full_builds, self.multiplied
+        factors, grown = self.factors, self.multiplied
         real_extend(self, found)
-        seen.builds += [self.factors is not factors] * (self.full_builds - before)
+        if self.factors is not factors:
+            seen.refined.append(not set(factors) <= set(self.factors))
         seen.multiplied += self.multiplied - grown
 
     def counted(sys, budget):

@@ -312,20 +312,20 @@ def test_cli_invariants_from_the_pencil_grid():
     assert elapsed < 10.0, f"invariants --budget 2,2,0,8 took {elapsed:.1f} s"
 
 
-def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_builds):
-    # 5 + 110 kept invariants: the dedup pool grows with them and is built
-    # in full once per search, at its first extension; every later new
-    # factor keeps the old ones and only moves them, and each of the 5 grown
-    # lifts multiplies the echelon in place
+def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_extensions):
+    # 5 + 110 kept invariants: the dedup pool of each search grows with
+    # them from the constant row; each of the 9 new factor bases keeps the
+    # old factors and only moves them, and each of the 7 grown lifts
+    # multiplies the echelon in place, the first of each search the constant
+    # row alone
     path = _system_file(tmp_path, "var x, y, z;\nx -> 2*x;\ny -> 2*y;\nz -> 2*z;\n")
     doc, code = run_command(["square", path, "--budget", "2,2,2,3"])
     assert code == 0
     assert doc["result"]["square_rank"] == 5
     assert doc["result"]["witness"] == "(z1)/(z2)"
-    assert pool_builds.builds == [True] * 2
-    assert pool_builds.multiplied == 5
-    assert pool_builds.kept == [5, 110]
-    assert sum(pool_builds.kept) > len(pool_builds.builds)
+    assert pool_extensions.refined == [False] * 9
+    assert pool_extensions.multiplied == 7
+    assert pool_extensions.kept == [5, 110]
 
 
 def test_cli_square_report_fields():

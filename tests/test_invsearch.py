@@ -409,6 +409,9 @@ def found_lists(draw):
                                        SearchBudget(2, 1, 1, 3),
                                        SearchBudget(2, 3, 1, 3)]),
        st.randoms(use_true_random=False))
+# x/y splits the old factor x^2 + x into x and x + 1
+@example([rf("x*(x + 1)/z", XYZ), rf("x/y", XYZ)], SearchBudget(2, 1, 1, 3),
+         random.Random(0))
 def test_factored_pool_matches_reference_pool(found, budget, rnd):
     # one pool extended along the list, as the collector does
     pool = _ClearedPool(_FactorBasis(XYZ), budget)
@@ -433,6 +436,17 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     assert all(_reference_contains(ref, f) for f in inside)
 
 
+def test_empty_pool_spans_only_the_constants():
+    # the pool of the empty list is the constant row alone, so the collector
+    # keeps its first candidate through the same span test as every other
+    pool = _ClearedPool(_FactorBasis(XYZ), SearchBudget(2, 2, 1, 3))
+    pool.extend([])
+    assert pool.contains(RationalFunction.constant(XYZ, 3))
+    assert not any(pool.contains(rf(src, XYZ))
+                   for src in ("x", "x*y + 1", "1/z", "(x + 1)/y"))
+    assert (pool.rows, pool.multiplied) == ([{(0, 0, 0): 1}], 0)
+
+
 @pytest.mark.parametrize("sources, budget, passes", [
     # x/y needs no new factor and no larger lift, so the pool is extended;
     # x^2/(y*z) = (x/y)*(x/z) comes only from a vector mixing old and new
@@ -442,8 +456,8 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
     (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), 2),
 ])
 def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
-    # passes over the whole echelon: the one full build, then one in-place
-    # multiplication per grown lift
+    # passes over the echelon: one in-place multiplication per grown lift,
+    # the first of them over the constant row alone
     found = [rf(src, XYZ) for src in sources]
     pool = _ClearedPool(_FactorBasis(XYZ), budget)
     pool.extend(found[:-1])
@@ -451,7 +465,7 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
     pool.extend(found)
     ref = _reference_pool(found, budget)
     assert pool.factors is factors
-    assert (pool.full_builds, pool.multiplied) == (1, passes - 1)
+    assert pool.multiplied == passes
     assert all(pool.contains(p) for p in ref[0])
     assert len(pool.rows) == len(ref[3])
 
@@ -461,24 +475,31 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
     # third one's: the old factors move to positions 0, 1 and 3, and the
     # lift grows on the new factor
     (["x + y + z", "x^2 + y^2 + z^2", "x^3 + y^3 + z^3", "x^2*z + x*y^2 + y*z^2"],
-     SearchBudget(3, 2, 1, 3), [0, 1, 3], (1, 3)),
+     SearchBudget(3, 2, 1, 3), [[(0, 1)], [(1, 1)], [(3, 1)]], (4, 1)),
     # y^2/x brings no factor, and grows the lift on y, an old one
-    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), [0, 1], (1, 1)),
-    # (x + y)/z splits the old factor x^2 - y^2, so the pool is built again
-    (["(x^2 - y^2)/z", "(x + y)/z"], SearchBudget(2, 2, 1, 3), None, (2, 0)),
+    (["x/y", "y^2/x"], SearchBudget(2, 3, 1, 3), [[(0, 1)], [(1, 1)]], (2, 1)),
+    # (x + y)/z splits the old factor x^2 - y^2 into x + y and x - y, and
+    # its square and their inverses grow the lift (1, 1) to (2, 2, 1)
+    (["(x^2 - y^2)/z", "(x + y)/z"], SearchBudget(2, 2, 1, 3),
+     [[(0, 1)], [(1, 1), (2, 1)]], (2, 1)),
+    # the same split, and z/(x + y)^2 grows the lift (1, 1) to (1, 2, 1),
+    # on one of the pieces alone
+    (["(x^2 - y^2)/z", "z/(x + y)^2"], SearchBudget(2, 2, 1, 3),
+     [[(0, 1)], [(1, 1), (2, 1)]], (2, 1)),
 ])
 def test_extended_pool_equals_a_fresh_pool(sources, budget, moved, counts):
+    # counts: the multiplications of the extended pool's echelon, and of a
+    # fresh pool's, whose one pass is over the constant row alone
     found = [rf(src, XYZ) for src in sources]
     pool = _ClearedPool(_FactorBasis(XYZ), budget)
     for n in range(1, len(found)):
         pool.extend(found[:n])
     old = pool.factors
     pool.extend(found)
-    assert pool.basis.positions(old) == moved
-    assert (pool.full_builds, pool.multiplied) == counts
+    assert pool.basis.moves(old) == moved
     fresh = _ClearedPool(_FactorBasis(XYZ), budget)
     fresh.extend(found)
-    assert (fresh.full_builds, fresh.multiplied) == (1, 0)
+    assert (pool.multiplied, fresh.multiplied) == counts
     assert pool.factors == fresh.factors and pool.basis.vectors == fresh.basis.vectors
     assert (pool.lift, pool.den) == (fresh.lift, fresh.den)
     # a triangular echelon's pivots are its span's least monomials
@@ -613,8 +634,8 @@ def test_collector_matches_fraction_collector_on_heavy_searches(
 
 
 def _check_pools_against_fresh_builds(mp, answers):
-    """Make every span test of an extended pool also ask a pool built from
-    empty for the invariants it covers, and check that both give the
+    """Make every span test of an extended pool also ask a fresh pool,
+    extended once to the invariants it covers, and check that both give the
     same answer and the same rank; ``answers`` collects the answers.
 
     The fresh pools of one search share a factor basis of their own, which
@@ -637,7 +658,8 @@ def _check_pools_against_fresh_builds(mp, answers):
             self.fresh = _ClearedPool.__new__(_ClearedPool)
             real_init(self.fresh, *self.reference)
             real_extend(self.fresh, self.covered)
-            assert self.fresh.full_builds == 1
+            # one pass over the echelon: the constant row by the first lift
+            assert self.fresh.multiplied == (1 if found else 0)
 
     def contains(self, f):
         got = real_contains(self, f)
@@ -682,19 +704,17 @@ def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
         rational_invariant_search(sys, budget)
 
 
-def test_double_square_builds_the_pool_in_full_once_per_refinement(systems_dir,
-                                                                    pool_builds):
-    # one kept invariant after another extends the pool; 1 + 1 full builds
-    # for 1 + 18 kept invariants, one per search at its first extension:
-    # every later refinement of the factor basis keeps the old factors, and
-    # the 2 grown lifts multiply the echelon in place
+def test_double_square_moves_its_pools_without_a_split(systems_dir, pool_extensions):
+    # one kept invariant after another extends the pool of each search, for
+    # 1 + 18 kept invariants: the 6 refinements of the factor basis keep
+    # every old factor, and the 4 grown lifts multiply the echelon in place,
+    # the first of each search the constant row alone
     doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
                              "--budget", "2,2,2,3"])
     assert code == 0 and doc["result"]["square_rank"] == 3
-    assert pool_builds.builds == [True] * 2
-    assert pool_builds.multiplied == 2
-    assert pool_builds.kept == [1, 18]
-    assert sum(pool_builds.kept) > len(pool_builds.builds)
+    assert pool_extensions.refined == [False] * 6
+    assert pool_extensions.multiplied == 4
+    assert pool_extensions.kept == [1, 18]
 
 
 def test_collector_drops_a_repeat_before_the_exact_gate():
@@ -1248,10 +1268,9 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
     budget = SearchBudget(dmax, dmax, 0, 10**6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_decomposable_points", lambda basis: [])
-        (found, conclusive), calls = _kernels(
-            lambda: invsearch._pencil_stage(sys, budget, {}))
+        found, calls = _kernels(lambda: invsearch._pencil_stage(sys, budget, {}))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
-    assert (found, conclusive) == ([], True)
+    assert found == []
 
 
 # -- pencil stage: pinned outputs and the rational roots ---------------------------
@@ -1290,8 +1309,7 @@ _DOUBLE_3D_PENCILS = [
 ], ids=["qrt-k2", "inverse-k3-grid", "double-3d-k3-grid", "k3-resultants",
         "k3-resultants-empty", "k3-resultants-off-grid"])
 def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
-    found, conclusive = invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
-    assert conclusive
+    found = invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
     assert [str(f) for f in found] == expected
 
 
@@ -1303,21 +1321,29 @@ def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
 ], ids=["inverse-k3-grid", "double-3d-k3-grid", "double-k6-grid"])
 def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budget,
                                                          candidates):
-    # a repeated candidate takes the first one's verdict: one exact pullback
-    # per distinct function, and the output keeps every repeat in push order
+    # the catalog is off and the q = 1 solve finds nothing, so the search
+    # offers every pencil candidate to the collector, in push order, and the
+    # collector gates each distinct one once, where it is first offered
     sys = make_system(variables, *exprs)
-    gated = []
+    offered, gated = [], []
+    stage = invsearch._pencil_stage
+
+    def recorded(*args):
+        out = stage(*args)
+        offered.extend(out)
+        return out
 
     def counted(s, f):
         gated.append(f)
         return pullback(s, f)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_pencil_stage", recorded)
         mp.setattr(invsearch, "pullback", counted)
-        found, _ = invsearch._pencil_stage(sys, budget, {})
-    assert len(found) == candidates
-    assert len(gated) == len(set(gated))
-    assert set(gated) == set(found)
+        found = rational_invariant_search(sys, budget)
+    assert len(offered) == candidates
+    assert gated == list(dict.fromkeys(offered))
+    assert found and set(found) <= set(gated)
 
 
 @st.composite
