@@ -7,9 +7,8 @@ its content), and inserts a nonzero remainder, which is empty exactly for a
 row in the span.  ``rank`` counts the pivots, and ``nullspace`` reads the
 unique reduced echelon basis of the kernel off one integer echelon, making a
 Fraction only for each entry it returns.  The rank is at most the column
-count, and at most one less when a kernel vector is known, so ``nullspace``
-stops eliminating once its echelon holds that many pivots: every later row
-lies in the span.  An exponent matrix is singular exactly when its ``rank``
+count, so ``nullspace`` stops eliminating once its echelon holds that many
+pivots: every later row lies in the span.  An exponent matrix is singular exactly when its ``rank``
 falls short of its size.
 
 One elimination stays separate because it works in another ring:
@@ -33,7 +32,7 @@ from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
 
 from .poly import Polynomial, _cleared_terms, divide_exact
 from .ratfunc import RationalFunction
-from ..errors import PreconditionError, VariableMismatchError
+from ..errors import VariableMismatchError
 
 SparseRow = Dict[int, Fraction]
 IntRow = Dict[int, int]
@@ -141,8 +140,7 @@ def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]
 # -- public nullspace / rank ---------------------------------------------------
 
 
-def nullspace(rows: Sequence[SparseRow], ncols: int,
-              known: Optional[SparseRow] = None) -> List[Tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...]]:
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
     Rows are dicts column -> coefficient, with int or Fraction values (zero
@@ -158,26 +156,12 @@ def nullspace(rows: Sequence[SparseRow], ncols: int,
     ascending f these vectors are the kernel's reduced row echelon form.
 
     The rank is at most ``ncols``, so the echelon stops at that many pivots
-    (the kernel is then {0}).  ``known`` is an optional sparse kernel vector
-    the caller already has: it is checked exactly, and a zero vector or one
-    outside the kernel raises PreconditionError.  The rank is then at most
-    ``ncols - 1``, and the echelon stops there (the kernel is then the line
-    through ``known``).  Either way the echelon it stops at spans the rows,
-    so the basis is the one the full elimination gives.
+    (the kernel is then {0}).  The echelon it stops at spans the rows, so
+    the basis is the one the full elimination gives.
     """
-    bound = ncols
-    if known is not None:
-        known = {c: v for c, v in known.items() if v}
-        if not known:
-            raise PreconditionError("the known kernel vector is zero")
-        if not all(0 <= c < ncols for c in known):
-            raise PreconditionError("the known vector has a column out of range")
-        if any(sum(v * row.get(c, 0) for c, v in known.items()) for row in rows):
-            raise PreconditionError("the known vector is not in the kernel")
-        bound = ncols - 1
     last = ncols - 1
     reversed_rows = ({last - c: v for c, v in row.items() if v} for row in rows)
-    echelon, pivots = _echelon(reversed_rows, bound)
+    echelon, pivots = _echelon(reversed_rows, ncols)
     pivot_set = set(pivots)
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivot_set}
     for f, vec in basis.items():

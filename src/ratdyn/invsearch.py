@@ -131,10 +131,8 @@ def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int, d: int,
 
     The columns depend only on d, dp and r, so ``kernels`` holds one solve
     per table degree and cofactor, keyed by (d, r), for one search (whose dp
-    is fixed); a q that shares both reuses it.  When deg q <= dp, the q that
-    makes the solve is a known kernel vector; the reduced basis does not
-    depend on it, and every other q with the same key lies in the kernel
-    too, since I(q) = q*r.  ``tables`` caches ``_pullback_table``."""
+    is fixed); a q that shares both reuses it, and lies in that kernel when
+    deg q <= dp, since I(q) = q*r.  ``tables`` caches ``_pullback_table``."""
     table = _pullback_table(sys, d, tables)
     r = _divide_int(_combine_int(q_int, table), q_int)
     if r is None:
@@ -142,12 +140,8 @@ def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int, d: int,
     key = (d, frozenset(r.items()))
     if key not in kernels:
         monos = [e for e in table if sum(e) <= dp]
-        known = None
-        if max(map(sum, q_int)) <= dp:
-            col = {e: i for i, e in enumerate(monos)}
-            known = {col[e]: c for e, c in q_int.items()}
         basis = nullspace(transpose(_minus_shifted(dict(table[m]), m, r) for m in monos),
-                          len(monos), known)
+                          len(monos))
         kernels[key] = _kernel_polynomials(sys, monos, basis)
     return kernels[key]
 
@@ -564,69 +558,6 @@ def _placed(x: Sequence[int], move: Sequence[Sequence[Tuple[int, int]]],
     return out
 
 
-class _FactorBasis:
-    """Pairwise coprime factors b_j of a growing list of invariants.
-
-    Each invariant is c * prod(b_j^a_j) with a signed integer vector a
-    (numerator exponents minus denominator exponents).  The basis covers the
-    squarefree chain of every numerator and denominator, so the
-    decomposition is exact, and ``cover`` refines it with the invariants
-    added since its last call instead of recomputing it; a refinement
-    replaces ``factors`` by a new list.  Every old factor is a constant
-    times a product of new ones (``moves``), so the old vectors are moved to
-    the new basis by that map, and only the new invariants are split.
-    Powers of each factor are tabulated once and kept across refinements.
-    """
-
-    def __init__(self, variables):
-        self.one = Polynomial.constant(variables, 1)
-        self.factors: List[Polynomial] = []
-        self.vectors: List[List[int]] = []
-        self._powers: Dict[Polynomial, List[Polynomial]] = {}
-
-    def moves(self, old: Sequence[Polynomial]) -> List[List[Tuple[int, int]]]:
-        """Each of the ``old`` factors, of an earlier basis, as pairs (k, m)
-        with old = c * prod(factors[k]^m): [(k, 1)] when a refinement kept
-        it, its pieces when one split it."""
-        where = {b: k for k, b in enumerate(self.factors)}
-        return [[(where[b], 1)] if b in where else
-                [(k, m) for k, m in enumerate(basis_exponents(b, self.factors)[0]) if m]
-                for b in old]
-
-    def cover(self, found: Sequence[RationalFunction]):
-        def split(fs):
-            return [basis_exponents(p, self.factors)
-                    for g in fs for p in (g.num, g.den)]
-
-        new = found[len(self.vectors):]
-        if not new:
-            return
-        parts = split(new)
-        rests = [c for _, rest in parts for c in squarefree_chain(rest)]
-        if rests:
-            old = self.factors
-            self.factors = coprime_factor_basis(rests, old)
-            move = self.moves(old)
-            self.vectors = [_placed(a, move, len(self.factors)) for a in self.vectors]
-            parts = split(new)
-        for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
-            if not (num_rest.is_constant and den_rest.is_constant):
-                raise AssertionError("factor basis does not cover an invariant")
-            self.vectors.append([a - b for a, b in zip(num, den)])
-
-    def product(self, x: Sequence[int]) -> Polynomial:
-        """prod b_j^x_j for a vector x of non-negative exponents, from the
-        power tables (a single power is the table entry itself)."""
-        p = self.one
-        for b, k in zip(self.factors, x):
-            if k:
-                table = self._powers.setdefault(b, [self.one])
-                while len(table) <= k:
-                    table.append(table[-1] * b)
-                p = table[k] if p is self.one else p * table[k]
-        return p
-
-
 class _ClearedPool:
     """The capped Laurent products of the found invariants over their common
     denominator, as one integer echelon that grows with the invariants.
@@ -636,29 +567,37 @@ class _ClearedPool:
     them; the linear span of the products prod g_i^e_i with integer
     exponents, capped in weight and degree, is the practical test for that.
 
-    Over the factor basis each product is c * prod b_j^s_j with
+    The pool holds the invariants it covers in factored form: pairwise
+    coprime factors b_j (``factors``), and each invariant as
+    c * prod(b_j^a_j) with a signed integer vector a (numerator exponents
+    minus denominator exponents, in ``exponents``).  The factors cover the
+    squarefree chain of every numerator and denominator, so the
+    decomposition is exact.  Each product is then c * prod b_j^s_j with
     s = sum e_i a_i.  The b_j are pairwise coprime, so exponent arithmetic
     alone gives the product's normal-form degree (the larger of the positive
     and the negative part of s, each weighted by deg b_j), equality up to a
     constant (equal s), the lcm of the denominators (prod b_j^t_j, with t_j
     the largest -s_j: the lift) and each cleared row (prod b_j^(s_j + t_j));
-    no gcd, lcm or division is taken.
+    no gcd, lcm or division is taken.  Powers of each factor are tabulated
+    once (``product``).
 
     ``extend`` brings the pool up to a longer list of invariants, starting
-    from the pool of the empty list: the constant row alone, over an empty
-    factor basis with lift 0 and denominator 1.  The capped set
+    from the pool of the empty list: the constant row alone, over no factors
+    with lift 0 and denominator 1.  The capped set
     {e : sum |e_i| <= total, sum |e_i| deg g_i <= bound} does not depend on
     the order of the invariants, so the products that the new invariants
     add are exactly those of the vectors e nonzero on one of them: only
     those are formed and reduced into the kept echelon.  Each kept structure
     grows instead of being built again:
 
-      * a refined factor basis writes each old factor as a constant times a
-        product of new ones (``_FactorBasis.moves``), so every old s and the
-        lift move by that map.  The old factors are squarefree and pairwise
-        coprime, so the pieces of different ones are disjoint: each old
-        product, the denominator and every cleared row stay the same
-        polynomials up to a constant;
+      * ``_cover`` splits only the new invariants over the factors.  When a
+        part is left over, the factors are refined by it, and the refinement
+        writes each old factor as a constant times a product of new ones
+        (``moves``): that one map moves every old a, every old s and the
+        lift.  The old factors are squarefree and pairwise coprime, so the
+        pieces of different ones are disjoint: each old product, the
+        denominator and every cleared row stay the same polynomials up to a
+        constant;
       * a grown lift t' multiplies every cleared row by the same
         den'/den = prod b_j^(t'_j - t_j).  The echelon's columns are the
         exponent tuples themselves, in lex order, and each row's pivot is its
@@ -677,18 +616,62 @@ class _ClearedPool:
     so neither does the answer.
     """
 
-    def __init__(self, basis: _FactorBasis, budget: SearchBudget):
-        self.basis = basis
+    def __init__(self, variables, budget: SearchBudget):
+        self.one = Polynomial.constant(variables, 1)
         self.bound = max(budget.max_num_degree, budget.max_den_degree)
         self.total = max(budget.max_num_degree, 1)
-        self.factors: List[Polynomial] = []  # what s is over
+        self.factors: List[Polynomial] = []  # the b_j, what a and s are over
+        self.exponents: List[List[int]] = []  # a, of each covered invariant
         self.degrees: List[int] = []  # of the covered invariants, each >= 1
         self.vectors: Dict[Tuple[int, ...], None] = {(): None}  # ordered set of s
         self.lift: Tuple[int, ...] = ()
-        self.den = basis.one
+        self.den = self.one
         # the integer echelon, from the cleared row of s = 0: the lcm itself
-        self.rows, self.pivots = [dict(basis.one._num)], list(basis.one._num)
+        self.rows, self.pivots = [dict(self.one._num)], list(self.one._num)
         self.multiplied = 0
+        self._powers: Dict[Polynomial, List[Polynomial]] = {}
+
+    def moves(self, old: Sequence[Polynomial]) -> List[List[Tuple[int, int]]]:
+        """Each of the ``old`` factors, from before a refinement, as pairs
+        (k, m) with old = c * prod(factors[k]^m): [(k, 1)] when the
+        refinement kept it, its pieces when it split it."""
+        where = {b: k for k, b in enumerate(self.factors)}
+        return [[(where[b], 1)] if b in where else
+                [(k, m) for k, m in enumerate(basis_exponents(b, self.factors)[0]) if m]
+                for b in old]
+
+    def _cover(self, new: Sequence[RationalFunction]):
+        """Append the exponent vector a of each of the ``new`` invariants,
+        after refining the factors by the parts of them left over."""
+        def split():
+            return [basis_exponents(p, self.factors) for g in new for p in (g.num, g.den)]
+
+        parts = split()
+        rests = [c for _, rest in parts for c in squarefree_chain(rest)]
+        if rests:
+            old = self.factors
+            self.factors = coprime_factor_basis(rests, old)
+            move, width = self.moves(old), len(self.factors)
+            self.exponents = [_placed(a, move, width) for a in self.exponents]
+            self.vectors = {tuple(_placed(s, move, width)): None for s in self.vectors}
+            self.lift = tuple(_placed(self.lift, move, width))
+            parts = split()
+        for (num, num_rest), (den, den_rest) in zip(parts[::2], parts[1::2]):
+            if not (num_rest.is_constant and den_rest.is_constant):
+                raise AssertionError("the factors do not cover an invariant")
+            self.exponents.append([a - b for a, b in zip(num, den)])
+
+    def product(self, x: Sequence[int]) -> Polynomial:
+        """prod b_j^x_j for a vector x of non-negative exponents, from the
+        power tables (a single power is the table entry itself)."""
+        p = self.one
+        for b, k in zip(self.factors, x):
+            if k:
+                table = self._powers.setdefault(b, [self.one])
+                while len(table) <= k:
+                    table.append(table[-1] * b)
+                p = table[k] if p is self.one else p * table[k]
+        return p
 
     def _exponents(self, order, first, stop, weight_left, degree_left):
         """The nonzero sparse vectors [(i, e_i), ...] over the invariants
@@ -712,19 +695,13 @@ class _ClearedPool:
     def extend(self, found: Sequence[RationalFunction]):
         """Add the products of ``found``, which extends the list the pool
         covers."""
-        basis = self.basis
-        basis.cover(found)
-        if basis.factors is not self.factors:
-            move, width = basis.moves(self.factors), len(basis.factors)
-            self.vectors = {tuple(_placed(s, move, width)): None for s in self.vectors}
-            self.lift = tuple(_placed(self.lift, move, width))
-            self.factors = basis.factors
         start = len(self.degrees)
         if start == len(found):
             return
+        self._cover(found[start:])
         self.degrees += [g.degree for g in found[start:]]
         widths = [b.total_degree for b in self.factors]
-        sparse = [[(j, aj) for j, aj in enumerate(a) if aj] for a in basis.vectors]
+        sparse = [[(j, aj) for j, aj in enumerate(a) if aj] for a in self.exponents]
         order = list(range(start, len(found))) + list(range(start))
         fresh = []
         lift = list(self.lift)
@@ -747,15 +724,15 @@ class _ClearedPool:
         if lift != self.lift:
             # every cleared row gains the factor m = den'/den, and every
             # pivot the least monomial of m
-            m = basis.product(tuple(map(operator.sub, lift, self.lift)))._num
+            m = self.product(tuple(map(operator.sub, lift, self.lift)))._num
             low = min(m)
             self.rows = [_mul_int(row, m) for row in self.rows]
             self.pivots = [tuple(map(operator.add, pc, low)) for pc in self.pivots]
             self.multiplied += 1
-            self.lift, self.den = lift, basis.product(lift)
+            self.lift, self.den = lift, self.product(lift)
         for s in fresh:
             echelon_step(self.rows, self.pivots,
-                         basis.product(tuple(map(operator.add, s, lift)))._num)
+                         self.product(tuple(map(operator.add, s, lift)))._num)
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
@@ -777,10 +754,10 @@ class _Collector:
     kept the span holds only the constants, so the first candidate that is
     not a constant is kept.
 
-    The kept invariants are held in factored form over one coprime factor
-    basis, and one pool serves the whole search: before a span test it is
+    One pool serves the whole search, and holds the kept invariants in
+    factored form over pairwise coprime factors: before a span test it is
     extended with the invariants kept since the last one, which moves its
-    vectors to a refined basis and multiplies its echelon by a grown
+    vectors to refined factors and multiplies its echelon by a grown
     denominator in place.
 
     Each candidate is decided once: a repeat of one already offered, kept
@@ -794,7 +771,7 @@ class _Collector:
         self.sys = sys
         self.found: List[RationalFunction] = []
         self._decided = set()
-        self._pool = _ClearedPool(_FactorBasis(sys.variables), budget)
+        self._pool = _ClearedPool(sys.variables, budget)
 
     def offer(self, f: RationalFunction):
         if f.is_constant or f in self._decided:

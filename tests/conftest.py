@@ -75,12 +75,13 @@ def prs_calls(monkeypatch):
 @pytest.fixture
 def pool_extensions(monkeypatch):
     """What the dedup pools do during the test: ``refined`` holds, for every
-    extension that moved a pool to a refined factor basis, in order,
-    whether the refinement split one of the pool's old factors;
-    ``multiplied`` counts the extensions that multiplied a pool's echelon by
-    a grown denominator; ``kept`` the length of every search's output."""
+    extension that moved a pool to refined factors, in order, whether the
+    refinement split one of the pool's old factors, and ``moves`` the number
+    of factors before and after it; ``multiplied`` counts the extensions
+    that multiplied a pool's echelon by a grown denominator; ``kept`` the
+    length of every search's output."""
     from ratdyn import invsearch
-    seen = types.SimpleNamespace(refined=[], multiplied=0, kept=[])
+    seen = types.SimpleNamespace(refined=[], moves=[], multiplied=0, kept=[])
     pool, search = invsearch._ClearedPool, invsearch.rational_invariant_search
     real_extend = pool.extend
 
@@ -89,6 +90,7 @@ def pool_extensions(monkeypatch):
         real_extend(self, found)
         if self.factors is not factors:
             seen.refined.append(not set(factors) <= set(self.factors))
+            seen.moves.append((len(factors), len(self.factors)))
         seen.multiplied += self.multiplied - grown
 
     def counted(sys, budget):

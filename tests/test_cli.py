@@ -314,8 +314,8 @@ def test_cli_invariants_from_the_pencil_grid():
 
 def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_extensions):
     # 5 + 110 kept invariants: the dedup pool of each search grows with
-    # them from the constant row; each of the 9 new factor bases keeps the
-    # old factors and only moves them, and each of the 7 grown lifts
+    # them from the constant row; each of the 7 refinements of the factors
+    # keeps the old ones and only moves them, and each of the 7 grown lifts
     # multiplies the echelon in place, the first of each search the constant
     # row alone
     path = _system_file(tmp_path, "var x, y, z;\nx -> 2*x;\ny -> 2*y;\nz -> 2*z;\n")
@@ -323,7 +323,7 @@ def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_extensions):
     assert code == 0
     assert doc["result"]["square_rank"] == 5
     assert doc["result"]["witness"] == "(z1)/(z2)"
-    assert pool_extensions.refined == [False] * 9
+    assert pool_extensions.refined == [False] * 7
     assert pool_extensions.multiplied == 7
     assert pool_extensions.kept == [5, 110]
 

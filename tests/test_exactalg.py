@@ -1277,45 +1277,6 @@ def _as_fractions(rows):
     return [{c: Fraction(v) for c, v in row.items()} for row in rows]
 
 
-def _planted_kernel_matrix(rng):
-    """Sparse integer rows orthogonal to a planted sparse vector v, often of
-    rank len - 1 with redundant rows after it, and the vector itself."""
-    ncols = rng.randint(1, 12)
-    support = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
-    v = {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in support}
-    j = support[0]
-    rows = []
-    for _ in range(rng.randint(0, ncols + 6)):
-        row = {c: rng.randint(-4, 4)
-               for c in rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))}
-        # v[j] * row - (row . v) e_j is orthogonal to v
-        dot = sum(x * v.get(c, 0) for c, x in row.items())
-        row = {c: v[j] * x for c, x in row.items()}
-        row[j] = row.get(j, 0) - dot
-        rows.append({c: x for c, x in row.items() if x})
-    for _ in range(rng.randint(0, 3)):
-        combo = {}
-        for row in rng.sample(rows, min(len(rows), 3)):
-            k = rng.randint(-2, 2)
-            for c, x in row.items():
-                combo[c] = combo.get(c, 0) + k * Fraction(x, 3)
-        rows.append({c: x for c, x in combo.items() if x})
-    return rows, ncols, v
-
-
-def test_nullspace_with_a_known_vector_matches_the_full_solve():
-    rng = random.Random(0x6B6E6F776E)
-    stopped = 0
-    for _ in range(400):
-        rows, ncols, v = _planted_kernel_matrix(rng)
-        full = nullspace(rows, ncols)
-        assert full == _fraction_nullspace(_as_fractions(rows), ncols)
-        scale = rng.choice([1, -2, Fraction(3, 7)])
-        assert nullspace(rows, ncols, {c: scale * x for c, x in v.items()}) == full
-        stopped += len(full) == 1 and len(rows) > ncols - 1
-    assert stopped >= 100  # the early exit was taken, not just allowed
-
-
 def test_nullspace_at_full_column_rank_matches_the_full_solve():
     rng = random.Random(0x66756C6C)
     for _ in range(300):
@@ -1326,21 +1287,9 @@ def test_nullspace_at_full_column_rank_matches_the_full_solve():
         assert nullspace(rows, ncols) == _fraction_nullspace(_as_fractions(rows), ncols)
 
 
-def test_nullspace_rejects_a_known_vector_outside_the_kernel():
-    rows = [{0: 1, 1: -1}, {1: 1, 2: -1}]
-    assert nullspace(rows, 3, {0: 2, 1: 2, 2: 2}) == [(1, 1, 1)]
-    for known in ({0: 1}, {0: 1, 1: 1, 2: 2}, {}, {0: 0, 2: Fraction(0)},
-                  {0: 1, 1: 1, 2: 1, 3: 1}, {-1: 1}):
-        with pytest.raises(PreconditionError):
-            nullspace(rows, 3, known)
-    # a vector outside the kernel is refused even with no row to stop early
-    with pytest.raises(PreconditionError):
-        nullspace([{0: 1}], 1, {0: 1})
-
-
 def test_nullspace_stops_at_its_rank_bound(monkeypatch):
     # ncols - 1 independent rows with kernel span{(1, ..., 1)}, then 50
-    # redundant ones: with the known vector only the first ncols - 1 are read
+    # redundant ones: below the bound ncols every row is read
     ncols = 7
     rng = random.Random(7)
     independent = [{i: 1, i + 1: -1} for i in range(ncols - 1)]
@@ -1359,13 +1308,9 @@ def test_nullspace_stops_at_its_rank_bound(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "echelon_step", counted)
-    known = {c: 1 for c in range(ncols)}
-    assert nullspace(rows, ncols, known) == [(1,) * ncols]
-    assert len(steps) == ncols - 1
-    steps.clear()
     assert nullspace(rows, ncols) == [(1,) * ncols]
     assert len(steps) == len(rows)
-    # at full column rank the bound is ncols, with no known vector
+    # at full column rank the echelon stops at ncols pivots
     steps.clear()
     full = independent + [{0: 1}] + redundant
     assert nullspace(full, ncols) == []

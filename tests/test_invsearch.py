@@ -23,9 +23,9 @@ from ratdyn.exactalg.poly import (_combine_int, _divide_int, _gcd_primitive,
                                   _int_primitive, _is_constant, _minus_shifted,
                                   _mul_int, _normalized, _scaled_int)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
-                              _FactorBasis, adim_lower_bound,
-                              independence_rank, polynomial_invariant_basis,
-                              rational_invariant_search, square_gain_check)
+                              adim_lower_bound, independence_rank,
+                              polynomial_invariant_basis, rational_invariant_search,
+                              square_gain_check)
 
 from ratdyn.systemfile import load_system
 from ratdyn.translation import classify_system
@@ -328,17 +328,17 @@ def test_factor_basis_covers_every_invariant_exactly():
     # alone, (x + 1)^2*y has the radical x*y + y, of which it is no power
     found = [rf(src, XYZ) for src in ("(x + 1)^2*y/z", "x/(x + 1)", "(x + 1)/y",
                                       "(x^2 - 1)/z^3", "y*z/x")]
-    basis = _FactorBasis(XYZ)
+    pool = _ClearedPool(XYZ, SearchBudget(1, 1, 1, 1))
     for n in range(1, len(found) + 1):
-        basis.cover(found[:n])
-        assert len(basis.vectors) == n
-        for g, a in zip(found[:n], basis.vectors):
-            num = basis.product([max(x, 0) for x in a])
-            den = basis.product([max(-x, 0) for x in a])
+        pool.extend(found[:n])
+        assert len(pool.exponents) == n
+        for g, a in zip(found[:n], pool.exponents):
+            num = pool.product([max(x, 0) for x in a])
+            den = pool.product([max(-x, 0) for x in a])
             assert RationalFunction(num, den) == g
             assert num.scaled(g.num.leading()[1] / num.leading()[1]) == g.num
             assert den.scaled(g.den.leading()[1] / den.leading()[1]) == g.den
-    assert sorted(map(str, basis.factors)) == ["x", "x + 1", "x - 1", "y", "z"]
+    assert sorted(map(str, pool.factors)) == ["x", "x + 1", "x - 1", "y", "z"]
 
 
 def _reference_pool(found, budget):
@@ -414,7 +414,7 @@ def found_lists(draw):
          random.Random(0))
 def test_factored_pool_matches_reference_pool(found, budget, rnd):
     # one pool extended along the list, as the collector does
-    pool = _ClearedPool(_FactorBasis(XYZ), budget)
+    pool = _ClearedPool(XYZ, budget)
     for n in range(1, len(found) + 1):
         ref = _reference_pool(found[:n], budget)
         pool.extend(found[:n])
@@ -439,7 +439,7 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
 def test_empty_pool_spans_only_the_constants():
     # the pool of the empty list is the constant row alone, so the collector
     # keeps its first candidate through the same span test as every other
-    pool = _ClearedPool(_FactorBasis(XYZ), SearchBudget(2, 2, 1, 3))
+    pool = _ClearedPool(XYZ, SearchBudget(2, 2, 1, 3))
     pool.extend([])
     assert pool.contains(RationalFunction.constant(XYZ, 3))
     assert not any(pool.contains(rf(src, XYZ))
@@ -459,7 +459,7 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
     # passes over the echelon: one in-place multiplication per grown lift,
     # the first of them over the constant row alone
     found = [rf(src, XYZ) for src in sources]
-    pool = _ClearedPool(_FactorBasis(XYZ), budget)
+    pool = _ClearedPool(XYZ, budget)
     pool.extend(found[:-1])
     factors = pool.factors
     pool.extend(found)
@@ -491,16 +491,16 @@ def test_extended_pool_equals_a_fresh_pool(sources, budget, moved, counts):
     # counts: the multiplications of the extended pool's echelon, and of a
     # fresh pool's, whose one pass is over the constant row alone
     found = [rf(src, XYZ) for src in sources]
-    pool = _ClearedPool(_FactorBasis(XYZ), budget)
+    pool = _ClearedPool(XYZ, budget)
     for n in range(1, len(found)):
         pool.extend(found[:n])
     old = pool.factors
     pool.extend(found)
-    assert pool.basis.moves(old) == moved
-    fresh = _ClearedPool(_FactorBasis(XYZ), budget)
+    assert pool.moves(old) == moved
+    fresh = _ClearedPool(XYZ, budget)
     fresh.extend(found)
     assert (pool.multiplied, fresh.multiplied) == counts
-    assert pool.factors == fresh.factors and pool.basis.vectors == fresh.basis.vectors
+    assert pool.factors == fresh.factors and pool.exponents == fresh.exponents
     assert (pool.lift, pool.den) == (fresh.lift, fresh.den)
     # a triangular echelon's pivots are its span's least monomials
     assert pool.pivots == fresh.pivots
@@ -533,7 +533,6 @@ class _FractionCollector:
             tuple(Fraction(rng.randint(-999, 999)) for _ in sys.variables)
             for _ in range(3)]
         self._rows = [[] for _ in self._points]
-        self._factors = _FactorBasis(sys.variables)
         self._pool = None
 
     def _rank_certainly_grew(self, f):
@@ -573,7 +572,7 @@ class _FractionCollector:
             self._pool = None
             return
         if self._pool is None:
-            self._pool = _ClearedPool(self._factors, self.budget)
+            self._pool = _ClearedPool(self.sys.variables, self.budget)
             self._pool.extend(self.found)
         if not self._pool.contains(f):
             self._remember(f)
@@ -638,28 +637,44 @@ def _check_pools_against_fresh_builds(mp, answers):
     extended once to the invariants it covers, and check that both give the
     same answer and the same rank; ``answers`` collects the answers.
 
-    The fresh pools of one search share a factor basis of their own, which
-    the search's basis never touches (a new basis per fresh pool would
-    factor every invariant again, which makes the 3-D doubling square take
-    about 10 s).  One fresh pool serves the span tests between two
+    The fresh pools of one search take the factors and exponent vectors of a
+    reference pool of their own, which covers the invariants but forms no
+    products, and which the search's pool never touches (a fresh pool that
+    factors every invariant again makes the 3-D doubling square take about
+    4 s instead of 1 s).  One fresh pool serves the span tests between two
     extensions."""
     real_init, real_extend, real_contains = (
         _ClearedPool.__init__, _ClearedPool.extend, _ClearedPool.contains)
 
-    def init(self, basis, budget):
-        real_init(self, basis, budget)
-        self.reference = (_FactorBasis(basis.one.variables), budget)
+    def empty(args):
+        pool = _ClearedPool.__new__(_ClearedPool)
+        real_init(pool, *args)
+        return pool
+
+    def init(self, variables, budget):
+        real_init(self, variables, budget)
+        self.args = (variables, budget)
+        self.reference = empty(self.args)
         self.covered = None
 
     def extend(self, found):
         real_extend(self, found)
         if self.covered != found:
             self.covered = list(found)
-            self.fresh = _ClearedPool.__new__(_ClearedPool)
-            real_init(self.fresh, *self.reference)
-            real_extend(self.fresh, self.covered)
+            reference = self.reference
+            reference._cover(found[len(reference.exponents):])
+            # the pool of the empty list over the reference's factors, which
+            # takes the reference's exponent vectors and power tables instead
+            # of covering found again
+            self.fresh = fresh = empty(self.args)
+            width = len(reference.factors)
+            fresh.factors, fresh.exponents, fresh._powers = (
+                list(reference.factors), list(reference.exponents), reference._powers)
+            fresh.vectors, fresh.lift = {(0,) * width: None}, (0,) * width
+            fresh._cover = lambda new: None
+            real_extend(fresh, self.covered)
             # one pass over the echelon: the constant row by the first lift
-            assert self.fresh.multiplied == (1 if found else 0)
+            assert fresh.multiplied == (1 if found else 0)
 
     def contains(self, f):
         got = real_contains(self, f)
@@ -706,13 +721,15 @@ def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
 
 def test_double_square_moves_its_pools_without_a_split(systems_dir, pool_extensions):
     # one kept invariant after another extends the pool of each search, for
-    # 1 + 18 kept invariants: the 6 refinements of the factor basis keep
-    # every old factor, and the 4 grown lifts multiply the echelon in place,
-    # the first of each search the constant row alone
+    # 1 + 18 kept invariants: the 4 refinements of the factors keep every
+    # old factor, and the 4 grown lifts multiply the echelon in place, the
+    # first of each search the constant row alone; a pool moves only when
+    # its factors are refined, never from no factors to no factors
     doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
                              "--budget", "2,2,2,3"])
     assert code == 0 and doc["result"]["square_rank"] == 3
-    assert pool_extensions.refined == [False] * 6
+    assert pool_extensions.refined == [False] * 4
+    assert (0, 0) not in pool_extensions.moves
     assert pool_extensions.multiplied == 4
     assert pool_extensions.kept == [1, 18]
 
@@ -989,12 +1006,12 @@ def _ref_pencil_columns(sys, dmax):
 
 def _kernels(run):
     """run() and (live rows, columns, kernel) of each invsearch.nullspace it
-    made, with the known kernel vector passed on, so that the kernel each
-    stage got is compared with the full solve of the Fraction columns."""
+    made, so that the kernel each stage got is compared with the solve of
+    the Fraction columns."""
     calls = []
 
-    def recording(rows, ncols, known=None):
-        kernel = nullspace(rows, ncols, known)
+    def recording(rows, ncols):
+        kernel = nullspace(rows, ncols)
         calls.append((sum(1 for r in rows if r), ncols, kernel))
         return kernel
 
@@ -1178,12 +1195,8 @@ def _q1_stage(sys, q, factors, budget, composed_cache):
                                             for e, c in q1.items()}, table), m, r1)
                for m in smonos]
     g = _divide_int(q_int, q1)
-    known = None
-    if q.total_degree <= dp:
-        col = {e: i for i, e in enumerate(smonos)}
-        known = {col[e]: c for e, c in g.items()}
-    basis = nullspace(transpose(columns), len(smonos), known)
-    if known is not None and len(basis) == 1:
+    basis = nullspace(transpose(columns), len(smonos))
+    if q.total_degree <= dp and len(basis) == 1:
         return []
     monos = [e for e in table if sum(e) <= dp]
     col = {e: i for i, e in enumerate(monos)}
