@@ -8,8 +8,8 @@ row in the span.  ``rank`` counts the pivots, and ``nullspace`` reads the
 unique reduced echelon basis of the kernel off one integer echelon, making a
 Fraction only for each entry it returns.  The rank is at most the column
 count, so ``nullspace`` stops eliminating once its echelon holds that many
-pivots: every later row lies in the span.  An exponent matrix is singular exactly when its ``rank``
-falls short of its size.
+pivots: every later row lies in the span.  An exponent matrix is singular
+exactly when its ``rank`` falls short of its size.
 
 One elimination stays separate because it works in another ring:
 ``_bareiss_join`` reduces a row of polynomials against a fraction-free
