@@ -21,8 +21,8 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .dynsys import (DOMINANT, DynamicalSystem, degree_sequence, iterate,
-                     validate_dominant)
+from .dynsys import (DOMINANT, EVIDENCE_WINDOW, DynamicalSystem, degree_sequence,
+                     iterate, validate_dominant)
 from .errors import (ParseError, PreconditionError, RatdynError, SystemFileError,
                      UsageError)
 from .exactalg import Polynomial, RationalFunction
@@ -161,7 +161,7 @@ def _expectation_checks(sf: SystemFile, budget: SearchBudget):
         if key == "dominant":
             record(key, expected, str(validate_dominant(sysm) == DOMINANT).lower())
         elif key == "growth":
-            record(key, expected, degree_sequence(sysm, 6).growth_class)
+            record(key, expected, degree_sequence(sysm, EVIDENCE_WINDOW).growth_class)
         elif key in ("class", "verdict"):
             if evidence is None:
                 evidence = classify_system(sysm)

@@ -28,6 +28,10 @@ GROWTH_BOUNDED = "bounded"
 GROWTH_POLYNOMIAL = "polynomial-suspected"
 GROWTH_EXPONENTIAL = "exponential-suspected"
 
+# the degree window of the growth evidence: the "growth" expectation, the
+# classifier's profile and the profile attached to a square's gain
+EVIDENCE_WINDOW = 6
+
 
 @dataclass(frozen=True)
 class DynamicalSystem:

@@ -215,6 +215,7 @@ def poly_matrix_rank(matrix: List[List[Polynomial]]) -> int:
 
 
 _POINT_POOL = 1_000_003  # candidate coordinates per variable
+_POINT_SEED = 0x5261  # the seed of the one point of every seeded test
 
 
 def _random_point(rng: random.Random, n: int) -> Tuple[int, ...]:
@@ -290,10 +291,10 @@ class JacobianSelector:
         each kept function: f is dependent exactly when the result is zero.
     """
 
-    def __init__(self, variables: Sequence[str], seed: int = 0x5261):
+    def __init__(self, variables: Sequence[str]):
         self.variables = tuple(variables)
         self.kept: List[RationalFunction] = []
-        self._point = _random_point(random.Random(seed), len(self.variables))
+        self._point = _random_point(random.Random(_POINT_SEED), len(self.variables))
         # the seeded echelon, None once a kept function has no pivot in it
         self._seeded: Optional[Tuple[List[IntRow], List[int]]] = ([], [])
         # (c_t, E_t) of kept[:len(self._exact)]
@@ -325,7 +326,7 @@ class JacobianSelector:
         return True
 
 
-def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
+def jacobian_rank(fs: Sequence[RationalFunction]) -> int:
     """Rank over the function field of the matrix of partial derivatives.
 
     In characteristic zero this equals the number of algebraically
@@ -340,7 +341,7 @@ def jacobian_rank(fs: Sequence[RationalFunction], seed: int = 0x5261) -> int:
     for f in fs[1:]:
         if f.variables != variables:
             raise VariableMismatchError("functions over different variable tuples")
-    selector = JacobianSelector(variables, seed)
+    selector = JacobianSelector(variables)
     for f in fs:
         if len(selector.kept) == len(variables):
             break

@@ -27,12 +27,12 @@ RationalFunction's normal form use the cofactors.  Its steps:
 1. an operand that is constant gives the gcd 1;
 2. each operand's monomial content (the componentwise minimum exponent) is
    split off: the gcd is x^m times that of the rest, m the smaller content;
-3. if the rest with fewer terms has no exponent above the other's in any
-   variable, and its lex-greatest and least terms divide the other's
-   (exponents and integer coefficient), it is tried as an exact divisor of
-   the other; if it divides, it is the gcd (gcd(a, b) = b when b divides a)
-   and the quotient is the other's cofactor.  A rest of one term is the
-   constant 1, which divides with no division;
+3. the rest with fewer terms is tried as an exact divisor of the other by
+   trial division, which stops at the first leading term of the remainder
+   that it does not divide (in exponents or integer coefficient); if it
+   divides, it is the gcd (gcd(a, b) = b when b divides a) and the quotient
+   is the other's cofactor.  A rest of one term is the constant 1, which
+   divides with no division;
 4. a certificate tries to prove the rest coprime: for each variable x_k of
    positive degree in both, it evaluates the others mod a fixed prime at a
    fixed point with independent coordinates, drawn from a fixed seed.  If
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 import random
@@ -568,17 +569,17 @@ def divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
 # -- multivariate gcd ----------------------------------------------------------
 #
 # ``_gcd_primitive`` returns the gcd with its two cofactors.  After the
-# constant check and the monomial split it tries the operand with fewer terms,
-# when its degrees and extreme terms fit, as an exact divisor of the other,
-# whose cofactor is then the quotient; then a coprimality certificate mod one
-# prime (below); when neither applies, the primitive pseudo-remainder
-# sequence over Z, recursing on the last variable, and the cofactors by exact
-# division.  At level k the operands involve x_0..x_k only; a polynomial is
-# split into its coefficients in x_k ({degree: int poly with x_k^0}), and its
-# content in x_k (the gcd of those coefficients) comes from the same
-# recursion one variable down.  Contents and pseudo-remainders are made
-# primitive over Z as they arise, which keeps the coefficients small and
-# changes the result only by a unit; the exit normalizes it.
+# constant check and the monomial split it tries the operand with fewer terms
+# as an exact divisor of the other, whose cofactor is then the quotient; then
+# a coprimality certificate mod one prime (below); when neither applies, the
+# primitive pseudo-remainder sequence over Z, recursing on the last variable,
+# and the cofactors by exact division.  At level k the operands involve
+# x_0..x_k only; a polynomial is split into its coefficients in x_k
+# ({degree: int poly with x_k^0}), and its content in x_k (the gcd of those
+# coefficients) comes from the same recursion one variable down.  Contents
+# and pseudo-remainders are made primitive over Z as they arise, which keeps
+# the coefficients small and changes the result only by a unit; the exit
+# normalizes it.
 
 
 def _split(p: Dict[Exponent, int], k: int) -> Dict[int, Dict[Exponent, int]]:
@@ -809,21 +810,6 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial
             _scaled_int(v, qb, kb, b._den))
 
 
-def _may_divide(small: Dict[Exponent, int], big: Dict[Exponent, int]) -> bool:
-    """False when the int poly small, primitive, cannot divide big: its
-    degrees do not fit, or its lex-greatest or least term does not divide
-    big's, in exponents and integer coefficient.  If big = q * small, q is
-    integral (Gauss), and in a monomial order such as lex big's extreme
-    terms are those of q times those of small."""
-    if not all(map(operator.le, map(max, zip(*small)), map(max, zip(*big)))):
-        return False
-    for pick in (max, min):
-        se, be = pick(small), pick(big)
-        if any(map(operator.gt, se, be)) or big[be] % small[se]:
-            return False
-    return True
-
-
 def _gcd_primitive(a: Dict[Exponent, int], b: Dict[Exponent, int]
                    ) -> Tuple[Dict[Exponent, int], Dict[Exponent, int], Dict[Exponent, int]]:
     """(g, a / g, b / g) for nonzero primitive int polys a and b of positive
@@ -839,16 +825,10 @@ def _gcd_primitive(a: Dict[Exponent, int], b: Dict[Exponent, int]
     s = tuple(map(min, m, n))
     a, b = shift(a, m, sub), shift(b, n, sub)
     one = _one_like(a)
-    # the operand with fewer terms is the gcd if it divides the other; its
-    # degrees and extreme terms must fit first (``_may_divide``).  One term
-    # left after the split is the constant 1, which divides anything.
+    # the operand with fewer terms is the gcd if it divides the other.  One
+    # term left after the split is the constant 1, which divides anything.
     small, big = (b, a) if len(b) <= len(a) else (a, b)
-    if len(small) == 1:
-        q = big
-    elif _may_divide(small, big):
-        q = _divide_int(big, small)
-    else:
-        q = None
+    q = big if len(small) == 1 else _divide_int(big, small)
     if q is not None:
         g, qa, qb = (small, q, one) if small is b else (small, one, q)
     elif _certified_coprime(a, b):
@@ -924,8 +904,7 @@ def coprime_factor_basis(polys: Iterable[Polynomial],
     else stay unsplit even if reducible.  It covers radicals, not
     multiplicities: for (x + 1)^2*y alone the basis is [x*y + y], of which
     the input is no power product; feed ``squarefree_chain`` of each input
-    when it must be.  Output order is deterministic (degree, then graded-lex
-    leading monomial, then text).
+    when it must be.  The output is in ``canonical_order``.
     """
     work = []
     for p in polys:
@@ -954,8 +933,22 @@ def coprime_factor_basis(polys: Iterable[Polynomial],
                 break
         if not split:
             basis.append(p)
-    basis.sort(key=lambda f: (f.total_degree, grlex_key(f.leading()[0]), str(f)))
-    return basis
+    return canonical_order(basis)
+
+
+def canonical_order(polys: Iterable[Polynomial]) -> List[Polynomial]:
+    """The nonzero polynomials sorted by the graded-lex key of the leading
+    monomial, which holds the total degree, then by text; the text is
+    rendered only to order a run of tied keys."""
+    keyed = sorted(((grlex_key(max(p._num, key=grlex_key)), p) for p in polys),
+                   key=operator.itemgetter(0))
+    out: List[Polynomial] = []
+    for _, run in itertools.groupby(keyed, key=operator.itemgetter(0)):
+        run = [p for _, p in run]
+        if len(run) > 1:
+            run.sort(key=str)
+        out += run
+    return out
 
 
 def basis_exponents(p: Polynomial, basis: Sequence[Polynomial]

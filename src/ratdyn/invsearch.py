@@ -35,21 +35,20 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .dynsys import (DegreeProfile, DynamicalSystem, degree_sequence, diagonal_power,
-                     iterates, pullback, require_dominant)
+from .dynsys import (EVIDENCE_WINDOW, DegreeProfile, DynamicalSystem, degree_sequence,
+                     diagonal_power, iterates, pullback, require_dominant)
 from .errors import PreconditionError
 from .exactalg import (JacobianSelector, Polynomial, RationalFunction,
-                       basis_exponents, coprime_factor_basis, echelon_step, grlex_key,
+                       basis_exponents, coprime_factor_basis, echelon_step,
                        jacobian_rank, monomials_upto, nullspace, poly_gcd,
                        primitive_part, squarefree_chain, transpose, try_divide)
-from .exactalg.linalg import _echelon
 from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_cofactors,
-                            _int_primitive, _minus_shifted, _mul_int, _normalized)
+                            _int_primitive, _minus_shifted, _mul_int, _normalized,
+                            canonical_order)
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
-_EVIDENCE_WINDOW = 6         # degree window attached to positive square gains
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,8 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
 
 def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
                          tables: dict) -> List[Polynomial]:
-    """Products of iterated numerator/denominator factors, by total degree.
+    """Products of iterated numerator/denominator factors, in
+    ``canonical_order``.
 
     Invariant denominators are Darboux polynomials, which concentrate among
     the factors of the iterates; the catalog collects the coprime factor
@@ -239,17 +239,7 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
                 break
 
     rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1))
-    # by degree, then leading monomial (the grlex key of the leading monomial
-    # holds both), then text, which is rendered only to order a tied run
-    keyed = sorted(((grlex_key(max(q._num, key=grlex_key)), q) for q in products),
-                   key=operator.itemgetter(0))
-    out: List[Polynomial] = []
-    for _, run in itertools.groupby(keyed, key=operator.itemgetter(0)):
-        run = [q for _, q in run]
-        if len(run) > 1:
-            run.sort(key=str)
-        out += run
-    return out
+    return canonical_order(products)
 
 
 def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
@@ -328,18 +318,6 @@ def _pencil_rows(t: Tuple[int, ...], basis) -> List[Dict[int, int]]:
     return [row for row in nonzero if row]
 
 
-def _univariate(coeffs: Sequence[int]) -> Polynomial:
-    """The polynomial in one variable with the given ascending coefficients."""
-    return Polynomial(("t",), {(i,): c for i, c in enumerate(coeffs)})
-
-
-def _at_t2_one(form: Polynomial) -> Polynomial:
-    """A binary form in (t1, t2) at t2 = 1, as a polynomial in t1 (up to a
-    positive factor)."""
-    deg = form.total_degree
-    return _univariate([form._num.get((i, deg - i), 0) for i in range(deg + 1)])
-
-
 def _rational_roots(f: Polynomial) -> List[Fraction]:
     """All rational roots of a polynomial in one variable, exactly."""
     d = f.total_degree
@@ -373,33 +351,32 @@ def _rational_roots(f: Polynomial) -> List[Fraction]:
     return sorted(set(roots))
 
 
-def _decomposable_points(basis) -> List[Tuple[int, ...]]:
-    """Parameter points t where sum(t_k basis_k) has rank 2, for int
-    basis vectors (maps from pairs i < j to ints).
+def _common_roots(coefficients: Iterable[Sequence[int]]) -> List[Fraction]:
+    """The common rational roots of polynomials in one variable, each given
+    by its integer coefficients, constant term first and not all zero: the
+    rational roots of their gcd."""
+    return _rational_roots(functools.reduce(poly_gcd, (
+        Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}) for cs in coefficients)))
 
-    For nullspaces of dimension 1 the basis vector itself is checked; for
-    dimension 2 and 3 the quadratic decomposability conditions (vanishing of
-    the 4x4 sub-Pfaffians) are solved exactly, via binary-form gcds and one
-    resultant elimination; a deterministic grid augments the search so that
-    degenerate positive-dimensional solution sets still yield witnesses.
-    Each point is kept as its ``_point`` representative, once.
-    """
+
+def _binary_zeros(forms: Sequence[Polynomial]) -> List[Tuple[int, int]]:
+    """The common rational zeros of nonzero binary forms in (t1, t2), as
+    integer pairs: (n, d) for each common root n/d at t2 = 1, ascending,
+    then (1, 0) when every form vanishes there (has no t1^deg term)."""
+    zeros = [(r.numerator, r.denominator) for r in _common_roots(
+        [f._num.get((i, f.total_degree - i), 0) for i in range(f.total_degree + 1)]
+        for f in forms)]
+    if all((f.total_degree, 0) not in f.support() for f in forms):
+        zeros.append((1, 0))
+    return zeros
+
+
+def _sub_pfaffians(basis) -> List[Polynomial]:
+    """The nonzero 4x4 sub-Pfaffians of sum(t_k basis_k), quadrics in
+    t1..tk, at most 400 of them: enough to cut out the decomposable locus
+    in practice.  Every point is re-checked by an exact rank test, so the
+    cap can only cost completeness, never soundness."""
     k = len(basis)
-    candidates: List[Tuple[int, ...]] = []
-    seen = set()
-
-    def push(t):
-        t = _point(t)
-        if t not in seen:
-            seen.add(t)
-            # a rank above 2 shows by the third pivot
-            if len(_echelon(_pencil_rows(t, basis), 3)[1]) == 2:
-                candidates.append(t)
-
-    if k == 1:
-        push((1,))
-        return candidates
-
     support = sorted({idx for vec in basis for pair in vec for idx in pair})
     tvars = tuple(f"t{i + 1}" for i in range(k))
 
@@ -413,9 +390,6 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
                 terms[tuple(e)] = val
         return Polynomial(tvars, terms)
 
-    # Enough quadrics to cut out the decomposable locus in practice; every
-    # candidate is re-checked by an exact rank test in push(), so capping the
-    # enumeration can only cost completeness, never soundness.
     quadrics = []
     for a, b, c, d in itertools.combinations(support, 4):
         q = (entry(a, b) * entry(c, d) - entry(a, c) * entry(b, d)
@@ -424,24 +398,49 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
             quadrics.append(q)
         if len(quadrics) >= 400:
             break
+    return quadrics
 
-    if not quadrics:
-        for t in _grid_points(k):
+
+def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
+    """The rows (p, q) of each parameter point t where sum(t_k basis_k) has
+    rank 2, for int basis vectors (maps from pairs i < j to ints), in the
+    order the points are found.
+
+    For dimension 2 and 3 the quadratic decomposability conditions
+    (``_sub_pfaffians``) are solved exactly: by the common zeros of the
+    binary quadrics, or by those of their resultants in t3, each lifted to
+    the common roots in t3.  Otherwise, and after the lift, a deterministic
+    grid supplies the points, so that degenerate positive-dimensional
+    solution sets still yield witnesses (in dimension 1 it is the basis
+    vector itself).  Each point is tried once, as its ``_point``
+    representative: its rows are reduced in order into one echelon, the
+    first row outside the span of those before it is p, the second is q,
+    and a third shows a rank above 2.
+    """
+    k = len(basis)
+    found = []
+    seen = set()
+
+    def push(t):
+        t = _point(t)
+        if t in seen:
+            return
+        seen.add(t)
+        echelon, pivots, kept = [], [], []
+        for row in _pencil_rows(t, basis):
+            if echelon_step(echelon, pivots, row):
+                kept.append(row)
+                if len(kept) > 2:
+                    return
+        if len(kept) == 2:
+            found.append(tuple(kept))
+
+    quadrics = _sub_pfaffians(basis) if k in (2, 3) else []
+    if k == 2 and quadrics:
+        for t in _binary_zeros(quadrics):
             push(t)
-        return candidates
-
-    if k == 2:
-        # common projective roots of binary quadratics via univariate gcd
-        g = functools.reduce(poly_gcd, map(_at_t2_one, quadrics))
-        for r in _rational_roots(g):
-            push((r, 1))
-        if all((2, 0) not in q.support() for q in quadrics):
-            push((1, 0))
-        return candidates
-
-    if k == 3:
-        # eliminate t3 between pairs of quadrics; fall back to the grid when
-        # the system is degenerate
+    elif quadrics:
+        # k = 3: eliminate t3 between pairs of quadrics
         def split(q):
             # q = A t3^2 + B t3 + C with A constant, B linear, C quadratic in t1,t2
             parts = ({}, {}, {})
@@ -450,11 +449,11 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
             return tuple(Polynomial._make(("t1", "t2"), part) for part in reversed(parts))
 
         def at(q, t1, t2):
-            # q at (t1, t2), as a polynomial in t3
+            # the coefficients of q at (t1, t2) in t3, constant term first
             coeffs = [0] * 3
             for e, coeff in q._num.items():
                 coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
-            return _univariate(coeffs)
+            return coeffs
 
         resultants = []
         for q1, q2 in itertools.combinations(quadrics, 2):
@@ -464,27 +463,21 @@ def _decomposable_points(basis) -> List[Tuple[int, ...]]:
                    - (a1 * b2 - b1 * a2) * (b1 * c2 - c1 * b2))
             if not res.is_zero:
                 resultants.append(res)
-        if resultants:
-            g = functools.reduce(poly_gcd, map(_at_t2_one, resultants))
-            # (t1, t2) as integer pairs: a root r = n/d as (n, d), then
-            # (1, 0).  At (n, d) the roots in t3 are d times those at (r, 1),
-            # so each point (n, d, t3) is the point (r, 1, t3/d).  A nonzero
-            # resultant needs a quadric with a t3^2 term, which vanishes at
-            # no (t1, t2), so the gcd in t3 is never zero
-            roots = _rational_roots(g)
-            for t1, t2 in [(r.numerator, r.denominator) for r in roots] + [(1, 0)]:
-                for t3 in _rational_roots(functools.reduce(
-                        poly_gcd, (at(q, t1, t2) for q in quadrics))):
-                    push((t1, t2, t3))
+        # At a zero (n, d) the roots in t3 are d times those at (n/d, 1), so
+        # each point (n, d, t3) is the point (n/d, 1, t3/d).  A nonzero
+        # resultant needs a quadric with a t3^2 term, which vanishes at no
+        # (t1, t2), so the gcd in t3 is never zero.  Wherever the quadrics
+        # share a root in t3 every resultant vanishes, so the zeros, (1, 0)
+        # included, miss no point
+        for t1, t2 in _binary_zeros(resultants) if resultants else ():
+            for t3 in _common_roots(at(q, t1, t2) for q in quadrics):
+                push((t1, t2, t3))
         if all((0, 0, 2) not in q.support() for q in quadrics):
             push((0, 0, 1))
+    if k != 2 or not quadrics:
         for t in _grid_points(k):
             push(t)
-        return candidates
-
-    for t in _grid_points(k):
-        push(t)
-    return candidates
+    return found
 
 
 def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
@@ -496,7 +489,8 @@ def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
     the whole pencil and moves no point; clearing each on its own would
     reparametrize it.  At a point the matrix has rank 2 and its rows are its
     columns negated: p is the first nonzero row and q the first later row
-    outside p's span, each over the monomials with its sign normalized.
+    outside p's span (``_decomposable_points``), each over the monomials
+    with its sign normalized.
     """
     _, cleared = _cleared_terms({(k, pair): v for k, vec in enumerate(basis)
                                  for pair, v in vec.items()})
@@ -504,14 +498,10 @@ def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
     for (k, pair), v in cleared.items():
         ints[k][pair] = v
     out = []
-    for t in _decomposable_points(ints):
-        first, *rest = _pencil_rows(t, ints)
-        echelon, pivots = _echelon([first])
-        second = next(row for row in rest
-                      if echelon_step(echelon, pivots, row, insert=False))
+    for rows in _decomposable_points(ints):
         p, q = (_positive(Polynomial._make(variables,
                                            {monos[c]: v for c, v in row.items()}))
-                for row in (first, second))
+                for row in rows)
         out.append(RationalFunction(p, q))
     return out
 
@@ -882,7 +872,7 @@ def square_gain_check(sys: DynamicalSystem,
         witness = next((f for f in square_invariants if selector.offer(f)), None)
         if witness is None:
             raise AssertionError("rank gain without a single witness")
-    profile = degree_sequence(sys, _EVIDENCE_WINDOW) if new_found else None
+    profile = degree_sequence(sys, EVIDENCE_WINDOW) if new_found else None
     return SquareGainReport(base_rank=base.independence_rank,
                             square_rank=square_rank,
                             pullback_rank=pullback_rank,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dynsys import (DegreeProfile, DynamicalSystem, GROWTH_EXPONENTIAL,
-                     degree_sequence)
+from .dynsys import (EVIDENCE_WINDOW, DegreeProfile, DynamicalSystem,
+                     GROWTH_EXPONENTIAL, degree_sequence)
 from .errors import PreconditionError, SingularMatrixError
 from .exactalg import (Polynomial, RationalFunction, clear_denominators,
                        monomials_upto, nullspace, rank, transpose)
@@ -38,8 +38,6 @@ CLASS_UNRECOGNIZED = "unrecognized"
 VERDICT_PROVEN = "translational-proven"
 VERDICT_CANDIDATE = "translational-candidate"
 VERDICT_NEGATIVE = "not-translational-evidence"
-
-_DEFAULT_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ def monomial_system(variables: Sequence[str], A: ExponentMatrix) -> DynamicalSys
     return DynamicalSystem(vars_t, tuple(coords))
 
 
-def classify_system(sys: DynamicalSystem, window: int = _DEFAULT_WINDOW) -> TranslationEvidence:
+def classify_system(sys: DynamicalSystem) -> TranslationEvidence:
     """Pattern-match the coordinates and combine with degree growth.
 
     Affine maps and products of one-variable Moebius maps are group
@@ -207,7 +205,7 @@ def classify_system(sys: DynamicalSystem, window: int = _DEFAULT_WINDOW) -> Tran
     the degree profile only: bounded growth yields a candidate verdict,
     exponential growth negative evidence.
     """
-    profile = degree_sequence(sys, window)
+    profile = degree_sequence(sys, EVIDENCE_WINDOW)
     matrix = None
     if _is_affine(sys):
         cls = CLASS_AFFINE

@@ -24,6 +24,7 @@ UNDEFINED_AT_SAMPLES = "undefined-at-samples"
 
 DEFAULT_SEED = 0x52415444
 DEFAULT_TRIALS = 32
+MAX_TRIALS = 10_000  # about a second of samples on a small map, never a hang
 _POOL_HALF = 500_000  # pool of integers in [-POOL_HALF, POOL_HALF]: > 10^6
 
 
@@ -47,8 +48,8 @@ def verify_invariant_report(sys: DynamicalSystem, f: RationalFunction,
                                   valid_samples=0, refutation_only=False)
     if mode != "randomized":
         raise PreconditionError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise PreconditionError("randomized mode needs trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise PreconditionError(f"randomized mode needs 1 <= trials <= {MAX_TRIALS}")
     rng = random.Random(seed)
     valid = 0
     for _ in range(trials):

@@ -11,9 +11,9 @@ import pytest
 
 from ratdyn import cli
 from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
-from ratdyn.errors import SystemFileError
+from ratdyn.errors import PreconditionError, SystemFileError
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
-from ratdyn.verify import verify_invariant, verify_invariant_report
+from ratdyn.verify import MAX_TRIALS, verify_invariant, verify_invariant_report
 
 from conftest import make_system, rf
 
@@ -97,6 +97,22 @@ def test_verify_randomized_refutes_but_never_affirms():
                                   trials=8, seed=5)
     assert rep.verdict == "undefined-at-samples"
     assert rep.valid_samples > 0
+
+
+def test_cli_randomized_verify_caps_the_trials():
+    # 10^9 trials would sample for a day; the cap rejects them before the
+    # first one, as a usage error with a JSON report
+    started = time.monotonic()
+    doc, code = run_command(["verify", "--function", "x/y", "--mode", "randomized",
+                             "--trials", str(10**9), corpus("double.system")])
+    assert time.monotonic() - started < 5
+    assert code == 2 and "result" not in doc
+    assert doc["error"]["code"] == "PreconditionError"
+    assert str(MAX_TRIALS) in doc["error"]["message"]
+    double = make_system("x", "2*x")
+    with pytest.raises(PreconditionError):
+        verify_invariant_report(double, rf("x", "x"), mode="randomized",
+                                trials=MAX_TRIALS + 1)
 
 
 def test_verify_cross_ratio_of_mobius_fourth_power():

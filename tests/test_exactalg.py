@@ -484,12 +484,12 @@ def test_pairs_that_share_a_factor_but_do_not_divide_reach_the_prs(prs_calls):
     assert prs_calls
 
 
-# Before the trial division, ``_may_divide`` asks that the operand with fewer
-# terms fits the other in degree and that its lex-greatest and least terms
-# divide the other's.  The near misses below alter a true divisor u of u*v at
-# one term: an extreme coefficient scaled (the precheck may reject it), an
-# extreme exponent moved (likewise), or an inner coefficient changed (the
-# extremes still divide, so the trial division decides).
+# Before the certificate and the PRS, the operand with fewer terms is tried
+# as an exact divisor of the other by trial division alone.  The near misses
+# below alter a true divisor u of u*v at one term: an extreme coefficient
+# scaled, an extreme exponent moved, or an inner coefficient changed, so the
+# division fails at its first leading term, or only after the extremes have
+# divided.
 
 _NEAR_MISSES = ("divisor", "scaled extreme", "moved extreme", "changed inner")
 
@@ -529,24 +529,6 @@ def test_divisor_precheck_matches_fraction_prs(kind, data):
     assume(not b.is_zero)
     _check_cofactors(a, b)
     _check_cofactors(b, a)
-    # the precheck never turns away a true divisor
-    pa, pb = _int_primitive(a)[1], _int_primitive(b)[1]
-    if _ref_try_divide(a, b) is not None:
-        assert poly_module._may_divide(pb, pa)
-
-
-def test_divisor_precheck_examples():
-    may = poly_module._may_divide
-
-    def ints(src):
-        return _int_primitive(P(src))[1]
-
-    assert may(ints("x + 1"), ints("x^2 - 1"))
-    assert not may(ints("2*x + 1"), ints("x^2 + 4*x + 3"))  # greatest 2*x vs x^2
-    assert not may(ints("x + 2"), ints("x^2 + 4*x + 3"))    # least 2 vs 3
-    assert not may(ints("x*y + 1"), ints("x^2 + y + 1"))     # y fits, x*y does not
-    assert may(ints("x + 2"), ints("x^2 + 5*x + 6"))
-
 
 
 def test_squarefree_and_factor_basis():

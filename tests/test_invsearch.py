@@ -32,7 +32,8 @@ from ratdyn.translation import classify_system
 
 from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
                       _fraction_rref, make_system, poly,
-                      ref_cleared_monomial_images, ref_pencil_candidates, rf)
+                      ref_cleared_monomial_images, ref_decomposable_points,
+                      ref_pencil_candidates, rf)
 
 
 def test_budget_validation():
@@ -1433,6 +1434,77 @@ def test_rational_roots_match_a_brute_force_scan(roots, extra, scale):
     assert found == sorted(set(roots))
     assert found == [r for r in _ROOT_GRID if f.evaluate((r,)) == 0]
     assert invsearch._rational_roots(Polynomial.zero(_T)) == []
+
+
+@pytest.mark.parametrize("forms, zeros", [
+    # common roots at t2 = 1: 1/2, -1/4 and 0, one form scaled
+    (["(t1 - t2)*(2*t1 - t2)", "3*(2*t1 - t2)*(t1 + t2)"], [(1, 2)]),
+    (["4*t1 + t2", "(4*t1 + t2)*(t1 - 5*t2)"], [(-1, 4)]),
+    (["t1*t2", "t1*(t1 + t2)"], [(0, 1)]),
+    # (1, 0): no form has a t1^deg term, forms of mixed degrees
+    (["t1*t2", "t1*t2 + t2^2"], [(1, 0)]),
+    (["t2*(t1 - t2)", "3*t2^2*(t1 - t2)"], [(1, 1), (1, 0)]),
+    (["t2^2"], [(1, 0)]),
+    # no common zero
+    (["t1^2 + t2^2"], []),
+    (["t1 - t2", "t1 + t2"], []),
+    (["t1^2", "t2^2"], []),
+], ids=["root-half", "root-negative", "root-zero", "one-zero", "root-and-one-zero",
+        "one-zero-alone", "none-irreducible", "none-linear", "none-apart"])
+def test_binary_zeros_are_the_common_zeros(forms, zeros):
+    forms = [poly(src, ("t1", "t2")) for src in forms]
+    assert invsearch._binary_zeros(forms) == zeros
+    for n, d in zeros:
+        assert all(f.evaluate((n, d)) == 0 for f in forms)
+
+
+_OFF_GRID = ("x y", ("x + 1", "-2*x + y + 3"), SearchBudget(1, 2, 0, 3))
+
+
+@pytest.mark.parametrize("pencil", [
+    _OFF_GRID,
+    (6, [{(0, 3): 1, (1, 2): -3},
+         {(1, 3): 1, (1, 5): Fraction(-4, 5), (2, 3): Fraction(6, 5),
+          (2, 4): Fraction(4, 5)},
+         {(1, 4): 1, (1, 5): Fraction(-6, 5), (2, 3): Fraction(4, 5),
+          (2, 4): Fraction(6, 5)}]),
+], ids=["k3-resultants-off-grid", "k3-resultants-no-zero"])
+def test_k3_lift_tries_1_0_only_where_every_resultant_vanishes(pencil):
+    # the reference lift always tries t1:t2 = 1:0; the zeros of the
+    # resultants offer it only where every resultant vanishes, which they do
+    # wherever the quadrics share a root in t3, so no point is lost: the
+    # points tried are the reference's, in its order
+    if pencil is _OFF_GRID:
+        variables, exprs, budget = pencil
+        captured = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invsearch, "_pencil_candidates",
+                       lambda variables, monos, basis: captured.append((monos, basis)))
+            invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
+        monos, basis = captured[0]
+    else:
+        size, basis = pencil
+        monos = monomials_upto(2, 2)[:size]
+    tried, zeros = [], []
+    real_rows, real_zeros = invsearch._pencil_rows, invsearch._binary_zeros
+
+    def rows(t, basis):
+        tried.append(t)
+        return real_rows(t, basis)
+
+    def binary(forms):
+        zeros.append(real_zeros(forms))
+        return zeros[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_pencil_rows", rows)
+        mp.setattr(invsearch, "_binary_zeros", binary)
+        found = invsearch._pencil_candidates(("x", "y"), monos, basis)
+    assert len(basis) == 3 and len(zeros) == 1 and (1, 0) not in zeros[0]
+    reference = []
+    ref_decomposable_points(basis, len(monos), reference)
+    assert tried == [invsearch._point(t) for t in reference]
+    assert found == ref_pencil_candidates(("x", "y"), monos, basis)
 
 
 # -- generator selection against the jacobian_rank loops ---------------------------
