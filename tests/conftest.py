@@ -505,11 +505,7 @@ def _ref_rational_roots(f):
     return sorted(set(roots))
 
 
-def ref_decomposable_points(basis, size, pushed=None):
-    """Reference: the decomposable points of sum(t_k basis_k), each
-    normalized to a leading 1, by the Fraction pencil; each distinct point
-    tried is appended to ``pushed`` when given.  The k = 3 lift always tries
-    t1:t2 = 1:0."""
+def _ref_decomposable_points(basis, size):
     k = len(basis)
     candidates = []
     seen = set()
@@ -520,8 +516,6 @@ def ref_decomposable_points(basis, size, pushed=None):
         if normed in seen:
             return
         seen.add(normed)
-        if pushed is not None:
-            pushed.append(normed)
         rows = map(_ref_sparse, _ref_pencil_matrix(normed, basis, size))
         if len(_fraction_rref(rows)[1]) == 2:
             candidates.append(normed)
@@ -609,7 +603,7 @@ def ref_pencil_candidates(variables, monos, basis):
     with a positive leading coefficient."""
     size = len(monos)
     out = []
-    for t in ref_decomposable_points(basis, size):
+    for t in _ref_decomposable_points(basis, size):
         m = _ref_pencil_matrix(t, basis, size)
         cols = [tuple(m[r][c] for r in range(size)) for c in range(size)]
         first = next(c for c in cols if any(c))

@@ -30,10 +30,10 @@ from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
 from ratdyn.systemfile import load_system
 from ratdyn.translation import classify_system
 
+import conftest
 from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
                       _fraction_rref, make_system, poly,
-                      ref_cleared_monomial_images, ref_decomposable_points,
-                      ref_pencil_candidates, rf)
+                      ref_cleared_monomial_images, ref_pencil_candidates, rf)
 
 
 def test_budget_validation():
@@ -1458,33 +1458,21 @@ def test_binary_zeros_are_the_common_zeros(forms, zeros):
         assert all(f.evaluate((n, d)) == 0 for f in forms)
 
 
-_OFF_GRID = ("x y", ("x + 1", "-2*x + y + 3"), SearchBudget(1, 2, 0, 3))
-
-
-@pytest.mark.parametrize("pencil", [
-    _OFF_GRID,
-    (6, [{(0, 3): 1, (1, 2): -3},
-         {(1, 3): 1, (1, 5): Fraction(-4, 5), (2, 3): Fraction(6, 5),
-          (2, 4): Fraction(4, 5)},
-         {(1, 4): 1, (1, 5): Fraction(-6, 5), (2, 3): Fraction(4, 5),
-          (2, 4): Fraction(6, 5)}]),
+@pytest.mark.parametrize("basis", [
+    # the kernel of the pinned k3-resultants-off-grid search
+    [{(0, 1): 1, (0, 4): 4, (0, 5): -15, (1, 2): -4, (2, 5): 16},
+     {(0, 2): 1, (0, 4): 1, (0, 5): -4, (1, 2): -1, (2, 5): 4},
+     {(0, 3): 1, (0, 4): -8, (0, 5): 15, (1, 5): 2, (2, 4): 2, (2, 5): -16}],
+    [{(0, 3): 1, (1, 2): -3},
+     {(1, 3): 1, (1, 5): Fraction(-4, 5), (2, 3): Fraction(6, 5), (2, 4): Fraction(4, 5)},
+     {(1, 4): 1, (1, 5): Fraction(-6, 5), (2, 3): Fraction(4, 5), (2, 4): Fraction(6, 5)}],
 ], ids=["k3-resultants-off-grid", "k3-resultants-no-zero"])
-def test_k3_lift_tries_1_0_only_where_every_resultant_vanishes(pencil):
+def test_k3_lift_tries_1_0_only_where_every_resultant_vanishes(basis):
     # the reference lift always tries t1:t2 = 1:0; the zeros of the
     # resultants offer it only where every resultant vanishes, which they do
     # wherever the quadrics share a root in t3, so no point is lost: the
     # points tried are the reference's, in its order
-    if pencil is _OFF_GRID:
-        variables, exprs, budget = pencil
-        captured = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invsearch, "_pencil_candidates",
-                       lambda variables, monos, basis: captured.append((monos, basis)))
-            invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
-        monos, basis = captured[0]
-    else:
-        size, basis = pencil
-        monos = monomials_upto(2, 2)[:size]
+    monos = monomials_upto(2, 2)
     tried, zeros = [], []
     real_rows, real_zeros = invsearch._pencil_rows, invsearch._binary_zeros
 
@@ -1500,9 +1488,18 @@ def test_k3_lift_tries_1_0_only_where_every_resultant_vanishes(pencil):
         mp.setattr(invsearch, "_pencil_rows", rows)
         mp.setattr(invsearch, "_binary_zeros", binary)
         found = invsearch._pencil_candidates(("x", "y"), monos, basis)
-    assert len(basis) == 3 and len(zeros) == 1 and (1, 0) not in zeros[0]
+    assert len(zeros) == 1 and (1, 0) not in zeros[0]
+    # the reference builds the Fraction matrix of each distinct point it tries
     reference = []
-    ref_decomposable_points(basis, len(monos), reference)
+    real_matrix = conftest._ref_pencil_matrix
+
+    def matrix(t, basis, size):
+        reference.append(t)
+        return real_matrix(t, basis, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conftest, "_ref_pencil_matrix", matrix)
+        conftest._ref_decomposable_points(basis, len(monos))
     assert tried == [invsearch._point(t) for t in reference]
     assert found == ref_pencil_candidates(("x", "y"), monos, basis)
 
