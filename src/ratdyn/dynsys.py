@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (IndeterminacyError, NotDominantError, PreconditionError,
-                     VariableMismatchError)
+                     VariableMismatchError, WorkLimitError)
 from .exactalg import PowerTables, RationalFunction, jacobian_rank
 
 DOMINANT = "dominant"
@@ -31,6 +32,11 @@ GROWTH_EXPONENTIAL = "exponential-suspected"
 # the degree window of the growth evidence: the "growth" expectation, the
 # classifier's profile and the profile attached to a square's gain
 EVIDENCE_WINDOW = 6
+
+# the most terms that ``iterates`` lets the next iterate have in a cleared
+# coordinate, by ``_term_bound``: Henon's phi^9 (205761) passes, and its
+# phi^10 (821121), 3 s and 336 MB on a 2-core host, does not
+TERM_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,28 @@ def _size(sys: DynamicalSystem) -> int:
     return sum(len(c.num.support()) + len(c.den.support()) for c in sys.coords)
 
 
+def _term_bound(outer: DynamicalSystem, inner: DynamicalSystem) -> int:
+    """A bound on the terms of each cleared coordinate of
+    ``compose(outer, inner)``, from the degrees and term counts at hand.
+
+    Cleared at its largest exponents b, a term x^e of an outer coordinate
+    becomes prod num_i^e_i den_i^(b_i - e_i) over the inner coordinates
+    num_i/den_i: a polynomial of degree at most D = sum b_i deg_i, with at
+    most prod t_i^b_i terms, t_i the larger term count of num_i and den_i.
+    The bound is the smaller of the dense count C(n + D, n) and the sparse
+    one, the outer coordinate's term count times that product."""
+    widths = [max(len(c.num.support()), len(c.den.support())) for c in inner.coords]
+    degrees = [c.degree for c in inner.coords]
+    worst = 0
+    for c in outer.coords:
+        b = c.max_exponents()
+        dense = math.comb(outer.dim + sum(map(operator.mul, b, degrees)), outer.dim)
+        sparse = ((len(c.num.support()) + len(c.den.support()))
+                  * math.prod(map(pow, widths, b)))
+        worst = max(worst, min(dense, sparse))
+    return worst
+
+
 def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
     """The iterates phi, phi^2, phi^3, ... of a dominant map, normalized.
 
@@ -143,15 +171,22 @@ def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
     built once and grown only when a step needs higher powers.  Dominance
     is the caller's precondition: on a map that is not dominant the
     bracketing matters.
+
+    Before each composition, ``_term_bound`` bounds the terms of the next
+    iterate; past ``TERM_CAP`` the generator raises ``WorkLimitError``
+    instead of composing.
     """
     size = _size(sys)
     current = sys
-    while True:
+    for k in itertools.count(2):
         yield current
-        if size < _size(current):
-            current = compose(current, sys)
-        else:
-            current = compose(sys, current)
+        outer, inner = (current, sys) if size < _size(current) else (sys, current)
+        bound = _term_bound(outer, inner)
+        if bound > TERM_CAP:
+            raise WorkLimitError(
+                f"iterate {k} may have up to {bound} terms in a coordinate, "
+                f"above the cap of {TERM_CAP}")
+        current = compose(outer, inner)
 
 
 def iterate(sys: DynamicalSystem, m: int) -> DynamicalSystem:

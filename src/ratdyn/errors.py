@@ -25,6 +25,10 @@ class PreconditionError(RatdynError):
     """A documented precondition of an operation was violated."""
 
 
+class WorkLimitError(RatdynError):
+    """A computation would go past a fixed cap on its size."""
+
+
 class SingularMatrixError(RatdynError):
     """An integer matrix that had to be invertible was singular."""
 

@@ -25,6 +25,27 @@ emitted function is verified once against the exact identity "pullback
 equals the function itself", and kept unless it lies in the span of the
 capped Laurent products of those kept before it; budget exhaustion only
 limits completeness, which is never claimed.
+
+The search is lazy (``_kept_invariants``): it yields each invariant as it
+is kept, and a caller that stops pulling stops the search.  ``invariants``
+lists everything found, so it runs to the end; ``square_gain_check`` stops
+each of its searches at a proven bound on the rank, with K the invariant
+field of phi on X, n = dim X, and L that of phi x phi on X x X:
+
+  * trdeg K <= n - 1 when phi has infinite order: if trdeg K = n, then
+    k(X)/K is finite and phi* one of its finitely many K-automorphisms, so
+    phi has finite order;
+  * trdeg L <= n + trdeg K: subtracting from a shortest relation over
+    k(X_2) among elements of L its image under phi* shows that L and k(X_2)
+    are linearly disjoint over K_2, the invariants of the second factor.
+
+So the base rank is at most n, or n - 1, and the square rank at most 2n, or
+2n - 1, when ``translation._proves_infinite_order`` proves infinite order.
+The generators, the ranks and the witness (the first square invariant
+independent of the pullbacks) are fixed by the prefix of each search that
+reaches its final rank: once the square rank exceeds the pullback rank, a
+member of that prefix is independent of the pullbacks, so the witness lies
+in it.
 """
 
 from __future__ import annotations
@@ -35,7 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dynsys import (EVIDENCE_WINDOW, DegreeProfile, DynamicalSystem, degree_sequence,
                      diagonal_power, iterates, pullback, require_dominant)
@@ -47,6 +68,7 @@ from .exactalg import (JacobianSelector, Polynomial, RationalFunction,
 from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_cofactors,
                             _int_primitive, _minus_shifted, _mul_int, _normalized,
                             canonical_order)
+from .translation import _proves_infinite_order
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 
@@ -774,6 +796,30 @@ class _Collector:
             self.found.append(f)
 
 
+def _kept_invariants(sys: DynamicalSystem,
+                     budget: SearchBudget) -> Iterator[RationalFunction]:
+    """The search of ``rational_invariant_search``, lazily: each invariant
+    is yielded as the collector keeps it, so a caller that stops pulling
+    stops the search there.  A candidate was kept when ``collector.found``
+    grew on its offer.  Dominance is the caller's precondition."""
+    collector = _Collector(sys, budget)
+    tables: dict = {}  # the one pullback table of each degree
+    kernels: dict = {}  # the one Darboux kernel of each degree and cofactor
+
+    def offered(candidates):
+        for f in candidates:
+            kept = len(collector.found)
+            collector.offer(f)
+            if len(collector.found) > kept:
+                yield collector.found[-1]
+
+    one = Polynomial.constant(sys.variables, 1)
+    for q in [one, *_denominator_catalog(sys, budget, tables)]:
+        yield from offered(_fixed_denominator_invariants(sys, q, budget, tables, kernels))
+    if not collector.found:
+        yield from offered(_pencil_stage(sys, budget, tables))
+
+
 def rational_invariant_search(sys: DynamicalSystem,
                               budget: SearchBudget = DEFAULT_BUDGET
                               ) -> List[RationalFunction]:
@@ -784,22 +830,33 @@ def rational_invariant_search(sys: DynamicalSystem,
     an error; completeness beyond the budget is never claimed.
     """
     require_dominant(sys)
-    collector = _Collector(sys, budget)
-    tables: dict = {}  # the one pullback table of each degree
-    kernels: dict = {}  # the one Darboux kernel of each degree and cofactor
-    one = Polynomial.constant(sys.variables, 1)
-    for q in [one, *_denominator_catalog(sys, budget, tables)]:
-        for f in _fixed_denominator_invariants(sys, q, budget, tables, kernels):
-            collector.offer(f)
-    if not collector.found:
-        for f in _pencil_stage(sys, budget, tables):
-            collector.offer(f)
-    return collector.found
+    return list(_kept_invariants(sys, budget))
 
 
 def independence_rank(fs: Sequence[RationalFunction]) -> int:
     """Transcendence-degree contribution of the given functions."""
     return jacobian_rank(fs)
+
+
+def _pull(sys: DynamicalSystem, budget: SearchBudget, selector: JacobianSelector,
+          proven: Optional[Callable[[int], bool]] = None) -> List[RationalFunction]:
+    """The invariants of the search of ``sys`` pulled in discovery order,
+    each offered to ``selector`` while it keeps fewer than ``sys.dim``.
+    With ``proven``, the pulling stops, before the first pull too, as soon
+    as ``proven`` holds on the number the selector keeps; without it, the
+    search runs to the end.  Raises NotDominantError first on a map that is
+    not dominant."""
+    require_dominant(sys)
+    pulled = []
+    search = _kept_invariants(sys, budget)
+    while proven is None or not proven(len(selector.kept)):
+        f = next(search, None)
+        if f is None:
+            break
+        pulled.append(f)
+        if len(selector.kept) < sys.dim:
+            selector.offer(f)
+    return pulled
 
 
 def adim_lower_bound(sys: DynamicalSystem,
@@ -813,14 +870,11 @@ def adim_lower_bound(sys: DynamicalSystem,
     The subset is a maximal independent one, so its size, the independence
     rank, is the rank of the whole list.  It is a lower bound for the number
     of algebraically independent invariants and never exceeds the
-    dimension.
+    dimension.  Every invariant found is listed, so the search runs to the
+    end.
     """
-    invariants = rational_invariant_search(sys, budget)
     selector = JacobianSelector(sys.variables)
-    for f in invariants:
-        if len(selector.kept) == sys.dim:
-            break
-        selector.offer(f)
+    invariants = _pull(sys, budget, selector)
     generators = selector.kept
     return InvariantReport(system=sys, budget=budget,
                            invariants=tuple(invariants),
@@ -851,21 +905,59 @@ def square_gain_check(sys: DynamicalSystem,
     Otherwise the square rank is the larger of the searched rank and the
     pullback rank: the pullbacks are invariants of the square, so both are
     proven lower bounds, and a search that misses them reports no less.
+
+    Each search stops as soon as its rank reaches a proven bound, since no
+    later invariant can change the report:
+
+      * base, K the invariant field: trdeg K <= n, and trdeg K <= n - 1
+        when phi has infinite order.  For if trdeg K = n, then k(X)/K is
+        finite, and phi* is one of its finitely many K-automorphisms, so
+        phi has finite order;
+      * square, L its invariant field: trdeg L <= n + trdeg K, so L has
+        trdeg <= 2n, and <= 2n - 1 at infinite order.  Let l_i in L be
+        linearly independent over K_2, the invariants of the second
+        factor, and take a shortest relation sum a_i l_i = 0 over k(X_2),
+        with a_1 = 1.  Subtracting its image under phi* leaves a shorter
+        one, so every a_i is invariant, in K_2, which cannot be: L and
+        k(X_2) are linearly disjoint over K_2.  So elements of L that are
+        algebraically independent over K_2 stay so over k(X_2), and
+        trdeg L - trdeg K <= trdeg k(X_1 x X_2)/k(X_2) = n.
+
+    Infinite order is decided by the exact certificate
+    ``_proves_infinite_order``, computed at most once per call and only
+    when a stop depends on it: a search that reaches the bound of the
+    finite-order case stops without it.
+
+    Why the report stays the same: the greedy generators, and with them
+    the base rank and the pullback rank, depend only on the prefix of the
+    base search that reaches its final rank, and the searched square rank
+    likewise.  Once the square rank R exceeds the pullback rank, some member
+    of the square prefix is independent of the pullbacks (its rank over
+    them alone would be at most the pullback rank otherwise), so the
+    witness, the first such invariant, lies in the prefix.
     """
-    base = adim_lower_bound(sys, budget)
-    square = diagonal_power(sys, 2)
     n = sys.dim
+    infinite_order = functools.cache(lambda: _proves_infinite_order(sys))
+
+    def at_bound(full):
+        # the bound is full, and full - 1 at infinite order
+        return lambda kept: kept == full or (kept == full - 1 and infinite_order())
+
+    base = JacobianSelector(sys.variables)
+    _pull(sys, budget, base, at_bound(n))
+    generators = base.kept
+    square = diagonal_power(sys, 2)
     selector = JacobianSelector(square.variables)
-    for g in base.reduction_generators:
+    for g in generators:
         for positions in (range(n), range(n, 2 * n)):
             selector.offer(g.embed(square.variables, list(positions)))
     pullback_rank = len(selector.kept)
-    if base.independence_rank == n:
-        square_rank, square_invariants = 2 * n, ()
+    if len(generators) == n:
+        square_rank, square_invariants = 2 * n, []
     else:
-        square_report = adim_lower_bound(square, budget)
-        square_rank = max(square_report.independence_rank, pullback_rank)
-        square_invariants = square_report.invariants
+        searched = JacobianSelector(square.variables)
+        square_invariants = _pull(square, budget, searched, at_bound(2 * n))
+        square_rank = max(len(searched.kept), pullback_rank)
     new_found = square_rank > pullback_rank
     witness = None
     if new_found:
@@ -873,7 +965,7 @@ def square_gain_check(sys: DynamicalSystem,
         if witness is None:
             raise AssertionError("rank gain without a single witness")
     profile = degree_sequence(sys, EVIDENCE_WINDOW) if new_found else None
-    return SquareGainReport(base_rank=base.independence_rank,
+    return SquareGainReport(base_rank=len(generators),
                             square_rank=square_rank,
                             pullback_rank=pullback_rank,
                             new_invariant_found=new_found,

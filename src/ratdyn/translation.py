@@ -19,6 +19,7 @@ Q-linearly independent leading coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .dynsys import (EVIDENCE_WINDOW, DegreeProfile, DynamicalSystem,
                      GROWTH_EXPONENTIAL, degree_sequence)
 from .errors import PreconditionError, SingularMatrixError
 from .exactalg import (Polynomial, RationalFunction, clear_denominators,
-                       monomials_upto, nullspace, rank, transpose)
+                       jacobian_row, monomials_upto, nullspace, rank, transpose)
 
 CLASS_AFFINE = "affine"
 CLASS_MOBIUS_PRODUCT = "mobius-product"
@@ -85,19 +86,22 @@ class ExponentMatrix:
         is not the identity is an exact "no" at word size; only a matrix
         that passes it is raised to the M-th power over Z, where the entries
         of an expanding matrix would grow to thousands of digits."""
-        n = self.size
-        if rank(self.entries) < n:
+        if rank(self.entries) < self.size:
             return False
-        admissible = [m for m in range(1, 4 * n * n + 5)
-                      if _euler_phi(m) <= n]
-        M = 1
-        for m in admissible:
-            M = M * m // math.gcd(M, m)
+        M = _order_exponent(self.size)
         return (_power_is_identity(self.entries, M, _ORDER_PRIME)
                 and _power_is_identity(self.entries, M))
 
 
 _ORDER_PRIME = 2147483647
+
+
+def _order_exponent(n: int) -> int:
+    """M = lcm{m : euler_phi(m) <= n}: every n x n matrix A over Q of finite
+    order k has A^M = I, since its minimal polynomial divides t^k - 1 and
+    so is a product of distinct cyclotomic polynomials of degree <= n.
+    euler_phi(m) >= sqrt(m / 2), so every such m is at most 2 n^2."""
+    return math.lcm(*(m for m in range(1, 2 * n * n + 1) if _euler_phi(m) <= n))
 
 
 def _power_is_identity(entries: Sequence[Sequence[int]], k: int,
@@ -138,6 +142,68 @@ def _euler_phi(m: int) -> int:
     if mm > 1:
         out -= out // mm
     return out
+
+
+# the fixed-point scan of ``_proves_infinite_order``: at most this many
+# points of {-2, ..., 2}^n, each coordinate running through these values in
+# this order, so that the origin comes first
+_SCAN_VALUES = (0, 1, -1, 2, -2)
+_SCAN_POINTS = 125
+
+
+def _int_value(p: Polynomial, point: Sequence[int]) -> int:
+    """A normal-form part, whose coefficients are integers, at an integer
+    point."""
+    return sum(c * math.prod(v ** k for v, k in zip(point, e)) for e, c in p._num.items())
+
+
+def _proves_infinite_order(sys: DynamicalSystem) -> bool:
+    """Whether an exact certificate shows that no iterate of the dominant
+    map is the identity: True proves infinite order, False declines and
+    proves nothing.  No sampling and no float.
+
+    In one variable the test is complete.  The degree of a composition is
+    the product of the degrees, so a map of degree d >= 2 has iterates of
+    degree d^k, none of them the identity.  A Moebius map (ax + b)/(cx + d)
+    has order k exactly when its eigenvalue ratio z is a k-th root of unity,
+    and tr^2/det = z + 1/z + 2.  Over Q that value is rational, so a
+    finite-order map other than the identity (a scalar matrix) has
+    tr^2/det in {0, 1, 2, 3} (orders 2, 3, 4, 6); 4 is a parabolic map.
+
+    In n variables the certificate is a fixed point P, among the integer
+    points of the scan (``_SCAN_VALUES``), at which the map is regular:
+    points are evaluated in integers and skipped at the first coordinate
+    that is not fixed or has a pole there.  If phi^k = id, the chain rule
+    at P gives J^k = I for J = D phi(P), and so J^M = I with
+    M = ``_order_exponent(n)``.  So a residue of J^M other than I modulo
+    ``_ORDER_PRIME`` proves infinite order.  J is ``jacobian_row`` over
+    den(P)^2, and a point where the prime divides some den(P) is skipped.
+    """
+    if sys.dim == 1:
+        f = sys.coords[0]
+        if f.degree != 1:
+            return True
+        (a, b), (c, d) = ((p._num.get((1,), 0), p._num.get((0,), 0)) for p in (f.num, f.den))
+        if b == c == 0 and a == d:
+            return False
+        tr, det = a + d, a * d - b * c
+        return tr * tr not in (0, det, 2 * det, 3 * det)
+    M = _order_exponent(sys.dim)
+    points = itertools.product(_SCAN_VALUES, repeat=sys.dim)
+    for point in itertools.islice(points, _SCAN_POINTS):
+        dens = []
+        for x, f in zip(point, sys.coords):
+            q = _int_value(f.den, point)
+            if q == 0 or _int_value(f.num, point) != x * q:
+                break
+            dens.append(q)
+        else:
+            if all(q % _ORDER_PRIME for q in dens):
+                J = [[v * pow(q * q, -1, _ORDER_PRIME) for v in jacobian_row(f, point)]
+                     for f, q in zip(sys.coords, dens)]
+                if not _power_is_identity(J, M, _ORDER_PRIME):
+                    return True
+    return False
 
 
 # -- recognizers ------------------------------------------------------------------

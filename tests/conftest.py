@@ -79,10 +79,12 @@ def pool_extensions(monkeypatch):
     refinement split one of the pool's old factors, and ``moves`` the number
     of factors before and after it; ``multiplied`` counts the extensions
     that multiplied a pool's echelon by a grown denominator; ``kept`` the
-    length of every search's output."""
+    number of invariants that every search yielded, in the order the
+    searches started (``invsearch._kept_invariants``, which every search
+    runs, lazily)."""
     from ratdyn import invsearch
     seen = types.SimpleNamespace(refined=[], moves=[], multiplied=0, kept=[])
-    pool, search = invsearch._ClearedPool, invsearch.rational_invariant_search
+    pool, search = invsearch._ClearedPool, invsearch._kept_invariants
     real_extend = pool.extend
 
     def extend(self, found):
@@ -94,13 +96,26 @@ def pool_extensions(monkeypatch):
         seen.multiplied += self.multiplied - grown
 
     def counted(sys, budget):
-        found = search(sys, budget)
-        seen.kept.append(len(found))
-        return found
+        index = len(seen.kept)
+        seen.kept.append(0)
+
+        def pulled():
+            for f in search(sys, budget):
+                seen.kept[index] += 1
+                yield f
+        return pulled()
 
     monkeypatch.setattr(pool, "extend", extend)
-    monkeypatch.setattr(invsearch, "rational_invariant_search", counted)
+    monkeypatch.setattr(invsearch, "_kept_invariants", counted)
     return seen
+
+
+def forget_pool_extensions(seen):
+    """Empty what a ``pool_extensions`` fixture has recorded so far."""
+    seen.refined.clear()
+    seen.moves.clear()
+    seen.kept.clear()
+    seen.multiplied = 0
 
 
 @pytest.fixture

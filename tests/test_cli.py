@@ -11,11 +11,13 @@ import pytest
 
 from ratdyn import cli
 from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
+from ratdyn.dynsys import diagonal_power
 from ratdyn.errors import PreconditionError, SystemFileError
+from ratdyn.invsearch import SearchBudget, adim_lower_bound, rational_invariant_search
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
 from ratdyn.verify import MAX_TRIALS, verify_invariant, verify_invariant_report
 
-from conftest import make_system, rf
+from conftest import forget_pool_extensions, make_system, rf
 
 
 def corpus(name):
@@ -329,16 +331,25 @@ def test_cli_invariants_from_the_pencil_grid():
 
 
 def test_cli_square_of_3d_doubling_extends_the_pool(tmp_path, pool_extensions):
-    # 5 + 110 kept invariants: the dedup pool of each search grows with
-    # them from the constant row; each of the 7 refinements of the factors
-    # keeps the old ones and only moves them, and each of the 7 grown lifts
-    # multiplies the echelon in place, the first of each search the constant
-    # row alone
+    # the square stops each search at its proven rank bound, 2 and 5, after
+    # 2 + 5 kept invariants; the full searches keep 5 + 110.  Either way the
+    # dedup pool of each search grows with them from the constant row: each
+    # refinement of the factors keeps the old ones and only moves them, and
+    # each grown lift multiplies the echelon in place, the first of each
+    # search the constant row alone
     path = _system_file(tmp_path, "var x, y, z;\nx -> 2*x;\ny -> 2*y;\nz -> 2*z;\n")
     doc, code = run_command(["square", path, "--budget", "2,2,2,3"])
     assert code == 0
     assert doc["result"]["square_rank"] == 5
     assert doc["result"]["witness"] == "(z1)/(z2)"
+    assert pool_extensions.refined == [False] * 5
+    assert pool_extensions.multiplied == 5
+    assert pool_extensions.kept == [2, 5]
+    forget_pool_extensions(pool_extensions)
+    sysm = load_system(path).build()
+    budget = SearchBudget(2, 2, 2, 3)
+    assert adim_lower_bound(sysm, budget).independence_rank == 2
+    assert len(rational_invariant_search(diagonal_power(sysm, 2), budget)) == 110
     assert pool_extensions.refined == [False] * 7
     assert pool_extensions.multiplied == 7
     assert pool_extensions.kept == [5, 110]
@@ -558,6 +569,20 @@ def test_cli_henon_iterate_is_fast():
     assert code == 0
     assert doc["result"]["degree"] == 2 ** 9
     assert elapsed < 10.0, f"henon iterate --m 9 took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("argv", [["iterate", "--m", "64"], ["degrees", "--n", "64"]],
+                         ids=["iterate", "degrees"])
+def test_cli_henon_past_the_term_cap_is_an_error_at_once(argv):
+    # phi^10 may have more terms in a coordinate than the cap allows, so
+    # the run stops before composing it, with a JSON error and exit 2
+    start = time.perf_counter()
+    doc, code = run_command(argv + [corpus("henon.system")])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and "result" not in doc
+    assert doc["error"]["code"] == "WorkLimitError"
+    assert "iterate 10 may have up to 821121 terms" in doc["error"]["message"]
+    assert elapsed < 5.0, f"{' '.join(argv)} on henon took {elapsed:.1f} s"
 
 
 def test_cli_iterate_of_a_map_that_is_not_dominant_is_a_usage_error(tmp_path):

@@ -17,7 +17,7 @@ from ratdyn.dynsys import (DOMINANT, GROWTH_BOUNDED, GROWTH_EXPONENTIAL,
                            product, pullback, symmetrize_iterate_invariant,
                            validate_dominant)
 from ratdyn.errors import (NotDominantError, PreconditionError,
-                           VariableMismatchError)
+                           VariableMismatchError, WorkLimitError)
 from ratdyn.exactalg import substitute
 
 from conftest import make_system, rf
@@ -121,6 +121,42 @@ def test_iterate_matches_both_folds_and_binary_powering(family):
             for other in (left, right, _binary_power(sysm, m)):
                 assert got == other
                 assert [str(c) for c in got.coords] == [str(c) for c in other.coords]
+
+
+@pytest.mark.parametrize("family",
+                         ["affine", "mobius", "monomial", "henon", "qrt", "lyness"])
+def test_the_term_bound_holds_on_every_iterate(family):
+    # the bound that iterates checks before each composition is never below
+    # the terms of a part of the iterate it composes
+    rng = random.Random(f"term-bound-{family}")
+    bounds = []
+    real = dynsys.compose
+
+    def bounded(outer, inner):
+        bounds.append(dynsys._term_bound(outer, inner))
+        return real(outer, inner)
+
+    for _ in range(2):
+        sysm = _seeded_map(family, rng)
+        bounds.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynsys, "compose", bounded)
+            its = list(itertools.islice(iterates(sysm), 6))
+        for bound, it in zip(bounds, its[1:]):
+            assert max(len(p.support()) for c in it.coords for p in (c.num, c.den)) <= bound
+
+
+def test_iterates_stop_at_the_term_cap():
+    # Henon's phi^10 may have 821121 terms in a coordinate, above the cap,
+    # so the generator raises before composing it; phi^9 is the last
+    henon = make_system("x y", "y", "y^2 - x")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynsys, "TERM_CAP", 205760)
+        with pytest.raises(WorkLimitError, match="iterate 9 may have up to 205761 terms"):
+            list(itertools.islice(iterates(henon), 9))
+    assert [it.degree for it in itertools.islice(iterates(henon), 9)][-1] == 512
+    with pytest.raises(WorkLimitError, match="iterate 10 may have up to 821121 terms"):
+        iterate(henon, 10)
 
 
 def test_iterates_puts_the_map_with_fewer_terms_inside():

@@ -11,19 +11,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ratdyn import invsearch
-from ratdyn.cli import run_command
-from ratdyn.dynsys import (DynamicalSystem, degree_sequence, diagonal_power,
-                           iterate, pullback)
+from ratdyn.cli import bundled_systems_dir, run_command
+from ratdyn.dynsys import (EVIDENCE_WINDOW, DynamicalSystem, degree_sequence,
+                           diagonal_power, iterate, pullback)
 from ratdyn.errors import NotDominantError
-from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
-                             clear_denominators, grlex_key, jacobian_rank,
-                             monomials_upto, nullspace, transpose, try_divide)
+from ratdyn.exactalg import (JacobianSelector, Polynomial, RationalFunction,
+                             basis_exponents, clear_denominators, grlex_key,
+                             jacobian_rank, monomials_upto, nullspace, transpose,
+                             try_divide)
 from ratdyn.exactalg.linalg import _echelon
 from ratdyn.exactalg.poly import (_combine_int, _divide_int, _gcd_primitive,
                                   _int_primitive, _is_constant, _minus_shifted,
                                   _mul_int, _normalized, _scaled_int)
-from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, _ClearedPool,
-                              adim_lower_bound, independence_rank,
+from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, SquareGainReport,
+                              _ClearedPool, adim_lower_bound, independence_rank,
                               polynomial_invariant_basis, rational_invariant_search,
                               square_gain_check)
 
@@ -31,6 +32,7 @@ from ratdyn.systemfile import load_system
 from ratdyn.translation import classify_system
 
 import conftest
+import test_sweep
 from conftest import (_fraction_jacobian_row, _fraction_reduce_row,
                       _fraction_rref, make_system, poly,
                       ref_cleared_monomial_images, ref_pencil_candidates, rf)
@@ -300,14 +302,14 @@ def test_square_at_full_base_rank_is_proven_not_searched(sys, budget, full):
     # here as the reference, reaches the same rank (swap at 1,1,1,1 has base
     # rank 1 and is searched as before)
     searched = []
-    search = invsearch.adim_lower_bound
+    pull = invsearch._pull
 
-    def counted(s, b):
+    def counted(s, b, selector, proven=None):
         searched.append(s.dim)
-        return search(s, b)
+        return pull(s, b, selector, proven)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch, "adim_lower_bound", counted)
+        mp.setattr(invsearch, "_pull", counted)
         report = square_gain_check(sys, budget)
     n = sys.dim
     assert (report.base_rank == n) == full
@@ -317,6 +319,117 @@ def test_square_at_full_base_rank_is_proven_not_searched(sys, budget, full):
     assert report.pullback_rank == 2 * report.base_rank
     assert (report.new_invariant_found, report.witness, report.degree_profile) == (
         False, None, None)
+
+
+# -- the square's searches stop at proven rank bounds --------------------------------
+
+
+def _eager_square_gain_check(sys, budget):
+    """``square_gain_check`` as it was before its searches stopped at a
+    proven rank bound: both searches run to the end (``adim_lower_bound``),
+    and the witness is the first square invariant that a selector seeded
+    with the pullbacks keeps.  Returns the report and the lengths of the
+    searches' outputs."""
+    base = adim_lower_bound(sys, budget)
+    square = diagonal_power(sys, 2)
+    n = sys.dim
+    selector = JacobianSelector(square.variables)
+    for g in base.reduction_generators:
+        for positions in (range(n), range(n, 2 * n)):
+            selector.offer(g.embed(square.variables, list(positions)))
+    pullback_rank = len(selector.kept)
+    lengths = [len(base.invariants)]
+    if base.independence_rank == n:
+        square_rank, square_invariants = 2 * n, ()
+    else:
+        square_report = adim_lower_bound(square, budget)
+        square_rank = max(square_report.independence_rank, pullback_rank)
+        square_invariants = square_report.invariants
+        lengths.append(len(square_invariants))
+    new_found = square_rank > pullback_rank
+    witness = next(f for f in square_invariants if selector.offer(f)) if new_found else None
+    profile = degree_sequence(sys, EVIDENCE_WINDOW) if new_found else None
+    return SquareGainReport(base_rank=base.independence_rank, square_rank=square_rank,
+                            pullback_rank=pullback_rank, new_invariant_found=new_found,
+                            witness=witness, degree_profile=profile), lengths
+
+
+def _check_lazy_against_eager(sys, budget):
+    """The same square report as the eager searches, from searches that
+    keep no more invariants than theirs."""
+    lengths = []
+    search = invsearch._kept_invariants
+
+    def counted(s, b):
+        lengths.append(0)
+        index = len(lengths) - 1
+
+        def pulled():
+            for f in search(s, b):
+                lengths[index] += 1
+                yield f
+        return pulled()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_kept_invariants", counted)
+        report = square_gain_check(sys, budget)
+    reference, eager = _eager_square_gain_check(sys, budget)
+    assert report == reference
+    assert len(lengths) == len(eager)
+    assert all(map(operator.le, lengths, eager)), (lengths, eager)
+    return lengths, eager
+
+
+def _sweep_system(name):
+    if name in test_sweep.EXTRA_SYSTEMS:
+        return make_system(*test_sweep.EXTRA_SYSTEMS[name])
+    return load_system(os.path.join(bundled_systems_dir(), f"{name}.system")).build()
+
+
+_SWEEP_BUDGETS = [DEFAULT_BUDGET if b == "default" else SearchBudget(*map(int, b.split(",")))
+                  for b in test_sweep.BUDGETS]
+
+
+@pytest.mark.parametrize("name", test_sweep._system_names())
+def test_lazy_square_matches_the_eager_square_on_the_sweep(name):
+    sys = _sweep_system(name)
+    for budget in _SWEEP_BUDGETS:
+        _check_lazy_against_eager(sys, budget)
+
+
+def test_lazy_square_stops_where_the_bounds_are_proven():
+    # the 3-D doubling reaches base rank 2 = n - 1 and square rank 5 = 2n - 1,
+    # both bounds at infinite order, after 2 and 5 of 6 and 330 invariants
+    lengths, eager = _check_lazy_against_eager(
+        make_system("x y z", "2*x", "2*y", "2*z"), DEFAULT_BUDGET)
+    assert (lengths, eager) == ([2, 5], [6, 330])
+    # a one-variable map of infinite order has base rank 0 without a search:
+    # only the square's solves run
+    dims = []
+    solve = invsearch._fixed_denominator_invariants
+
+    def recorded(sys, *args):
+        dims.append(sys.dim)
+        return solve(sys, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_fixed_denominator_invariants", recorded)
+        report = square_gain_check(make_system("x", "2*x"), DEFAULT_BUDGET)
+    assert (report.base_rank, report.square_rank) == (0, 1)
+    assert set(dims) == {2}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_square_matches_the_eager_square_on_seeded_affine_maps(seed):
+    rng = random.Random(f"lazy-square-{seed}")
+    for budget in _SEARCH_BUDGETS:
+        while True:
+            a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+            if a * d != b * c:
+                break
+        e, f = rng.randint(-1, 1), rng.randint(-1, 1)
+        _check_lazy_against_eager(
+            make_system("x y", f"{a}*x + {b}*y + {e}", f"{c}*x + {d}*y + {f}"), budget)
 
 
 # -- deduplication pool -----------------------------------------------------------
@@ -698,6 +811,8 @@ def _check_pools_against_fresh_builds(mp, answers):
 ])
 def test_extended_pool_matches_a_fresh_pool_on_every_offer(
         tmp_path, variables, exprs, command, budget):
+    # a square stops its searches at a proven rank bound, so the full
+    # search of the square runs too, for the pool of 18 and 110 invariants
     names = variables.split()
     path = tmp_path / "input.system"
     path.write_text(f"var {', '.join(names)};\n"
@@ -706,6 +821,9 @@ def test_extended_pool_matches_a_fresh_pool_on_every_offer(
     with pytest.MonkeyPatch.context() as mp:
         _check_pools_against_fresh_builds(mp, answers)
         _, code = run_command([command, str(path), "--budget", budget])
+        if command == "square":
+            rational_invariant_search(diagonal_power(make_system(variables, *exprs), 2),
+                                      SearchBudget(*map(int, budget.split(","))))
     assert code == 0
     # both answers occur: the extended pool keeps and drops candidates
     assert set(answers) == {True, False}
@@ -721,14 +839,24 @@ def test_extended_pool_matches_a_fresh_pool_on_the_stage_maps(data):
 
 
 def test_double_square_moves_its_pools_without_a_split(systems_dir, pool_extensions):
-    # one kept invariant after another extends the pool of each search, for
-    # 1 + 18 kept invariants: the 4 refinements of the factors keep every
-    # old factor, and the 4 grown lifts multiply the echelon in place, the
-    # first of each search the constant row alone; a pool moves only when
-    # its factors are refined, never from no factors to no factors
-    doc, code = run_command(["square", os.path.join(systems_dir, "double.system"),
-                             "--budget", "2,2,2,3"])
+    # one kept invariant after another extends the pool of each search: the
+    # refinements of the factors keep every old factor, and the grown lifts
+    # multiply the echelon in place, the first of each search the constant
+    # row alone; a pool moves only when its factors are refined, never from
+    # no factors to no factors.  The square stops its searches at their
+    # proven rank bounds 1 and 3, after 1 + 3 kept invariants (the base
+    # pool is never extended); the full searches keep 1 + 18
+    path = os.path.join(systems_dir, "double.system")
+    doc, code = run_command(["square", path, "--budget", "2,2,2,3"])
     assert code == 0 and doc["result"]["square_rank"] == 3
+    assert pool_extensions.refined == [False] * 2
+    assert (0, 0) not in pool_extensions.moves
+    assert pool_extensions.multiplied == 2
+    assert pool_extensions.kept == [1, 3]
+    conftest.forget_pool_extensions(pool_extensions)
+    double, budget = load_system(path).build(), SearchBudget(2, 2, 2, 3)
+    assert adim_lower_bound(double, budget).independence_rank == 1
+    assert len(rational_invariant_search(diagonal_power(double, 2), budget)) == 18
     assert pool_extensions.refined == [False] * 4
     assert (0, 0) not in pool_extensions.moves
     assert pool_extensions.multiplied == 4
@@ -825,17 +953,24 @@ def test_collector_repeat_set_matches_the_linear_scan(seed):
 
 
 def _search_counts(run, reference=False):
-    """run(), the output of every rational_invariant_search it made, and the
-    numbers of invsearch ``nullspace`` calls and exact pullback gates.  With
-    ``reference``, every fixed-denominator solve gets a kernel memo of its
-    own, and every collector is an ``_UndecidedCollector``."""
+    """run(), the invariants that every search it made yielded (all of them,
+    or as many as a square pulled), and the numbers of invsearch
+    ``nullspace`` calls and exact pullback gates.  With ``reference``, every
+    fixed-denominator solve gets a kernel memo of its own, and every
+    collector is an ``_UndecidedCollector``."""
     found, counts = [], {"nullspace": 0, "gates": 0}
     real_nullspace, real_pullback = invsearch.nullspace, invsearch.pullback
-    real_kernel, real_search = invsearch._darboux_kernel, invsearch.rational_invariant_search
+    real_kernel, real_search = invsearch._darboux_kernel, invsearch._kept_invariants
 
     def recorded_search(sys, budget):
-        found.append(real_search(sys, budget))
-        return found[-1]
+        pulled = []
+        found.append(pulled)
+
+        def pulling():
+            for f in real_search(sys, budget):
+                pulled.append(f)
+                yield f
+        return pulling()
 
     def counted_nullspace(*args):
         counts["nullspace"] += 1
@@ -851,7 +986,7 @@ def _search_counts(run, reference=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "nullspace", counted_nullspace)
         mp.setattr(invsearch, "pullback", counted_pullback)
-        mp.setattr(invsearch, "rational_invariant_search", recorded_search)
+        mp.setattr(invsearch, "_kept_invariants", recorded_search)
         if reference:
             mp.setattr(invsearch, "_darboux_kernel", unshared_kernel)
             mp.setattr(invsearch, "_Collector", _UndecidedCollector)
@@ -872,31 +1007,38 @@ def _check_against_the_undecided_search(run):
     return counts, reference_counts
 
 
-@pytest.mark.parametrize("variables, exprs, budget, solves, gates", [
-    # solves: (without the memo, with it); gates: (a repeat set of the kept
-    # candidates, none, one of every decided candidate)
-    ("x y", ("2*x", "2*y"), "2,2,2,3", (21, 6), (96, 110, 58)),
-    ("x y z", ("2*x", "2*y", "2*z"), "2,2,2,3", (38, 6), (450, 486, 288)),
-    ("x y", ("2*x + y", "2*y"), "3,3,2,3", (14, 8), (22, 31, 11)),
+@pytest.mark.parametrize("variables, exprs, budget, pins", [
+    # of the square and of the full searches it stops early (the base
+    # search, then the square's own), the solves: (without the memo, with
+    # it), and the gates: (a repeat set of the kept candidates, none, one of
+    # every decided candidate).  The shear square reaches no proven bound
+    ("x y", ("2*x", "2*y"), "2,2,2,3",
+     {"square": ((4, 4), (4, 4, 4)), "searches": ((21, 6), (96, 110, 58))}),
+    ("x y z", ("2*x", "2*y", "2*z"), "2,2,2,3",
+     {"square": ((4, 4), (7, 7, 7)), "searches": ((38, 6), (450, 486, 288))}),
+    ("x y", ("2*x + y", "2*y"), "3,3,2,3",
+     {"square": ((14, 8), (22, 31, 11)), "searches": ((14, 8), (22, 31, 11))}),
 ], ids=["double", "double-3d", "shear"])
 def test_square_solves_each_cofactor_once_and_gates_each_candidate_once(
-        variables, exprs, budget, solves, gates, darboux_solves):
+        variables, exprs, budget, pins, darboux_solves):
     # one solve per table degree and cofactor, one gate per distinct
     # candidate, against the search with neither
     sys = make_system(variables, *exprs)
     budget = SearchBudget(*map(int, budget.split(",")))
-
-    def run():
-        return square_gain_check(sys, budget)
-
-    counts, reference = _check_against_the_undecided_search(run)
-    # every nullspace call of both searches is a Darboux solve
-    assert len(darboux_solves) == sum(solves)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch, "_Collector", _KeptOnlyCollector)
-        kept_only = _search_counts(run)[2]
-    assert (reference["nullspace"], counts["nullspace"]) == solves
-    assert (kept_only["gates"], reference["gates"], counts["gates"]) == gates
+    runs = {"square": lambda: square_gain_check(sys, budget),
+            "searches": lambda: (adim_lower_bound(sys, budget), rational_invariant_search(
+                diagonal_power(sys, 2), budget))}
+    for name, run in runs.items():
+        solves, gates = pins[name]
+        darboux_solves.clear()
+        counts, reference = _check_against_the_undecided_search(run)
+        # every nullspace call of both searches is a Darboux solve
+        assert len(darboux_solves) == sum(solves)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invsearch, "_Collector", _KeptOnlyCollector)
+            kept_only = _search_counts(run)[2]
+        assert (reference["nullspace"], counts["nullspace"]) == solves
+        assert (kept_only["gates"], reference["gates"], counts["gates"]) == gates
 
 
 # -- the integer columns of the three linear stages --------------------------------
@@ -1568,31 +1710,41 @@ def _ref_generators(invariants, n):
 
 def _check_selection_against_the_rank_loops(sys, budget):
     """square_gain_check's base and square generators, pullback rank and
-    witness against the jacobian_rank loops on the same searches, which
+    witness against the jacobian_rank loops on the full searches, which
     take the pullbacks of every base invariant."""
-    reports = []
-    select = invsearch.adim_lower_bound
+    selections = []
+    pull = invsearch._pull
 
-    def recording(s, b):
-        reports.append(select(s, b))
-        return reports[-1]
+    def recording(s, b, selector, proven=None):
+        pulled = pull(s, b, selector, proven)
+        selections.append((s, list(selector.kept)))
+        return pulled
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invsearch, "adim_lower_bound", recording)
+        mp.setattr(invsearch, "_pull", recording)
         report = square_gain_check(sys, budget)
-    for r in reports:
-        assert list(r.reduction_generators) == _ref_generators(r.invariants, r.system.dim)
-        assert r.independence_rank == len(r.reduction_generators)
     square = diagonal_power(sys, 2)
+    found = {}
+    for s, generators in selections:
+        found[s] = rational_invariant_search(s, budget)
+        assert generators == _ref_generators(found[s], s.dim)
+    (base, generators), *searched = selections
+    assert base == sys and report.base_rank == len(generators)
     n = sys.dim
     pulls = [g.embed(square.variables, list(positions))
-             for g in reports[0].invariants
+             for g in found[sys]
              for positions in (range(n), range(n, 2 * n))]
     pullback_rank = _ref_jacobian_rank(pulls) if pulls else 0
     assert report.pullback_rank == pullback_rank
+    if searched:
+        [(s, square_generators)] = searched
+        assert s == square
+        assert report.square_rank == max(len(square_generators), pullback_rank)
+    else:
+        assert report.base_rank == n and report.square_rank == 2 * n
     witness = None
     if report.new_invariant_found:
-        witness = next(f for f in reports[1].invariants
+        witness = next(f for f in found[square]
                        if _ref_jacobian_rank(pulls + [f]) > pullback_rank)
     assert report.witness == witness
     return report

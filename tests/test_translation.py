@@ -1,13 +1,16 @@
 """Translation evidence: recognizers, lattice oracle, block normalization."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from ratdyn import translation
+from ratdyn.dynsys import DynamicalSystem, iterates
 from ratdyn.errors import PreconditionError, SingularMatrixError
-from ratdyn.exactalg import clear_denominators, rank
+from ratdyn.exactalg import clear_denominators, jacobian_row, rank
 from ratdyn.invsearch import polynomial_invariant_basis
 from ratdyn.translation import (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT,
                                 CLASS_MONOMIAL, CLASS_UNRECOGNIZED,
@@ -16,7 +19,7 @@ from ratdyn.translation import (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT,
                                 classify_system, leading_blocks_independent,
                                 monomial_invariant_lattice, monomial_system,
                                 normalize_leading_sequence,
-                                system_exponent_matrix)
+                                system_exponent_matrix, _proves_infinite_order)
 
 from conftest import make_system, rf
 
@@ -96,6 +99,121 @@ def test_finite_order_rejects_expanding_matrices_quickly():
                   else 0).has_finite_order()                    # order 4
     shear = matrix(lambda i, j: int(i == j or (i, j) == (0, n - 1)))
     assert not shear.has_finite_order()                          # unipotent
+
+
+# -- the infinite-order certificate -----------------------------------------------
+
+# integer matrices of finite order: the identity, swaps, reflections, the
+# rotations of order 4, 3 and 6, and permutations of three coordinates
+_FINITE_ORDER = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((0, -1), (1, 0)),
+                 ((0, -1), (1, -1)), ((1, -1), (1, 0)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                 ((-1, 0, 0), (0, 0, 1), (0, 1, 0)), ((1, 0, 0), (0, 0, -1), (0, 1, 0))]
+# Moebius matrices of order 2, 3, 4 and 6 in PGL2
+_FINITE_ORDER_MOBIUS = [((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, -1), (1, 1)),
+                        ((2, -1), (1, 1))]
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _conjugated(a, rng):
+    """U a U^-1 for a seeded unimodular U, a product of elementary matrices."""
+    n = len(a)
+    a = [list(row) for row in a]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        e = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)]
+             for r in range(n)]
+        inverse = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(n)]
+                   for r in range(n)]
+        a = _times(_times(e, a), inverse)
+    return a
+
+
+def _affine(matrix, shift):
+    names = "xyz"[:len(matrix)]
+    exprs = [" + ".join(f"({c})*{v}" for c, v in zip(row, names)) + f" + ({t})"
+             for row, t in zip(matrix, shift)]
+    return make_system(" ".join(names), *exprs)
+
+
+def _seeded_affine(rng):
+    """An affine map x -> A x + t: A of finite order, conjugated, and fixing
+    a point of the scan or none; or A with small random entries."""
+    if rng.random() < 0.5:
+        a = _conjugated(rng.choice(_FINITE_ORDER), rng)
+    else:
+        n = rng.choice((2, 3))
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if rank(a) < n:
+            a = [[int(i == j) for j in range(n)] for i in range(n)]
+    n = len(a)
+    if rng.random() < 0.5:
+        p = [rng.randint(-2, 2) for _ in range(n)]  # x -> A (x - p) + p
+        shift = [pi - sum(x * y for x, y in zip(row, p)) for row, pi in zip(a, p)]
+    else:
+        shift = [rng.randint(-2, 2) for _ in range(n)]
+    return _affine(a, shift)
+
+
+def _seeded_mobius(rng):
+    if rng.random() < 0.5:
+        (a, b), (c, d) = _conjugated(rng.choice(_FINITE_ORDER_MOBIUS), rng)
+    else:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d == b * c:
+            a, b, c, d = 1, 0, 0, 1
+    return make_system("x", f"(({a})*x + ({b}))/(({c})*x + ({d}))")
+
+
+@pytest.mark.parametrize("family", ["affine", "mobius"])
+def test_a_proven_infinite_order_has_no_iterate_that_is_the_identity(family):
+    # seeded maps, half of them of finite order (at most 6): wherever the
+    # certificate proves infinite order, none of phi, ..., phi^12 is the
+    # identity; and every map of finite order declines
+    rng = random.Random(f"infinite-order-{family}")
+    outcomes = set()
+    for _ in range(60):
+        sysm = (_seeded_affine if family == "affine" else _seeded_mobius)(rng)
+        identity = DynamicalSystem.identity(sysm.variables)
+        finite = any(it == identity for it in itertools.islice(iterates(sysm), 12))
+        proven = _proves_infinite_order(sysm)
+        assert not (proven and finite), sysm
+        outcomes.add((proven, finite))
+    # both outcomes occur, and a map that is not proven may be of either order
+    assert {(True, False), (False, True)} <= outcomes
+
+
+@pytest.mark.parametrize("variables, exprs", [
+    ("x", ("x",)), ("x y", ("y", "x")), ("x", ("1/x",)), ("x", ("-1/(x + 1)",)),
+    ("x", ("-x",)), ("x y z", ("y", "z", "x")), ("x y", ("y", "(y + 1)/x")),
+], ids=["identity", "swap", "inverse", "order3", "negation", "cycle3", "lyness"])
+def test_the_infinite_order_certificate_declines_on_maps_of_finite_order(variables, exprs):
+    assert not _proves_infinite_order(make_system(variables, *exprs))
+
+
+@pytest.mark.parametrize("variables, exprs", [
+    ("x y", ("2*x", "2*y")), ("x y z", ("2*x", "2*y", "2*z")), ("x", ("2*x",)),
+    ("x", ("x + 1",)), ("x y", ("2*x + y", "2*y")), ("x", ("(2*x + 3)/(x + 1)",)),
+    ("x y", ("y", "y^2 - x")), ("x", ("x^2 + 1",)),
+], ids=["double", "double3", "scale", "shift", "shear", "mobius", "henon", "quadratic"])
+def test_the_infinite_order_certificate_proves_the_maps_of_infinite_order(variables, exprs):
+    assert _proves_infinite_order(make_system(variables, *exprs))
+
+
+def test_henon_is_proven_at_its_fixed_point_2_2(monkeypatch):
+    # Henon fixes (0, 0), where D phi has order 4, and (2, 2), where its
+    # multiplier t^2 - 4t + 1 has roots 2 +- sqrt(3), which are no roots of
+    # unity; the scan proves infinite order only once it reaches (2, 2)
+    henon = make_system("x y", "y", "y^2 - x")
+    assert [jacobian_row(c, (0, 0)) for c in henon.coords] == [[0, 1], [-1, 0]]
+    assert [jacobian_row(c, (2, 2)) for c in henon.coords] == [[0, 1], [-1, 4]]
+    monkeypatch.setattr(translation, "_SCAN_VALUES", (0, 1, -1))
+    assert not _proves_infinite_order(henon)
+    monkeypatch.setattr(translation, "_SCAN_VALUES", (0, 2))
+    assert _proves_infinite_order(henon)
 
 
 # -- lattice oracle ---------------------------------------------------------------
