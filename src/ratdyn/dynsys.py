@@ -33,9 +33,9 @@ GROWTH_EXPONENTIAL = "exponential-suspected"
 # classifier's profile and the profile attached to a square's gain
 EVIDENCE_WINDOW = 6
 
-# the most terms that ``iterates`` lets the next iterate have in a cleared
-# coordinate, by ``_term_bound``: Henon's phi^9 (205761) passes, and its
-# phi^10 (821121), 3 s and 336 MB on a 2-core host, does not
+# the most terms that ``compose`` lets a cleared coordinate of its result
+# have, by ``_term_bound``: Henon's phi^9 (205761) passes, and its phi^10
+# (821121), 3 s and 336 MB on a 2-core host, does not
 TERM_CAP = 300_000
 
 
@@ -118,11 +118,45 @@ def require_dominant(sys: DynamicalSystem):
         raise NotDominantError(f"system {sys} is not dominant")
 
 
+def _term_bound(outer: DynamicalSystem, inner: DynamicalSystem,
+                bounds: Sequence[Sequence[int]]) -> int:
+    """A bound on the terms of each cleared coordinate of
+    ``compose(outer, inner)``, from the term counts and degrees at hand;
+    ``bounds`` holds the largest exponents of each outer coordinate.
+
+    Cleared at its largest exponents b, a term x^e of an outer coordinate
+    becomes prod num_i^e_i den_i^(b_i - e_i) over the inner coordinates
+    num_i/den_i: a polynomial with at most prod t_i^b_i terms, t_i the
+    larger term count of num_i and den_i, and of degree at most
+    D = sum b_i deg_i.  The bound is the sparse one, the outer coordinate's
+    term count times that product; where that exceeds ``TERM_CAP``, the
+    smaller of it and the dense count C(n + D, n)."""
+    widths = [max(len(g.num.support()), len(g.den.support())) for g in inner.coords]
+    degrees = None
+    worst = 0
+    for c, b in zip(outer.coords, bounds):
+        bound = (len(c.num.support()) + len(c.den.support())) * math.prod(map(pow, widths, b))
+        if bound > TERM_CAP:
+            if degrees is None:
+                degrees = [g.degree for g in inner.coords]
+            bound = min(bound, math.comb(outer.dim + sum(map(operator.mul, b, degrees)),
+                                         outer.dim))
+        worst = max(worst, bound)
+    return worst
+
+
 def compose(outer: DynamicalSystem, inner: DynamicalSystem) -> DynamicalSystem:
-    """The system x -> outer(inner(x))."""
+    """The system x -> outer(inner(x)).
+
+    Raises WorkLimitError, before composing, when ``_term_bound`` allows a
+    coordinate more than ``TERM_CAP`` terms."""
     if outer.variables != inner.variables:
         raise VariableMismatchError("composition of systems over different variables")
     bounds = [c.max_exponents() for c in outer.coords]
+    terms = _term_bound(outer, inner, bounds)
+    if terms > TERM_CAP:
+        raise WorkLimitError(f"a coordinate of the composition may have up to {terms} "
+                             f"terms, above the cap of {TERM_CAP}")
     tables = inner.power_tables([max(column) for column in zip(*bounds)])
     try:
         coords = tuple(map(tables.substitute, outer.coords, bounds))
@@ -138,28 +172,6 @@ def _size(sys: DynamicalSystem) -> int:
     return sum(len(c.num.support()) + len(c.den.support()) for c in sys.coords)
 
 
-def _term_bound(outer: DynamicalSystem, inner: DynamicalSystem) -> int:
-    """A bound on the terms of each cleared coordinate of
-    ``compose(outer, inner)``, from the degrees and term counts at hand.
-
-    Cleared at its largest exponents b, a term x^e of an outer coordinate
-    becomes prod num_i^e_i den_i^(b_i - e_i) over the inner coordinates
-    num_i/den_i: a polynomial of degree at most D = sum b_i deg_i, with at
-    most prod t_i^b_i terms, t_i the larger term count of num_i and den_i.
-    The bound is the smaller of the dense count C(n + D, n) and the sparse
-    one, the outer coordinate's term count times that product."""
-    widths = [max(len(c.num.support()), len(c.den.support())) for c in inner.coords]
-    degrees = [c.degree for c in inner.coords]
-    worst = 0
-    for c in outer.coords:
-        b = c.max_exponents()
-        dense = math.comb(outer.dim + sum(map(operator.mul, b, degrees)), outer.dim)
-        sparse = ((len(c.num.support()) + len(c.den.support()))
-                  * math.prod(map(pow, widths, b)))
-        worst = max(worst, min(dense, sparse))
-    return worst
-
-
 def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
     """The iterates phi, phi^2, phi^3, ... of a dominant map, normalized.
 
@@ -170,23 +182,17 @@ def iterates(sys: DynamicalSystem) -> Iterator[DynamicalSystem]:
     tie.  When phi is inside, every step reads phi's own tables, which are
     built once and grown only when a step needs higher powers.  Dominance
     is the caller's precondition: on a map that is not dominant the
-    bracketing matters.
-
-    Before each composition, ``_term_bound`` bounds the terms of the next
-    iterate; past ``TERM_CAP`` the generator raises ``WorkLimitError``
-    instead of composing.
+    bracketing matters.  An iterate that ``compose`` bounds above
+    ``TERM_CAP`` terms in a coordinate raises WorkLimitError instead.
     """
     size = _size(sys)
     current = sys
-    for k in itertools.count(2):
+    while True:
         yield current
-        outer, inner = (current, sys) if size < _size(current) else (sys, current)
-        bound = _term_bound(outer, inner)
-        if bound > TERM_CAP:
-            raise WorkLimitError(
-                f"iterate {k} may have up to {bound} terms in a coordinate, "
-                f"above the cap of {TERM_CAP}")
-        current = compose(outer, inner)
+        if size < _size(current):
+            current = compose(current, sys)
+        else:
+            current = compose(sys, current)
 
 
 def iterate(sys: DynamicalSystem, m: int) -> DynamicalSystem:

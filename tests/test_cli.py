@@ -581,7 +581,7 @@ def test_cli_henon_past_the_term_cap_is_an_error_at_once(argv):
     elapsed = time.perf_counter() - start
     assert code == 2 and "result" not in doc
     assert doc["error"]["code"] == "WorkLimitError"
-    assert "iterate 10 may have up to 821121 terms" in doc["error"]["message"]
+    assert "may have up to 821121 terms" in doc["error"]["message"]
     assert elapsed < 5.0, f"{' '.join(argv)} on henon took {elapsed:.1f} s"
 
 
