@@ -4,7 +4,7 @@ Every run writes a single schema-versioned JSON report to stdout (or an
 aligned table with --pretty).  Exit codes: 0 success, 1 mathematical negative
 for the predicate subcommands (check on a non-dominant system, verify on a
 non-invariant, square without a new invariant, selftest failures), 2 for
-usage, parse, and file errors.  Reports are deterministic for a fixed input
+usage, parse, file and work-limit errors.  Reports are deterministic for a fixed input
 and seed; only the timing field varies between runs.
 """
 
@@ -23,8 +23,8 @@ from typing import Tuple
 
 from .dynsys import (DOMINANT, EVIDENCE_WINDOW, DynamicalSystem, degree_sequence,
                      iterate, validate_dominant)
-from .errors import (ParseError, PreconditionError, RatdynError, SystemFileError,
-                     UsageError)
+from .errors import (ParseError, PreconditionError, RatdynError, UsageError,
+                     WorkLimitError)
 from .exactalg import Polynomial, RationalFunction
 from .invsearch import (DEFAULT_BUDGET, SearchBudget, adim_lower_bound,
                         square_gain_check)
@@ -35,15 +35,24 @@ from .verify import DEFAULT_SEED, DEFAULT_TRIALS, verify_invariant_report
 
 SCHEMA = "ratdyn-report/1"
 
-_PREDICATES = {"check", "verify", "square", "selftest"}
+
+def _text(value) -> str:
+    """``str(value)``; an integer with more digits than Python writes out
+    (``sys.get_int_max_str_digits()``) raises WorkLimitError instead."""
+    try:
+        return str(value)
+    except ValueError:
+        raise WorkLimitError(f"a number has more than {sys.get_int_max_str_digits()} "
+                             "digits, the limit of sys.get_int_max_str_digits()") from None
 
 
 def _jsonable(value):
+    if value is None or isinstance(value, (str, int)):  # most leaves; bool is an int
+        return value
     if isinstance(value, (RationalFunction, Polynomial, Fraction)):
-        return str(value)
+        return _text(value)
     if isinstance(value, DynamicalSystem):
-        return {"variables": list(value.variables),
-                "map": [str(c) for c in value.coords]}
+        return {"variables": list(value.variables), "map": list(map(_text, value.coords))}
     if is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(getattr(value, k))
                 for k in value.__dataclass_fields__}
@@ -56,7 +65,7 @@ def _jsonable(value):
 
 def fingerprint(sys: DynamicalSystem) -> str:
     """Hash of the normalized coordinates; stable across formats."""
-    canon = ";".join(sys.variables) + "|" + ";".join(str(c) for c in sys.coords)
+    canon = ";".join(sys.variables) + "|" + ";".join(map(_text, sys.coords))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -143,45 +152,82 @@ def bundled_systems_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "systems")
 
 
-def _load(path: str) -> Tuple[SystemFile, DynamicalSystem]:
-    sf = load_system(path)
-    return sf, sf.build()
+def _result(command: str, sysm: DynamicalSystem, args) -> Tuple[dict, int]:
+    """The ``result`` of one subcommand on a system, and its exit code."""
+    code = 0
+    if command == "check":
+        verdict = validate_dominant(sysm)
+        result = {"dominant": verdict == DOMINANT, "verdict": verdict, "dimension": sysm.dim}
+        code = int(verdict != DOMINANT)
+    elif command == "iterate":
+        it = iterate(sysm, args.m)
+        result = {"m": args.m, "map": _jsonable(it)["map"], "degree": it.degree}
+    elif command == "degrees":
+        result = _jsonable(degree_sequence(sysm, args.n))
+    elif command == "invariants":
+        report = vars(adim_lower_bound(sysm, args.budget))
+        # the report's system and budget are the document's own sections
+        result = {k: _jsonable(v) for k, v in report.items() if k not in ("system", "budget")}
+    elif command == "square":
+        result = _jsonable(square_gain_check(sysm, args.budget))
+        code = int(not result["new_invariant_found"])
+    elif command == "classify":
+        result = _jsonable(classify_system(sysm))
+    else:  # verify
+        f = parse_expression(args.function, sysm.variables)
+        result = {"function": _text(f), **_jsonable(
+            verify_invariant_report(sysm, f, args.mode, args.trials, args.seed))}
+        code = int(result["verdict"] == "not-invariant")
+    return {"kind": command, **result}, code
 
 
-def _expectation_checks(sf: SystemFile, budget: SearchBudget):
+# each ``expect`` key -> the subcommand whose result it checks, and the field
+_EXPECTATIONS = {
+    "dominant": ("check", "dominant"),
+    "growth": ("degrees", "growth_class"),
+    "class": ("classify", "recognized_class"),
+    "verdict": ("classify", "verdict"),
+    "adim_rank": ("invariants", "independence_rank"),
+    "square_new": ("square", "new_invariant_found"),
+    "invariant": ("verify", "verdict"),
+}
+
+
+def _expectation_checks(sf: SystemFile, args) -> list:
+    """One check per ``expect`` line; each subcommand runs at most once."""
     sysm = sf.build()
+    options = argparse.Namespace(
+        n=EVIDENCE_WINDOW, budget=args.budget, function=sf.expected.get("invariant"),
+        mode="exact", trials=DEFAULT_TRIALS, seed=args.seed)
+    results = {}
     checks = []
-    evidence = None  # classified once, shared by "class" and "verdict"
-
-    def record(key, expected, actual):
-        checks.append({"check": key, "expected": expected,
-                       "actual": actual, "pass": expected == actual})
-
     for key, expected in sorted(sf.expected.items()):
-        if key == "dominant":
-            record(key, expected, str(validate_dominant(sysm) == DOMINANT).lower())
-        elif key == "growth":
-            record(key, expected, degree_sequence(sysm, EVIDENCE_WINDOW).growth_class)
-        elif key in ("class", "verdict"):
-            if evidence is None:
-                evidence = classify_system(sysm)
-            record(key, expected, evidence.recognized_class if key == "class"
-                   else evidence.verdict)
-        elif key == "adim_rank":
-            record(key, expected,
-                   str(adim_lower_bound(sysm, budget).independence_rank))
-        elif key == "square_new":
-            report = square_gain_check(sysm, budget)
-            record(key, expected, str(report.new_invariant_found).lower())
-        elif key == "invariant":
-            f = parse_expression(expected, sysm.variables)
-            rep = verify_invariant_report(sysm, f, "exact")
-            record(key, expected,
-                   expected if rep.verdict == "invariant" else rep.verdict)
+        if key in _EXPECTATIONS:
+            command, field = _EXPECTATIONS[key]
+            if command not in results:
+                results[command] = _result(command, sysm, options)[0]
+            actual = results[command][field]
+            actual = actual if isinstance(actual, str) else json.dumps(actual)
+            if key == "invariant" and actual == "invariant":
+                actual = expected
+            passed = expected == actual
         else:
-            checks.append({"check": key, "expected": expected,
-                           "actual": "unknown expectation key", "pass": False})
+            actual, passed = "unknown expectation key", False
+        checks.append({"check": key, "expected": expected, "actual": actual, "pass": passed})
     return checks
+
+
+def _selftest(args) -> Tuple[dict, int]:
+    systems = []
+    failures = 0
+    for entry in sorted(os.listdir(bundled_systems_dir())):
+        if entry.endswith(".system"):
+            sf = load_system(os.path.join(bundled_systems_dir(), entry))
+            checks = _expectation_checks(sf, args)
+            failures += sum(not c["pass"] for c in checks)
+            systems.append({"system": sf.name, "checks": checks})
+    return ({"kind": "selftest", "systems": systems, "passed": failures == 0,
+             "failures": failures}, int(failures > 0))
 
 
 def run_command(argv) -> Tuple[dict, int]:
@@ -189,85 +235,23 @@ def run_command(argv) -> Tuple[dict, int]:
     started = time.monotonic()
     # a report whose command line is rejected carries the fixed default seed
     doc = {"schema": SCHEMA, "command": list(argv), "seed": DEFAULT_SEED}
-    code = 0
     try:
         args = _parser().parse_args(argv)
-        seed = doc["seed"] = _seed_default() if args.seed is None else args.seed
+        args.seed = doc["seed"] = _seed_default() if args.seed is None else args.seed
         if args.command == "selftest":
-            results = []
-            failures = 0
-            corpus = sorted(os.listdir(bundled_systems_dir()))
-            for entry in corpus:
-                if not entry.endswith(".system"):
-                    continue
-                sf = load_system(os.path.join(bundled_systems_dir(), entry))
-                checks = _expectation_checks(sf, args.budget)
-                failures += sum(1 for c in checks if not c["pass"])
-                results.append({"system": sf.name, "checks": checks})
-            doc["result"] = {"kind": "selftest", "systems": results,
-                             "passed": failures == 0, "failures": failures}
-            doc["budget"] = _jsonable(args.budget)
-            code = 0 if failures == 0 else 1
+            doc["result"], code = _selftest(args)
         else:
-            sf, sysm = _load(args.system)
-            doc["system"] = {"name": sf.name,
-                             "variables": list(sysm.variables),
-                             "map": [str(c) for c in sysm.coords],
+            sf = load_system(args.system)
+            sysm = sf.build()
+            doc["system"] = {"name": sf.name, **_jsonable(sysm),
                              "fingerprint": fingerprint(sysm)}
-            if args.command == "check":
-                verdict = validate_dominant(sysm)
-                doc["result"] = {"kind": "check", "dominant": verdict == DOMINANT,
-                                 "verdict": verdict, "dimension": sysm.dim}
-                code = 0 if verdict == DOMINANT else 1
-            elif args.command == "iterate":
-                it = iterate(sysm, args.m)
-                doc["result"] = {"kind": "iterate", "m": args.m,
-                                 "map": [str(c) for c in it.coords],
-                                 "degree": it.degree}
-            elif args.command == "degrees":
-                profile = degree_sequence(sysm, args.n)
-                doc["result"] = {"kind": "degrees", **_jsonable(profile)}
-            elif args.command == "invariants":
-                report = adim_lower_bound(sysm, args.budget)
-                doc["budget"] = _jsonable(args.budget)
-                doc["result"] = {
-                    "kind": "invariants",
-                    "invariants": [str(f) for f in report.invariants],
-                    "independence_rank": report.independence_rank,
-                    "verified": report.verified,
-                    "reduction_generators":
-                        [str(f) for f in report.reduction_generators],
-                }
-            elif args.command == "square":
-                report = square_gain_check(sysm, args.budget)
-                doc["budget"] = _jsonable(args.budget)
-                doc["result"] = {
-                    "kind": "square",
-                    "base_rank": report.base_rank,
-                    "square_rank": report.square_rank,
-                    "pullback_rank": report.pullback_rank,
-                    "new_invariant_found": report.new_invariant_found,
-                    "witness": None if report.witness is None else str(report.witness),
-                    "degree_profile": _jsonable(report.degree_profile),
-                }
-                code = 0 if report.new_invariant_found else 1
-            elif args.command == "classify":
-                ev = classify_system(sysm)
-                doc["result"] = {"kind": "classify", **_jsonable(ev)}
-            elif args.command == "verify":
-                f = parse_expression(args.function, sysm.variables)
-                rep = verify_invariant_report(sysm, f, args.mode, args.trials, seed)
-                doc["result"] = {"kind": "verify", "function": str(f),
-                                 **_jsonable(rep)}
-                code = 1 if rep.verdict == "not-invariant" else 0
-    except (ParseError, SystemFileError) as exc:
-        doc["error"] = {"code": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ParseError):
-            doc["error"]["line"] = exc.line
-            doc["error"]["column"] = exc.column
-        code = 2
+            doc["result"], code = _result(args.command, sysm, args)
+        if "budget" in args:
+            doc["budget"] = _jsonable(args.budget)
     except RatdynError as exc:
         doc["error"] = {"code": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ParseError):
+            doc["error"].update(line=exc.line, column=exc.column)
         code = 2
     doc["timing"] = {"ms": round((time.monotonic() - started) * 1000.0, 3)}
     return doc, code

@@ -183,7 +183,7 @@ def _proves_infinite_order(sys: DynamicalSystem) -> bool:
         f = sys.coords[0]
         if f.degree != 1:
             return True
-        (a, b), (c, d) = ((p._num.get((1,), 0), p._num.get((0,), 0)) for p in (f.num, f.den))
+        a, b, c, d = _mobius_entries(f, 0)
         if b == c == 0 and a == d:
             return False
         tr, det = a + d, a * d - b * c
@@ -213,21 +213,24 @@ def _is_affine(sys: DynamicalSystem) -> bool:
     return all(c.den.is_constant and c.num.total_degree <= 1 for c in sys.coords)
 
 
+def _mobius_entries(f: RationalFunction, i: int) -> Tuple[Fraction, ...]:
+    """(a, b, c, d) of f read as (a x_i + b)/(c x_i + d): the coefficients
+    of x_i and of 1 in its numerator and its denominator."""
+    n = len(f.variables)
+    x, one = tuple(int(j == i) for j in range(n)), (0,) * n
+    return (f.num.coefficient(x), f.num.coefficient(one),
+            f.den.coefficient(x), f.den.coefficient(one))
+
+
 def _is_mobius_product(sys: DynamicalSystem) -> bool:
-    for i, c in enumerate(sys.coords):
-        own = [0] * sys.dim
-        for e in list(c.num.support()) + list(c.den.support()):
-            for j, k in enumerate(e):
-                if k and j != i:
-                    return False
-                own[j] = max(own[j], k)
-        if c.num.degree_in(i) > 1 or c.den.degree_in(i) > 1:
+    for i, f in enumerate(sys.coords):
+        for e in itertools.chain(f.num.support(), f.den.support()):
+            if any(k for j, k in enumerate(e) if j != i):
+                return False
+        if f.num.degree_in(i) > 1 or f.den.degree_in(i) > 1:
             return False
-        a = c.num.coefficient(tuple(1 if j == i else 0 for j in range(sys.dim)))
-        b = c.num.coefficient((0,) * sys.dim)
-        cc = c.den.coefficient(tuple(1 if j == i else 0 for j in range(sys.dim)))
-        d = c.den.coefficient((0,) * sys.dim)
-        if a * d - b * cc == 0:
+        a, b, c, d = _mobius_entries(f, i)
+        if a * d - b * c == 0:
             return False
     return True
 

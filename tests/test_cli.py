@@ -11,7 +11,7 @@ import pytest
 
 from ratdyn import cli
 from ratdyn.cli import bundled_systems_dir, main, render_json, run_command
-from ratdyn.dynsys import diagonal_power
+from ratdyn.dynsys import MAX_ITERATIONS, degree_sequence, diagonal_power, iterate
 from ratdyn.errors import PreconditionError, SystemFileError
 from ratdyn.invsearch import SearchBudget, adim_lower_bound, rational_invariant_search
 from ratdyn.systemfile import SystemFile, dumps_system, load_system, loads_system
@@ -592,3 +592,120 @@ def test_cli_iterate_of_a_map_that_is_not_dominant_is_a_usage_error(tmp_path):
         doc, code = run_command(["iterate", "--m", m, path])
         assert code == 2
         assert doc["error"]["code"] == "NotDominantError"
+
+
+# -- integers too long to write out, and the iteration bound -------------------------
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes out integers of any length")
+@pytest.mark.parametrize("command", ["check", "iterate"])
+def test_cli_too_many_digits_is_a_work_limit_error(tmp_path, capsys, command):
+    if command == "check":
+        body = "var x;\nx -> 10^1000*10^1000*10^1000*10^1000*10^1000*x;\n"
+        argv = ["check", _system_file(tmp_path, body)]
+    else:  # the Moebius map's 9000th iterate has coefficients of over 4300 digits
+        argv = ["iterate", "--m", "9000", corpus("mobius.system")]
+    limit = str(sys.get_int_max_str_digits())
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "WorkLimitError" and "result" not in doc
+    assert limit in doc["error"]["message"]
+    out = _ratdyn(*argv)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["error"]["code"] == "WorkLimitError"
+
+
+def test_cli_iteration_counts_are_bounded():
+    # each step costs about 30 us on the shift, so an unbounded count could
+    # run for hours; past the bound the run stops before the first step
+    shift = corpus("shift.system")
+    for argv in (["iterate", "--m"], ["degrees", "--n"]):
+        started = time.monotonic()
+        doc, code = run_command(argv + [str(MAX_ITERATIONS + 1), shift])
+        assert time.monotonic() - started < 1
+        assert code == 2 and "result" not in doc
+        assert doc["error"]["code"] == "PreconditionError"
+        assert str(MAX_ITERATIONS) in doc["error"]["message"]
+    doc, code = run_command(["iterate", "--m", str(MAX_ITERATIONS), shift])
+    assert code == 0 and doc["result"]["map"] == [f"x + {MAX_ITERATIONS}"]
+    shift_map = load_system(shift).build()
+    with pytest.raises(PreconditionError):
+        iterate(shift_map, MAX_ITERATIONS + 1)
+    with pytest.raises(PreconditionError):
+        degree_sequence(shift_map, MAX_ITERATIONS + 1)
+
+
+# -- one result builder -------------------------------------------------------------
+
+
+def test_cli_selftest_runs_each_subcommand_once_per_system(monkeypatch):
+    calls = []
+    result = cli._result
+
+    def counted(command, sysm, args):
+        calls.append((command, sysm))
+        return result(command, sysm, args)
+
+    monkeypatch.setattr(cli, "_result", counted)
+    doc, code = run_command(["selftest"])
+    assert code == 0
+    assert len(calls) == len(set(calls))
+    # "class" and "verdict" share one classify on every system that has both
+    keys = [{c["check"] for c in entry["checks"]} for entry in doc["result"]["systems"]]
+    assert any({"class", "verdict"} <= k for k in keys)
+    assert (sum(command == "classify" for command, _ in calls)
+            == sum(bool({"class", "verdict"} & k) for k in keys))
+
+
+def test_format_doc_tables_every_expectation_key():
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "format.md")
+    with open(path) as lines:
+        rows = [line.split("|")[1:4] for line in lines if line.startswith("| `")]
+    table = {key.strip(" `"): (command.strip(" `").split()[0], field.strip(" `"))
+             for key, command, field in rows}
+    assert table == cli._EXPECTATIONS
+
+
+# -- reports against docs/schema.json -------------------------------------------------
+
+with open(os.path.join(os.path.dirname(__file__), "..", "docs", "schema.json")) as _f:
+    _SCHEMA = json.load(_f)
+
+
+def _schema_violations(doc):
+    """Required keys missing from, and keys not allowed in, the report and its
+    system, budget, error and result sections."""
+    result_schemas = {s["properties"]["kind"]["const"]: s
+                      for s in _SCHEMA["properties"]["result"]["oneOf"]}
+    sections = [("report", doc, _SCHEMA)]
+    for name in ("system", "budget", "error"):
+        if name in doc:
+            sections.append((name, doc[name], _SCHEMA["properties"][name]))
+    if "result" in doc:
+        sections.append(("result", doc["result"], result_schemas[doc["result"]["kind"]]))
+    problems = []
+    for name, value, schema in sections:
+        problems += [f"{name} lacks {key}" for key in schema.get("required", ())
+                     if key not in value]
+        problems += [f"{name} has {key}" for key in value if key not in schema["properties"]]
+    return problems
+
+
+def test_cli_reports_match_the_schema(tmp_path):
+    mobius, shift = corpus("mobius.system"), corpus("shift.system")
+    reports = [["check", mobius], ["iterate", "--m", "3", mobius],
+               ["degrees", "--n", "4", mobius], ["invariants", shift],
+               ["square", shift], ["classify", mobius],
+               ["verify", "--function", "x", "--mode", "randomized", mobius],
+               ["selftest", "--budget", "1,1,1,1"],
+               ["check", _system_file(tmp_path, "var x;\nx -> x +* 1;\n")],
+               ["frobnicate"]]
+    kinds = set()
+    for argv in reports:
+        doc, _ = run_command(argv)
+        assert _schema_violations(doc) == [], argv
+        kinds.add(doc["result"]["kind"] if "result" in doc else doc["error"]["code"])
+    assert kinds == {"check", "iterate", "degrees", "invariants", "square", "classify",
+                     "verify", "selftest", "ParseError", "UsageError"}
+    assert _schema_violations({**doc, "extra": 1}) == ["report has extra"]
