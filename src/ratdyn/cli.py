@@ -204,13 +204,17 @@ def _expectation_checks(sf: SystemFile, args) -> list:
     for key, expected in sorted(sf.expected.items()):
         if key in _EXPECTATIONS:
             command, field = _EXPECTATIONS[key]
-            if command not in results:
-                results[command] = _result(command, sysm, options)[0]
-            actual = results[command][field]
-            actual = actual if isinstance(actual, str) else json.dumps(actual)
-            if key == "invariant" and actual == "invariant":
-                actual = expected
-            passed = expected == actual
+            try:
+                if command not in results:
+                    results[command] = _result(command, sysm, options)[0]
+            except ParseError as exc:  # a malformed ``invariant`` value fails its check
+                actual, passed = f"ParseError: {exc}", False
+            else:
+                actual = results[command][field]
+                actual = actual if isinstance(actual, str) else json.dumps(actual)
+                if key == "invariant" and actual == "invariant":
+                    actual = expected
+                passed = expected == actual
         else:
             actual, passed = "unknown expectation key", False
         checks.append({"check": key, "expected": expected, "actual": actual, "pass": passed})

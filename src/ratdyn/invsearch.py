@@ -11,7 +11,8 @@ The fixed field of the pullback is approached in three stages, each exact:
     lowest terms divides its own cleared pullback I(q) (it is a Darboux
     polynomial), so only a q that divides I(q) is solved, as I(p) = p*r
     with r = I(q)/q; the catalog's factors are split until skipping the
-    other q loses nothing;
+    other q loses nothing, and until the test "q divides I(q)" is one on
+    the exponents of q's factors (below);
   * pencil stage -- when nothing was found, the full bilinear condition on
     p/q is linearized on the antisymmetrized coefficient pairs
     p_i q_j - p_j q_i; decomposable points of that nullspace are exactly
@@ -25,6 +26,22 @@ emitted function is verified once against the exact identity "pullback
 equals the function itself", and kept unless it lies in the span of the
 capped Laurent products of those kept before it; budget exhaustion only
 limits completeness, which is never claimed.
+
+The catalog decides "q divides I(q)" without forming q.  Each q is a
+product prod f_k^e_k of squarefree, pairwise coprime, primitive factors, and
+at the stage's clearing degree d = max(dp, deg q) its cleared pullback is
+c * prod J_j^e_j * D^(d - deg q), with J_j the cleared pullback of f_j at
+degree deg f_j and D = prod den_i.  A Darboux factor (f_k | J_k) always
+divides it to the power e_k.  ``_darboux_split`` splits every other factor
+until it has one valuation at all its irreducible factors in each den_i and
+each J_j, and a factor of degree 1 is irreducible, so the valuations at the
+whole factor, found by trial division, decide exactly: q | I(q) iff for each
+non-Darboux f_k with e_k > 0,
+
+    e_k <= sum_j e_j v(f_k, J_j) + (d - deg q) v(f_k, D).
+
+Only the products that pass are formed, sorted and solved, and each
+valuation is computed once, when a test first needs it.
 
 The search is lazy (``_kept_invariants``): it yields each invariant as it
 is kept, and a caller that stops pulling stops the search.  ``invariants``
@@ -184,27 +201,53 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
 # -- denominator catalog ----------------------------------------------------------
 
 
+class _FactorImages:
+    """The cleared pullback J(f) = I(f), over prod(den_i^deg f), of each
+    catalog factor f, and whether f divides it (f is a Darboux factor), each
+    computed once per search, when first asked for; ``tables`` caches
+    ``_pullback_table``."""
+
+    def __init__(self, sys: DynamicalSystem, tables: dict):
+        self.sys, self.tables = sys, tables
+        self._images: Dict[Polynomial, Polynomial] = {}
+        self._darboux: Dict[Polynomial, bool] = {}
+
+    def image(self, f: Polynomial) -> Polynomial:
+        if f not in self._images:
+            table = _pullback_table(self.sys, f.total_degree, self.tables)
+            self._images[f] = Polynomial._make(self.sys.variables,
+                                               _combine_int(_int_primitive(f)[1], table))
+        return self._images[f]
+
+    def darboux(self, f: Polynomial) -> bool:
+        if f not in self._darboux:
+            self._darboux[f] = try_divide(self.image(f), f) is not None
+        return self._darboux[f]
+
+
 def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
-                   tables: dict) -> List[Polynomial]:
-    """The factors, each non-Darboux f (one that does not divide its cleared
-    pullback I(f), over prod(den_i^deg f)) split by its gcd with the
-    squarefree chains of the coordinate denominators and of every factor's
-    I(f), until nothing changes: then each non-Darboux factor has one
-    valuation at all its irreducible factors in each of those chains."""
+                   images: _FactorImages) -> List[Polynomial]:
+    """The factors, each non-Darboux f (one that does not divide J(f), its
+    cleared pullback at degree deg f) split by its gcd with the squarefree
+    chains of the coordinate denominators and of every factor's J, until
+    nothing changes.
 
-    @functools.cache
-    def image(f):
-        return Polynomial._make(sys.variables, _combine_int(
-            _int_primitive(f)[1], _pullback_table(sys, f.total_degree, tables)))
-
+    Then each non-Darboux factor of degree > 1 has one valuation at all its
+    irreducible factors in each of those chains: it is squarefree, and a
+    chain entry that it neither divides nor is coprime to would have cut it.
+    So it has one valuation at all of them in each den_i, in prod(den_i) and
+    in each J(f_j), and trial division by the whole factor finds it; a
+    factor of degree 1 is irreducible, so the same holds for it.
+    ``_denominator_catalog`` decides its Darboux test on these valuations,
+    and reuses the images and Darboux flags of ``images``."""
     chain = functools.cache(squarefree_chain)
     dens = [coord.den for coord in sys.coords]
     out = factors
     while True:
-        loose = [f for f in out if f.total_degree > 1 and try_divide(image(f), f) is None]
+        loose = [f for f in out if f.total_degree > 1 and not images.darboux(f)]
         if not loose:
             return out
-        splitters = [c for p in dens + list(map(image, out)) for c in chain(p)]
+        splitters = [c for p in dens + list(map(images.image, out)) for c in chain(p)]
         cuts = {}
         for f in loose:
             for c in splitters:
@@ -218,16 +261,60 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
         out = [h for f in out for h in cuts.get(f, (f,))]
 
 
+def _exponent_vectors(degrees: Sequence[int], top: int) -> Iterator[Tuple[int, ...]]:
+    """The vectors e >= 0 with sum(e_k * degrees[k]) <= top, degrees >= 1,
+    in ascending lex order (the first entry varies slowest), from 0."""
+    e, left = [0] * len(degrees), top
+    while True:
+        yield tuple(e)
+        k = len(e) - 1
+        while k >= 0 and degrees[k] > left:
+            left += e[k] * degrees[k]
+            e[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        e[k] += 1
+        left -= degrees[k]
+
+
+def _valuation(f: Dict[Tuple[int, ...], int], a: Dict[Tuple[int, ...], int]) -> int:
+    """The largest m with f^m | a, by trial division; int polys, f primitive
+    and not constant, a nonzero."""
+    m = 0
+    while (a := _divide_int(a, f)) is not None:
+        m += 1
+    return m
+
+
 def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
                          tables: dict) -> List[Polynomial]:
-    """Products of iterated numerator/denominator factors, in
+    """The Darboux products of iterated numerator/denominator factors, in
     ``canonical_order``.
 
     Invariant denominators are Darboux polynomials, which concentrate among
     the factors of the iterates; the catalog collects the coprime factor
     basis of the first few iterates up to the denominator degree budget,
     split by ``_darboux_split`` (``tables`` caches ``_pullback_table``), and
-    all its products up to that budget.
+    keeps those of its products up to that budget that divide their own
+    cleared pullback.  The products are enumerated as exponent vectors in
+    ascending lex order, and the first ``_CATALOG_CAP`` of them are tested,
+    kept or not.
+
+    The test is on exponents.  A product q = prod f_k^e_k of the squarefree,
+    pairwise coprime, primitive factors f_k, cleared at the stage's degree
+    d = max(dp, deg q), is I_d(q) = c * prod J_j^e_j * D^(d - deg q), with
+    J_j = J(f_j) and D = prod den_i.  At an irreducible p dividing f_k, q
+    has valuation e_k and I_d(q) the sum of e_j v_p(J_j) and
+    (d - deg q) v_p(D).  A Darboux factor passes: v_p(J_k) >= 1.  Every other
+    factor has one valuation at all its irreducible factors in each J_j and
+    in D (``_darboux_split``), found by trial division, so q divides I_d(q)
+    exactly when, for each non-Darboux f_k with e_k > 0,
+
+        e_k <= sum_j e_j v(f_k, J_j) + (d - deg q) v(f_k, D).
+
+    Each valuation is computed for one pair, once, when a test first needs
+    it, and a Polynomial is formed only for a product that passes.
     """
     if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
         return []
@@ -236,31 +323,43 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
         for c in it.coords:
             pool.append(c.num)
             pool.append(c.den)
+    images = _FactorImages(sys, tables)
     factors = _darboux_split(sys, [f for f in coprime_factor_basis(pool)
-                                   if f.total_degree <= budget.max_den_degree], tables)
-    products: List[Polynomial] = []
+                                   if f.total_degree <= budget.max_den_degree], images)
+    degrees = [f.total_degree for f in factors]
+    ints = [_int_primitive(f)[1] for f in factors]
+    darboux = [d > 1 and images.darboux(f) for f, d in zip(factors, degrees)]
+    den = functools.reduce(_mul_int, (coord.den._num for coord in sys.coords))
+    valuations: Dict[Tuple[int, int], int] = {}
 
-    def rec(idx, degree_left, acc):
-        if len(products) >= _CATALOG_CAP:
-            return
-        if idx == len(factors):
-            if not acc.is_constant:
-                products.append(acc)
-            return
-        f = factors[idx]
-        step = f.total_degree
-        power = acc
-        count = 0
-        while True:
-            rec(idx + 1, degree_left - count * step, power)
-            count += 1
-            if count * step > degree_left:
-                break
-            power = power * f
-            if power.total_degree > budget.max_den_degree:
-                break
+    def valuation(k, j):
+        # v(f_k, J_j), and v(f_k, D) at j = -1
+        if (k, j) not in valuations:
+            valuations[k, j] = _valuation(ints[k], den if j < 0 else
+                                          images.image(factors[j])._num)
+        return valuations[k, j]
 
-    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1))
+    def divides(e, degree):
+        spare = max(budget.max_num_degree, degree) - degree
+        support = [j for j, ej in enumerate(e) if ej]
+        for k in support:
+            if darboux[k]:
+                continue
+            have = spare * valuation(k, -1) if spare else 0
+            for j in support:
+                if have >= e[k]:
+                    break
+                have += e[j] * valuation(k, j)
+            if have < e[k]:
+                return False
+        return True
+
+    products = []
+    vectors = _exponent_vectors(degrees, budget.max_den_degree)
+    for e in itertools.islice(vectors, 1, _CATALOG_CAP + 1):
+        if divides(e, sum(map(operator.mul, e, degrees))):
+            q = functools.reduce(operator.mul, (f ** k for f, k in zip(factors, e) if k))
+            products.append(q)
     return canonical_order(products)
 
 
@@ -286,9 +385,9 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
       (b) after ``_darboux_split`` each non-Darboux factor has the same
           valuation at each of its irreducible factors in every pullback
           and every denominator chain, so D is a product of whole factors;
-          ``rec`` enumerates D before q, D's exponents being <= q's, so the
-          cap cannot keep q and cut D, and D sorts earlier, its degree
-          being lower;
+          the catalog tests D before q, D's exponent vector being below
+          q's in lex order, so the cap cannot keep q and cut D, and D sorts
+          earlier, its degree being lower;
       (c) D's own solve used the full numerator bound dp (p'*D/q' has
           degree <= deg p), so everything q could emit lies in the pool's
           span of what was already kept (by (a)-(c) for D if D fails its

@@ -84,6 +84,8 @@ def _parse_text(source: str, default_name: str) -> SystemFile:
             pieces = stmt[7:].split(None, 1)
             if len(pieces) != 2:
                 raise SystemFileError(f"malformed expectation {stmt!r}")
+            if pieces[0] in expected:
+                raise SystemFileError(f"expectation {pieces[0]!r} given twice")
             expected[pieces[0]] = pieces[1].strip()
         elif "->" in stmt:
             lhs, rhs = stmt.split("->", 1)

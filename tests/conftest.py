@@ -143,6 +143,24 @@ def darboux_solves(monkeypatch):
     return solves
 
 
+@pytest.fixture
+def darboux_tests(monkeypatch):
+    """The (table degree, q) of every ``invsearch._darboux_kernel`` call
+    during the test, in order, solved or not: each one tests by polynomial
+    division whether q divides its cleared pullback; q as its primitive int
+    term map."""
+    from ratdyn import invsearch
+    tests = []
+    kernel = invsearch._darboux_kernel
+
+    def counted_kernel(sys, q_int, dp, d, tables, kernels):
+        tests.append((d, q_int))
+        return kernel(sys, q_int, dp, d, tables, kernels)
+
+    monkeypatch.setattr(invsearch, "_darboux_kernel", counted_kernel)
+    return tests
+
+
 # -- Fraction references for the integer monomial power tables -------------------
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -76,6 +77,17 @@ def test_malformed_files_rejected():
         loads_system("var 2x; 2x -> 1;")                # bad identifier
     with pytest.raises(SystemFileError):
         loads_system('{"variables": "x"}')              # bad JSON shape
+
+
+def test_repeated_expect_key_rejected(tmp_path):
+    # a second line of one key would silently drop the first check
+    text = "var x, y; x -> y; y -> x; expect invariant x + y; expect invariant x*y;"
+    with pytest.raises(SystemFileError, match="'invariant' given twice"):
+        loads_system(text)
+    doc, code = run_command(["check", _system_file(tmp_path, text)])
+    assert code == 2 and "result" not in doc
+    assert doc["error"]["code"] == "SystemFileError"
+    assert "'invariant'" in doc["error"]["message"]
 
 
 # -- verification oracle ---------------------------------------------------------
@@ -656,6 +668,23 @@ def test_cli_selftest_runs_each_subcommand_once_per_system(monkeypatch):
     assert any({"class", "verdict"} <= k for k in keys)
     assert (sum(command == "classify" for command, _ in calls)
             == sum(bool({"class", "verdict"} & k) for k in keys))
+
+
+def test_cli_selftest_fails_one_check_on_a_malformed_expect_value(tmp_path, monkeypatch):
+    # the parse error is that check's actual value; every other check runs
+    (tmp_path / "bad.system").write_text(
+        "var x, y;\nx -> y;\ny -> x;\nexpect dominant true;\nexpect invariant x +;\n")
+    shutil.copy(corpus("swap.system"), tmp_path / "swap.system")
+    monkeypatch.setattr(cli, "bundled_systems_dir", lambda: str(tmp_path))
+    doc, code = run_command(["selftest"])
+    assert code == 1
+    bad, swap = doc["result"]["systems"]
+    assert [(c["check"], c["pass"]) for c in bad["checks"]] == [("dominant", True),
+                                                                ("invariant", False)]
+    assert bad["checks"][1]["actual"] == (
+        "ParseError: unexpected 'end of input' (line 1, column 4)")
+    assert swap["checks"] and all(c["pass"] for c in swap["checks"])
+    assert doc["result"]["failures"] == 1 and doc["result"]["passed"] is False
 
 
 def test_format_doc_tables_every_expectation_key():

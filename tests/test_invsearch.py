@@ -1,5 +1,6 @@
 """Invariant search: bases, catalogs, pencils, ranks, square gain."""
 
+import itertools
 import operator
 import os
 import random
@@ -13,14 +14,16 @@ from hypothesis import example, given, strategies as st
 from ratdyn import invsearch
 from ratdyn.cli import bundled_systems_dir, run_command
 from ratdyn.dynsys import (EVIDENCE_WINDOW, DynamicalSystem, degree_sequence,
-                           diagonal_power, iterate, pullback)
+                           diagonal_power, iterate, iterates, pullback)
 from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (JacobianSelector, Polynomial, RationalFunction,
-                             basis_exponents, clear_denominators, grlex_key,
+                             basis_exponents, clear_denominators,
+                             coprime_factor_basis, grlex_key,
                              jacobian_rank, monomials_upto, nullspace, transpose,
                              try_divide)
 from ratdyn.exactalg.linalg import _echelon
 from ratdyn.exactalg.poly import (_combine_int, _divide_int, _gcd_primitive,
+                                  canonical_order,
                                   _int_primitive, _is_constant, _minus_shifted,
                                   _mul_int, _normalized, _scaled_int)
 from ratdyn.invsearch import (DEFAULT_BUDGET, SearchBudget, SquareGainReport,
@@ -110,8 +113,10 @@ def test_entry_points_reject_non_dominant_maps():
 
 
 @pytest.mark.parametrize("variables, exprs, budget, degrees", [
-    # the q = 1 solve, every catalog solve and the pencil stage at degree 3
-    ("x", ("(2*x + 3)/(x + 1)",), DEFAULT_BUDGET, [3]),
+    # the catalog's valuations need the images of its degree-1 factors at
+    # degree 1; the q = 1 solve, every catalog solve and the pencil stage
+    # are at degree 3
+    ("x", ("(2*x + 3)/(x + 1)",), DEFAULT_BUDGET, [1, 3]),
     # the Darboux split tabulates degree 2 first
     ("x y", ("y", "(y^2 + 1)/x"), DEFAULT_BUDGET, [2, 1, 3]),
     # no catalog: the q = 1 solve at degree 1, the pencil stage at 2
@@ -1236,12 +1241,12 @@ def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
         systems_dir):
     # mobius's square at 2,3,2,3 has no invariant with a catalog denominator;
     # a q that does not divide its cleared pullback makes no solve, and
-    # there are such q
+    # there are such q among the products that the catalog tests
     mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
     square = diagonal_power(mobius, 2)
     budget = SearchBudget(2, 3, 2, 3)
     skipped = 0
-    for q in invsearch._denominator_catalog(square, budget, {}):
+    for q in _reference_catalog(square, budget):
         found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
             square, q, budget, {}, {}))
         assert found == _ref_fixed_denominator_stage(square, q, 2) == []
@@ -1402,7 +1407,8 @@ def test_darboux_only_search_matches_the_q1_stage(systems_dir, budget):
 
 
 def test_catalog_order_is_degree_leading_monomial_then_text(systems_dir):
-    # the text breaks ties only, and ties are common on the squares
+    # the text breaks ties only, and ties are common among the products on
+    # the squares, of which the catalog keeps the Darboux ones
     def key(entry):
         return entry.total_degree, grlex_key(entry.leading()[0]), str(entry)
 
@@ -1413,9 +1419,117 @@ def test_catalog_order_is_degree_leading_monomial_then_text(systems_dir):
             for budget in (DEFAULT_BUDGET, SearchBudget(2, 3, 2, 3)):
                 catalog = invsearch._denominator_catalog(sys, budget, {})
                 assert catalog == sorted(catalog, key=key)
-                keys = [key(entry)[:2] for entry in catalog]
+                keys = [key(entry)[:2] for entry in _reference_catalog(sys, budget)]
                 ties += len(keys) - len(set(keys))
     assert ties > 0
+
+
+def _reference_catalog(sys, budget):
+    """Every product of the split factors that the catalog tests, as a
+    Polynomial, in ``canonical_order``: the products of degree up to the
+    budget in ``rec`` order, the first ``_CATALOG_CAP`` of them.  The catalog
+    is its Darboux part (``_reference_darboux_catalog``)."""
+    if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
+        return []
+    pool = [p for it in itertools.islice(iterates(sys), budget.denominator_catalog_depth)
+            for c in it.coords for p in (c.num, c.den)]
+    factors = invsearch._darboux_split(
+        sys, [f for f in coprime_factor_basis(pool) if f.total_degree <= budget.max_den_degree],
+        invsearch._FactorImages(sys, {}))
+    products = []
+
+    def rec(idx, degree_left, acc):
+        if len(products) >= invsearch._CATALOG_CAP:
+            return
+        if idx == len(factors):
+            if not acc.is_constant:
+                products.append(acc)
+            return
+        step, power, count = factors[idx].total_degree, acc, 0
+        while True:
+            rec(idx + 1, degree_left - count * step, power)
+            count += 1
+            if count * step > degree_left:
+                break
+            power = power * factors[idx]
+
+    rec(0, budget.max_den_degree, Polynomial.constant(sys.variables, 1))
+    return canonical_order(products)
+
+
+def _reference_darboux_catalog(sys, budget):
+    """The products of ``_reference_catalog`` that divide their own cleared
+    pullback, by the Fraction pullback of each."""
+    return [q for q in _reference_catalog(sys, budget)
+            if _is_darboux(sys, q, budget.max_num_degree)]
+
+
+@pytest.mark.parametrize("budget", test_sweep.BUDGETS)
+def test_catalog_matches_the_polynomial_darboux_test(systems_dir, budget):
+    # the test on exponents keeps exactly the products that divide their
+    # own cleared pullback, in the same order: on the bundled systems, their
+    # squares and the maps above, at every sweep budget
+    budget = (DEFAULT_BUDGET if budget == "default"
+              else SearchBudget(*map(int, budget.split(","))))
+    bundled = [load_system(os.path.join(systems_dir, name)).build()
+               for name in sorted(os.listdir(systems_dir))]
+    systems = (bundled + [diagonal_power(sys, 2) for sys in bundled]
+               + [make_system(*spec) for spec in _EXTRA_MAPS])
+    for sys in systems:
+        assert (invsearch._denominator_catalog(sys, budget, {})
+                == _reference_darboux_catalog(sys, budget)), sys
+
+
+@given(rescaled_maps(), st.sampled_from(test_sweep.BUDGETS[1:]))
+def test_catalog_matches_the_polynomial_darboux_test_on_rescaled_maps(sys, budget):
+    budget = SearchBudget(*map(int, budget.split(",")))
+    assert (invsearch._denominator_catalog(sys, budget, {})
+            == _reference_darboux_catalog(sys, budget))
+
+
+@pytest.mark.parametrize("variables, exprs, budget, catalog", [
+    # swap: x and y are not Darboux, and x*y passes only through the cross
+    # terms, x | I(y) and y | I(x)
+    ("x y", ("y", "x"), SearchBudget(1, 2, 1, 3), ["x*y"]),
+    # x -> 1/x: I(x) = 1 at degree 1, so x passes only through the spare
+    # degree of the clearing, d - deg q = dp - 1, times v(x, den) = 1
+    ("x", ("1/x",), SearchBudget(2, 1, 1, 3), ["x"]),
+    ("x", ("1/x",), SearchBudget(1, 1, 1, 3), []),
+])
+def test_catalog_passes_a_factor_through_each_term(variables, exprs, budget, catalog):
+    sys = make_system(variables, *exprs)
+    expected = [poly(q, variables) for q in catalog]
+    assert invsearch._denominator_catalog(sys, budget, {}) == expected
+    assert _reference_darboux_catalog(sys, budget) == expected
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_catalog_cap_counts_the_products_that_fail(systems_dir, cap):
+    # the cap counts every product tested, kept or not.  On swap the
+    # products in test order are y, y^2, x, x*y, x^2, and only x*y passes
+    swap = make_system("x y", "y", "x")
+    mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_CATALOG_CAP", cap)
+        catalog = invsearch._denominator_catalog(swap, SearchBudget(1, 2, 1, 3), {})
+        assert catalog == ([poly("x*y", "x y")] if cap >= 4 else [])
+        for sys in (mobius, diagonal_power(mobius, 2), make_system("x", "1/x")):
+            for budget in (SearchBudget(2, 3, 2, 3), SearchBudget(2, 1, 1, 3)):
+                assert (invsearch._denominator_catalog(sys, budget, {})
+                        == _reference_darboux_catalog(sys, budget))
+
+
+def test_catalog_tests_products_without_a_polynomial_pullback(systems_dir, darboux_tests):
+    # mobius's square at 2,3,2,3: of the 164 products only 5 are Darboux, so
+    # the search tests 6 q by their pullback, q = 1 and those 5
+    mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
+    square = diagonal_power(mobius, 2)
+    budget = SearchBudget(2, 3, 2, 3)
+    assert len(_reference_catalog(square, budget)) == 164
+    assert len(invsearch._denominator_catalog(square, budget, {})) == 5
+    darboux_tests.clear()
+    assert rational_invariant_search(square, budget) == []
+    assert len(darboux_tests) == 6
 
 
 @given(rescaled_maps(), st.integers(1, 2))
