@@ -308,13 +308,14 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
     has valuation e_k and I_d(q) the sum of e_j v_p(J_j) and
     (d - deg q) v_p(D).  A Darboux factor passes: v_p(J_k) >= 1.  Every other
     factor has one valuation at all its irreducible factors in each J_j and
-    in D (``_darboux_split``), found by trial division, so q divides I_d(q)
-    exactly when, for each non-Darboux f_k with e_k > 0,
+    in D (``_darboux_split``), found by trial division, and 0 in its own J,
+    so q divides I_d(q) exactly when, for each non-Darboux f_k with e_k > 0,
 
         e_k <= sum_j e_j v(f_k, J_j) + (d - deg q) v(f_k, D).
 
-    Each valuation is computed for one pair, once, when a test first needs
-    it, and a Polynomial is formed only for a product that passes.
+    Each Darboux flag and each valuation is computed once, when a test
+    first needs it, and a Polynomial is formed only for a product that
+    passes.
     """
     if budget.max_den_degree == 0 or budget.denominator_catalog_depth == 0:
         return []
@@ -328,7 +329,6 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
                                    if f.total_degree <= budget.max_den_degree], images)
     degrees = [f.total_degree for f in factors]
     ints = [_int_primitive(f)[1] for f in factors]
-    darboux = [d > 1 and images.darboux(f) for f, d in zip(factors, degrees)]
     den = functools.reduce(_mul_int, (coord.den._num for coord in sys.coords))
     valuations: Dict[Tuple[int, int], int] = {}
 
@@ -343,13 +343,14 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
         spare = max(budget.max_num_degree, degree) - degree
         support = [j for j, ej in enumerate(e) if ej]
         for k in support:
-            if darboux[k]:
+            if images.darboux(factors[k]):
                 continue
             have = spare * valuation(k, -1) if spare else 0
             for j in support:
                 if have >= e[k]:
                     break
-                have += e[j] * valuation(k, j)
+                if j != k:  # v(f_k, J_k) = 0
+                    have += e[j] * valuation(k, j)
             if have < e[k]:
                 return False
         return True
