@@ -44,7 +44,8 @@ Only the products that pass are formed, sorted and solved, and each
 valuation is computed once, when a test first needs it.
 
 The search is lazy (``_kept_invariants``): it yields each invariant as it
-is kept, and a caller that stops pulling stops the search.  ``invariants``
+is kept, and a caller that stops pulling stops the search; one that stops
+within the q = 1 solve never builds the catalog.  ``invariants``
 lists everything found, so it runs to the end; ``square_gain_check`` stops
 each of its searches at a proven bound on the rank, with K the invariant
 field of phi on X, n = dim X, and L that of phi x phi on X x X:
@@ -202,26 +203,32 @@ def polynomial_invariant_basis(sys: DynamicalSystem, d: int) -> List[Polynomial]
 
 
 class _FactorImages:
-    """The cleared pullback J(f) = I(f), over prod(den_i^deg f), of each
-    catalog factor f, and whether f divides it (f is a Darboux factor), each
-    computed once per search, when first asked for; ``tables`` caches
-    ``_pullback_table``."""
+    """For each catalog factor f of one search: its primitive int form, its
+    cleared pullback J(f) = I(f) over prod(den_i^deg f) as an int poly, and
+    whether f divides it (f is a Darboux factor), each computed once, when
+    first asked for; ``tables`` caches ``_pullback_table``."""
 
     def __init__(self, sys: DynamicalSystem, tables: dict):
         self.sys, self.tables = sys, tables
-        self._images: Dict[Polynomial, Polynomial] = {}
+        self._ints: Dict[Polynomial, Dict[Tuple[int, ...], int]] = {}
+        self._images: Dict[Polynomial, Dict[Tuple[int, ...], int]] = {}
         self._darboux: Dict[Polynomial, bool] = {}
 
-    def image(self, f: Polynomial) -> Polynomial:
+    def primitive(self, f: Polynomial) -> Dict[Tuple[int, ...], int]:
+        if f not in self._ints:
+            self._ints[f] = _int_primitive(f)[1]
+        return self._ints[f]
+
+    def image(self, f: Polynomial) -> Dict[Tuple[int, ...], int]:
         if f not in self._images:
             table = _pullback_table(self.sys, f.total_degree, self.tables)
-            self._images[f] = Polynomial._make(self.sys.variables,
-                                               _combine_int(_int_primitive(f)[1], table))
+            self._images[f] = _combine_int(self.primitive(f), table)
         return self._images[f]
 
     def darboux(self, f: Polynomial) -> bool:
+        # f is primitive, so it divides the int poly J(f) over Z if over Q
         if f not in self._darboux:
-            self._darboux[f] = try_divide(self.image(f), f) is not None
+            self._darboux[f] = _divide_int(self.image(f), self.primitive(f)) is not None
         return self._darboux[f]
 
 
@@ -247,7 +254,8 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
         loose = [f for f in out if f.total_degree > 1 and not images.darboux(f)]
         if not loose:
             return out
-        splitters = [c for p in dens + list(map(images.image, out)) for c in chain(p)]
+        splitters = [c for p in dens + [Polynomial._make(sys.variables, images.image(f))
+                                        for f in out] for c in chain(p)]
         cuts = {}
         for f in loose:
             for c in splitters:
@@ -328,7 +336,7 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
     factors = _darboux_split(sys, [f for f in coprime_factor_basis(pool)
                                    if f.total_degree <= budget.max_den_degree], images)
     degrees = [f.total_degree for f in factors]
-    ints = [_int_primitive(f)[1] for f in factors]
+    ints = [images.primitive(f) for f in factors]
     den = functools.reduce(_mul_int, (coord.den._num for coord in sys.coords))
     valuations: Dict[Tuple[int, int], int] = {}
 
@@ -336,7 +344,7 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
         # v(f_k, J_j), and v(f_k, D) at j = -1
         if (k, j) not in valuations:
             valuations[k, j] = _valuation(ints[k], den if j < 0 else
-                                          images.image(factors[j])._num)
+                                          images.image(factors[j]))
         return valuations[k, j]
 
     def divides(e, degree):
@@ -359,8 +367,8 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
     vectors = _exponent_vectors(degrees, budget.max_den_degree)
     for e in itertools.islice(vectors, 1, _CATALOG_CAP + 1):
         if divides(e, sum(map(operator.mul, e, degrees))):
-            q = functools.reduce(operator.mul, (f ** k for f, k in zip(factors, e) if k))
-            products.append(q)
+            products.append(functools.reduce(operator.mul, (
+                f for f, k in zip(factors, e) for _ in range(k))))
     return canonical_order(products)
 
 
@@ -913,8 +921,12 @@ def _kept_invariants(sys: DynamicalSystem,
             if len(collector.found) > kept:
                 yield collector.found[-1]
 
-    one = Polynomial.constant(sys.variables, 1)
-    for q in [one, *_denominator_catalog(sys, budget, tables)]:
+    def denominators():
+        # the catalog is built only once the q = 1 solve has been pulled
+        yield Polynomial.constant(sys.variables, 1)
+        yield from _denominator_catalog(sys, budget, tables)
+
+    for q in denominators():
         yield from offered(_fixed_denominator_invariants(sys, q, budget, tables, kernels))
     if not collector.found:
         yield from offered(_pencil_stage(sys, budget, tables))

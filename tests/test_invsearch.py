@@ -113,12 +113,13 @@ def test_entry_points_reject_non_dominant_maps():
 
 
 @pytest.mark.parametrize("variables, exprs, budget, degrees", [
-    # the catalog's valuations need the images of its degree-1 factors at
-    # degree 1; the q = 1 solve, every catalog solve and the pencil stage
-    # are at degree 3
-    ("x", ("(2*x + 3)/(x + 1)",), DEFAULT_BUDGET, [1, 3]),
-    # the Darboux split tabulates degree 2 first
-    ("x y", ("y", "(y^2 + 1)/x"), DEFAULT_BUDGET, [2, 1, 3]),
+    # the q = 1 solve, every catalog solve and the pencil stage at degree 3;
+    # the catalog's Darboux flags need the images of its degree-1 factors
+    # at degree 1
+    ("x", ("(2*x + 3)/(x + 1)",), DEFAULT_BUDGET, [3, 1]),
+    # the catalog is built after the q = 1 solve, and its Darboux split
+    # tabulates degree 2, then 1
+    ("x y", ("y", "(y^2 + 1)/x"), DEFAULT_BUDGET, [3, 2, 1]),
     # no catalog: the q = 1 solve at degree 1, the pencil stage at 2
     ("x y", ("2*x", "2*y"), SearchBudget(1, 2, 0, 6), [1, 2]),
 ])
