@@ -162,11 +162,11 @@ def _kernel_polynomials(sys, monos, basis) -> List[Polynomial]:
 
 
 def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int, d: int,
-                    tables: dict, kernels: dict) -> Optional[List[Polynomial]]:
+                    tables: dict, kernels: dict) -> List[Polynomial]:
     """The p of degree <= dp with I(p) = p*r, r = I(q)/q, for a primitive
-    int q of degree <= d, cleared at degree d: the reduced row echelon
-    kernel of the columns I(m) - m*r, one per monomial m of degree <= dp, as
-    ``_kernel_polynomials``; None when q does not divide I(q).
+    int q of degree <= d that divides I(q), cleared at degree d: the reduced
+    row echelon kernel of the columns I(m) - m*r, one per monomial m of
+    degree <= dp, as ``_kernel_polynomials``.
 
     The columns depend only on d, dp and r, so ``kernels`` holds one solve
     per table degree and cofactor, keyed by (d, r), for one search (whose dp
@@ -174,8 +174,7 @@ def _darboux_kernel(sys: DynamicalSystem, q_int: dict, dp: int, d: int,
     deg q <= dp, since I(q) = q*r.  ``tables`` caches ``_pullback_table``."""
     table = _pullback_table(sys, d, tables)
     r = _divide_int(_combine_int(q_int, table), q_int)
-    if r is None:
-        return None
+    assert r is not None, "q does not divide its cleared pullback"
     key = (d, frozenset(r.items()))
     if key not in kernels:
         monos = [e for e in table if sum(e) <= dp]
@@ -309,6 +308,21 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
     ascending lex order, and the first ``_CATALOG_CAP`` of them are tested,
     kept or not.
 
+    Dropping a product q that fails loses nothing the search keeps:
+
+      (a) a candidate p/q = p'/q' in lowest terms has q' | I(q'), so q'
+          divides G, q's largest Darboux divisor: the limit of
+          g <- gcd(g, I(g)) from g = q;
+      (b) after ``_darboux_split`` each non-Darboux factor has the same
+          valuation at each of its irreducible factors in every pullback
+          and every denominator chain, so G is a product of whole factors;
+          G's exponent vector is below q's in lex order, so the cap cannot
+          test q and cut G, and G sorts earlier, its degree being lower;
+      (c) G's own solve uses the full numerator bound dp (p'*G/q' has
+          degree <= deg p), so everything q could emit lies in the pool's
+          span of what was already kept (by (a)-(c) for G if G fails its
+          own test), and the collector would drop it.
+
     The test is on exponents.  A product q = prod f_k^e_k of the squarefree,
     pairwise coprime, primitive factors f_k, cleared at the stage's degree
     d = max(dp, deg q), is I_d(q) = c * prod J_j^e_j * D^(d - deg q), with
@@ -379,36 +393,20 @@ def _fixed_denominator_invariants(sys: DynamicalSystem, q: Polynomial,
     polynomial stage.
 
     With I the pullback cleared at degree max(dp, deg q), p/q is invariant
-    iff I(p)*q = p*I(q).  When q divides I(q), this is I(p) = p*r with
-    r = I(q)/q, one column I(m) - m*r per monomial m of degree <= dp, and
-    the output is the reduced row echelon kernel, each vector with a
-    positive leading coefficient (when deg q <= dp, q is a kernel vector,
-    and the line through q alone gives only constants).  That kernel
-    depends only on the clearing degree and r, so every q that shares both
-    with an earlier one reuses its solve (``kernels``).  Any other
-    q returns [] without a solve, which loses nothing the search keeps:
-
-      (a) a candidate p/q = p'/q' in lowest terms has q' | I(q'), so q'
-          divides D, q's largest Darboux divisor: the limit of
-          g <- gcd(g, I(g)) from g = q;
-      (b) after ``_darboux_split`` each non-Darboux factor has the same
-          valuation at each of its irreducible factors in every pullback
-          and every denominator chain, so D is a product of whole factors;
-          the catalog tests D before q, D's exponent vector being below
-          q's in lex order, so the cap cannot keep q and cut D, and D sorts
-          earlier, its degree being lower;
-      (c) D's own solve used the full numerator bound dp (p'*D/q' has
-          degree <= deg p), so everything q could emit lies in the pool's
-          span of what was already kept (by (a)-(c) for D if D fails its
-          own test), and the collector would drop it.
-
-    ``tables`` caches ``_pullback_table`` and ``kernels`` the solves, both
-    for one search.
+    iff I(p)*q = p*I(q).  q is 1 or a catalog entry, so it divides I(q),
+    and this is I(p) = p*r with r = I(q)/q, one column I(m) - m*r per
+    monomial m of degree <= dp; the output is the reduced row echelon
+    kernel, each vector with a positive leading coefficient (when
+    deg q <= dp, q is a kernel vector, and the line through q alone gives
+    only constants).  That kernel depends only on the clearing degree and
+    r, so every q that shares both with an earlier one reuses its solve
+    (``kernels``).  ``tables`` caches ``_pullback_table`` and ``kernels``
+    the solves, both for one search.
     """
     dp = budget.max_num_degree
     kernel = _darboux_kernel(sys, _int_primitive(q)[1], dp, max(dp, q.total_degree),
                              tables, kernels)
-    if kernel is None or (q.total_degree <= dp and len(kernel) == 1):
+    if q.total_degree <= dp and len(kernel) == 1:
         return []
     candidates = (RationalFunction(p, q) for p in kernel)
     return [f for f in candidates if not f.is_constant]

@@ -146,9 +146,9 @@ def darboux_solves(monkeypatch):
 @pytest.fixture
 def darboux_tests(monkeypatch):
     """The (table degree, q) of every ``invsearch._darboux_kernel`` call
-    during the test, in order, solved or not: each one tests by polynomial
-    division whether q divides its cleared pullback; q as its primitive int
-    term map."""
+    during the test, in order, solved or served from the kernel memo: each
+    one divides q's cleared pullback by q, the polynomial Darboux test; q as
+    its primitive int term map."""
     from ratdyn import invsearch
     tests = []
     kernel = invsearch._darboux_kernel

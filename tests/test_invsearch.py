@@ -19,8 +19,8 @@ from ratdyn.errors import NotDominantError
 from ratdyn.exactalg import (JacobianSelector, Polynomial, RationalFunction,
                              basis_exponents, clear_denominators,
                              coprime_factor_basis, grlex_key,
-                             jacobian_rank, monomials_upto, nullspace, transpose,
-                             try_divide)
+                             jacobian_rank, monomials_upto, nullspace, poly_gcd,
+                             transpose, try_divide)
 from ratdyn.exactalg.linalg import _echelon
 from ratdyn.exactalg.poly import (_combine_int, _divide_int, _gcd_primitive,
                                   canonical_order,
@@ -1187,26 +1187,48 @@ def _is_darboux(sys, q, dp):
     return try_divide(_ref_image(sys, q, dp)[2], q) is not None
 
 
+def _found_through_the_catalog(sys, q, budget, catalog):
+    """Whether G, q's largest Darboux divisor (the limit of g <- gcd(g, I(g))
+    from g = q), is 1 or a catalog entry, up to a constant, and every
+    function f that the full solve finds for q is p/G with deg p <= dp:
+    then G's solve finds p, and skipping q loses nothing."""
+    dp = budget.max_num_degree
+    g = q
+    while (h := poly_gcd(g, _ref_image(sys, g, dp)[2])).total_degree < g.total_degree:
+        g = h
+    dens = [Polynomial.constant(sys.variables, 1), *catalog]
+    if not any(e.total_degree == g.total_degree and try_divide(e, g) is not None
+               for e in dens):
+        return False
+    found = _ref_fixed_denominator_stage(sys, q, dp)
+    cofactors = [try_divide(g, f.den) for f in found]
+    return all(c is not None and (f.num * c).total_degree <= dp
+               for f, c in zip(found, cofactors))
+
+
 @given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
                                          SearchBudget(2, 2, 1, 3),
                                          SearchBudget(1, 3, 1, 3)]),
        st.sampled_from(["1", "3/7", "-2"]))
 def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
-    # a catalog q as it comes and rescaled: the stage clears it either way.
-    # A Darboux q makes one solve, with a column per monomial of degree
-    # <= dp, and its output is that of the full solve for p; any other q
-    # makes none and returns []
+    # a product that the catalog tests, as it comes and rescaled: the stage
+    # clears it either way.  A Darboux q makes one solve, with a column per
+    # monomial of degree <= dp, and its output is that of the full solve for
+    # p; the catalog drops any other q, and the full solve for it finds only
+    # what an earlier entry's solve finds
     dp = budget.max_num_degree
-    for q in invsearch._denominator_catalog(sys, budget, {})[:6]:
-        q = q.scaled(Fraction(scale))
-        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            sys, q, budget, {}, {}))
+    catalog = invsearch._denominator_catalog(sys, budget, {})
+    for entry in _reference_catalog(sys, budget)[:6]:
+        q = entry.scaled(Fraction(scale))
         if _is_darboux(sys, q, dp):
+            found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
+                sys, q, budget, {}, {}))
             assert [ncols for _, ncols, _ in calls] == [len(monomials_upto(sys.dim, dp))]
             assert found == _ref_fixed_denominator_stage(sys, q, dp)
+            assert all(pullback(sys, f) == f for f in found)
         else:
-            assert (found, calls) == ([], [])
-        assert all(pullback(sys, f) == f for f in found)
+            assert entry not in catalog
+            assert _found_through_the_catalog(sys, q, budget, catalog)
 
 
 @given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
@@ -1214,14 +1236,19 @@ def test_fixed_denominator_kernels_match_fraction_columns(sys, budget, scale):
                                          SearchBudget(1, 3, 1, 3),
                                          SearchBudget(3, 2, 2, 3)]))
 def test_fixed_denominator_reduction_matches_the_full_solve(sys, budget):
-    # every catalog entry, with one cache of pullback tables and solves for
-    # all: the full solve on a Darboux q, nothing on any other
+    # every product that the catalog tests, with one cache of pullback
+    # tables and solves for all: the full solve on a Darboux q; the catalog
+    # drops any other q, losing nothing that an earlier entry's solve lacks
     dp = budget.max_num_degree
     tables, kernels = {}, {}
-    for q in invsearch._denominator_catalog(sys, budget, tables):
-        assert (invsearch._fixed_denominator_invariants(sys, q, budget, tables, kernels)
-                == (_ref_fixed_denominator_stage(sys, q, dp)
-                    if _is_darboux(sys, q, dp) else []))
+    catalog = invsearch._denominator_catalog(sys, budget, tables)
+    for q in _reference_catalog(sys, budget):
+        if _is_darboux(sys, q, dp):
+            assert (invsearch._fixed_denominator_invariants(sys, q, budget, tables, kernels)
+                    == _ref_fixed_denominator_stage(sys, q, dp))
+        else:
+            assert q not in catalog
+            assert _found_through_the_catalog(sys, q, budget, catalog)
 
 
 @given(rescaled_maps(), st.sampled_from([SearchBudget(1, 1, 1, 3),
@@ -1239,22 +1266,30 @@ def test_fixed_denominator_stage_emits_only_darboux_denominators(sys, budget):
 
 
 def test_fixed_denominator_stage_skips_the_solve_above_the_numerator_budget(
-        systems_dir):
+        systems_dir, darboux_tests):
     # mobius's square at 2,3,2,3 has no invariant with a catalog denominator;
-    # a q that does not divide its cleared pullback makes no solve, and
-    # there are such q among the products that the catalog tests
+    # a q that does not divide its cleared pullback is not in the catalog,
+    # so the search makes no solve for it, and there are such q among the
+    # products that the catalog tests
     mobius = load_system(os.path.join(systems_dir, "mobius.system")).build()
     square = diagonal_power(mobius, 2)
     budget = SearchBudget(2, 3, 2, 3)
+    catalog = invsearch._denominator_catalog(square, budget, {})
     skipped = 0
     for q in _reference_catalog(square, budget):
-        found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
-            square, q, budget, {}, {}))
-        assert found == _ref_fixed_denominator_stage(square, q, 2) == []
-        if not _is_darboux(square, q, 2):
-            assert not calls
+        assert _ref_fixed_denominator_stage(square, q, 2) == []
+        if _is_darboux(square, q, 2):
+            found, calls = _kernels(lambda: invsearch._fixed_denominator_invariants(
+                square, q, budget, {}, {}))
+            assert (found, len(calls)) == ([], 1)
+        else:
+            assert q not in catalog
             skipped += 1
     assert skipped > 0
+    darboux_tests.clear()
+    assert rational_invariant_search(square, budget) == []
+    assert [q_int for _, q_int in darboux_tests] == [
+        _int_primitive(q)[1] for q in [Polynomial.constant(square.variables, 1), *catalog]]
 
 
 def test_fixed_denominator_stage_keeps_a_one_vector_kernel_off_q():
@@ -1365,8 +1400,9 @@ def _q1_stage(sys, q, factors, budget, composed_cache):
 
 
 def _q1_search(sys, budget):
-    """rational_invariant_search with the q1 stage, each q factored over the
-    catalog's factor basis."""
+    """rational_invariant_search with the q1 stage on every product that the
+    catalog tests (``_reference_catalog``), Darboux or not, each q factored
+    over the catalog's factor basis."""
     basis = []
     real_split = invsearch._darboux_split
 
@@ -1381,6 +1417,8 @@ def _q1_search(sys, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_darboux_split", split)
+        mp.setattr(invsearch, "_denominator_catalog",
+                   lambda sys, budget, tables: _reference_catalog(sys, budget))
         mp.setattr(invsearch, "_fixed_denominator_invariants", stage)
         return rational_invariant_search(sys, budget)
 
