@@ -4,12 +4,16 @@ All elimination over Q is ``echelon_step``: it clears a row once to a
 primitive integer row, reduces it against an integer echelon with one integer
 reduction step (a multiple of one row minus a multiple of another, divided by
 its content), and inserts a nonzero remainder, which is empty exactly for a
-row in the span.  ``rank`` counts the pivots, and ``nullspace`` reads the
-unique reduced echelon basis of the kernel off one integer echelon, making a
-Fraction only for each entry it returns.  The rank is at most the column
-count, so ``nullspace`` stops eliminating once its echelon holds that many
-pivots: every later row lies in the span.  An exponent matrix is singular
-exactly when its ``rank`` falls short of its size.
+row in the span.  The echelon is one dict from each pivot column to its row,
+so a reduction costs the entries it touches: the pivot columns a row meets
+come from the row's own keys, not from a scan over every pivot.  ``rank``
+counts the pivots, and ``nullspace`` reads the unique reduced echelon basis
+of the kernel off one integer echelon, making a Fraction only for each entry
+it returns.  The rank is at most the column count, so ``nullspace`` stops
+eliminating once its echelon holds that many pivots: every later row lies in
+the span.  Given a limit on the kernel's dimension, it also stops once the
+rows left cannot raise the rank enough to meet it.  An exponent matrix is
+singular exactly when its ``rank`` falls short of its size.
 
 One elimination stays separate because it works in another ring:
 ``_bareiss_join`` reduces a row of polynomials against a fraction-free
@@ -23,7 +27,7 @@ whenever that test cannot.  ``jacobian_rank`` counts what a selector keeps.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -36,6 +40,7 @@ from ..errors import VariableMismatchError
 
 SparseRow = Dict[int, Fraction]
 IntRow = Dict[int, int]
+Echelon = Dict[Hashable, IntRow]  # pivot column -> its row
 
 
 # -- the elimination over Q ------------------------------------------------------
@@ -46,75 +51,84 @@ def _primitive(row: IntRow) -> IntRow:
     return row if g <= 1 else {c: v // g for c, v in row.items()}
 
 
-def _eliminate(row: IntRow, ref: IntRow, pc: int) -> IntRow:
+def _eliminate(row: IntRow, ref: IntRow, pc: Hashable) -> Tuple[IntRow, List[Hashable]]:
     """Primitive multiple of b*row - a*ref, with a/b = row[pc]/ref[pc] in
-    lowest terms: the row minus its multiple of ref that is zero at pc."""
+    lowest terms: the row minus its multiple of ref that is zero at pc; and
+    the columns where ref fills an entry that the row did not have."""
     g = math.gcd(row[pc], ref[pc])
     a, b = row[pc] // g, ref[pc] // g
     out = {c: b * v for c, v in row.items()} if b != 1 else dict(row)
+    filled = []
     for c, v in ref.items():
-        s = out.get(c, 0) - a * v
-        if s:
-            out[c] = s
+        if c in out:
+            s = out[c] - a * v
+            if s:
+                out[c] = s
+            else:
+                del out[c]
         else:
-            del out[c]
-    return _primitive(out)
+            out[c] = -a * v
+            filled.append(c)
+    return _primitive(out), filled
 
 
-def echelon_step(echelon: List[IntRow], pivots: List[int], row: SparseRow,
-                 insert: bool = True) -> IntRow:
+def echelon_step(echelon: Echelon, row: SparseRow, insert: bool = True) -> IntRow:
     """Remainder of a sparse row against an integer echelon, which it joins.
 
-    ``echelon`` holds primitive integer rows, each the only one nonzero at
-    its pivot column; ``pivots`` lists those columns in ascending order.  The
-    row (int or Fraction entries) is cleared to a primitive integer row
-    without its zero entries and reduced at each pivot column it meets, by
-    ``_eliminate``; the remainder is empty exactly when the row lies in the
-    span.  A row of ints needs no clearing, only the zero filter and the
-    content.  With ``insert``, a nonzero remainder joins at its first column,
-    where the other rows are then cleared; nothing else is changed in place.
+    ``echelon`` maps each pivot column to a primitive integer row whose
+    least column it is, and which is the only row nonzero there.  The row
+    (int or Fraction entries) is cleared to a primitive integer row without
+    its zero entries and reduced, by ``_eliminate``, at each pivot column
+    where it is nonzero, in ascending order; the remainder is empty exactly
+    when the row lies in the span.  A row of ints needs no clearing, only
+    the zero filter and the content.  With ``insert``, a nonzero remainder
+    joins at its least column, which is then cleared from the rows that
+    hold it; nothing else is changed in place.
 
-    Membership (``insert=False``) needs only a triangular echelon: each
-    row's least column is its pivot, and the pivots are distinct.  The
-    remainder is then zero at every pivot column, and a nonzero combination
-    of the rows is not, at the least pivot it uses.  So rows multiplied by
-    one polynomial, with exponent tuples as columns in lex order (a
-    monomial order: a product's least monomial is the sum of its factors'),
-    still answer membership of the multiplied span, and an insertion keeps
-    the echelon triangular.
+    The cost is what the row touches, not the echelon's rank: the pivot
+    columns to reduce come from the row's own entries, kept in a heap that
+    also takes each pivot column an elimination fills.  A row of the
+    echelon holds no pivot column below its own, so an elimination fills
+    only columns above the one it clears, and the heap meets the columns in
+    the same order as a scan over every pivot would.
+
+    In the reduced (Gauss-Jordan) echelon that insertion keeps, no row
+    holds another's pivot column, so nothing is filled there.  Membership
+    (``insert=False``) needs only a triangular echelon: each row's least
+    column is its pivot, and the pivots are distinct.  The remainder is
+    then zero at every pivot column, and a nonzero combination of the rows
+    is not, at the least pivot it uses.  So rows multiplied by one
+    polynomial, with exponent tuples as columns in lex order (a monomial
+    order: a product's least monomial is the sum of its factors'), still
+    answer membership of the multiplied span, and an insertion keeps the
+    echelon triangular.
     """
     if not all(type(v) is int for v in row.values()):
         row = _cleared_terms(row)[1]
     row = _primitive({c: v for c, v in row.items() if v})
-    for pc, ref in zip(pivots, echelon):
-        if row.get(pc):
-            row = _eliminate(row, ref, pc)
+    todo = [c for c in row if c in echelon]
+    heapq.heapify(todo)
+    while todo:
+        pc = heapq.heappop(todo)
+        if pc in row:
+            row, filled = _eliminate(row, echelon[pc], pc)
+            for c in filled:
+                if c in echelon:
+                    heapq.heappush(todo, c)
     if row and insert:
         pc = min(row)
-        for i, other in enumerate(echelon):
-            if other.get(pc):
-                echelon[i] = _eliminate(other, row, pc)
-        pos = bisect.bisect(pivots, pc)
-        pivots.insert(pos, pc)
-        echelon.insert(pos, row)
+        for p in [p for p, other in echelon.items() if pc in other]:
+            echelon[p] = _eliminate(echelon[p], row, pc)[0]
+        echelon[pc] = row
     return row
 
 
-def _echelon(rows: Iterable[SparseRow], stop: Optional[int] = None
-             ) -> Tuple[List[IntRow], List[int]]:
-    """Integer echelon of the rows, by ``echelon_step`` on each in turn.
-
-    With ``stop``, the rows are read only until the echelon holds ``stop``
-    pivots; the caller vouches that the rank is at most ``stop``, so every
-    row left unread lies in the span and would leave the echelon unchanged.
-    """
-    echelon: List[IntRow] = []
-    pivots: List[int] = []
+def _echelon(rows: Iterable[SparseRow]) -> Echelon:
+    """Integer echelon of the rows, by ``echelon_step`` on each in turn."""
+    echelon: Echelon = {}
     for row in rows:
-        if len(pivots) == stop:
-            break
-        echelon_step(echelon, pivots, row)
-    return echelon, pivots
+        echelon_step(echelon, row)
+    return echelon
 
 
 def _sparse(vector: Sequence) -> SparseRow:
@@ -124,7 +138,7 @@ def _sparse(vector: Sequence) -> SparseRow:
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q of a dense matrix of ints or rationals: the pivot count of
     its integer echelon."""
-    return len(_echelon(map(_sparse, rows))[1])
+    return len(_echelon(map(_sparse, rows)))
 
 
 def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]:
@@ -140,7 +154,8 @@ def transpose(columns: Iterable[Mapping[Hashable, Fraction]]) -> List[SparseRow]
 # -- public nullspace / rank ---------------------------------------------------
 
 
-def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[SparseRow], ncols: int, limit: Optional[int] = None
+              ) -> List[Tuple[Fraction, ...]]:
     """Canonical exact basis of {v : A v = 0} for a sparse rational matrix.
 
     Rows are dicts column -> coefficient, with int or Fraction values (zero
@@ -157,16 +172,27 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[Fraction, ...
 
     The rank is at most ``ncols``, so the echelon stops at that many pivots
     (the kernel is then {0}).  The echelon it stops at spans the rows, so
-    the basis is the one the full elimination gives.
+    the basis is the one the full elimination gives.  With ``limit``, a
+    kernel of more than ``limit`` vectors is returned as [], and the
+    elimination stops as soon as it is certain: each unread row adds at most
+    one pivot, so once the pivots and the unread rows together fall short of
+    ``ncols - limit``, the rank does too.
     """
     last = ncols - 1
-    reversed_rows = ({last - c: v for c, v in row.items() if v} for row in rows)
-    echelon, pivots = _echelon(reversed_rows, ncols)
-    pivot_set = set(pivots)
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in pivot_set}
+    least = 0 if limit is None else ncols - limit
+    echelon: Echelon = {}
+    unread = len(rows)
+    for row in rows:
+        if len(echelon) == ncols or len(echelon) + unread < least:
+            break
+        unread -= 1
+        echelon_step(echelon, {last - c: v for c, v in row.items()})
+    if len(echelon) < least:
+        return []
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in echelon}
     for f, vec in basis.items():
         vec[f] = Fraction(1)
-    for pc, row in zip(pivots, echelon):
+    for pc, row in echelon.items():
         p = row[pc]
         for c, v in row.items():
             if c != pc:
@@ -296,7 +322,7 @@ class JacobianSelector:
         self.kept: List[RationalFunction] = []
         self._point = _random_point(random.Random(_POINT_SEED), len(self.variables))
         # the seeded echelon, None once a kept function has no pivot in it
-        self._seeded: Optional[Tuple[List[IntRow], List[int]]] = ([], [])
+        self._seeded: Optional[Echelon] = {}
         # (c_t, E_t) of kept[:len(self._exact)]
         self._exact: List[Tuple[int, List[Polynomial]]] = []
 
@@ -310,7 +336,7 @@ class JacobianSelector:
             row = jacobian_row(f, self._point)
         except ZeroDivisionError:
             return False
-        return bool(echelon_step(*self._seeded, _sparse(row)))
+        return bool(echelon_step(self._seeded, _sparse(row)))
 
     def offer(self, f: RationalFunction) -> bool:
         if f.variables != self.variables:

@@ -554,9 +554,9 @@ def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
         if t in seen:
             return
         seen.add(t)
-        echelon, pivots, kept = [], [], []
+        echelon, kept = {}, []
         for row in _pencil_rows(t, basis):
-            if echelon_step(echelon, pivots, row):
+            if echelon_step(echelon, row):
                 kept.append(row)
                 if len(kept) > 2:
                     return
@@ -640,7 +640,13 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget,
     when the kernel's dimension exceeds the rank-1 limit.  Each is invariant
     exactly, since a decomposable point p wedge q of the kernel satisfies
     P*I(Q) = Q*I(P); the collector gates it all the same.  ``tables`` caches
-    ``_pullback_table``."""
+    ``_pullback_table``.
+
+    The kernel has at least as many dimensions as the columns outnumber the
+    rows, so two bounds reject it before the full solve: the row keys, all
+    of the form e + m with e in an image's support and m a monomial, before
+    any column is built, and ``nullspace``'s limit stop during the
+    elimination."""
     limit = budget.nullspace_rank1_limit
     if limit == 0:
         return []
@@ -649,14 +655,15 @@ def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget,
     monos, images = list(table), list(table.values())
     s = len(monos)
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
+    support = set().union(*images)
+    keys = {tuple(map(operator.add, e, m)) for e in support for m in monos}
+    if len(pairs) - len(keys) > limit:
+        return []
     # images[j]*x_i - images[i]*x_j: each column negated, the kernel kept
     rows = transpose(_minus_shifted(_mul_int(images[j], {monos[i]: 1}), monos[j],
                                     images[i]) for i, j in pairs)
-    if len(pairs) - len(rows) > limit:
-        # kernel dimension is at least #columns - #rows, already over budget
-        return []
-    basis_vecs = nullspace(rows, len(pairs))
-    if not basis_vecs or len(basis_vecs) > limit:
+    basis_vecs = nullspace(rows, len(pairs), limit)
+    if not basis_vecs:
         return []
     basis = [{pairs[i]: v for i, v in enumerate(vec) if v} for vec in basis_vecs]
     return _pencil_candidates(sys.variables, monos, basis)
@@ -717,12 +724,15 @@ class _ClearedPool:
         denominator and every cleared row stay the same polynomials up to a
         constant;
       * a grown lift t' multiplies every cleared row by the same
-        den'/den = prod b_j^(t'_j - t_j).  The echelon's columns are the
-        exponent tuples themselves, in lex order, and each row's pivot is its
-        least column.  Lex is a monomial order, so each product's least
-        monomial is the sum of its factors': the rows stay triangular, with
-        distinct pivots, which is all that membership needs
-        (``echelon_step``).
+        den'/den = prod b_j^(t'_j - t_j).  The echelon (``echelon``) maps
+        each pivot to its row; its columns are the exponent tuples
+        themselves, in lex order, and each row's pivot is its least column.
+        Lex is a monomial order, so each product's least monomial is the sum
+        of its factors': the multiplied echelon maps each pivot, shifted by
+        the least monomial of den'/den, to its row times den'/den.  The
+        rows stay triangular, with distinct pivots, which is all that
+        membership needs (``echelon_step``), but a row may now hold another
+        row's pivot column, which a reduction then fills.
 
     ``multiplied`` counts the extensions that multiplied the echelon, the
     first of them the constant row alone.
@@ -745,7 +755,8 @@ class _ClearedPool:
         self.lift: Tuple[int, ...] = ()
         self.den = self.one
         # the integer echelon, from the cleared row of s = 0: the lcm itself
-        self.rows, self.pivots = [dict(self.one._num)], list(self.one._num)
+        self.echelon: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+        echelon_step(self.echelon, self.one._num)
         self.multiplied = 0
         self._powers: Dict[Polynomial, List[Polynomial]] = {}
 
@@ -844,21 +855,19 @@ class _ClearedPool:
             # pivot the least monomial of m
             m = self.product(tuple(map(operator.sub, lift, self.lift)))._num
             low = min(m)
-            self.rows = [_mul_int(row, m) for row in self.rows]
-            self.pivots = [tuple(map(operator.add, pc, low)) for pc in self.pivots]
+            self.echelon = {tuple(map(operator.add, pc, low)): _mul_int(row, m)
+                            for pc, row in self.echelon.items()}
             self.multiplied += 1
             self.lift, self.den = lift, self.product(lift)
         for s in fresh:
-            echelon_step(self.rows, self.pivots,
-                         self.product(tuple(map(operator.add, s, lift)))._num)
+            echelon_step(self.echelon, self.product(tuple(map(operator.add, s, lift)))._num)
 
     def contains(self, f: RationalFunction) -> bool:
         scale = try_divide(self.den, f.den)
         if scale is None:
             return False
         # the cleared numerator up to a constant, which the span ignores
-        return not echelon_step(self.rows, self.pivots, (f.num * scale)._num,
-                                insert=False)
+        return not echelon_step(self.echelon, (f.num * scale)._num, insert=False)
 
 
 class _Collector:

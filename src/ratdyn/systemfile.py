@@ -108,9 +108,20 @@ def _parse_text(source: str, default_name: str) -> SystemFile:
                       description=description, expected=expected)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice would silently drop the
+    first value, so it is an error at any level."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SystemFileError(f"JSON key {key!r} given twice")
+        doc[key] = value
+    return doc
+
+
 def _parse_json(source: str, default_name: str) -> SystemFile:
     try:
-        doc = json.loads(source)
+        doc = json.loads(source, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -135,6 +146,9 @@ def _parse_json(source: str, default_name: str) -> SystemFile:
             exprs = [raw_map[v] for v in variables]
         except KeyError as exc:
             raise SystemFileError(f"map misses variable {exc}") from exc
+        extra = [v for v in raw_map if v not in variables]
+        if extra:
+            raise SystemFileError(f"assignment to undeclared variable(s) {extra}")
     elif isinstance(raw_map, list):
         exprs = raw_map
     else:

@@ -90,6 +90,39 @@ def test_repeated_expect_key_rejected(tmp_path):
     assert "'invariant'" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("source, key", [
+    ('{"variables": ["x"], "map": ["x"], '
+     '"expected": {"dominant": "true", "dominant": "false"}}', "'dominant'"),
+    ('{"variables": ["x"], "map": ["x + 1"], "map": ["x"]}', "'map'"),
+    ('{"variables": ["x"], "map": {"x": "x + 1", "x": "x"}}', "'x'"),
+], ids=["expected-key", "top-level-key", "map-object-key"])
+def test_cli_repeated_json_key_is_a_file_error(tmp_path, capsys, source, key):
+    # json.loads keeps the last of two equal keys, which would drop a value
+    with pytest.raises(SystemFileError, match=f"{key} given twice"):
+        loads_system(source)
+    path = tmp_path / "input.json"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "SystemFileError"
+    assert key in doc["error"]["message"] and "result" not in doc
+
+
+def test_cli_json_map_to_an_undeclared_variable_is_a_file_error(tmp_path, capsys):
+    # as in the text format, where "y -> y;" without "var y" is rejected
+    source = '{"variables": ["x"], "map": {"x": "x", "y": "y"}}'
+    with pytest.raises(SystemFileError, match="undeclared variable"):
+        loads_system(source)
+    with pytest.raises(SystemFileError, match="undeclared variable"):
+        loads_system("var x; x -> x; y -> y;")
+    path = tmp_path / "input.json"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "SystemFileError"
+    assert "'y'" in doc["error"]["message"] and "result" not in doc
+
+
 # -- verification oracle ---------------------------------------------------------
 
 

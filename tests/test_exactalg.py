@@ -1,5 +1,6 @@
 """Exact arithmetic core: polynomials, gcd, normal forms, substitution, rank."""
 
+import bisect
 import copy
 import itertools
 import math
@@ -15,7 +16,8 @@ from ratdyn.dynsys import diagonal_power, pullback
 from ratdyn.errors import (IndeterminacyError, PreconditionError,
                            VariableMismatchError, ZeroDenominatorError)
 from ratdyn.exactalg import linalg, poly as poly_module
-from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _combine_int,
+from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _cleared_terms,
+                                 _combine_int,
                                  _gcd_cofactors, _int_primitive, _mul_int,
                                  _squarefree_split)
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
@@ -1214,45 +1216,48 @@ def dense_matrices(draw):
     return [{c: v for c, v in enumerate(r) if v} for r in rows], ncols
 
 
-def _reduced(echelon, pivots):
-    """The integer echelon with each row divided by its pivot entry."""
+def _reduced(echelon):
+    """The integer echelon with each row divided by its pivot entry, in
+    ascending pivot order."""
     return [{c: Fraction(v, row[pc]) for c, v in row.items()}
-            for pc, row in zip(pivots, echelon)]
+            for pc, row in sorted(echelon.items())]
 
 
 @given(st.one_of(sparse_matrices(), dense_matrices()))
 def test_integer_rref_matches_fraction_rref(matrix):
     rows, ncols = matrix
-    echelon, pivots = linalg._echelon(rows)
-    assert (_reduced(echelon, pivots), pivots) == _fraction_rref(rows)
-    assert all(type(v) is int for row in echelon for v in row.values())
-    assert all(math.gcd(*row.values()) == 1 for row in echelon)
+    echelon = linalg._echelon(rows)
+    assert (_reduced(echelon), sorted(echelon)) == _fraction_rref(rows)
+    assert all(type(v) is int for row in echelon.values() for v in row.values())
+    assert all(math.gcd(*row.values()) == 1 for row in echelon.values())
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-    assert linalg.rank(dense) == len(pivots)
+    assert linalg.rank(dense) == len(echelon)
     basis = nullspace(rows, ncols)
     assert basis == _fraction_nullspace(rows, ncols)
     assert all(type(v) is Fraction for vec in basis for v in vec)
-    _check_kernel(rows, ncols, basis, ncols - len(pivots))
+    _check_kernel(rows, ncols, basis, ncols - len(echelon))
     for row in rows:
-        assert not linalg.echelon_step(echelon, pivots, row, insert=False)
+        assert not linalg.echelon_step(echelon, row, insert=False)
 
 
 def test_nullspace_is_one_elimination(monkeypatch):
-    calls = []
-    echelon = linalg._echelon
+    # every row is reduced once, into the one echelon of the call
+    echelons = []
+    step = linalg.echelon_step
 
-    def counted(rows, stop=None):
-        calls.append(1)
-        return echelon(rows, stop)
+    def counted(echelon, row, insert=True):
+        echelons.append(echelon)
+        return step(echelon, row, insert)
 
-    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "echelon_step", counted)
     rows = [{0: 1, 2: Fraction(-1, 3)}, {1: 2, 3: 5}, {0: 2, 2: Fraction(-2, 3)}]
     assert nullspace(rows, 5) == [
         (1, 0, 3, 0, 0),
         (0, 1, 0, Fraction(-2, 5), 0),
         (0, 0, 0, 0, 1),
     ]
-    assert calls == [1]
+    assert len(echelons) == len(rows)
+    assert all(echelon is echelons[0] for echelon in echelons)
 
 
 def _as_fractions(rows):
@@ -1321,19 +1326,18 @@ def dependent_rows(draw):
 def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
     # the integer echelon of echelon_step, read as a reduced echelon form
     rows, ncols, independent_at_most = matrix
-    echelon, pivots = linalg._echelon(rows)
-    reduced = _reduced(echelon, pivots)
-    assert pivots == sorted(set(pivots))
-    for i, (row, pc) in enumerate(zip(echelon, pivots)):
+    echelon = linalg._echelon(rows)
+    reduced, pivots = _reduced(echelon), sorted(echelon)
+    for pc, row in echelon.items():
         assert min(row) == pc and all(row.values())
-        assert all(pc not in other for j, other in enumerate(echelon) if j != i)
+        assert all(pc not in other for p, other in echelon.items() if p != pc)
     for row in rows:
-        assert not linalg.echelon_step(echelon, pivots, row, insert=False)
+        assert not linalg.echelon_step(echelon, row, insert=False)
         assert not _fraction_reduce_row(row, reduced, pivots)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    other, other_pivots = linalg._echelon(shuffled)
-    assert (_reduced(other, other_pivots), other_pivots) == (reduced, pivots)
+    other = linalg._echelon(shuffled)
+    assert (_reduced(other), sorted(other)) == (reduced, pivots)
     # the Bareiss rank over constant polynomials is an independent reference
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
     exact = poly_matrix_rank([[Polynomial.constant(("t",), v) for v in r]
@@ -1343,7 +1347,7 @@ def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
     units = [[Fraction(int(c == j)) for c in range(ncols)] for j in range(ncols)]
     for target in dense + units:
         sparse_target = {c: v for c, v in enumerate(target) if v}
-        member = not linalg.echelon_step(echelon, pivots, sparse_target, insert=False)
+        member = not linalg.echelon_step(echelon, sparse_target, insert=False)
         assert member == (linalg.rank(dense + [target]) == exact)
         assert member == (not _fraction_reduce_row(sparse_target, reduced, pivots))
 
@@ -1371,13 +1375,12 @@ def test_rank_and_in_span_match_fraction_rref(matrix):
         sparse_target = {c: v for c, v in enumerate(target) if v}
         # a remainder with insert=False leaves the echelon as it was, and is
         # empty exactly for a member of the span
-        echelon, ech_pivots = [], []
+        echelon = {}
         for row in rows:
-            linalg.echelon_step(echelon, ech_pivots, row)
-        before = ([dict(r) for r in echelon], list(ech_pivots))
-        remainder = linalg.echelon_step(echelon, ech_pivots, sparse_target,
-                                        insert=False)
-        assert (echelon, ech_pivots) == before and ech_pivots == pivots
+            linalg.echelon_step(echelon, row)
+        before = {pc: dict(r) for pc, r in echelon.items()}
+        remainder = linalg.echelon_step(echelon, sparse_target, insert=False)
+        assert echelon == before and sorted(echelon) == pivots
         assert (not remainder) == (not _fraction_reduce_row(sparse_target, reduced, pivots))
 
 
@@ -1424,15 +1427,15 @@ def test_echelon_multiplied_by_a_polynomial_answers_like_a_fresh_one(data):
     # lex is a monomial order, so each product's least column is its
     # factors' sum: multiplied row by row, the echelon stays triangular
     rows, m, e = data
-    echelon, pivots = linalg._echelon(rows)
+    echelon = linalg._echelon(rows)
     low = min(m)
-    multiplied = [_mul_int(r, m) for r in echelon]
-    shifted = [tuple(a + b for a, b in zip(pc, low)) for pc in pivots]
-    assert [min(r) for r in multiplied] == shifted == sorted(set(shifted))
+    multiplied = {tuple(a + b for a, b in zip(pc, low)): _mul_int(r, m)
+                  for pc, r in echelon.items()}
+    assert all(min(r) == pc for pc, r in multiplied.items())
     products = [_mul_int(r, m) for r in rows]
-    fresh, fresh_pivots = linalg._echelon(products)
+    fresh = linalg._echelon(products)
     # the pivot set of a triangular basis is the span's own
-    assert shifted == fresh_pivots
+    assert multiplied.keys() == fresh.keys()
     member = {}
     for k, r in enumerate(products):
         for c, v in r.items():
@@ -1442,21 +1445,22 @@ def test_echelon_multiplied_by_a_polynomial_answers_like_a_fresh_one(data):
     outside[e] = outside.get(e, 0) + 1
     targets = products + rows + [member, outside, {e: 1}]
     for target in targets:
-        assert (not linalg.echelon_step(multiplied, shifted, target, insert=False)) == (
-            not linalg.echelon_step(fresh, fresh_pivots, target, insert=False))
-    assert not linalg.echelon_step(multiplied, shifted, member, insert=False)
+        assert (not linalg.echelon_step(multiplied, target, insert=False)) == (
+            not linalg.echelon_step(fresh, target, insert=False))
+    assert not linalg.echelon_step(multiplied, member, insert=False)
     # an insertion keeps the multiplied echelon triangular and equal in span
     for target in targets:
-        linalg.echelon_step(multiplied, shifted, target)
-        linalg.echelon_step(fresh, fresh_pivots, target)
-        assert [min(r) for r in multiplied] == shifted == fresh_pivots
+        linalg.echelon_step(multiplied, target)
+        linalg.echelon_step(fresh, target)
+        assert all(min(r) == pc for pc, r in multiplied.items())
+        assert multiplied.keys() == fresh.keys()
 
 
 def test_echelon_step_drops_explicit_zero_entries():
-    echelon, pivots = [], []
-    assert linalg.echelon_step(echelon, pivots, {0: 0, 1: 1}) == {1: 1}
-    assert (echelon, pivots) == ([{1: 1}], [1])
-    assert linalg.echelon_step(echelon, pivots, {0: Fraction(0), 1: 3}, insert=False) == {}
+    echelon = {}
+    assert linalg.echelon_step(echelon, {0: 0, 1: 1}) == {1: 1}
+    assert echelon == {1: {1: 1}}
+    assert linalg.echelon_step(echelon, {0: Fraction(0), 1: 3}, insert=False) == {}
 
 
 @given(int_matrices(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
@@ -1468,11 +1472,12 @@ def test_int_rows_take_the_fraction_path_result(matrix, target):
     as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows + [target]]
     results = []
     for ints in (rows + [target], as_fractions):
-        echelon, pivots = [], []
-        remainders = [linalg.echelon_step(echelon, pivots, row) for row in ints[:-1]]
-        remainders.append(linalg.echelon_step(echelon, pivots, ints[-1], insert=False))
-        assert all(type(v) is int for row in echelon + remainders for v in row.values())
-        results.append((remainders, echelon, pivots))
+        echelon = {}
+        remainders = [linalg.echelon_step(echelon, row) for row in ints[:-1]]
+        remainders.append(linalg.echelon_step(echelon, ints[-1], insert=False))
+        assert all(type(v) is int for row in [*echelon.values(), *remainders]
+                   for v in row.values())
+        results.append((remainders, echelon))
     assert results[0] == results[1]
 
 
@@ -1488,14 +1493,148 @@ def test_explicit_zero_entries_change_nothing(matrix, data):
         return {**{c: data.draw(zero) for c in cols - set(row)}, **row}
 
     zeroed = [with_zeros(row) for row in rows]
-    echelon, pivots = linalg._echelon(rows)
-    assert linalg._echelon(zeroed) == (echelon, pivots)
-    assert all(all(row.values()) for row in echelon)
+    echelon = linalg._echelon(rows)
+    assert linalg._echelon(zeroed) == echelon
+    assert all(all(row.values()) for row in echelon.values())
     units = [{c: int(c == j) for c in range(ncols)} for j in range(ncols)]
     for target in rows + units:
-        assert (linalg.echelon_step(echelon, pivots, with_zeros(target), insert=False)
-                == linalg.echelon_step(echelon, pivots, target, insert=False))
+        assert (linalg.echelon_step(echelon, with_zeros(target), insert=False)
+                == linalg.echelon_step(echelon, target, insert=False))
     assert nullspace(zeroed, ncols) == nullspace(rows, ncols)
+
+
+# -- the pivot heap against a scan over every pivot --------------------------------
+
+
+def _scan_eliminate(row, ref, pc):
+    g = math.gcd(row[pc], ref[pc])
+    a, b = row[pc] // g, ref[pc] // g
+    out = {c: b * v for c, v in row.items()} if b != 1 else dict(row)
+    for c, v in ref.items():
+        s = out.get(c, 0) - a * v
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    return linalg._primitive(out)
+
+
+def _scan_echelon_step(echelon, pivots, row, insert=True):
+    """Reference: the earlier elimination, over parallel lists of rows and
+    ascending pivots, which scans every pivot for the ones a row meets and
+    every row for the new pivot."""
+    if not all(type(v) is int for v in row.values()):
+        row = _cleared_terms(row)[1]
+    row = linalg._primitive({c: v for c, v in row.items() if v})
+    for pc, ref in zip(pivots, echelon):
+        if row.get(pc):
+            row = _scan_eliminate(row, ref, pc)
+    if row and insert:
+        pc = min(row)
+        for i, other in enumerate(echelon):
+            if other.get(pc):
+                echelon[i] = _scan_eliminate(other, row, pc)
+        pos = bisect.bisect(pivots, pc)
+        pivots.insert(pos, pc)
+        echelon.insert(pos, row)
+    return row
+
+
+def _both_steps(echelon, scan, row, insert=True):
+    """echelon_step on the dict echelon and the reference step on its list
+    pair, which must give the same remainder and the same echelon."""
+    remainder = linalg.echelon_step(echelon, dict(row), insert)
+    assert remainder == _scan_echelon_step(*scan, dict(row), insert)
+    assert echelon == dict(zip(scan[1], scan[0]))
+    return remainder
+
+
+@st.composite
+def mixed_rows(draw):
+    """Sparse rows of ints, or of Fractions, with explicit zeros among them,
+    and integer combinations, so that some rows reduce to zero."""
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        combo = {}
+        for k, r in zip(ks, rows):
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.append(combo)
+    return draw(st.permutations(rows)), ncols
+
+
+@given(mixed_rows())
+def test_echelon_step_matches_the_pivot_scan_on_reduced_echelons(matrix):
+    rows, ncols = matrix
+    echelon, scan = {}, ([], [])
+    for row in rows:
+        _both_steps(echelon, scan, row)
+    units = [{c: int(c == j) for c in range(ncols)} for j in range(ncols)]
+    for target in rows + units:
+        _both_steps(echelon, scan, target, insert=False)
+
+
+@given(lex_rows(), st.lists(st.integers(0, 5), max_size=6))
+def test_echelon_step_matches_the_pivot_scan_on_multiplied_echelons(data, picks):
+    # the pool's triangular case: an echelon multiplied by one polynomial,
+    # whose rows then hold pivot columns above their own, which an
+    # elimination can fill
+    rows, m, e = data
+    scan = ([], [])
+    for row in rows:
+        _scan_echelon_step(*scan, row)
+    low = min(m)
+    shift = lambda pc: tuple(a + b for a, b in zip(pc, low))
+    scan = ([_mul_int(r, m) for r in scan[0]], [shift(pc) for pc in scan[1]])
+    echelon = dict(zip(scan[1], scan[0]))
+    assert echelon == {shift(pc): _mul_int(r, m)
+                       for pc, r in linalg._echelon(rows).items()}
+    products = [_mul_int(r, m) for r in rows]
+    targets = products + rows + [{e: 1}, {**products[0], e: 7}]
+    for target in targets:
+        _both_steps(echelon, scan, target, insert=False)
+    for k in picks:
+        _both_steps(echelon, scan, targets[k % len(targets)])
+    for target in targets:
+        _both_steps(echelon, scan, target, insert=False)
+
+
+@given(st.one_of(mixed_rows(), dependent_rows().map(lambda m: m[:2])), st.data())
+def test_nullspace_limit_returns_the_kernel_only_up_to_the_limit(matrix, data):
+    rows, ncols = matrix
+    full = nullspace(rows, ncols)
+    limit = data.draw(st.integers(0, ncols + 1))
+    assert nullspace(rows, ncols, limit) == (full if len(full) <= limit else [])
+
+
+def test_nullspace_limit_stops_once_the_rows_left_cannot_reach_the_rank(monkeypatch):
+    # 8 columns and 6 rows of rank 4: a kernel of 4, over limit 3, needs a
+    # rank below 8 - 3 = 5, which each unread row raises by at most one
+    ncols = 8
+    rows = [{0: 1}, {0: 2}, {1: 1}, {1: 3}, {2: 1}, {3: 1}]
+    steps = []
+    step = linalg.echelon_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon_step", counted)
+    assert nullspace(rows, ncols, 3) == []
+    # after {0: 1}, {0: 2}, {1: 1} and {1: 3}: 2 pivots + 2 unread rows < 5
+    assert len(steps) == 4
+    steps.clear()
+    assert len(nullspace(rows, ncols, 4)) == 4
+    assert len(steps) == len(rows)
+    steps.clear()
+    # fewer rows than ncols - limit: nothing is read
+    assert nullspace(rows[:2], ncols, 5) == []
+    assert steps == []
 
 
 # -- printing round trip ----------------------------------------------------------

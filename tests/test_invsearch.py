@@ -541,7 +541,7 @@ def test_factored_pool_matches_reference_pool(found, budget, rnd):
         products = ref[0]
         # same span: every reference product is a member, and the ranks agree
         assert all(pool.contains(p) for p in products)
-        assert len(pool.rows) == len(ref[3])
+        assert len(pool.echelon) == len(ref[3])
     inside = []
     for _ in range(4):
         combo = RationalFunction.constant(XYZ, 0)
@@ -564,7 +564,7 @@ def test_empty_pool_spans_only_the_constants():
     assert pool.contains(RationalFunction.constant(XYZ, 3))
     assert not any(pool.contains(rf(src, XYZ))
                    for src in ("x", "x*y + 1", "1/z", "(x + 1)/y"))
-    assert (pool.rows, pool.multiplied) == ([{(0, 0, 0): 1}], 0)
+    assert (pool.echelon, pool.multiplied) == ({(0, 0, 0): {(0, 0, 0): 1}}, 0)
 
 
 @pytest.mark.parametrize("sources, budget, passes", [
@@ -587,7 +587,7 @@ def test_pool_extension_matches_the_reference_pool(sources, budget, passes):
     assert pool.factors is factors
     assert pool.multiplied == passes
     assert all(pool.contains(p) for p in ref[0])
-    assert len(pool.rows) == len(ref[3])
+    assert len(pool.echelon) == len(ref[3])
 
 
 @pytest.mark.parametrize("sources, budget, moved, counts", [
@@ -623,7 +623,7 @@ def test_extended_pool_equals_a_fresh_pool(sources, budget, moved, counts):
     assert pool.factors == fresh.factors and pool.exponents == fresh.exponents
     assert (pool.lift, pool.den) == (fresh.lift, fresh.den)
     # a triangular echelon's pivots are its span's least monomials
-    assert pool.pivots == fresh.pivots
+    assert pool.echelon.keys() == fresh.echelon.keys()
     products = _reference_pool(found, budget)[0]
     others = [rf("(x + 2)/y", XYZ), rf("x*y*z - 1", XYZ),
               products[-1] + rf("1/(z + 3)", XYZ), found[0] ** (budget.max_num_degree + 2)]
@@ -801,7 +801,7 @@ def _check_pools_against_fresh_builds(mp, answers):
         fresh = self.fresh
         assert got == real_contains(fresh, f), (self.covered, f)
         # a triangular echelon's pivots are its span's least monomials
-        assert self.pivots == fresh.pivots
+        assert self.echelon.keys() == fresh.echelon.keys()
         answers.append(got)
         return got
 
@@ -1159,8 +1159,8 @@ def _kernels(run):
     the Fraction columns."""
     calls = []
 
-    def recording(rows, ncols):
-        kernel = nullspace(rows, ncols)
+    def recording(rows, ncols, limit=None):
+        kernel = nullspace(rows, ncols, limit)
         calls.append((sum(1 for r in rows if r), ncols, kernel))
         return kernel
 
@@ -1384,13 +1384,13 @@ def _q1_stage(sys, q, factors, budget, composed_cache):
         return []
     monos = [e for e in table if sum(e) <= dp]
     col = {e: i for i, e in enumerate(monos)}
-    echelon, pivots = _echelon(
+    echelon = _echelon(
         {col[e]: c for e, c in _mul_int(q1, {smonos[i]: v for i, v in enumerate(vec)
                                              if v}).items()}
         for vec in basis)
     den = _scaled_int(sys.variables, g, cq, q._den)
     out = []
-    for pc, row in zip(pivots, echelon):
+    for pc, row in sorted(echelon.items()):
         pp = _normalized({monos[c]: v for c, v in row.items()})
         s = pp if _is_constant(q1) else _divide_int(pp, q1)
         f = RationalFunction(_scaled_int(sys.variables, s, 1, abs(row[pc])), den)
@@ -1580,6 +1580,51 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
         found, calls = _kernels(lambda: invsearch._pencil_stage(sys, budget, {}))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
     assert found == []
+
+
+def _sweep_budget(text):
+    return DEFAULT_BUDGET if text == "default" else SearchBudget(*map(int, text.split(",")))
+
+
+@pytest.mark.parametrize("name", sorted(f[:-len(".system")] for f in os.listdir(
+    bundled_systems_dir()) if f.endswith(".system")))
+def test_pencil_stage_rejects_exactly_the_kernels_over_the_limit(name):
+    # the support bound (before any column is built) and the limit stop of
+    # nullspace reject a pencil exactly when its full kernel, solved from
+    # the Fraction columns, has more vectors than the rank-1 limit
+    base = _sweep_system(name)
+    full = {}
+    for sys in (base, diagonal_power(base, 2)):
+        for text in test_sweep.BUDGETS:
+            budget = _sweep_budget(text)
+            limit = budget.nullspace_rank1_limit
+            if limit == 0:
+                continue
+            dmax = max(budget.max_num_degree, budget.max_den_degree)
+            if (sys.dim, dmax) not in full:
+                full[sys.dim, dmax] = _ref_kernel(_ref_pencil_columns(sys, dmax))[2]
+            kernel = full[sys.dim, dmax]
+            solves, pencils = [], []
+
+            def recording(rows, ncols, limit=None):
+                solves.append(nullspace(rows, ncols, limit))
+                return solves[-1]
+
+            def candidates(variables, monos, basis):
+                pencils.append(basis)
+                return []
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(invsearch, "nullspace", recording)
+                mp.setattr(invsearch, "_pencil_candidates", candidates)
+                invsearch._pencil_stage(sys, budget, {})
+            over = len(kernel) > limit
+            if not solves:
+                # the support bound is sound: it rejects only what is over
+                assert over, (name, sys.dim, text)
+            else:
+                assert solves == [[] if over else kernel], (name, sys.dim, text)
+            assert len(pencils) == (0 < len(kernel) <= limit), (name, sys.dim, text)
 
 
 # -- pencil stage: pinned outputs and the rational roots ---------------------------
