@@ -1589,7 +1589,10 @@ def test_echelon_step_matches_the_pivot_scan_on_multiplied_echelons(data, picks)
     for row in rows:
         _scan_echelon_step(*scan, row)
     low = min(m)
-    shift = lambda pc: tuple(a + b for a, b in zip(pc, low))
+
+    def shift(pc):
+        return tuple(a + b for a, b in zip(pc, low))
+
     scan = ([_mul_int(r, m) for r in scan[0]], [shift(pc) for pc in scan[1]])
     echelon = dict(zip(scan[1], scan[0]))
     assert echelon == {shift(pc): _mul_int(r, m)
