@@ -98,8 +98,9 @@ def _seed_default() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: main() picks the renderer by the literal "--pretty"
     parser = _Parser(
-        prog="ratdyn",
+        prog="ratdyn", allow_abbrev=False,
         description="exact workbench for rational dynamical systems over Q")
     parser.add_argument("--pretty", action="store_true",
                         help="human-readable table instead of JSON")
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, needs_budget=False):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
         if name != "selftest":
             p.add_argument("system", help="path to a .system or .json file")
         if needs_budget:

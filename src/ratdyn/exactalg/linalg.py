@@ -3,17 +3,19 @@
 All elimination over Q is ``echelon_step``: it clears a row once to a
 primitive integer row, reduces it against an integer echelon with one integer
 reduction step (a multiple of one row minus a multiple of another, divided by
-its content), and inserts a nonzero remainder, which is empty exactly for a
-row in the span.  The echelon is one dict from each pivot column to its row,
-so a reduction costs the entries it touches: the pivot columns a row meets
-come from the row's own keys, not from a scan over every pivot.  ``rank``
-counts the pivots, and ``nullspace`` reads the unique reduced echelon basis
-of the kernel off one integer echelon, making a Fraction only for each entry
-it returns.  The rank is at most the column count, so ``nullspace`` stops
-eliminating once its echelon holds that many pivots: every later row lies in
-the span.  Given a limit on the kernel's dimension, it also stops once the
-rows left cannot raise the rank enough to meet it.  An exponent matrix is
-singular exactly when its ``rank`` falls short of its size.
+its content), and appends a nonzero remainder, which is empty exactly for a
+row in the span.  Every echelon has one form, triangular and append-only: a
+dict from each pivot column to its row, whose least column the pivot is, the
+pivots distinct.  A reduction costs the entries it touches: the pivot columns
+a row meets come from the row's own keys, not from a scan over every pivot,
+and an insertion only adds a key.  ``rank`` counts the pivots, and
+``nullspace`` back-substitutes its echelon once, then reads the unique
+reduced echelon basis of the kernel off it, making a Fraction only for each
+entry it returns.  The rank is at most the column count, so ``nullspace``
+stops eliminating once its echelon holds that many pivots: every later row
+lies in the span.  Given a limit on the kernel's dimension, it also stops
+once the rows left cannot raise the rank enough to meet it.  An exponent
+matrix is singular exactly when its ``rank`` falls short of its size.
 
 One elimination stays separate because it works in another ring:
 ``_bareiss_join`` reduces a row of polynomials against a fraction-free
@@ -73,35 +75,28 @@ def _eliminate(row: IntRow, ref: IntRow, pc: Hashable) -> Tuple[IntRow, List[Has
 
 
 def echelon_step(echelon: Echelon, row: SparseRow, insert: bool = True) -> IntRow:
-    """Remainder of a sparse row against an integer echelon, which it joins.
+    """Remainder of a sparse row against a triangular integer echelon,
+    which it joins.
 
     ``echelon`` maps each pivot column to a primitive integer row whose
-    least column it is, and which is the only row nonzero there.  The row
-    (int or Fraction entries) is cleared to a primitive integer row without
-    its zero entries and reduced, by ``_eliminate``, at each pivot column
-    where it is nonzero, in ascending order; the remainder is empty exactly
-    when the row lies in the span.  A row of ints needs no clearing, only
-    the zero filter and the content.  With ``insert``, a nonzero remainder
-    joins at its least column, which is then cleared from the rows that
-    hold it; nothing else is changed in place.
+    least column it is; the pivots are distinct.  The row (int or Fraction
+    entries) is cleared to a primitive integer row without its zero entries
+    and reduced, by ``_eliminate``, at each pivot column where it is
+    nonzero, in ascending order.  An elimination fills only columns above
+    the one it clears, so the pivot columns come from the row's own keys,
+    kept in a heap that also takes each pivot column an elimination fills,
+    and the cost is what the row touches, not the echelon's rank.  The
+    remainder is then zero at every pivot column, and a nonzero combination
+    of the rows is not, at the least pivot it uses, so the remainder is
+    empty exactly when the row lies in the span.  A row of ints needs no
+    clearing, only the zero filter and the content.  With ``insert``, a
+    nonzero remainder joins at its least column, which is no pivot; no row
+    already in the echelon changes.
 
-    The cost is what the row touches, not the echelon's rank: the pivot
-    columns to reduce come from the row's own entries, kept in a heap that
-    also takes each pivot column an elimination fills.  A row of the
-    echelon holds no pivot column below its own, so an elimination fills
-    only columns above the one it clears, and the heap meets the columns in
-    the same order as a scan over every pivot would.
-
-    In the reduced (Gauss-Jordan) echelon that insertion keeps, no row
-    holds another's pivot column, so nothing is filled there.  Membership
-    (``insert=False``) needs only a triangular echelon: each row's least
-    column is its pivot, and the pivots are distinct.  The remainder is
-    then zero at every pivot column, and a nonzero combination of the rows
-    is not, at the least pivot it uses.  So rows multiplied by one
-    polynomial, with exponent tuples as columns in lex order (a monomial
-    order: a product's least monomial is the sum of its factors'), still
-    answer membership of the multiplied span, and an insertion keeps the
-    echelon triangular.
+    Rows multiplied by one polynomial, with exponent tuples as columns in
+    lex order (a monomial order: a product's least monomial is the sum of
+    its factors'), stay triangular, so the pool's multiplied echelon is one
+    of these too.
     """
     if not all(type(v) is int for v in row.values()):
         row = _cleared_terms(row)[1]
@@ -116,10 +111,7 @@ def echelon_step(echelon: Echelon, row: SparseRow, insert: bool = True) -> IntRo
                 if c in echelon:
                     heapq.heappush(todo, c)
     if row and insert:
-        pc = min(row)
-        for p in [p for p, other in echelon.items() if pc in other]:
-            echelon[p] = _eliminate(echelon[p], row, pc)[0]
-        echelon[pc] = row
+        echelon[min(row)] = row
     return row
 
 
@@ -128,6 +120,17 @@ def _echelon(rows: Iterable[SparseRow]) -> Echelon:
     echelon: Echelon = {}
     for row in rows:
         echelon_step(echelon, row)
+    return echelon
+
+
+def _back_substitute(echelon: Echelon) -> Echelon:
+    """The triangular echelon made reduced, in place: from the highest pivot
+    down, each row is cleared at the pivot columns above its own by rows
+    already cleared, which fill no pivot column.  Each row then meets no
+    pivot but its own (the Gauss-Jordan form)."""
+    for pc in sorted(echelon, reverse=True):
+        for p in [c for c in echelon[pc] if c != pc and c in echelon]:
+            echelon[pc] = _eliminate(echelon[pc], echelon[p], p)[0]
     return echelon
 
 
@@ -163,9 +166,10 @@ def nullspace(rows: Sequence[SparseRow], ncols: int, limit: Optional[int] = None
     of the kernel, which is unique for the subspace, so scaling every column
     of the matrix by one nonzero constant leaves it unchanged.
 
-    One integer echelon of the rows, with the columns reversed, gives it
-    directly: each echelon row is nonzero at its pivot p and otherwise only
-    at free columns before p, so the kernel vector of a free column f is 1
+    One integer echelon of the rows, with the columns reversed and
+    back-substituted once (``_back_substitute``), gives it directly: each
+    echelon row is nonzero at its pivot p and otherwise only at free
+    columns before p, so the kernel vector of a free column f is 1
     at f, 0 at every other free column, and -row[f] / row[p] at the pivot p
     of each row that meets f.  Its first nonzero entry is the 1 at f, and in
     ascending f these vectors are the kernel's reduced row echelon form.
@@ -189,6 +193,7 @@ def nullspace(rows: Sequence[SparseRow], ncols: int, limit: Optional[int] = None
         echelon_step(echelon, {last - c: v for c, v in row.items()})
     if len(echelon) < least:
         return []
+    _back_substitute(echelon)
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if last - f not in echelon}
     for f, vec in basis.items():
         vec[f] = Fraction(1)

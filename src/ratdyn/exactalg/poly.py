@@ -58,7 +58,7 @@ import operator
 import random
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import VariableMismatchError
 
@@ -70,20 +70,29 @@ def grlex_key(exponents: Exponent):
     return (sum(exponents), exponents)
 
 
+def _exponent_vectors(degrees: Sequence[int], top: int) -> Iterator[Exponent]:
+    """The vectors e >= 0 with sum(e_k * degrees[k]) <= top, degrees >= 1,
+    in ascending lex order (the first entry varies slowest), from 0; none
+    when top < 0."""
+    if top < 0:
+        return
+    e, left = [0] * len(degrees), top
+    while True:
+        yield tuple(e)
+        k = len(e) - 1
+        while k >= 0 and degrees[k] > left:
+            left += e[k] * degrees[k]
+            e[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        e[k] += 1
+        left -= degrees[k]
+
+
 def monomials_upto(n: int, d: int) -> List[Exponent]:
     """Exponent tuples in n variables of total degree <= d, ascending grlex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], d, n)
-    out.sort(key=grlex_key)
-    return out
+    return sorted(_exponent_vectors((1,) * n, d), key=grlex_key)
 
 
 def _cleared_terms(terms: Mapping[Exponent, Fraction]
@@ -479,6 +488,16 @@ def _minus_shifted(a: Dict[Exponent, int], e: Exponent,
         if not a[k]:
             del a[k]
     return a
+
+
+def _valuation(f: Dict[Exponent, int], a: Dict[Exponent, int]
+               ) -> Tuple[int, Dict[Exponent, int]]:
+    """The largest m with f^m | a, and a / f^m, by trial division; int
+    polys, f not constant, a nonzero."""
+    m = 0
+    while (q := _divide_int(a, f)) is not None:
+        a, m = q, m + 1
+    return m, a
 
 
 def _divide_int(a: Dict[Exponent, int],
@@ -964,12 +983,8 @@ def basis_exponents(p: Polynomial, basis: Sequence[Polynomial]
     exponents = []
     for b in basis:
         kb, pb = _int_primitive(b)
-        a = 0
-        while True:
-            q = _divide_int(rest, pb)
-            if q is None:
-                break
-            # p = (n / d) * rest * prod b^a, and b = (kb / b._den) * pb
-            rest, n, d, a = q, n * b._den, d * kb, a + 1
+        a, rest = _valuation(pb, rest)
+        # p = (n / d) * rest * prod b^a, and b = (kb / b._den) * pb
+        n, d = n * b._den ** a, d * kb ** a
         exponents.append(a)
     return exponents, _scaled_int(p.variables, rest, n, d)

@@ -83,9 +83,9 @@ from .exactalg import (JacobianSelector, Polynomial, RationalFunction,
                        basis_exponents, coprime_factor_basis, echelon_step,
                        jacobian_rank, monomials_upto, nullspace, poly_gcd,
                        primitive_part, squarefree_chain, transpose, try_divide)
-from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _gcd_cofactors,
-                            _int_primitive, _minus_shifted, _mul_int, _normalized,
-                            canonical_order)
+from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _exponent_vectors,
+                            _gcd_cofactors, _int_primitive, _minus_shifted, _mul_int,
+                            _normalized, _valuation, canonical_order)
 from .translation import _proves_infinite_order
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
@@ -268,32 +268,6 @@ def _darboux_split(sys: DynamicalSystem, factors: List[Polynomial],
         out = [h for f in out for h in cuts.get(f, (f,))]
 
 
-def _exponent_vectors(degrees: Sequence[int], top: int) -> Iterator[Tuple[int, ...]]:
-    """The vectors e >= 0 with sum(e_k * degrees[k]) <= top, degrees >= 1,
-    in ascending lex order (the first entry varies slowest), from 0."""
-    e, left = [0] * len(degrees), top
-    while True:
-        yield tuple(e)
-        k = len(e) - 1
-        while k >= 0 and degrees[k] > left:
-            left += e[k] * degrees[k]
-            e[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        e[k] += 1
-        left -= degrees[k]
-
-
-def _valuation(f: Dict[Tuple[int, ...], int], a: Dict[Tuple[int, ...], int]) -> int:
-    """The largest m with f^m | a, by trial division; int polys, f primitive
-    and not constant, a nonzero."""
-    m = 0
-    while (a := _divide_int(a, f)) is not None:
-        m += 1
-    return m
-
-
 def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
                          tables: dict) -> List[Polynomial]:
     """The Darboux products of iterated numerator/denominator factors, in
@@ -358,7 +332,7 @@ def _denominator_catalog(sys: DynamicalSystem, budget: SearchBudget,
         # v(f_k, J_j), and v(f_k, D) at j = -1
         if (k, j) not in valuations:
             valuations[k, j] = _valuation(ints[k], den if j < 0 else
-                                          images.image(factors[j]))
+                                          images.image(factors[j]))[0]
         return valuations[k, j]
 
     def divides(e, degree):
@@ -576,17 +550,9 @@ def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
                 parts[e[2]][e[:2]] = coeff
             return tuple(Polynomial._make(("t1", "t2"), part) for part in reversed(parts))
 
-        def at(q, t1, t2):
-            # the coefficients of q at (t1, t2) in t3, constant term first
-            coeffs = [0] * 3
-            for e, coeff in q._num.items():
-                coeffs[e[2]] += coeff * t1 ** e[0] * t2 ** e[1]
-            return coeffs
-
+        splits = [split(q) for q in quadrics]
         resultants = []
-        for q1, q2 in itertools.combinations(quadrics, 2):
-            a1, b1, c1 = split(q1)
-            a2, b2, c2 = split(q2)
+        for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(splits, 2):
             res = ((a1 * c2 - c1 * a2) ** 2
                    - (a1 * b2 - b1 * a2) * (b1 * c2 - c1 * b2))
             if not res.is_zero:
@@ -598,7 +564,8 @@ def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
         # share a root in t3 every resultant vanishes, so the zeros, (1, 0)
         # included, miss no point
         for t1, t2 in _binary_zeros(resultants) if resultants else ():
-            for t3 in _common_roots(at(q, t1, t2) for q in quadrics):
+            for t3 in _common_roots([c.evaluate((t1, t2)) for c in reversed(abc)]
+                                    for abc in splits):
                 push((t1, t2, t3))
         if all((0, 0, 2) not in q.support() for q in quadrics):
             push((0, 0, 1))
@@ -729,10 +696,9 @@ class _ClearedPool:
         themselves, in lex order, and each row's pivot is its least column.
         Lex is a monomial order, so each product's least monomial is the sum
         of its factors': the multiplied echelon maps each pivot, shifted by
-        the least monomial of den'/den, to its row times den'/den.  The
-        rows stay triangular, with distinct pivots, which is all that
-        membership needs (``echelon_step``), but a row may now hold another
-        row's pivot column, which a reduction then fills.
+        the least monomial of den'/den, to its row times den'/den, and the
+        rows stay triangular with distinct pivots, the one form of every
+        echelon (``echelon_step``).
 
     ``multiplied`` counts the extensions that multiplied the echelon, the
     first of them the constant row alone.

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dynsys import DynamicalSystem
 from .errors import SystemFileError
-from .parsing import IDENT_RE, parse_expression
+from .parsing import IDENT_RE, parse_map
 
 
 @dataclass
@@ -52,8 +52,7 @@ class SystemFile:
                 f"{len(self.map)} expressions for {len(self.variables)} variables")
 
     def build(self) -> DynamicalSystem:
-        coords = tuple(parse_expression(src, self.variables) for src in self.map)
-        return DynamicalSystem(self.variables, coords)
+        return parse_map(self.variables, self.map)
 
 
 def _parse_text(source: str, default_name: str) -> SystemFile:

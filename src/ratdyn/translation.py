@@ -151,12 +151,6 @@ _SCAN_VALUES = (0, 1, -1, 2, -2)
 _SCAN_POINTS = 125
 
 
-def _int_value(p: Polynomial, point: Sequence[int]) -> int:
-    """A normal-form part, whose coefficients are integers, at an integer
-    point."""
-    return sum(c * math.prod(v ** k for v, k in zip(point, e)) for e, c in p._num.items())
-
-
 def _proves_infinite_order(sys: DynamicalSystem) -> bool:
     """Whether an exact certificate shows that no iterate of the dominant
     map is the identity: True proves infinite order, False declines and
@@ -193,8 +187,8 @@ def _proves_infinite_order(sys: DynamicalSystem) -> bool:
     for point in itertools.islice(points, _SCAN_POINTS):
         dens = []
         for x, f in zip(point, sys.coords):
-            q = _int_value(f.den, point)
-            if q == 0 or _int_value(f.num, point) != x * q:
+            q = int(f.den.evaluate(point))
+            if q == 0 or f.num.evaluate(point) != x * q:
                 break
             dens.append(q)
         else:

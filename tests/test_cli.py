@@ -564,6 +564,23 @@ def test_cli_usage_errors_print_a_json_report(capsys, monkeypatch):
     assert "usage: ratdyn degrees" in capsys.readouterr().out
 
 
+def test_cli_abbreviated_flags_are_usage_errors(capsys):
+    # main() picks the renderer by the literal "--pretty", so the parser
+    # takes no prefix of a flag either, at the top level or after a command
+    shift = corpus("shift.system")
+    for argv in (["--pret", "check", shift], ["check", shift, "--pre"],
+                 ["--se", "7", "check", shift], ["degrees", shift, "--n", "3", "--se", "7"],
+                 ["verify", shift, "--func", "x"], ["invariants", shift, "--bud", "1,1,1,1"]):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "UsageError" and doc["command"] == argv
+    # spelled in full, --pretty still renders the table in either position
+    for argv in (["--pretty", "check", shift], ["check", shift, "--pretty"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("command ") and "result.dominant" in out
+
+
 def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
     shift = corpus("shift.system")
     sequence = [["check", shift, "--seed", "7"], ["degrees", shift],

@@ -4,6 +4,7 @@ import bisect
 import copy
 import itertools
 import math
+import operator
 import pickle
 import random
 import time
@@ -23,7 +24,8 @@ from ratdyn.exactalg.poly import (_cert_point, _certified_coprime, _cleared_term
 from ratdyn.exactalg import (Polynomial, RationalFunction, basis_exponents,
                              clear_denominators, cleared_monomial_images,
                              coprime_factor_basis,
-                             divide_exact, jacobian_rank, nullspace,
+                             divide_exact, grlex_key, jacobian_rank, monomials_upto,
+                             nullspace,
                              poly_gcd,
                              poly_matrix_rank, primitive_part,
                              ratfunc_normalize, squarefree_chain,
@@ -182,6 +184,36 @@ def test_integer_layout_matches_fraction_term_maps():
         _assert_layout(a.embed(wide, positions), wide, ref_embed(ta, m, positions),
                        tuple(point[positions.index(j)] if j in positions else 0
                              for j in range(m)))
+
+
+def test_exponent_vectors_and_monomials_upto_enumerate_the_budget():
+    # the one odometer: every vector under the weighted bound once, in
+    # ascending lex order; nothing under a negative bound
+    for degrees in [(), (1,), (1, 1), (2, 1, 3), (1, 1, 1)]:
+        for top in range(-2, 6):
+            brute = [e for e in itertools.product(range(max(top, 0) + 1), repeat=len(degrees))
+                     if sum(map(operator.mul, e, degrees)) <= top]
+            assert list(poly_module._exponent_vectors(degrees, top)) == brute
+            if set(degrees) <= {1}:
+                assert monomials_upto(len(degrees), top) == sorted(brute, key=grlex_key)
+    assert monomials_upto(2, -1) == [] and monomials_upto(0, -1) == []
+    assert monomials_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_valuation_is_the_multiplicity_and_its_cofactor():
+    rng = random.Random(0x7A1)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        variables = tuple("xyz"[:n])
+        f = Polynomial(variables, _random_terms(rng, n))
+        a = Polynomial(variables, _random_terms(rng, n))
+        if f.is_constant or a.is_zero:
+            continue
+        f_int, a_int = _int_primitive(f)[1], _int_primitive(a * f ** 2)[1]
+        m, rest = poly_module._valuation(f_int, a_int)
+        assert m >= 2 and poly_module._divide_int(rest, f_int) is None
+        assert (Polynomial._make(variables, rest) * Polynomial._make(variables, f_int) ** m
+                == Polynomial._make(variables, a_int))
 
 
 def test_basis_exponents_keeps_the_scale_of_rational_factors():
@@ -1217,16 +1249,26 @@ def dense_matrices(draw):
 
 
 def _reduced(echelon):
-    """The integer echelon with each row divided by its pivot entry, in
-    ascending pivot order."""
+    """The integer echelon, back-substituted as ``nullspace`` reads it, with
+    each row divided by its pivot entry, in ascending pivot order."""
+    echelon = linalg._back_substitute(dict(echelon))
     return [{c: Fraction(v, row[pc]) for c, v in row.items()}
             for pc, row in sorted(echelon.items())]
 
 
+def _is_triangular(echelon):
+    """Each row's least column is its pivot (the keys are distinct), and no
+    row holds an explicit zero."""
+    return all(min(row) == pc and all(row.values()) for pc, row in echelon.items())
+
+
 @given(st.one_of(sparse_matrices(), dense_matrices()))
 def test_integer_rref_matches_fraction_rref(matrix):
+    # the echelon is triangular with the RREF's pivots; back-substituted, it
+    # is the RREF
     rows, ncols = matrix
     echelon = linalg._echelon(rows)
+    assert _is_triangular(echelon)
     assert (_reduced(echelon), sorted(echelon)) == _fraction_rref(rows)
     assert all(type(v) is int for row in echelon.values() for v in row.values())
     assert all(math.gcd(*row.values()) == 1 for row in echelon.values())
@@ -1324,13 +1366,16 @@ def dependent_rows(draw):
 
 @given(dependent_rows(), st.randoms(use_true_random=False))
 def test_rref_sparse_is_the_reduced_echelon_form(matrix, rnd):
-    # the integer echelon of echelon_step, read as a reduced echelon form
+    # the triangular integer echelon of echelon_step, back-substituted once,
+    # read as a reduced echelon form
     rows, ncols, independent_at_most = matrix
     echelon = linalg._echelon(rows)
+    assert _is_triangular(echelon)
     reduced, pivots = _reduced(echelon), sorted(echelon)
-    for pc, row in echelon.items():
-        assert min(row) == pc and all(row.values())
-        assert all(pc not in other for p, other in echelon.items() if p != pc)
+    back = linalg._back_substitute(dict(echelon))
+    assert _is_triangular(back) and back.keys() == echelon.keys()
+    for pc in back:
+        assert all(pc not in other for p, other in back.items() if p != pc)
     for row in rows:
         assert not linalg.echelon_step(echelon, row, insert=False)
         assert not _fraction_reduce_row(row, reduced, pivots)
@@ -1521,8 +1566,8 @@ def _scan_eliminate(row, ref, pc):
 
 def _scan_echelon_step(echelon, pivots, row, insert=True):
     """Reference: the earlier elimination, over parallel lists of rows and
-    ascending pivots, which scans every pivot for the ones a row meets and
-    every row for the new pivot."""
+    ascending pivots, which scans every pivot for the ones a row meets, and
+    inserts the remainder at its least column."""
     if not all(type(v) is int for v in row.values()):
         row = _cleared_terms(row)[1]
     row = linalg._primitive({c: v for c, v in row.items() if v})
@@ -1531,9 +1576,6 @@ def _scan_echelon_step(echelon, pivots, row, insert=True):
             row = _scan_eliminate(row, ref, pc)
     if row and insert:
         pc = min(row)
-        for i, other in enumerate(echelon):
-            if other.get(pc):
-                echelon[i] = _scan_eliminate(other, row, pc)
         pos = bisect.bisect(pivots, pc)
         pivots.insert(pos, pc)
         echelon.insert(pos, row)
@@ -1570,6 +1612,7 @@ def mixed_rows(draw):
 
 @given(mixed_rows())
 def test_echelon_step_matches_the_pivot_scan_on_reduced_echelons(matrix):
+    # echelons built by insertion alone: triangular, like the multiplied ones below
     rows, ncols = matrix
     echelon, scan = {}, ([], [])
     for row in rows:
@@ -1605,6 +1648,35 @@ def test_echelon_step_matches_the_pivot_scan_on_multiplied_echelons(data, picks)
         _both_steps(echelon, scan, targets[k % len(targets)])
     for target in targets:
         _both_steps(echelon, scan, target, insert=False)
+
+
+def _insert_and_compare(echelon, row):
+    """echelon_step with insert, which must leave every row already in the
+    echelon as it was (the same objects, unchanged) and only add the
+    remainder at its least column."""
+    before = dict(echelon)
+    copies = {pc: dict(r) for pc, r in echelon.items()}
+    remainder = linalg.echelon_step(echelon, dict(row))
+    assert min(remainder, default=None) not in before
+    assert echelon == {**copies, **({min(remainder): remainder} if remainder else {})}
+    assert all(echelon[pc] is r for pc, r in before.items())
+    assert _is_triangular(echelon)
+
+
+@given(mixed_rows(), lex_rows(), st.lists(st.integers(0, 5), max_size=6))
+def test_an_insertion_leaves_every_earlier_row_unchanged(matrix, data, picks):
+    # on echelons built by insertion, and on the pool's multiplied echelons
+    rows, _ = matrix
+    echelon = {}
+    for row in rows:
+        _insert_and_compare(echelon, row)
+    rows, m, e = data
+    low = min(m)
+    echelon = {tuple(a + b for a, b in zip(pc, low)): _mul_int(r, m)
+               for pc, r in linalg._echelon(rows).items()}
+    targets = [_mul_int(r, m) for r in rows] + rows + [{e: 1}]
+    for k in picks:
+        _insert_and_compare(echelon, targets[k % len(targets)])
 
 
 @given(st.one_of(mixed_rows(), dependent_rows().map(lambda m: m[:2])), st.data())
