@@ -47,18 +47,9 @@ The search is lazy (``_kept_invariants``): it yields each invariant as it
 is kept, and a caller that stops pulling stops the search; one that stops
 within the q = 1 solve never builds the catalog.  ``invariants``
 lists everything found, so it runs to the end; ``square_gain_check`` stops
-each of its searches at a proven bound on the rank, with K the invariant
-field of phi on X, n = dim X, and L that of phi x phi on X x X:
-
-  * trdeg K <= n - 1 when phi has infinite order: if trdeg K = n, then
-    k(X)/K is finite and phi* one of its finitely many K-automorphisms, so
-    phi has finite order;
-  * trdeg L <= n + trdeg K: subtracting from a shortest relation over
-    k(X_2) among elements of L its image under phi* shows that L and k(X_2)
-    are linearly disjoint over K_2, the invariants of the second factor.
-
-So the base rank is at most n, or n - 1, and the square rank at most 2n, or
-2n - 1, when ``translation._proves_infinite_order`` proves infinite order.
+each of its searches at a proven bound on the rank: n on the map, 2n on its
+square, or n - 1 and 2n - 1 when ``translation.proven_order`` proves
+infinite order (the proofs are in its docstring).
 The generators, the ranks and the witness (the first square invariant
 independent of the pullbacks) are fixed by the prefix of each search that
 reaches its final rank: once the square rank exceeds the pullback rank, a
@@ -86,7 +77,7 @@ from .exactalg import (JacobianSelector, Polynomial, RationalFunction,
 from .exactalg.poly import (_cleared_terms, _combine_int, _divide_int, _exponent_vectors,
                             _gcd_cofactors, _int_primitive, _minus_shifted, _mul_int,
                             _normalized, _valuation, canonical_order)
-from .translation import _proves_infinite_order
+from .translation import ORDER_INFINITE, proven_order
 
 _CATALOG_CAP = 2000          # deterministic cap on denominator candidates
 
@@ -400,12 +391,6 @@ def _point(t) -> Tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _grid_points(k: int) -> List[Tuple[int, ...]]:
-    """The distinct points of {-2, ..., 2}^k without 0, in first-seen order."""
-    combos = (c for c in itertools.product(range(-2, 3), repeat=k) if any(c))
-    return list(dict.fromkeys(map(_point, combos)))
-
-
 def _pencil_rows(t: Tuple[int, ...], basis) -> List[Dict[int, int]]:
     """The nonzero rows of the antisymmetric matrix sum(t_k basis_k), in
     row order, as sparse int rows; basis_k maps pairs i < j to ints."""
@@ -503,24 +488,23 @@ def _sub_pfaffians(basis) -> List[Polynomial]:
     return quadrics
 
 
-def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
+def _decomposable_points(basis) -> Iterator[Tuple[Dict[int, int], Dict[int, int]]]:
     """The rows (p, q) of each parameter point t where sum(t_k basis_k) has
-    rank 2, for int basis vectors (maps from pairs i < j to ints), in the
-    order the points are found.
+    rank 2, for int basis vectors (maps from pairs i < j to ints), yielded
+    in the order the points are found.
 
     For dimension 2 and 3 the quadratic decomposability conditions
     (``_sub_pfaffians``) are solved exactly: by the common zeros of the
     binary quadrics, or by those of their resultants in t3, each lifted to
-    the common roots in t3.  Otherwise, and after the lift, a deterministic
-    grid supplies the points, so that degenerate positive-dimensional
-    solution sets still yield witnesses (in dimension 1 it is the basis
-    vector itself).  Each point is tried once, as its ``_point``
-    representative: its rows are reduced in order into one echelon, the
-    first row outside the span of those before it is p, the second is q,
-    and a third shows a rank above 2.
+    the common roots in t3.  Otherwise, and after the lift, the grid
+    {-2, ..., 2}^k without 0, walked lazily, supplies the points, so that
+    degenerate positive-dimensional solution sets still yield witnesses (in
+    dimension 1 it is the basis vector itself).  Each point is tried once,
+    as its ``_point`` representative: its rows are reduced in order into one
+    echelon, the first row outside the span of those before it is p, the
+    second is q, and a third shows a rank above 2.
     """
     k = len(basis)
-    found = []
     seen = set()
 
     def push(t):
@@ -535,12 +519,12 @@ def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
                 if len(kept) > 2:
                     return
         if len(kept) == 2:
-            found.append(tuple(kept))
+            yield tuple(kept)
 
     quadrics = _sub_pfaffians(basis) if k in (2, 3) else []
     if k == 2 and quadrics:
         for t in _binary_zeros(quadrics):
-            push(t)
+            yield from push(t)
     elif quadrics:
         # k = 3: eliminate t3 between pairs of quadrics
         def split(q):
@@ -566,18 +550,18 @@ def _decomposable_points(basis) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
         for t1, t2 in _binary_zeros(resultants) if resultants else ():
             for t3 in _common_roots([c.evaluate((t1, t2)) for c in reversed(abc)]
                                     for abc in splits):
-                push((t1, t2, t3))
+                yield from push((t1, t2, t3))
         if all((0, 0, 2) not in q.support() for q in quadrics):
-            push((0, 0, 1))
+            yield from push((0, 0, 1))
     if k != 2 or not quadrics:
-        for t in _grid_points(k):
-            push(t)
-    return found
+        for t in itertools.product(range(-2, 3), repeat=k):
+            if any(t):
+                yield from push(t)
 
 
-def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
+def _pencil_candidates(variables, monos, basis) -> Iterator[RationalFunction]:
     """The candidate p/q of each decomposable point of the pencil
-    sum(t_k basis_k), in the order the points are found.
+    sum(t_k basis_k), yielded in the order the points are found.
 
     ``basis`` holds the kernel vectors as maps from pairs i < j to
     rationals.  They are cleared over one common denominator, which scales
@@ -592,19 +576,19 @@ def _pencil_candidates(variables, monos, basis) -> List[RationalFunction]:
     ints: List[Dict[Tuple[int, int], int]] = [{} for _ in basis]
     for (k, pair), v in cleared.items():
         ints[k][pair] = v
-    out = []
     for rows in _decomposable_points(ints):
         p, q = (_positive(Polynomial._make(variables,
                                            {monos[c]: v for c, v in row.items()}))
                 for row in rows)
-        out.append(RationalFunction(p, q))
-    return out
+        yield RationalFunction(p, q)
 
 
 def _pencil_stage(sys: DynamicalSystem, budget: SearchBudget,
-                  tables: dict) -> List[RationalFunction]:
+                  tables: dict) -> Iterable[RationalFunction]:
     """The candidates of the pencil kernel, as ``_pencil_candidates``; none
-    when the kernel's dimension exceeds the rank-1 limit.  Each is invariant
+    when the kernel's dimension exceeds the rank-1 limit.  The kernel is
+    solved here, and each candidate is found when it is pulled, so a search
+    that stops pulling stops the walk of the pencil.  Each is invariant
     exactly, since a decomposable point p wedge q of the kernel satisfies
     P*I(Q) = Q*I(P); the collector gates it all the same.  ``tables`` caches
     ``_pullback_table``.
@@ -992,26 +976,11 @@ def square_gain_check(sys: DynamicalSystem,
     proven lower bounds, and a search that misses them reports no less.
 
     Each search stops as soon as its rank reaches a proven bound, since no
-    later invariant can change the report:
-
-      * base, K the invariant field: trdeg K <= n, and trdeg K <= n - 1
-        when phi has infinite order.  For if trdeg K = n, then k(X)/K is
-        finite, and phi* is one of its finitely many K-automorphisms, so
-        phi has finite order;
-      * square, L its invariant field: trdeg L <= n + trdeg K, so L has
-        trdeg <= 2n, and <= 2n - 1 at infinite order.  Let l_i in L be
-        linearly independent over K_2, the invariants of the second
-        factor, and take a shortest relation sum a_i l_i = 0 over k(X_2),
-        with a_1 = 1.  Subtracting its image under phi* leaves a shorter
-        one, so every a_i is invariant, in K_2, which cannot be: L and
-        k(X_2) are linearly disjoint over K_2.  So elements of L that are
-        algebraically independent over K_2 stay so over k(X_2), and
-        trdeg L - trdeg K <= trdeg k(X_1 x X_2)/k(X_2) = n.
-
-    Infinite order is decided by the exact certificate
-    ``_proves_infinite_order``, computed at most once per call and only
-    when a stop depends on it: a search that reaches the bound of the
-    finite-order case stops without it.
+    later invariant can change the report: n on the map and 2n on the
+    square, or n - 1 and 2n - 1 when ``translation.proven_order`` proves
+    infinite order (the proofs are in its docstring).  The order is asked
+    for at most once per call, and only when a stop depends on it: a
+    search that reaches the bound of the finite-order case stops without it.
 
     Why the report stays the same: the greedy generators, and with them
     the base rank and the pullback rank, depend only on the prefix of the
@@ -1022,7 +991,7 @@ def square_gain_check(sys: DynamicalSystem,
     witness, the first such invariant, lies in the prefix.
     """
     n = sys.dim
-    infinite_order = functools.cache(lambda: _proves_infinite_order(sys))
+    infinite_order = functools.cache(lambda: proven_order(sys) == ORDER_INFINITE)
 
     def at_bound(full):
         # the bound is full, and full - 1 at infinite order

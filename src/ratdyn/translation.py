@@ -2,8 +2,10 @@
 
 Three independent sources of evidence are produced:
 
-  * closed-form recognizers (affine maps, products of one-variable Moebius
-    maps, monomial maps) that certify translation structure outright;
+  * closed-form recognizers that certify translation structure: affine
+    maps and products of one-variable Moebius maps outright, monomial maps
+    only at finite order, which ``proven_order`` decides, the one place for
+    facts about a map's order;
   * the degree profile of the iterates -- bounded degrees are necessary for
     the iterates to live in one algebraic family, so bounded growth upgrades
     an unrecognized map to a candidate, and exponential growth is negative
@@ -39,6 +41,10 @@ CLASS_UNRECOGNIZED = "unrecognized"
 VERDICT_PROVEN = "translational-proven"
 VERDICT_CANDIDATE = "translational-candidate"
 VERDICT_NEGATIVE = "not-translational-evidence"
+
+ORDER_FINITE = "finite"
+ORDER_INFINITE = "infinite"
+ORDER_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,11 @@ class ExponentMatrix:
                    for j, v in enumerate(row))
 
     def has_finite_order(self) -> bool:
-        """Exact test: A has finite multiplicative order iff A^M = I where M
-        is the lcm of all m with euler_phi(m) <= n (the minimal polynomial of
-        a finite-order integer matrix is a product of such cyclotomics).
-
-        A^M = I over Z implies A^M = I mod p, so A^M mod a fixed prime that
-        is not the identity is an exact "no" at word size; only a matrix
-        that passes it is raised to the M-th power over Z, where the entries
-        of an expanding matrix would grow to thousands of digits."""
+        """Whether A^k = I for some k >= 1: whether A^M = I with
+        M = ``_order_exponent(n)`` (the proof is in ``proven_order``).  A
+        residue of A^M other than I modulo a fixed prime is an exact "no" at
+        word size; only a matrix that passes it is raised to the M-th power
+        over Z, where an expanding matrix would grow to thousands of digits."""
         if rank(self.entries) < self.size:
             return False
         M = _order_exponent(self.size)
@@ -97,10 +100,7 @@ _ORDER_PRIME = 2147483647
 
 
 def _order_exponent(n: int) -> int:
-    """M = lcm{m : euler_phi(m) <= n}: every n x n matrix A over Q of finite
-    order k has A^M = I, since its minimal polynomial divides t^k - 1 and
-    so is a product of distinct cyclotomic polynomials of degree <= n.
-    euler_phi(m) >= sqrt(m / 2), so every such m is at most 2 n^2."""
+    """M = lcm{m : euler_phi(m) <= n}, each such m at most 2 n^2."""
     return math.lcm(*(m for m in range(1, 2 * n * n + 1) if _euler_phi(m) <= n))
 
 
@@ -144,44 +144,71 @@ def _euler_phi(m: int) -> int:
     return out
 
 
-# the fixed-point scan of ``_proves_infinite_order``: at most this many
-# points of {-2, ..., 2}^n, each coordinate running through these values in
-# this order, so that the origin comes first
+# the fixed-point scan of ``proven_order``: at most this many points of
+# {-2, ..., 2}^n, each coordinate running through these values in this
+# order, so that the origin comes first
 _SCAN_VALUES = (0, 1, -1, 2, -2)
 _SCAN_POINTS = 125
 
 
-def _proves_infinite_order(sys: DynamicalSystem) -> bool:
-    """Whether an exact certificate shows that no iterate of the dominant
-    map is the identity: True proves infinite order, False declines and
-    proves nothing.  No sampling and no float.
+def proven_order(sys: DynamicalSystem) -> str:
+    """``ORDER_FINITE`` when an exact certificate shows that some iterate of
+    the map is the identity, ``ORDER_INFINITE`` when one shows that none
+    is, and ``ORDER_UNKNOWN`` otherwise.  No sampling and no float.  This
+    is the one place that decides a map's order; the rules, in this order:
 
-    In one variable the test is complete.  The degree of a composition is
-    the product of the degrees, so a map of degree d >= 2 has iterates of
-    degree d^k, none of them the identity.  A Moebius map (ax + b)/(cx + d)
-    has order k exactly when its eigenvalue ratio z is a k-th root of unity,
-    and tr^2/det = z + 1/z + 2.  Over Q that value is rational, so a
-    finite-order map other than the identity (a scalar matrix) has
-    tr^2/det in {0, 1, 2, 3} (orders 2, 3, 4, 6); 4 is a parabolic map.
+      * one variable (complete).  The degree of a composition is the
+        product of the degrees, so a map of degree d != 1 has iterates of
+        degree d^k, none of them the identity.  A Moebius map
+        (ax + b)/(cx + d) other than the identity (a scalar matrix) has
+        order k exactly when its eigenvalue ratio z is a k-th root of unity
+        other than 1, and tr^2/det = z + 1/z + 2.  Over Q that value is
+        rational, so z + 1/z = 2 cos(2 pi j/k) is in {-2, -1, 0, 1}: the
+        map has finite order iff tr^2/det is in {0, 1, 2, 3} (orders 2, 3,
+        4, 6); 4 is a parabolic map, of infinite order;
+      * monomial maps x -> x^A (complete).  The iterates are the monomial
+        maps of the powers of A, so the map has finite order iff A does.
+        If A^k = I, the minimal polynomial of A divides t^k - 1, so it is a
+        product of distinct cyclotomic polynomials of degree euler_phi(m)
+        <= n, and A^M = I with M = lcm{m : euler_phi(m) <= n}
+        (``_order_exponent``; euler_phi(m) >= sqrt(m / 2), so m <= 2 n^2).
+        So A has finite order iff A^M = I (``has_finite_order``);
+      * otherwise, a fixed point P among the integer points of the scan
+        (``_SCAN_VALUES``) at which the map is regular: points are
+        evaluated in integers and skipped at the first coordinate that is
+        not fixed or has a pole there.  If phi^k = id, the chain rule at P
+        gives J^k = I for J = D phi(P), and so J^M = I.  So a residue of
+        J^M other than I modulo ``_ORDER_PRIME`` proves infinite order.  J
+        is ``jacobian_row`` over den(P)^2, and a point where the prime
+        divides some den(P) is skipped.  Without such a point the order is
+        unknown.
 
-    In n variables the certificate is a fixed point P, among the integer
-    points of the scan (``_SCAN_VALUES``), at which the map is regular:
-    points are evaluated in integers and skipped at the first coordinate
-    that is not fixed or has a pole there.  If phi^k = id, the chain rule
-    at P gives J^k = I for J = D phi(P), and so J^M = I with
-    M = ``_order_exponent(n)``.  So a residue of J^M other than I modulo
-    ``_ORDER_PRIME`` proves infinite order.  J is ``jacobian_row`` over
-    den(P)^2, and a point where the prime divides some den(P) is skipped.
+    The order bounds the rank.  Let K be the invariant field of phi on X,
+    n = dim X, and L that of phi x phi on X x X:
+
+      * trdeg K <= n, and trdeg K <= n - 1 when phi has infinite order.
+        For if trdeg K = n, then k(X)/K is finite, and phi* is one of its
+        finitely many K-automorphisms, so phi has finite order;
+      * trdeg L <= n + trdeg K, so L has trdeg <= 2n, and <= 2n - 1 at
+        infinite order.  Let l_i in L be linearly independent over K_2, the
+        invariants of the second factor, and take a shortest relation
+        sum a_i l_i = 0 over k(X_2), with a_1 = 1.  Subtracting its image
+        under phi* leaves a shorter one, so every a_i is invariant, in K_2,
+        which cannot be: L and k(X_2) are linearly disjoint over K_2.  So
+        elements of L that are algebraically independent over K_2 stay so
+        over k(X_2), and trdeg L - trdeg K <= trdeg k(X_1 x X_2)/k(X_2) = n.
     """
     if sys.dim == 1:
         f = sys.coords[0]
         if f.degree != 1:
-            return True
+            return ORDER_INFINITE
         a, b, c, d = _mobius_entries(f, 0)
-        if b == c == 0 and a == d:
-            return False
         tr, det = a + d, a * d - b * c
-        return tr * tr not in (0, det, 2 * det, 3 * det)
+        finite = (b == c == 0 and a == d) or tr * tr in (0, det, 2 * det, 3 * det)
+        return ORDER_FINITE if finite else ORDER_INFINITE
+    matrix = system_exponent_matrix(sys)
+    if matrix is not None:
+        return ORDER_FINITE if matrix.has_finite_order() else ORDER_INFINITE
     M = _order_exponent(sys.dim)
     points = itertools.product(_SCAN_VALUES, repeat=sys.dim)
     for point in itertools.islice(points, _SCAN_POINTS):
@@ -196,8 +223,8 @@ def _proves_infinite_order(sys: DynamicalSystem) -> bool:
                 J = [[v * pow(q * q, -1, _ORDER_PRIME) for v in jacobian_row(f, point)]
                      for f, q in zip(sys.coords, dens)]
                 if not _power_is_identity(J, M, _ORDER_PRIME):
-                    return True
-    return False
+                    return ORDER_INFINITE
+    return ORDER_UNKNOWN
 
 
 # -- recognizers ------------------------------------------------------------------
@@ -263,23 +290,20 @@ def classify_system(sys: DynamicalSystem) -> TranslationEvidence:
     """Pattern-match the coordinates and combine with degree growth.
 
     Affine maps and products of one-variable Moebius maps are group
-    translations outright; a monomial map is one exactly when its exponent
-    matrix has finite multiplicative order.  Everything else is judged by
-    the degree profile only: bounded growth yields a candidate verdict,
-    exponential growth negative evidence.
+    translations outright; a monomial map is one exactly when it has finite
+    order (``proven_order``).  Everything else is judged by the degree
+    profile only: bounded growth yields a candidate verdict, exponential
+    growth negative evidence.
     """
     profile = degree_sequence(sys, EVIDENCE_WINDOW)
-    matrix = None
     if _is_affine(sys):
         cls = CLASS_AFFINE
     elif _is_mobius_product(sys):
         cls = CLASS_MOBIUS_PRODUCT
     else:
-        matrix = system_exponent_matrix(sys)
-        cls = CLASS_UNRECOGNIZED if matrix is None else CLASS_MONOMIAL
-    if cls in (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT):
-        verdict = VERDICT_PROVEN
-    elif cls == CLASS_MONOMIAL and matrix.has_finite_order():
+        cls = CLASS_UNRECOGNIZED if system_exponent_matrix(sys) is None else CLASS_MONOMIAL
+    if cls in (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT) or (
+            cls == CLASS_MONOMIAL and proven_order(sys) == ORDER_FINITE):
         verdict = VERDICT_PROVEN
     elif profile.growth_class == GROWTH_EXPONENTIAL:
         verdict = VERDICT_NEGATIVE

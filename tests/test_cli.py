@@ -666,8 +666,9 @@ def test_cli_too_many_digits_is_a_work_limit_error(tmp_path, capsys, command):
     if command == "check":
         body = "var x;\nx -> 10^1000*10^1000*10^1000*10^1000*10^1000*x;\n"
         argv = ["check", _system_file(tmp_path, body)]
-    else:  # the Moebius map's 9000th iterate has coefficients of over 4300 digits
-        argv = ["iterate", "--m", "9000", corpus("mobius.system")]
+    else:  # the 44th iterate's leading coefficient 10^4400 has over 4300 digits
+        body = "var x;\nx -> 10^100*x + 1;\n"
+        argv = ["iterate", "--m", "44", _system_file(tmp_path, body)]
     limit = str(sys.get_int_max_str_digits())
     assert main(argv) == 2
     doc = json.loads(capsys.readouterr().out)

@@ -425,6 +425,48 @@ def test_lazy_square_stops_where_the_bounds_are_proven():
     assert set(dims) == {2}
 
 
+def test_lazy_pencil_stops_where_the_square_stops():
+    # scale's square at 1,2,0,6 reaches its bound 2n - 1 = 1 on the first
+    # pencil candidate: one point of the pencil's grid is tried, where the
+    # search that runs to the end tries all 7448, and the report is the same
+    sys, budget = _sweep_system("scale"), SearchBudget(1, 2, 0, 6)
+    tried = []
+    rows = invsearch._pencil_rows
+
+    def counted(t, basis):
+        tried.append(t)
+        return rows(t, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "_pencil_rows", counted)
+        report = square_gain_check(sys, budget)
+        lazy = len(tried)
+        reference, _ = _eager_square_gain_check(sys, budget)
+    assert report == reference
+    assert (lazy, len(tried) - lazy) == (1, 7448)
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("henon", 0), ("monomial", 0), ("swap", 1), ("double3", 1), ("lyness", 1),
+])
+def test_square_asks_for_the_order_only_where_a_stop_needs_it(name, calls):
+    # at the default budget: Henon and the monomial map end their searches
+    # below n - 1 and 2n - 1, so no stop asks; swap reaches base rank
+    # n - 1 = 1 on its way to 2, and the 3-D doubling and Lyness reach a
+    # bound of the infinite-order case.  The order is asked for at most once
+    counted = []
+    order = invsearch.proven_order
+
+    def recorded(sys):
+        counted.append(sys)
+        return order(sys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invsearch, "proven_order", recorded)
+        square_gain_check(_sweep_system(name), DEFAULT_BUDGET)
+    assert len(counted) == calls
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_lazy_square_matches_the_eager_square_on_seeded_affine_maps(seed):
     rng = random.Random(f"lazy-square-{seed}")
@@ -1577,7 +1619,7 @@ def test_pencil_stage_kernel_matches_fraction_columns(sys, dmax):
     budget = SearchBudget(dmax, dmax, 0, 10**6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_decomposable_points", lambda basis: [])
-        found, calls = _kernels(lambda: invsearch._pencil_stage(sys, budget, {}))
+        found, calls = _kernels(lambda: list(invsearch._pencil_stage(sys, budget, {})))
     assert calls == [_ref_kernel(_ref_pencil_columns(sys, dmax))]
     assert found == []
 
@@ -1663,7 +1705,7 @@ _DOUBLE_3D_PENCILS = [
 ], ids=["qrt-k2", "inverse-k3-grid", "double-3d-k3-grid", "k3-resultants",
         "k3-resultants-empty", "k3-resultants-off-grid"])
 def test_pencil_stage_outputs_are_pinned(variables, exprs, budget, expected):
-    found = invsearch._pencil_stage(make_system(variables, *exprs), budget, {})
+    found = list(invsearch._pencil_stage(make_system(variables, *exprs), budget, {}))
     assert [str(f) for f in found] == expected
 
 
@@ -1683,7 +1725,7 @@ def test_pencil_stage_gates_each_distinct_candidate_once(variables, exprs, budge
     stage = invsearch._pencil_stage
 
     def recorded(*args):
-        out = stage(*args)
+        out = list(stage(*args))
         offered.extend(out)
         return out
 
@@ -1745,7 +1787,7 @@ def test_pencil_candidates_match_the_fraction_pencil(data):
     # same p/q in the same order, repeats included
     size, basis = data
     monos = monomials_upto(2, 2)[:size]
-    assert (invsearch._pencil_candidates(("x", "y"), monos, basis)
+    assert (list(invsearch._pencil_candidates(("x", "y"), monos, basis))
             == ref_pencil_candidates(("x", "y"), monos, basis))
 
 
@@ -1827,7 +1869,7 @@ def test_k3_lift_tries_1_0_only_where_every_resultant_vanishes(basis):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invsearch, "_pencil_rows", rows)
         mp.setattr(invsearch, "_binary_zeros", binary)
-        found = invsearch._pencil_candidates(("x", "y"), monos, basis)
+        found = list(invsearch._pencil_candidates(("x", "y"), monos, basis))
     assert len(zeros) == 1 and (1, 0) not in zeros[0]
     # the reference builds the Fraction matrix of each distinct point it tries
     reference = []

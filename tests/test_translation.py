@@ -14,12 +14,13 @@ from ratdyn.exactalg import clear_denominators, jacobian_row, rank
 from ratdyn.invsearch import polynomial_invariant_basis
 from ratdyn.translation import (CLASS_AFFINE, CLASS_MOBIUS_PRODUCT,
                                 CLASS_MONOMIAL, CLASS_UNRECOGNIZED,
-                                ExponentMatrix, UnivariatePolynomial,
+                                ExponentMatrix, ORDER_FINITE, ORDER_INFINITE,
+                                ORDER_UNKNOWN, UnivariatePolynomial,
                                 VERDICT_NEGATIVE, VERDICT_PROVEN,
                                 classify_system, leading_blocks_independent,
                                 monomial_invariant_lattice, monomial_system,
-                                normalize_leading_sequence,
-                                system_exponent_matrix, _proves_infinite_order)
+                                normalize_leading_sequence, proven_order,
+                                system_exponent_matrix)
 
 from conftest import make_system, rf
 
@@ -101,7 +102,7 @@ def test_finite_order_rejects_expanding_matrices_quickly():
     assert not shear.has_finite_order()                          # unipotent
 
 
-# -- the infinite-order certificate -----------------------------------------------
+# -- the order certificates ---------------------------------------------------------
 
 # integer matrices of finite order: the identity, swaps, reflections, the
 # rotations of order 4, 3 and 6, and permutations of three coordinates
@@ -111,6 +112,10 @@ _FINITE_ORDER = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((0, -1)
 # Moebius matrices of order 2, 3, 4 and 6 in PGL2
 _FINITE_ORDER_MOBIUS = [((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, -1), (1, 1)),
                         ((2, -1), (1, 1))]
+# integer matrices of infinite order: expanding ones and unipotent ones
+_INFINITE_ORDER = [((2, 1), (1, 1)), ((0, 1), (1, 1)), ((2, 0), (0, 1)),
+                   ((1, 1), (0, 1)), ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+                   ((0, 1, 0), (0, 0, 1), (1, 1, 0))]
 
 
 def _times(a, b):
@@ -168,39 +173,62 @@ def _seeded_mobius(rng):
     return make_system("x", f"(({a})*x + ({b}))/(({c})*x + ({d}))")
 
 
-@pytest.mark.parametrize("family", ["affine", "mobius"])
+def _seeded_monomial(rng):
+    """x -> x^A for A of finite order (at most 6) or of infinite order,
+    conjugated."""
+    a = _conjugated(rng.choice(_FINITE_ORDER if rng.random() < 0.5 else _INFINITE_ORDER),
+                    rng)
+    return monomial_system("xyz"[:len(a)], ExponentMatrix(tuple(map(tuple, a))))
+
+
+_SEEDED = {"affine": _seeded_affine, "mobius": _seeded_mobius,
+           "monomial": _seeded_monomial}
+
+
+@pytest.mark.parametrize("family", ["affine", "mobius", "monomial"])
 def test_a_proven_infinite_order_has_no_iterate_that_is_the_identity(family):
-    # seeded maps, half of them of finite order (at most 6): wherever the
-    # certificate proves infinite order, none of phi, ..., phi^12 is the
-    # identity; and every map of finite order declines
+    # seeded maps, half of them of finite order (at most 6), against
+    # composition: a proven finite order has an iterate among phi, ...,
+    # phi^12 that is the identity, and a proven infinite order has none.
+    # In one variable and on monomial maps the owner always decides
     rng = random.Random(f"infinite-order-{family}")
     outcomes = set()
     for _ in range(60):
-        sysm = (_seeded_affine if family == "affine" else _seeded_mobius)(rng)
+        sysm = _SEEDED[family](rng)
         identity = DynamicalSystem.identity(sysm.variables)
         finite = any(it == identity for it in itertools.islice(iterates(sysm), 12))
-        proven = _proves_infinite_order(sysm)
-        assert not (proven and finite), sysm
-        outcomes.add((proven, finite))
-    # both outcomes occur, and a map that is not proven may be of either order
-    assert {(True, False), (False, True)} <= outcomes
+        order = proven_order(sysm)
+        assert order == (ORDER_FINITE if finite else ORDER_INFINITE) or (
+            family == "affine" and order == ORDER_UNKNOWN), sysm
+        if family == "monomial":  # classify reads the same order
+            assert (classify_system(sysm).verdict == VERDICT_PROVEN) == finite, sysm
+        outcomes.add((order, finite))
+    # both orders occur; an affine map of finite order is unknown to the scan
+    assert (ORDER_INFINITE, False) in outcomes
+    assert (ORDER_UNKNOWN if family == "affine" else ORDER_FINITE, True) in outcomes
 
 
-@pytest.mark.parametrize("variables, exprs", [
-    ("x", ("x",)), ("x y", ("y", "x")), ("x", ("1/x",)), ("x", ("-1/(x + 1)",)),
-    ("x", ("-x",)), ("x y z", ("y", "z", "x")), ("x y", ("y", "(y + 1)/x")),
+@pytest.mark.parametrize("variables, exprs, order", [
+    ("x", ("x",), ORDER_FINITE), ("x y", ("y", "x"), ORDER_FINITE),
+    ("x", ("1/x",), ORDER_FINITE), ("x", ("-1/(x + 1)",), ORDER_FINITE),
+    ("x", ("-x",), ORDER_FINITE), ("x y z", ("y", "z", "x"), ORDER_FINITE),
+    ("x y", ("y", "(y + 1)/x"), ORDER_UNKNOWN),
 ], ids=["identity", "swap", "inverse", "order3", "negation", "cycle3", "lyness"])
-def test_the_infinite_order_certificate_declines_on_maps_of_finite_order(variables, exprs):
-    assert not _proves_infinite_order(make_system(variables, *exprs))
+def test_the_infinite_order_certificate_declines_on_maps_of_finite_order(variables, exprs,
+                                                                        order):
+    # maps of finite order: the one-variable and the monomial ones are
+    # proven finite, and Lyness (order 5) is left to no rule
+    assert proven_order(make_system(variables, *exprs)) == order
 
 
 @pytest.mark.parametrize("variables, exprs", [
     ("x y", ("2*x", "2*y")), ("x y z", ("2*x", "2*y", "2*z")), ("x", ("2*x",)),
     ("x", ("x + 1",)), ("x y", ("2*x + y", "2*y")), ("x", ("(2*x + 3)/(x + 1)",)),
-    ("x y", ("y", "y^2 - x")), ("x", ("x^2 + 1",)),
-], ids=["double", "double3", "scale", "shift", "shear", "mobius", "henon", "quadratic"])
+    ("x y", ("y", "y^2 - x")), ("x", ("x^2 + 1",)), ("x y", ("x^2*y", "x*y")),
+], ids=["double", "double3", "scale", "shift", "shear", "mobius", "henon", "quadratic",
+        "monomial"])
 def test_the_infinite_order_certificate_proves_the_maps_of_infinite_order(variables, exprs):
-    assert _proves_infinite_order(make_system(variables, *exprs))
+    assert proven_order(make_system(variables, *exprs)) == ORDER_INFINITE
 
 
 def test_henon_is_proven_at_its_fixed_point_2_2(monkeypatch):
@@ -211,9 +239,9 @@ def test_henon_is_proven_at_its_fixed_point_2_2(monkeypatch):
     assert [jacobian_row(c, (0, 0)) for c in henon.coords] == [[0, 1], [-1, 0]]
     assert [jacobian_row(c, (2, 2)) for c in henon.coords] == [[0, 1], [-1, 4]]
     monkeypatch.setattr(translation, "_SCAN_VALUES", (0, 1, -1))
-    assert not _proves_infinite_order(henon)
+    assert proven_order(henon) == ORDER_UNKNOWN
     monkeypatch.setattr(translation, "_SCAN_VALUES", (0, 2))
-    assert _proves_infinite_order(henon)
+    assert proven_order(henon) == ORDER_INFINITE
 
 
 # -- lattice oracle ---------------------------------------------------------------
